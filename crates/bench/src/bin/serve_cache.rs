@@ -24,6 +24,7 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::{run_mixed, run_reads};
 use e2lsh_bench::report;
 use e2lsh_service::{
     mixed_ops_resuming, skewed_queries, zipf_indices, CachePolicy, DeviceSpec, Load, ServiceConfig,
@@ -279,8 +280,7 @@ fn main() {
             &ShardBuildConfig {
                 num_shards: 1,
                 seed: 99,
-                dir: std::env::temp_dir()
-                    .join(format!("e2lsh-serve-cache-{name}-{}", std::process::id())),
+                dir: e2lsh_storage::testutil::temp_path(&format!("serve-cache-{name}")),
                 cache_blocks: 1 << 13, // 4 MiB: small enough to contend
                 capacity: Some(2 * (N + POOL)),
                 ..Default::default()
@@ -292,7 +292,7 @@ fn main() {
             shards,
             ServiceConfig {
                 workers_per_replica: 2,
-                contexts_per_worker: 32,
+                inflight_per_replica: 64,
                 k: 1,
                 device: DeviceSpec::File { io_workers: 4 },
                 maintenance_blocks_per_tick: MAINT_BUDGET,
@@ -300,10 +300,11 @@ fn main() {
                 ..Default::default()
             },
         );
-        svc.serve(&warm_q, Load::Closed { window: 64 });
-        let pre = svc.serve(&read_q, Load::Closed { window: 64 });
-        let churn = svc.serve_mixed(&churn_q, &pool_ds, &wl.ops, Load::Closed { window: 64 });
-        let post = svc.serve(&read_q, Load::Closed { window: 64 });
+        let closed = Load::Closed { window: 64 };
+        run_reads(&svc, &warm_q, closed);
+        let (_, pre) = run_reads(&svc, &read_q, closed);
+        let (_, churn) = run_mixed(&svc, &churn_q, &pool_ds, &wl.ops, closed);
+        let (_, post) = run_reads(&svc, &read_q, closed);
         let row = ServiceScanRow {
             policy: name,
             pre_hit_rate: pre.device.cache_hit_rate(),
@@ -347,7 +348,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: 1,
             seed: 99,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-cache-co-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-cache-co"),
             cache_blocks: 1 << 13,
             capacity: Some(2 * (N + POOL)),
             ..Default::default()
@@ -372,8 +373,8 @@ fn main() {
     let client = session.client();
     // Duplicate-heavy open stream against a cold cache: 25 distinct
     // points, each submitted 32 times round-robin so duplicates are in
-    // flight together (Client::query does not dedup — only the batch
-    // wrapper does).
+    // flight together (Client::query does not dedup — only
+    // Session::query_batch does).
     let distinct = 25;
     let mut tickets = Vec::new();
     for round in 0..32 {

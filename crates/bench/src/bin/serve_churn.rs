@@ -21,6 +21,7 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::{run_mixed, run_reads};
 use e2lsh_bench::report;
 use e2lsh_service::{
     mixed_ops_resuming, skewed_queries, DeviceSpec, Load, Op, ServiceConfig, ShardBuildConfig,
@@ -96,7 +97,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-churn-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-churn"),
             cache_blocks: 1 << 16, // 32 MiB of 512-byte blocks per shard
             capacity: Some(2 * (N + POOL_TOTAL) / NUM_SHARDS),
             ..Default::default()
@@ -108,7 +109,7 @@ fn main() {
         shards,
         ServiceConfig {
             workers_per_replica: 4,
-            contexts_per_worker: 32,
+            inflight_per_replica: 128,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -122,8 +123,8 @@ fn main() {
 
     // Pre-churn baseline: one warmup pass to fill the cache, then the
     // measured read-only run.
-    svc.serve(&warmup_queries, Load::Closed { window: 64 });
-    let base = svc.serve(&read_queries, Load::Closed { window: 64 });
+    run_reads(&svc, &warmup_queries, Load::Closed { window: 64 });
+    let (_, base) = run_reads(&svc, &read_queries, Load::Closed { window: 64 });
     let base_p99 = base.latency().p99;
     let bytes0 = disk_bytes(&svc);
     println!(
@@ -182,7 +183,7 @@ fn main() {
                 Op::Query(_) => {}
             }
         }
-        let rep = svc.serve_mixed(&queries, &pool, &wl.ops, Load::Closed { window: 64 });
+        let (_, rep) = run_mixed(&svc, &queries, &pool, &wl.ops, Load::Closed { window: 64 });
         assert_eq!(rep.writes_failed, 0, "cycle {cycle}: writes must not fail");
         let lat = rep.latency();
         let row = CycleRow {
@@ -237,8 +238,8 @@ fn main() {
 
     // Post-churn read latency, against a cache re-warmed the same way
     // the baseline's was (churn invalidated the deleted keys' blocks).
-    svc.serve(&warmup_queries, Load::Closed { window: 64 });
-    let churned = svc.serve(&read_queries, Load::Closed { window: 64 });
+    run_reads(&svc, &warmup_queries, Load::Closed { window: 64 });
+    let (_, churned) = run_reads(&svc, &read_queries, Load::Closed { window: 64 });
     let churned_p99 = churned.latency().p99;
 
     let bytes_final = *disk_per_cycle.last().unwrap();

@@ -27,10 +27,11 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::run_reads;
 use e2lsh_bench::report;
 use e2lsh_service::{
-    skewed_queries, AdmissionBudget, DeviceSpec, Load, RoutePolicy, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService,
+    skewed_queries, AdmissionBudget, DeviceSpec, LatencyHistogram, Load, RoutePolicy,
+    ServiceConfig, ShardBuildConfig, ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use serde::Serialize;
@@ -99,8 +100,7 @@ fn build_warm(
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-replicas-{}-{tag}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path(&format!("serve-replicas-{tag}")),
             cache_blocks,
             ..Default::default()
         },
@@ -113,7 +113,7 @@ fn build_warm(
             replicas_per_shard: replicas,
             routing,
             workers_per_replica: 1,
-            contexts_per_worker: 32,
+            inflight_per_replica: 32,
             k: 1,
             s_override: None,
             device,
@@ -179,7 +179,8 @@ fn main() {
             None,
             &format!("scale{replicas}"),
         );
-        let rep = svc.serve(
+        let (_, rep) = run_reads(
+            &svc,
             &scale_queries,
             Load::Closed {
                 window: 64 * replicas,
@@ -242,8 +243,8 @@ fn main() {
         Some(BOUND),
         "cap",
     );
-    let capacity = cap_svc
-        .serve(&queries, Load::Closed { window: 48 })
+    let capacity = run_reads(&cap_svc, &queries, Load::Closed { window: 48 })
+        .1
         .goodput();
     cap_svc.shards().cleanup();
     let rate = capacity * 0.95;
@@ -259,7 +260,8 @@ fn main() {
         (RoutePolicy::Broadcast, "bcast"),
     ] {
         let svc = build(&w.data, R, policy, shared, cache, Some(BOUND), name);
-        let rep = svc.serve(
+        let (_, rep) = run_reads(
+            &svc,
             &queries,
             Load::Open {
                 rate_qps: rate,
@@ -308,13 +310,14 @@ fn main() {
     // cache-miss-heavy queries (identical under every policy), so the
     // routing win shows there with run-to-run noise — small tolerance.
     // The queue-wait p99 is the component routing actually controls:
-    // load-aware dispatch must win it outright.
+    // load-aware dispatch must win it outright (to within the
+    // histograms' quantile resolution).
     assert!(
         p2c <= rr * 1.05,
         "load-aware routing lost to round-robin: p2c p99 {p2c:.4}s vs rr {rr:.4}s"
     );
     assert!(
-        p2c_wait < rr_wait,
+        p2c_wait < rr_wait * (1.0 + LatencyHistogram::RELATIVE_ERROR),
         "p2c queue-wait p99 {p2c_wait:.4}s did not beat round-robin {rr_wait:.4}s"
     );
 
@@ -352,14 +355,14 @@ fn main() {
         for s in 0..NUM_SHARDS {
             svc.topology().fence(s, 1);
         }
-        svc.serve(&warm_queries, Load::Closed { window: 32 });
+        run_reads(&svc, &warm_queries, Load::Closed { window: 32 });
         // Hand the traffic to replica 1: cold, or warmed at session
         // start from replica 0's cache.
         for s in 0..NUM_SHARDS {
             svc.topology().unfence(s, 1);
             svc.topology().fence(s, 0);
         }
-        let rep = svc.serve(&warm_queries, Load::Closed { window: 32 });
+        let (_, rep) = run_reads(&svc, &warm_queries, Load::Closed { window: 32 });
         let lat = rep.latency();
         let row = WarmingRow {
             variant: name.to_string(),
@@ -395,7 +398,7 @@ fn main() {
         (warmed / cold - 1.0) * 100.0
     );
     assert!(
-        warmed < cold,
+        warmed < cold * (1.0 + LatencyHistogram::RELATIVE_ERROR),
         "warming did not shrink the cold-start p99: warmed {warmed:.4}s vs cold {cold:.4}s"
     );
 
@@ -411,8 +414,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-replicas-{}-trace", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-replicas-trace"),
             cache_blocks: 1 << 14,
             ..Default::default()
         },
@@ -425,7 +427,7 @@ fn main() {
             replicas_per_shard: 2,
             routing: RoutePolicy::PowerOfTwoChoices,
             workers_per_replica: 1,
-            contexts_per_worker: 32,
+            inflight_per_replica: 32,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimPerWorker {
@@ -439,7 +441,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let rep = traced.serve(&scale_queries, Load::Closed { window: 32 });
+    let (_, rep) = run_reads(&traced, &scale_queries, Load::Closed { window: 32 });
     assert!(
         !rep.slow_queries.is_empty(),
         "traced run produced no slow-query log"

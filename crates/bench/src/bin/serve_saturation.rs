@@ -21,6 +21,7 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::run_reads;
 use e2lsh_bench::report;
 use e2lsh_core::dataset::Dataset;
 use e2lsh_service::{
@@ -67,8 +68,7 @@ fn build_service(data: &Dataset, bounded: bool) -> ShardedService {
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-saturation-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-saturation"),
             cache_blocks: 1 << 16, // 32 MiB of 512-byte blocks per shard
             ..Default::default()
         },
@@ -79,7 +79,7 @@ fn build_service(data: &Dataset, bounded: bool) -> ShardedService {
         shards,
         ServiceConfig {
             workers_per_replica: 4,
-            contexts_per_worker: 32,
+            inflight_per_replica: 128,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -111,7 +111,7 @@ fn main() {
 
     // Capacity: closed loop, window under the queue bound.
     let svc = build_service(&w.data, true);
-    let cap = svc.serve(&queries, Load::Closed { window: 48 });
+    let (_, cap) = run_reads(&svc, &queries, Load::Closed { window: 48 });
     let capacity = cap.qps();
     println!("measured capacity (closed loop, window 48): {capacity:.0} QPS\n");
 
@@ -130,7 +130,8 @@ fn main() {
     );
     for frac in [0.5, 0.8, 1.0, 1.25, 1.5, 2.0] {
         let rate = capacity * frac;
-        let rep = svc.serve(
+        let (_, rep) = run_reads(
+            &svc,
             &queries,
             Load::Open {
                 rate_qps: rate,
@@ -201,9 +202,9 @@ fn main() {
         for &i in &picks {
             batch.push(w.queries.point(i));
         }
-        let brep = svc.query_batch(&batch);
+        let brep = svc.start().query_batch(&batch);
         assert_eq!(brep.shed, 0, "unbounded batch serving must not shed");
-        let qrep = svc.serve(&batch, Load::Closed { window: 48 });
+        let (_, qrep) = run_reads(&svc, &batch, Load::Closed { window: 48 });
         let saving = 1.0 - brep.total_io as f64 / qrep.total_io.max(1) as f64;
         let row = BatchRow {
             batch_size,

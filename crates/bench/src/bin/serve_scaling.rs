@@ -29,6 +29,7 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::run_reads;
 use e2lsh_bench::report;
 use e2lsh_service::{
     skewed_queries, DeviceSpec, Load, ServiceConfig, ShardBuildConfig, ShardSet, ShardedService,
@@ -109,7 +110,7 @@ fn build_service(workers: usize, data: &e2lsh_core::dataset::Dataset) -> Sharded
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-scaling-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-scaling"),
             cache_blocks: 1 << 16, // 32 MiB of 512-byte blocks per shard
             ..Default::default()
         },
@@ -120,7 +121,7 @@ fn build_service(workers: usize, data: &e2lsh_core::dataset::Dataset) -> Sharded
         shards,
         ServiceConfig {
             workers_per_replica: workers,
-            contexts_per_worker: 32,
+            inflight_per_replica: workers * 32,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -145,7 +146,7 @@ fn build_service_inflight(
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-async-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-async"),
             cache_blocks: 1 << 16,
             ..Default::default()
         },
@@ -186,7 +187,7 @@ fn main() {
     let mut saturated_qps: f64 = 0.0;
     for workers in [1usize, 2, 4, 8] {
         let svc = build_service(workers, &w.data);
-        let rep = svc.serve(&queries, Load::Closed { window: 64 });
+        let (_, rep) = run_reads(&svc, &queries, Load::Closed { window: 64 });
         let lat = rep.latency();
         let wait = rep.queue_wait();
         let svc_lat = rep.service_latency();
@@ -231,7 +232,8 @@ fn main() {
     for frac in [0.3, 0.6, 0.9] {
         let rate = (saturated_qps * frac).max(1.0);
         let svc = build_service(4, &w.data);
-        let rep = svc.serve(
+        let (_, rep) = run_reads(
+            &svc,
             &queries,
             Load::Open {
                 rate_qps: rate,
@@ -282,22 +284,17 @@ fn main() {
     );
     let mut async_row = |inflight: usize, closed: bool, offered: f64| -> f64 {
         let svc = build_service_inflight(COMPUTE, inflight, &w.data);
-        let rep = if closed {
-            svc.serve(
-                &queries,
-                Load::Closed {
-                    window: 2 * inflight * NUM_SHARDS,
-                },
-            )
+        let load = if closed {
+            Load::Closed {
+                window: 2 * inflight * NUM_SHARDS,
+            }
         } else {
-            svc.serve(
-                &queries,
-                Load::Open {
-                    rate_qps: offered,
-                    seed: 13,
-                },
-            )
+            Load::Open {
+                rate_qps: offered,
+                seed: 13,
+            }
         };
+        let (_, rep) = run_reads(&svc, &queries, load);
         let lat = rep.latency();
         let wait = rep.queue_wait();
         let svc_lat = rep.service_latency();

@@ -22,7 +22,7 @@
 //!    `retry_after`), and the victim's p99 stays within 1.5× its
 //!    isolated baseline (asserted).
 //!
-//! The artifact attaches the final schema-v3 service report, so
+//! The artifact attaches the final exported service report, so
 //! `schema_check` validates the new net counters
 //! (`connections_accepted/dropped`, `frames_in/out`,
 //! `frame_decode_errors`, `tickets_orphaned`) end to end.
@@ -186,7 +186,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: NUM_SHARDS,
             seed: 99,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-swarm-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("serve-swarm"),
             cache_blocks: 1 << 15,
             ..Default::default()
         },
@@ -197,7 +197,7 @@ fn main() {
         shards,
         ServiceConfig {
             workers_per_replica: 4,
-            contexts_per_worker: 32,
+            inflight_per_replica: 128,
             k: 10,
             s_override: Some(1_000_000),
             device: DeviceSpec::SimShared {

@@ -17,6 +17,7 @@
 
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::workload_sized;
+use e2lsh_bench::replay::run_mixed;
 use e2lsh_bench::report;
 use e2lsh_service::{
     mixed_ops, skewed_queries, DeviceSpec, Load, ServiceConfig, ShardBuildConfig, ShardSet,
@@ -95,8 +96,7 @@ fn main() {
             &ShardBuildConfig {
                 num_shards: NUM_SHARDS,
                 seed: 99,
-                dir: std::env::temp_dir()
-                    .join(format!("e2lsh-serve-updates-{}", std::process::id())),
+                dir: e2lsh_storage::testutil::temp_path("serve-updates"),
                 cache_blocks: 1 << 16, // 32 MiB of 512-byte blocks per shard
                 capacity: Some(2 * (N + POOL) / NUM_SHARDS),
                 ..Default::default()
@@ -108,7 +108,7 @@ fn main() {
             shards,
             ServiceConfig {
                 workers_per_replica: 4,
-                contexts_per_worker: 32,
+                inflight_per_replica: 128,
                 k: 1,
                 s_override: None,
                 device: DeviceSpec::SimShared {
@@ -119,7 +119,7 @@ fn main() {
             },
         );
         let wl = mixed_ops(queries.len(), write_fraction, 0.4, N, POOL, 11);
-        let rep = svc.serve_mixed(&queries, &pool, &wl.ops, Load::Closed { window: 64 });
+        let (_, rep) = run_mixed(&svc, &queries, &pool, &wl.ops, Load::Closed { window: 64 });
         let lat = rep.latency();
         let rwait = rep.queue_wait();
         let rsvc = rep.service_latency();

@@ -11,8 +11,11 @@
 //!   approximation ratio `c`), and the sweep walks the knob to produce
 //!   (overall ratio, query time) curves and to hit a target ratio;
 //! * [`report`] — uniform stdout tables plus JSON-lines records under
-//!   `results/` for archival.
+//!   `results/` for archival;
+//! * [`replay`] — run a pre-generated workload through a fresh service
+//!   session (the `serve_*` bins' harness).
 
 pub mod prep;
+pub mod replay;
 pub mod report;
 pub mod sweep;

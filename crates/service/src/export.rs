@@ -32,7 +32,10 @@ use serde::Serialize;
 /// `frames_in/out`, `frame_decode_errors`, `tickets_orphaned`) and the
 /// `net_ingress` stage on exported spans. The net counters are always
 /// present — zero for in-process-only runs.
-pub const SCHEMA_VERSION: u64 = 3;
+/// v4: the `retries` counter is gone — a session never retries; the
+/// replay harness reports its own
+/// ([`Driven::retries`](crate::loadgen::Driven::retries)).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// A named, ordered snapshot of one [`ServiceReport`]'s metrics,
 /// ready to serialize. Build with [`MetricsRegistry::from_report`];
@@ -56,7 +59,6 @@ impl MetricsRegistry {
             ("writes_applied", report.writes_applied as u64),
             ("writes_failed", report.writes_failed as u64),
             ("shed_writes", report.shed_writes as u64),
-            ("retries", report.retries as u64),
             ("failovers", report.failovers as u64),
             ("lost_partials", report.lost_partials as u64),
             ("peak_queue_depth", report.peak_queue_depth as u64),

@@ -16,8 +16,7 @@
 //!   power-of-two-choices over live queue depth (default), round-robin
 //!   and broadcast baselines; plus the fencing/failover protocol that
 //!   re-dispatches a dead replica's outstanding queries to a sibling;
-//! * [`session`] — the **session-oriented client API** (the primary
-//!   entry point since PR 5):
+//! * [`session`] — the **session**, the service's only executor:
 //!   [`ShardedService::start`](service::ShardedService::start) brings
 //!   reactors, writers and collector up once and returns a
 //!   long-lived [`session::Session`]; cloneable
@@ -30,12 +29,11 @@
 //!   reports incrementally and
 //!   [`Session::shutdown`](session::Session::shutdown) drains and
 //!   joins;
-//! * [`service`] — configuration/report types and the legacy
-//!   run-to-completion wrappers (`serve`, `serve_mixed`,
-//!   `query_batch`), now thin clients of the session API (oracle
-//!   suites assert bit-exact wrapper/session equivalence); every query
-//!   fans out to all shards (one replica each) and the per-shard top-k
-//!   results are merged by distance;
+//! * [`service`] — [`service::ServiceConfig`], the
+//!   [`service::ServiceReport`] snapshot shape and
+//!   [`service::ShardedService`], which owns the topology and starts
+//!   sessions; every query fans out to all shards (one replica each)
+//!   and the per-shard top-k results are merged by distance;
 //! * [`reactor`] — the **completion-driven engine**: one event loop
 //!   per replica owns the replica's device handle and admission queue
 //!   and multiplexes up to
@@ -62,15 +60,17 @@
 //!   [`Overload`] error, writes either shed the same way
 //!   ([`session::Client::write`] — safe now that insert ids are minted
 //!   at admission) or backpressure the submitter
-//!   ([`session::Client::write_blocking`], the legacy wrappers'
-//!   discipline), and the service reports goodput, shed rate and peak
-//!   queue depth — offered load past capacity degrades into countable
-//!   rejections or bounded stalls, not unbounded queues;
+//!   ([`session::Client::write_blocking`]), and the service reports
+//!   goodput, shed rate and peak queue depth — offered load past
+//!   capacity degrades into countable rejections or bounded stalls,
+//!   not unbounded queues;
 //! * [`loadgen`] — closed-loop (fixed in-flight window) and open-loop
 //!   (Poisson or batch-shaped [`Load::Burst`] arrivals) admission,
 //!   Zipf-skewed query streams and duplicate-heavy batches
-//!   ([`loadgen::zipf_batches`]), and seeded mixed read–write op
-//!   streams ([`loadgen::mixed_ops`]);
+//!   ([`loadgen::zipf_batches`]), seeded mixed read–write op streams
+//!   ([`loadgen::mixed_ops`]), and [`loadgen::drive`] — the one pump
+//!   that replays such a stream through a live session and hands back
+//!   the resolved tickets ([`loadgen::Driven`]);
 //! * [`metrics`] — latency percentiles (p50/p95/p99), summaries, and
 //!   rejected-request accounting ([`metrics::OpStatus`]; percentiles
 //!   cover accepted ops, shed ops are counted separately), plus the
@@ -95,7 +95,7 @@
 //!   over a socket.
 //!
 //! Batches of queries go through
-//! [`ShardedService::query_batch`](service::ShardedService::query_batch):
+//! [`Session::query_batch`](session::Session::query_batch):
 //! byte-identical hot queries are deduplicated before the engine (one
 //! probe per unique query per shard, merged results fanned back out to
 //! every duplicate) and the whole request shares one fan-out/merge
@@ -131,8 +131,8 @@ pub use admission::{
 pub use e2lsh_storage::device::cached::{CachePolicy, TinyLfuConfig};
 pub use export::{report_json, MetricsRegistry, SCHEMA_VERSION};
 pub use loadgen::{
-    mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_batches, zipf_indices,
-    Load, MixedWorkload, Op,
+    drive, mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_batches,
+    zipf_indices, Driven, Load, MixedWorkload, Op,
 };
 pub use metrics::{imbalance, percentile, LatencyHistogram, LatencySummary, OpStatus};
 pub use net::{NetClient, NetCounters, NetQueryReply, NetServer, NetServerConfig, NetWriteReply};

@@ -1,8 +1,18 @@
-//! Load generation: admission disciplines and skewed query workloads.
+//! Load generation: admission disciplines, skewed query workloads, and
+//! [`drive`] — the one pump that replays a pre-generated op stream
+//! through a live [`Session`] under a [`Load`] discipline.
 
+use crate::admission::Overload;
+use crate::metrics::OpStatus;
+use crate::reactor::sleep_until;
+use crate::session::{
+    insert_base, QueryResult, QueryTicket, Session, WriteOp, WriteResult, WriteTicket,
+};
+use crossbeam::channel::unbounded;
 use e2lsh_core::dataset::Dataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::{BinaryHeap, HashMap};
 
 /// How queries are admitted to the service.
 #[derive(Clone, Copy, Debug)]
@@ -15,14 +25,14 @@ pub enum Load {
         window: usize,
     },
     /// Closed loop whose clients **honor the service's backoff hint**:
-    /// a query shed with [`Overload`](crate::admission::Overload) is
-    /// retried after the error's `retry_after` (derived from the shard
-    /// queue's observed drain rate) instead of being abandoned, up to
-    /// `max_retries` attempts; only then is it booked as shed. Latency
-    /// of a retried query is measured from its *first* dispatch, so
-    /// backoff time is visible in the percentiles.
-    /// `ServiceReport::retries` counts the re-attempts. Writes never
-    /// shed (they backpressure), so retries only ever apply to queries.
+    /// a query shed with [`Overload`] is retried after the error's
+    /// `retry_after` (derived from the shard queue's observed drain
+    /// rate) instead of being abandoned, up to `max_retries` attempts;
+    /// only then does [`Driven::queries`] report it shed. Latency of a
+    /// retried query is measured from its *first* dispatch, so backoff
+    /// time is visible in the percentiles. [`Driven::retries`] counts
+    /// the re-attempts. Writes never shed (they backpressure), so
+    /// retries only ever apply to queries.
     ClosedBackoff {
         /// In-flight query target.
         window: usize,
@@ -46,7 +56,9 @@ pub enum Load {
     /// time, the bursts forming a Poisson process whose rate keeps the
     /// long-run op rate at `rate_qps` (burst rate = `rate_qps / burst`).
     /// Models clients that ship a vector of queries per request — the
-    /// arrival shape `query_batch` serves, and a harsher admission test
+    /// arrival shape
+    /// [`Session::query_batch`](crate::session::Session::query_batch)
+    /// serves, and a harsher admission test
     /// than [`Load::Open`]: a whole burst hits the queues at one
     /// instant.
     Burst {
@@ -193,6 +205,278 @@ pub fn mixed_ops_resuming(
     }
 }
 
+/// What one [`drive`] call resolved: per-op truth, straight off the
+/// tickets (the session's [`ServiceReport`](crate::service::ServiceReport)
+/// carries only counters and histograms).
+#[derive(Clone, Debug)]
+pub struct Driven {
+    /// Outcome of query `i` of the query set — of its **last** attempt
+    /// under [`Load::ClosedBackoff`], so a query is [`OpStatus::Shed`]
+    /// here only after exhausting its retries.
+    pub queries: Vec<QueryResult>,
+    /// Write outcomes in stream order. Writes go through the blocking
+    /// submission path, so none is shed for capacity.
+    pub writes: Vec<WriteResult>,
+    /// Re-dispatch attempts made under [`Load::ClosedBackoff`]; 0 under
+    /// every other discipline.
+    pub retries: usize,
+}
+
+/// A query waiting out its
+/// [`Overload::retry_after`](crate::admission::Overload::retry_after)
+/// backoff under [`Load::ClosedBackoff`]. Min-heap by due time.
+struct Retry {
+    at: f64,
+    op_idx: usize,
+}
+
+impl PartialEq for Retry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.op_idx == other.op_idx
+    }
+}
+impl Eq for Retry {}
+impl PartialOrd for Retry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Retry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
+        other
+            .at
+            .total_cmp(&self.at)
+            .then(other.op_idx.cmp(&self.op_idx))
+    }
+}
+
+/// Tickets of the ops submitted so far, and the ticket id → op index
+/// map completion notifications are resolved through (retries mint
+/// fresh ticket ids).
+struct Tickets {
+    queries: Vec<Option<QueryTicket>>,
+    writes: Vec<WriteTicket>,
+    op_of: HashMap<u64, usize>,
+}
+
+/// Replay a mixed read–write op stream through `session` under the
+/// given load discipline; blocks until every op has resolved. The
+/// session stays up: callers bracket this with
+/// [`ShardedService::start`](crate::service::ShardedService::start) and
+/// [`Session::shutdown`], whose report covers the run.
+///
+/// `ops` references `queries` (each `Op::Query(i)` must appear exactly
+/// once for `i < queries.len()`) and `inserts` (`Op::Insert(j)`
+/// consumes pool point `j`, in ascending order — the session mints the
+/// `j`-th insert's global id as build-time total + inserts applied by
+/// earlier runs + `j`, routed round-robin over the shards).
+/// `Op::Delete(g)` must target an id that is live at its position in
+/// the stream. [`mixed_ops`] generates conforming streams (use
+/// [`mixed_ops_resuming`] for follow-up runs on a mutated service); a
+/// read-only run passes `Op::Query(0..n)` and an empty `inserts`.
+///
+/// Queries submit non-blocking at the discipline's reference times,
+/// writes through the **blocking** path (nothing is shed for capacity,
+/// so stream-positional insert ids stay valid), both through an
+/// uncapped client —
+/// [`ServiceConfig::per_client_inflight`](crate::service::ServiceConfig::per_client_inflight)
+/// protects external callers from each other, and a capped pump would
+/// shed queries the shard budgets had room for.
+pub fn drive(
+    session: &Session,
+    queries: &Dataset,
+    inserts: &Dataset,
+    ops: &[Op],
+    load: Load,
+) -> Driven {
+    let shards = session.topology().shards();
+    assert_eq!(queries.dim(), shards.dim(), "query dimensionality");
+    let num_queries = ops.iter().filter(|op| matches!(op, Op::Query(_))).count();
+    assert_eq!(
+        num_queries,
+        queries.len(),
+        "ops must cover each query exactly once"
+    );
+    if ops.len() > num_queries {
+        assert_eq!(inserts.dim(), shards.dim(), "insert dimensionality");
+    }
+    // Validate write ops up front: a bad op would fail inside a
+    // shard writer thread, turning a generator bug into a silent
+    // `writes_failed` instead of a loud failure here. Checks:
+    // insert indices are dense and ascending (the session mints
+    // global ids as `insert_base + j`) and fit the pool; deletes
+    // target ids assigned before them in the stream (per-shard FIFO
+    // then guarantees delete-after-insert); and each shard's growth
+    // fits the id space its index codec was built with.
+    {
+        let mut assigned = insert_base(session.topology());
+        let mut expected_insert = 0usize;
+        let mut new_rows = vec![0usize; shards.num_shards()];
+        let mut seen_query = vec![false; queries.len()];
+        for op in ops {
+            match *op {
+                Op::Query(qi) => {
+                    assert!(qi < queries.len(), "query index out of range");
+                    assert!(!seen_query[qi], "query {qi} appears twice");
+                    seen_query[qi] = true;
+                }
+                Op::Insert(j) => {
+                    assert_eq!(
+                        j, expected_insert,
+                        "insert indices must be dense and ascending"
+                    );
+                    new_rows[shards.plan().shard_of_any(assigned)] += 1;
+                    expected_insert += 1;
+                    assigned += 1;
+                }
+                Op::Delete(g) => {
+                    assert!(
+                        (g as usize) < assigned,
+                        "delete of unassigned global id {g} (ids end at {assigned})"
+                    );
+                }
+            }
+        }
+        assert!(
+            expected_insert <= inserts.len(),
+            "ops consume {expected_insert} insert points but the pool holds {}",
+            inserts.len()
+        );
+        for (s, shard) in shards.shards().iter().enumerate() {
+            let id_space = 1u64 << shard.index.codec().id_bits;
+            assert!(
+                (shard.num_rows() + new_rows[s]) as u64 <= id_space,
+                "shard {s}: {} inserts exceed the id space ({id_space} ids) — \
+                 build with a larger ShardBuildConfig::capacity",
+                new_rows[s]
+            );
+        }
+    }
+
+    let client = session.internal_client();
+    let total = ops.len();
+    let mut tickets = Tickets {
+        queries: (0..queries.len()).map(|_| None).collect(),
+        writes: Vec::new(),
+        op_of: HashMap::new(),
+    };
+    let mut retries = 0usize;
+    // Completion notifications multiplex the in-flight window.
+    let (ntx, nrx) = unbounded::<u64>();
+    let submit = |op_idx: usize, ref_time: f64, tickets: &mut Tickets| {
+        let write = match ops[op_idx] {
+            Op::Query(qi) => {
+                let t =
+                    client.submit_query(queries.point(qi), Some(ref_time), Some(ntx.clone()), None);
+                tickets.op_of.insert(t.id(), op_idx);
+                tickets.queries[qi] = Some(t);
+                return;
+            }
+            Op::Insert(j) => WriteOp::Insert(inserts.point(j)),
+            Op::Delete(g) => WriteOp::Delete(g),
+        };
+        let t = client.submit_write(write, Some(ref_time), true, Some(ntx.clone()), None);
+        tickets.op_of.insert(t.id(), op_idx);
+        tickets.writes.push(t);
+    };
+
+    let closed_loop = match load {
+        Load::Closed { window } => Some((window, 0)),
+        Load::ClosedBackoff {
+            window,
+            max_retries,
+        } => Some((window, max_retries)),
+        Load::Open { .. } | Load::Burst { .. } => None,
+    };
+    match closed_loop {
+        Some((window, max_retries)) => {
+            let window = window.max(1).min(total);
+            let mut ref_time = vec![0.0f64; total];
+            let mut attempts_left = vec![max_retries; total];
+            let mut pending: BinaryHeap<Retry> = BinaryHeap::new();
+            let mut next = 0usize;
+            let mut inflight = 0usize;
+            let mut done = 0usize;
+            while done < total {
+                // Fill the window: due retries first, then fresh ops.
+                while inflight < window {
+                    let now = session.now();
+                    if pending.peek().is_some_and(|r| r.at <= now) {
+                        let r = pending.pop().unwrap();
+                        retries += 1;
+                        submit(r.op_idx, ref_time[r.op_idx], &mut tickets);
+                    } else if next < total {
+                        ref_time[next] = now;
+                        submit(next, now, &mut tickets);
+                        next += 1;
+                    } else {
+                        break;
+                    }
+                    inflight += 1;
+                }
+                // Wait for a completion — or only until the next retry
+                // is due, if one could be dispatched then.
+                let tid = match pending.peek() {
+                    Some(r) if inflight < window => {
+                        let wait = (r.at - session.now()).max(0.0);
+                        match nrx.recv_timeout(std::time::Duration::from_secs_f64(wait)) {
+                            Ok(tid) => tid,
+                            Err(_) => continue,
+                        }
+                    }
+                    _ => nrx.recv().expect("session alive"),
+                };
+                inflight -= 1;
+                let op_idx = tickets.op_of[&tid];
+                // Writes go through the blocking path: their ticket
+                // resolution is always terminal.
+                if let Op::Query(qi) = ops[op_idx] {
+                    let res = tickets.queries[qi]
+                        .as_ref()
+                        .and_then(QueryTicket::poll)
+                        .expect("notified ticket is resolved");
+                    if res.status == OpStatus::Shed && attempts_left[op_idx] > 0 {
+                        // Honor the retry_after hint; latency stays
+                        // measured from the first attempt.
+                        attempts_left[op_idx] -= 1;
+                        let after = res
+                            .overload
+                            .map_or(Overload::MIN_RETRY_AFTER, |o| o.retry_after);
+                        pending.push(Retry {
+                            at: session.now() + after,
+                            op_idx,
+                        });
+                        continue;
+                    }
+                }
+                done += 1;
+            }
+        }
+        None => {
+            // Open loop: arrivals never wait for completions. Queries
+            // submit non-blocking (a shed resolves the ticket
+            // immediately); a full write queue backpressures the
+            // arrival thread — the stall is visible in write latency,
+            // which is measured from the scheduled arrival.
+            let epoch = session.epoch();
+            for (op_idx, &at) in load.arrival_schedule(total).iter().enumerate() {
+                sleep_until(epoch, at);
+                submit(op_idx, at, &mut tickets);
+            }
+        }
+    }
+    Driven {
+        queries: tickets
+            .queries
+            .into_iter()
+            .map(|t| t.expect("every query submitted").wait())
+            .collect(),
+        writes: tickets.writes.into_iter().map(WriteTicket::wait).collect(),
+        retries,
+    }
+}
+
 /// Poisson arrival schedule: `n` scheduled offsets (seconds from epoch),
 /// ascending, with exponential inter-arrival times at `rate_qps`.
 pub fn poisson_arrivals(n: usize, rate_qps: f64, seed: u64) -> Vec<f64> {
@@ -249,8 +533,8 @@ pub fn skewed_queries(base: &Dataset, total: usize, s: f64, seed: u64) -> Datase
 /// Duplicate-heavy batch requests: `num_batches` batches of
 /// `batch_size` indices into `0..n`, each drawn Zipf(`s`) —
 /// within-batch repeats of hot keys are exactly what
-/// `ShardedService::query_batch`'s dedup collapses. Deterministic in
-/// `seed`.
+/// [`Session::query_batch`](crate::session::Session::query_batch)'s
+/// dedup collapses. Deterministic in `seed`.
 pub fn zipf_batches(
     n: usize,
     num_batches: usize,

@@ -90,36 +90,27 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarize the samples of **accepted** ops only: `samples[i]` is
     /// kept iff `statuses[i]` is [`OpStatus::Ok`]. The two slices are
-    /// parallel (per-op, in op order).
+    /// parallel (per-op, in op order). Sorts the kept samples **once**
+    /// for all five statistics (never per percentile).
     pub fn of_accepted(samples: &[f64], statuses: &[OpStatus]) -> Self {
         debug_assert_eq!(samples.len(), statuses.len());
-        let accepted: Vec<f64> = samples
+        let mut accepted: Vec<f64> = samples
             .iter()
             .zip(statuses)
             .filter(|&(_, s)| *s == OpStatus::Ok)
             .map(|(&l, _)| l)
             .collect();
-        Self::of_owned(accepted)
-    }
-
-    /// Summarize a sample. Copies and sorts the sample **once** for all
-    /// five statistics (never per percentile).
-    pub fn of(samples: &[f64]) -> Self {
-        Self::of_owned(samples.to_vec())
-    }
-
-    fn of_owned(mut samples: Vec<f64>) -> Self {
-        if samples.is_empty() {
+        if accepted.is_empty() {
             return Self::default();
         }
-        samples.sort_by(|a, b| a.total_cmp(b));
+        accepted.sort_by(|a, b| a.total_cmp(b));
         Self {
-            count: samples.len(),
-            mean: samples.iter().sum::<f64>() / samples.len() as f64,
-            p50: percentile_sorted(&samples, 50.0),
-            p95: percentile_sorted(&samples, 95.0),
-            p99: percentile_sorted(&samples, 99.0),
-            max: *samples.last().unwrap(),
+            count: accepted.len(),
+            mean: accepted.iter().sum::<f64>() / accepted.len() as f64,
+            p50: percentile_sorted(&accepted, 50.0),
+            p95: percentile_sorted(&accepted, 95.0),
+            p99: percentile_sorted(&accepted, 99.0),
+            max: *accepted.last().unwrap(),
         }
     }
 }
@@ -372,8 +363,9 @@ mod tests {
 
     #[test]
     fn summary_is_order_free() {
-        let a = LatencySummary::of(&[3.0, 1.0, 2.0]);
-        let b = LatencySummary::of(&[1.0, 2.0, 3.0]);
+        let ok = [OpStatus::Ok; 3];
+        let a = LatencySummary::of_accepted(&[3.0, 1.0, 2.0], &ok);
+        let b = LatencySummary::of_accepted(&[1.0, 2.0, 3.0], &ok);
         assert_eq!(a.p50, b.p50);
         assert_eq!(a.mean, 2.0);
         assert_eq!(a.max, 3.0);

@@ -232,7 +232,7 @@ impl NetClient {
         self.wait_write(corr)
     }
 
-    /// Fetch the server's schema-v3 metrics JSON (a
+    /// Fetch the server's metrics JSON export (a
     /// [`report_json`](crate::export::report_json) snapshot with the
     /// net counters filled in).
     pub fn metrics_json(&mut self) -> io::Result<String> {

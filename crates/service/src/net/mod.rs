@@ -76,7 +76,7 @@ use std::thread::JoinHandle;
 
 /// Net-tier counters, reported through
 /// [`ServiceReport::net`](crate::service::ServiceReport::net) and the
-/// schema-v3 JSON exporter. All monotonic except `connections_peak`.
+/// JSON exporter. All monotonic except `connections_peak`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Connections the acceptor handed to a reader/pump pair.

@@ -1,13 +1,12 @@
 //! The per-replica **reactor**: one completion-driven event loop per
-//! replica, replacing the old one-blocked-thread-per-worker serve loop.
+//! replica.
 //!
 //! The paper's central result (§6.5) is that asynchronous I/O with deep
 //! queue depth beats synchronous querying by ~20× — QD=1 cannot hide
-//! storage latency. The old `worker` module already used the storage
-//! crate's completion-shaped [`QueryDriver`] state machine, but capped
-//! service-level concurrency at `workers_per_replica ×
-//! contexts_per_worker` *threads-worth* of slots, each worker blocking
-//! on its own device handle. The reactor finishes the job:
+//! storage latency. The reactor applies that at service scale by
+//! driving the storage crate's completion-shaped [`QueryDriver`] state
+//! machine with a replica's concurrency expressed as a slot count, not
+//! a count of blocked threads:
 //!
 //! * **One event loop per replica** ([`run_replica`]) owns the
 //!   replica's device handle and its admission queue, and multiplexes
@@ -174,7 +173,7 @@ pub struct ReactorCtx<'a> {
     /// The replica's live statistics cell.
     pub stats: &'a ReplicaStatsCell,
     /// Engine configuration; `contexts` is the reactor's slot count
-    /// (the resolved [`ServiceConfig::inflight_per_replica`]).
+    /// ([`ServiceConfig::inflight_per_replica`]).
     ///
     /// [`ServiceConfig::inflight_per_replica`]: crate::service::ServiceConfig::inflight_per_replica
     pub engine: &'a EngineConfig,

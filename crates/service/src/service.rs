@@ -1,27 +1,20 @@
-//! The sharded query service: configuration, reports, and the
-//! run-to-completion wrappers over the session API.
+//! The sharded query service: configuration, the report shape, and
+//! the [`ShardedService`] that owns the topology.
 //!
-//! Since the session redesign the serving machinery lives in
-//! [`crate::session`]: [`ShardedService::start`] brings up topology,
-//! per-replica reactors, writers and collector once and returns a
-//! long-lived
-//! [`Session`] whose cloneable [`Client`](crate::session::Client)
-//! handles submit queries and writes non-blocking, resolving through
-//! per-request tickets. This module keeps:
+//! The serving machinery lives in [`crate::session`]:
+//! [`ShardedService::start`] brings up topology, per-replica reactors,
+//! writers and collector once and returns a long-lived [`Session`]
+//! whose cloneable [`Client`](crate::session::Client) handles submit
+//! queries and writes non-blocking, resolving through per-request
+//! tickets. The session is the only executor — harnesses that replay a
+//! pre-generated workload drive one through
+//! [`loadgen::drive`](crate::loadgen::drive). This module keeps:
 //!
-//! * [`ServiceConfig`] / [`ServiceReport`] / [`BatchQueryReport`] — the
-//!   configuration and reporting types (reports now also serve as
-//!   [`Session::metrics`] snapshots; see
-//!   [`ServiceReport::interval_since`]);
-//! * [`dedup_batch`] — the batch dedup map;
-//! * the **legacy wrappers** [`ShardedService::serve`],
-//!   [`ShardedService::serve_mixed`] and
-//!   [`ShardedService::query_batch`]: each opens a session, pumps the
-//!   pre-generated workload through a client under the requested
-//!   [`Load`] discipline, closes the session and assembles the familiar
-//!   report. They are *thin clients of the new API* — the oracle
-//!   harnesses assert bit-exact equivalence between a wrapper call and
-//!   a hand-driven session on the same seeded workload.
+//! * [`ServiceConfig`] — the configuration;
+//! * [`ServiceReport`] — the [`Session::metrics`] /
+//!   [`Session::shutdown`] snapshot (see
+//!   [`ServiceReport::interval_since`]) and [`BatchQueryReport`];
+//! * [`dedup_batch`] — the batch dedup map.
 //!
 //! Queries fan out to every **shard**, and within each shard the
 //! [`Router`](crate::router) picks one **replica** (of
@@ -34,23 +27,23 @@
 //! separate budgets, and offered load beyond capacity degrades into
 //! explicit rejections or bounded stalls rather than unbounded queues
 //! and meaningless percentiles.
+//!
+//! [`Session::metrics`]: crate::session::Session::metrics
+//! [`Session::shutdown`]: crate::session::Session::shutdown
 
 use crate::admission::AdmissionControl;
-use crate::loadgen::{Load, Op};
 use crate::metrics::{imbalance, LatencyHistogram, LatencySummary, OpStatus};
 use crate::net::NetCounters;
-use crate::reactor::sleep_until;
 use crate::router::{RoutePolicy, MAX_REPLICAS};
-use crate::session::{insert_base, QueryTicket, Session, WriteOp, WriteTicket};
+use crate::session::Session;
 use crate::shard::ShardSet;
 use crate::topology::Topology;
 use crate::trace::TraceSpan;
-use crossbeam::channel::unbounded;
 use e2lsh_core::dataset::Dataset;
 use e2lsh_storage::device::cached::CachePolicy;
 use e2lsh_storage::device::sim::DeviceProfile;
 use e2lsh_storage::device::DeviceStats;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What device each replica's reactor drives.
@@ -107,19 +100,13 @@ pub struct ServiceConfig {
     /// the completion-driven engine, in-flight queries are slots in the
     /// reactor, not blocked threads.
     pub workers_per_replica: usize,
-    /// Legacy capacity knob: with [`ServiceConfig::inflight_per_replica`]
-    /// = 0 (the default), the reactor's slot count is
-    /// `workers_per_replica × contexts_per_worker` — the same
-    /// per-replica concurrency the pre-reactor worker pool offered, so
-    /// existing configurations keep their capacity.
-    pub contexts_per_worker: usize,
     /// In-flight query slots per replica: how many interleaved
     /// [`QueryState`](e2lsh_storage::query::QueryState)s the replica's
     /// reactor multiplexes over its device handle. This — not a thread
     /// count — is the service-level queue depth; thousands of slots
     /// over a handful of compute threads is the intended regime (the
-    /// paper's §6.5 async-over-sync unlock at service scale). 0 (the
-    /// default) derives `workers_per_replica × contexts_per_worker`.
+    /// paper's §6.5 async-over-sync unlock at service scale). At least
+    /// 1; the default is 16.
     pub inflight_per_replica: usize,
     /// Neighbors returned per query.
     pub k: usize,
@@ -131,7 +118,7 @@ pub struct ServiceConfig {
     /// the read budget are shed with
     /// [`Overload`](crate::admission::Overload); writes beyond the
     /// write budget are shed by [`Client::write`] or backpressure
-    /// [`Client::write_blocking`] (and the legacy wrappers). Default
+    /// [`Client::write_blocking`]. Default
     /// [`AdmissionControl::UNBOUNDED`] (nothing shed).
     ///
     /// [`Client::write`]: crate::session::Client::write
@@ -209,8 +196,7 @@ impl Default for ServiceConfig {
             replicas_per_shard: 1,
             routing: RoutePolicy::default(),
             workers_per_replica: 1,
-            contexts_per_worker: 16,
-            inflight_per_replica: 0,
+            inflight_per_replica: 16,
             k: 1,
             s_override: None,
             device: DeviceSpec::File { io_workers: 4 },
@@ -229,79 +215,39 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The reactor slot count per replica:
-    /// [`ServiceConfig::inflight_per_replica`] when set, otherwise the
-    /// derived pre-reactor capacity `workers_per_replica ×
-    /// contexts_per_worker`.
-    pub fn resolved_inflight(&self) -> usize {
-        if self.inflight_per_replica > 0 {
-            self.inflight_per_replica
-        } else {
-            self.workers_per_replica.max(1) * self.contexts_per_worker.max(1)
-        }
-    }
-
     pub(crate) fn engine(&self) -> e2lsh_storage::query::EngineConfig {
         let mut e = e2lsh_storage::query::EngineConfig::wall_clock(self.k);
-        e.contexts = self.resolved_inflight();
+        e.contexts = self.inflight_per_replica;
         e.s_override = self.s_override;
         e
     }
 }
 
-/// Aggregate results of one service run — and, since the session
-/// redesign, the shape of a [`Session::metrics`] snapshot.
+/// A [`Session::metrics`] / [`Session::shutdown`] snapshot: the
+/// session's monotonic counters and latency histograms at one instant.
 ///
-/// Latency accounting is **histogram-first**: the live session books
-/// every op into fixed-memory [`LatencyHistogram`]s (the `*_hist`
+/// Latency lives in fixed-memory [`LatencyHistogram`]s (the `*_hist`
 /// fields), so snapshots are O(1) in completed ops and a session can
-/// run for days without growth. The per-op vectors (`results`,
-/// `latencies`, …) are populated only by the run-to-completion
-/// wrappers, which assemble them from their own tickets; in session
-/// snapshots they are **empty** (results resolve on tickets, use the
-/// histograms and counters).
+/// run for days without growth; every summary method reads them, with
+/// quantile error bounded by [`LatencyHistogram::RELATIVE_ERROR`].
+/// Per-op truth — neighbors, status, exact latency — resolves on the
+/// tickets ([`QueryResult`](crate::session::QueryResult) /
+/// [`WriteResult`](crate::session::WriteResult)), never here.
 ///
 /// [`Session::metrics`]: crate::session::Session::metrics
+/// [`Session::shutdown`]: crate::session::Session::shutdown
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
-    /// Merged global top-k per query, distance ascending (empty for
-    /// shed queries). Wrapper runs only; empty in session snapshots.
-    pub results: Vec<Vec<(u32, f32)>>,
-    /// Per-query status: [`OpStatus::Shed`] queries were rejected at
-    /// admission and have no results or latency samples. Wrapper runs
-    /// only.
-    pub statuses: Vec<OpStatus>,
-    /// Per-query end-to-end latency in seconds, from **queue entry**
-    /// (dispatch for closed loop, scheduled arrival for open loop) to
-    /// the last shard's finish. Includes enqueue wait (and, under
-    /// [`Load::ClosedBackoff`], backoff wait — measured from the first
-    /// dispatch attempt). 0 for shed queries — use the accepted-only
-    /// summaries. Wrapper runs only.
-    pub latencies: Vec<f64>,
-    /// Per-query **service** latency in seconds: from the first reactor
-    /// slot admitting the query to the last shard's finish. Excludes
-    /// enqueue wait; `latencies[q] - service_latencies[q]` is the time
-    /// query `q` spent queued. 0 for shed queries. Wrapper runs only.
-    pub service_latencies: Vec<f64>,
-    /// Per-write end-to-end latency in seconds (queue entry → applied),
-    /// in stream order. Failed and shed writes are excluded — they
-    /// count in [`ServiceReport::writes_failed`] /
-    /// [`ServiceReport::shed_writes`]. Wrapper runs only (and empty for
-    /// read-only runs).
-    pub write_latencies: Vec<f64>,
-    /// Per-write service latency in seconds (writer dequeue → applied),
-    /// parallel to [`ServiceReport::write_latencies`]. Wrapper runs
-    /// only.
-    pub write_service_latencies: Vec<f64>,
-    /// Queries completed (accepted and answered). The histogram-backed
-    /// replacement for `results.len() - shed_queries`, valid in every
-    /// report shape.
+    /// Queries completed (accepted and answered).
     pub completed_queries: usize,
     /// Writes applied by the shard writers (excludes failed and shed
     /// writes).
     pub writes_applied: usize,
     /// End-to-end latency histogram of completed queries (what
-    /// [`ServiceReport::latency`] summarizes in session snapshots).
+    /// [`ServiceReport::latency`] summarizes): queue entry (submission,
+    /// or the scheduled arrival passed to
+    /// [`Client::query_at`](crate::session::Client::query_at)) to the
+    /// last shard's finish.
     pub read_hist: LatencyHistogram,
     /// Service-only latency histogram of completed queries.
     pub read_service_hist: LatencyHistogram,
@@ -323,22 +269,20 @@ pub struct ServiceReport {
     /// queryable; rewritten blocks were still invalidated) or whose
     /// delete target was not live.
     pub writes_failed: usize,
-    /// Queries rejected at admission with
-    /// [`Overload`](crate::admission::Overload) (after exhausting their
-    /// retries, under [`Load::ClosedBackoff`]).
+    /// Query submissions rejected at admission with
+    /// [`Overload`](crate::admission::Overload). Counted per
+    /// *submission*: a client that retries a shed query (as
+    /// [`Load::ClosedBackoff`](crate::loadgen::Load::ClosedBackoff)
+    /// does) books one shed per rejected attempt.
     pub shed_queries: usize,
-    /// Writes rejected at admission. Always 0 through the legacy
-    /// wrappers (they submit writes under backpressure); sessions may
-    /// shed writes through [`Client::write`] — the relaxed contract
-    /// session-minted insert ids enable (see [`crate::session`]).
+    /// Writes rejected at admission: [`Client::write`] sheds on a full
+    /// write queue — the relaxed contract session-minted insert ids
+    /// enable (see [`crate::session`]);
+    /// [`Client::write_blocking`](crate::session::Client::write_blocking)
+    /// backpressures instead and never adds to this.
     ///
     /// [`Client::write`]: crate::session::Client::write
     pub shed_writes: usize,
-    /// Re-dispatch attempts made by backoff-honoring closed-loop
-    /// clients ([`Load::ClosedBackoff`]); 0 under every other
-    /// discipline and in session snapshots (clients own their retry
-    /// policy).
-    pub retries: usize,
     /// Queries re-dispatched from a fenced replica to a live sibling
     /// (counted per query × shard partial).
     pub failovers: usize,
@@ -383,16 +327,12 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// An all-zero report for a service of the given shape (the
-    /// empty-workload wrapper result and the base of interval deltas).
+    /// An all-zero report for a service of the given shape: what a
+    /// session that has served nothing reports (the unit tests' blank
+    /// to fill in).
+    #[cfg(test)]
     pub(crate) fn empty(workers: usize, shards: usize, replicas: usize) -> Self {
         Self {
-            results: Vec::new(),
-            statuses: Vec::new(),
-            latencies: Vec::new(),
-            service_latencies: Vec::new(),
-            write_latencies: Vec::new(),
-            write_service_latencies: Vec::new(),
             completed_queries: 0,
             writes_applied: 0,
             read_hist: LatencyHistogram::new(),
@@ -405,7 +345,6 @@ impl ServiceReport {
             writes_failed: 0,
             shed_queries: 0,
             shed_writes: 0,
-            retries: 0,
             failovers: 0,
             lost_partials: 0,
             peak_queue_depth: 0,
@@ -461,80 +400,44 @@ impl ServiceReport {
     }
 
     /// End-to-end read-latency percentiles (queue entry → finish) over
-    /// **accepted** queries only. Wrapper reports summarize their exact
-    /// per-op samples; session snapshots summarize
-    /// [`ServiceReport::read_hist`] (bounded relative error, see
-    /// [`LatencyHistogram::RELATIVE_ERROR`]).
+    /// **accepted** queries only — shed queries book no sample.
+    /// Summarizes [`ServiceReport::read_hist`] (bounded relative error,
+    /// see [`LatencyHistogram::RELATIVE_ERROR`]).
     pub fn latency(&self) -> LatencySummary {
-        if self.latencies.is_empty() {
-            self.read_hist.summary()
-        } else {
-            LatencySummary::of_accepted(&self.latencies, &self.statuses)
-        }
+        self.read_hist.summary()
     }
 
     /// Service-only read-latency percentiles (first reactor start →
     /// finish) over accepted queries: what the shards cost, with
     /// enqueue wait removed.
     pub fn service_latency(&self) -> LatencySummary {
-        if self.service_latencies.is_empty() {
-            self.read_service_hist.summary()
-        } else {
-            LatencySummary::of_accepted(&self.service_latencies, &self.statuses)
-        }
+        self.read_service_hist.summary()
     }
 
     /// Enqueue-wait percentiles of accepted queries (queue entry →
-    /// first reactor start): `latency() ≈ queue_wait() + service_latency()`
-    /// distribution-wise; exactly per query.
+    /// first reactor start), booked per op as `latency − service` —
+    /// **not** a difference of percentiles, which would mix tails of
+    /// different ops.
     pub fn queue_wait(&self) -> LatencySummary {
-        if self.latencies.is_empty() {
-            return self.read_wait_hist.summary();
-        }
-        let waits: Vec<f64> = self
-            .latencies
-            .iter()
-            .zip(&self.service_latencies)
-            .map(|(&l, &s)| (l - s).max(0.0))
-            .collect();
-        LatencySummary::of_accepted(&waits, &self.statuses)
+        self.read_wait_hist.summary()
     }
 
-    /// End-to-end write-latency percentiles (all zeros for read-only
-    /// runs).
+    /// End-to-end write-latency percentiles over applied writes (all
+    /// zeros for read-only sessions).
     pub fn write_latency(&self) -> LatencySummary {
-        if self.write_latencies.is_empty() {
-            self.write_hist.summary()
-        } else {
-            LatencySummary::of(&self.write_latencies)
-        }
+        self.write_hist.summary()
     }
 
     /// Service-only write-latency percentiles (writer dequeue →
     /// applied).
     pub fn write_service_latency(&self) -> LatencySummary {
-        if self.write_service_latencies.is_empty() {
-            self.write_service_hist.summary()
-        } else {
-            LatencySummary::of(&self.write_service_latencies)
-        }
+        self.write_service_hist.summary()
     }
 
     /// Enqueue-wait percentiles of applied writes (queue entry →
-    /// writer dequeue), computed per op from the parallel latency
-    /// vectors — **not** a difference of percentiles, which would mix
-    /// tails of different ops.
+    /// writer dequeue), booked per op.
     pub fn write_queue_wait(&self) -> LatencySummary {
-        if self.write_latencies.is_empty() {
-            return self.write_wait_hist.summary();
-        }
-        let waits: Vec<f64> = self
-            .write_latencies
-            .iter()
-            .zip(&self.write_service_latencies)
-            .map(|(&l, &s)| (l - s).max(0.0))
-            .collect();
-        LatencySummary::of(&waits)
+        self.write_wait_hist.summary()
     }
 
     /// Mean I/Os per accepted query (summed over shards).
@@ -566,30 +469,23 @@ impl ServiceReport {
     /// interval rates). High-water marks (`peak_queue_depth`), the
     /// slow-query log and structural fields
     /// (`workers`/`shards`/`replicas`) carry this snapshot's values.
-    /// The per-op wrapper vectors come back empty (session snapshots
-    /// never carry them).
     ///
-    /// Only meaningful on **session snapshots** ([`Session::metrics`] /
-    /// [`Session::shutdown`]): two wrapper reports are not snapshots of
-    /// one stream and fail the monotonicity assertions.
-    ///
-    /// [`Session::shutdown`]: crate::session::Session::shutdown
+    /// Panics if `prev` is not an earlier snapshot of the same session
+    /// (any monotonic counter or the clock running backwards).
     ///
     /// [`Session::metrics`]: crate::session::Session::metrics
     pub fn interval_since(&self, prev: &ServiceReport) -> ServiceReport {
         assert!(
             self.completed_queries >= prev.completed_queries
-                && self.shed_queries >= prev.shed_queries,
+                && self.shed_queries >= prev.shed_queries
+                && self.writes_applied >= prev.writes_applied
+                && self.writes_failed >= prev.writes_failed
+                && self.shed_writes >= prev.shed_writes
+                && self.total_io >= prev.total_io
+                && self.duration >= prev.duration,
             "snapshots from one session, in order"
         );
-        let d_shed = self.shed_queries - prev.shed_queries;
         ServiceReport {
-            results: Vec::new(),
-            statuses: Vec::new(),
-            latencies: Vec::new(),
-            service_latencies: Vec::new(),
-            write_latencies: Vec::new(),
-            write_service_latencies: Vec::new(),
             completed_queries: self.completed_queries - prev.completed_queries,
             writes_applied: self.writes_applied - prev.writes_applied,
             read_hist: self.read_hist.minus(&prev.read_hist),
@@ -600,13 +496,12 @@ impl ServiceReport {
             write_wait_hist: self.write_wait_hist.minus(&prev.write_wait_hist),
             slow_queries: self.slow_queries.clone(),
             writes_failed: self.writes_failed - prev.writes_failed,
-            shed_queries: d_shed,
+            shed_queries: self.shed_queries - prev.shed_queries,
             shed_writes: self.shed_writes - prev.shed_writes,
-            retries: self.retries - prev.retries,
             failovers: self.failovers - prev.failovers,
             lost_partials: self.lost_partials - prev.lost_partials,
             peak_queue_depth: self.peak_queue_depth,
-            duration: (self.duration - prev.duration).max(0.0),
+            duration: self.duration - prev.duration,
             device: {
                 let mut d = self.device;
                 crate::session::device_sub(&mut d, &prev.device);
@@ -633,7 +528,6 @@ impl ServiceReport {
 }
 
 /// Results of one batch request served by
-/// [`ShardedService::query_batch`] /
 /// [`Session::query_batch`](crate::session::Session::query_batch).
 #[derive(Clone, Debug)]
 pub struct BatchQueryReport {
@@ -727,35 +621,6 @@ pub fn dedup_batch(batch: &Dataset) -> BatchDedup {
     BatchDedup { uniques, rep }
 }
 
-/// A query waiting out its
-/// [`Overload::retry_after`](crate::admission::Overload::retry_after)
-/// backoff under [`Load::ClosedBackoff`]. Min-heap by due time.
-struct Retry {
-    at: f64,
-    op_idx: usize,
-}
-
-impl PartialEq for Retry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.op_idx == other.op_idx
-    }
-}
-impl Eq for Retry {}
-impl PartialOrd for Retry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Retry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        other
-            .at
-            .total_cmp(&self.at)
-            .then(other.op_idx.cmp(&self.op_idx))
-    }
-}
-
 /// The sharded, replicated, multi-threaded E2LSHoS query service.
 pub struct ShardedService {
     topo: Arc<Topology>,
@@ -767,6 +632,10 @@ impl ShardedService {
     /// `config.replicas_per_shard` replicas (see [`crate::topology`]).
     pub fn new(shards: ShardSet, config: ServiceConfig) -> Self {
         assert!(config.workers_per_replica >= 1);
+        assert!(
+            config.inflight_per_replica >= 1,
+            "inflight_per_replica is the reactor's slot count: at least 1"
+        );
         assert!(config.replicas_per_shard >= 1);
         assert!(config.replicas_per_shard <= MAX_REPLICAS);
         assert!(config.k >= 1);
@@ -815,366 +684,4 @@ impl ShardedService {
     pub fn start(&self) -> Session {
         Session::start(Arc::clone(&self.topo), self.config.clone())
     }
-
-    /// Run `queries` through the service under the given admission
-    /// discipline; blocks until every query completes. Read-only
-    /// shorthand for [`ShardedService::serve_mixed`].
-    ///
-    /// A thin wrapper over the session API: opens a session, pumps the
-    /// workload through one client, shuts down. Bit-exact equivalent to
-    /// driving a session by hand with the same workload.
-    pub fn serve(&self, queries: &Dataset, load: Load) -> ServiceReport {
-        let ops: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
-        let no_inserts = Dataset::with_capacity(queries.dim().max(1), 0);
-        self.serve_mixed(queries, &no_inserts, &ops, load)
-    }
-
-    /// Run a mixed read–write op stream through the service; blocks
-    /// until every op completes.
-    ///
-    /// `ops` references `queries` (each `Op::Query(i)` must appear
-    /// exactly once for `i < queries.len()`) and `inserts`
-    /// (`Op::Insert(j)` consumes pool point `j`, in ascending order —
-    /// the session mints the `j`-th insert's global id as build-time
-    /// total + inserts applied by earlier runs + `j`, routed
-    /// round-robin over the shards). `Op::Delete(g)` must target an id
-    /// that is live at its position in the stream.
-    /// [`crate::loadgen::mixed_ops`] generates conforming streams (use
-    /// [`crate::loadgen::mixed_ops_resuming`] for follow-up runs on a
-    /// mutated service).
-    ///
-    /// A thin wrapper over the session API: queries submit through
-    /// [`Client::query_at`](crate::session::Client::query_at) under the
-    /// load discipline's schedule, writes through the **blocking**
-    /// submission path (so nothing is ever shed — `shed_writes` stays
-    /// 0, as under the PR-3 contract), and the per-op tickets assemble
-    /// the report. Bit-exact equivalent to a hand-driven session.
-    pub fn serve_mixed(
-        &self,
-        queries: &Dataset,
-        inserts: &Dataset,
-        ops: &[Op],
-        load: Load,
-    ) -> ServiceReport {
-        let shards = self.topo.shards();
-        assert_eq!(queries.dim(), shards.dim(), "query dimensionality");
-        let num_shards = shards.num_shards();
-        let num_queries = ops.iter().filter(|op| matches!(op, Op::Query(_))).count();
-        assert_eq!(
-            num_queries,
-            queries.len(),
-            "ops must cover each query exactly once"
-        );
-        let has_writes = ops.len() > num_queries;
-        if has_writes {
-            assert_eq!(inserts.dim(), shards.dim(), "insert dimensionality");
-        }
-        // Validate write ops up front: a bad op would fail inside a
-        // shard writer thread, turning a generator bug into a silent
-        // `writes_failed` instead of a loud failure here. Checks:
-        // insert indices are dense and ascending (the session mints
-        // global ids as `insert_base + j`) and fit the pool; deletes
-        // target ids assigned before them in the stream (per-shard FIFO
-        // then guarantees delete-after-insert); and each shard's growth
-        // fits the id space its index codec was built with.
-        {
-            let insert_base = insert_base(&self.topo);
-            let mut assigned = insert_base;
-            let mut expected_insert = 0usize;
-            let mut new_rows = vec![0usize; num_shards];
-            let mut seen_query = vec![false; queries.len()];
-            for op in ops {
-                match *op {
-                    Op::Query(qi) => {
-                        assert!(qi < queries.len(), "query index out of range");
-                        assert!(!seen_query[qi], "query {qi} appears twice");
-                        seen_query[qi] = true;
-                    }
-                    Op::Insert(j) => {
-                        assert_eq!(
-                            j, expected_insert,
-                            "insert indices must be dense and ascending"
-                        );
-                        new_rows[shards.plan().shard_of_any(assigned)] += 1;
-                        expected_insert += 1;
-                        assigned += 1;
-                    }
-                    Op::Delete(g) => {
-                        assert!(
-                            (g as usize) < assigned,
-                            "delete of unassigned global id {g} (ids end at {assigned})"
-                        );
-                    }
-                }
-            }
-            assert!(
-                expected_insert <= inserts.len(),
-                "ops consume {expected_insert} insert points but the pool holds {}",
-                inserts.len()
-            );
-            for (s, shard) in shards.shards().iter().enumerate() {
-                let id_space = 1u64 << shard.index.codec().id_bits;
-                assert!(
-                    (shard.num_rows() + new_rows[s]) as u64 <= id_space,
-                    "shard {s}: {} inserts exceed the id space ({id_space} ids) — \
-                     build with a larger ShardBuildConfig::capacity",
-                    new_rows[s]
-                );
-            }
-        }
-
-        if ops.is_empty() {
-            // Nothing to do: skip the whole session spin-up/join.
-            let replicas = self.config.replicas_per_shard;
-            return ServiceReport::empty(
-                num_shards * replicas * self.config.workers_per_replica,
-                num_shards,
-                replicas,
-            );
-        }
-
-        let session = self.start();
-        let pump = pump_workload(&session, queries, inserts, ops, load);
-        let mut report = session.shutdown();
-
-        // Per-op outcomes come from the tickets; session-level counters
-        // (device, duration, failovers, write latencies in completion
-        // order, peak depths) from the final snapshot.
-        let nq = queries.len();
-        let mut results = Vec::with_capacity(nq);
-        let mut statuses = Vec::with_capacity(nq);
-        let mut latencies = Vec::with_capacity(nq);
-        let mut service_latencies = Vec::with_capacity(nq);
-        let mut shed_queries = 0usize;
-        for t in pump.query_tickets {
-            let r = t.expect("every query submitted").wait();
-            if r.status == OpStatus::Shed {
-                shed_queries += 1;
-            }
-            results.push(r.neighbors);
-            statuses.push(r.status);
-            latencies.push(r.latency);
-            service_latencies.push(r.service_latency);
-        }
-        // Session snapshots carry no per-op vectors; the wrapper
-        // rebuilds them from its write tickets (stream order, applied
-        // writes only — failed writes are counted, not sampled).
-        let mut write_latencies = Vec::new();
-        let mut write_service_latencies = Vec::new();
-        for t in pump.write_tickets {
-            let r = t.wait();
-            debug_assert_eq!(r.status, OpStatus::Ok, "wrapper writes never shed");
-            if r.applied {
-                write_latencies.push(r.latency);
-                write_service_latencies.push(r.service_latency);
-            }
-        }
-        report.completed_queries = results.len() - shed_queries;
-        report.results = results;
-        report.statuses = statuses;
-        report.latencies = latencies;
-        report.service_latencies = service_latencies;
-        report.write_latencies = write_latencies;
-        report.write_service_latencies = write_service_latencies;
-        report.shed_queries = shed_queries;
-        report.retries = pump.retries;
-        report
-    }
-
-    /// Serve one **batch request**: a vector of queries admitted,
-    /// executed and merged as a unit, with byte-identical queries
-    /// deduplicated before they reach the engine (see [`dedup_batch`]
-    /// and
-    /// [`Session::query_batch`](crate::session::Session::query_batch)).
-    ///
-    /// A thin wrapper: opens a session, serves the batch through it,
-    /// shuts down — so the report's device/queue counters cover exactly
-    /// this request. Admission is per *unique* query under the
-    /// service's read budget (all-or-nothing across shards): a unique
-    /// query that would overflow its chosen replica's queue is shed,
-    /// and every duplicate of it reports [`OpStatus::Shed`].
-    pub fn query_batch(&self, batch: &Dataset) -> BatchQueryReport {
-        let session = self.start();
-        let report = session.query_batch(batch);
-        drop(session.shutdown());
-        report
-    }
-}
-
-/// Ticket collections one wrapper pump produced.
-struct PumpOut {
-    /// Per query index (every slot filled by the pump).
-    query_tickets: Vec<Option<QueryTicket>>,
-    /// Stream-order write tickets.
-    write_tickets: Vec<WriteTicket>,
-    /// Re-dispatch attempts under [`Load::ClosedBackoff`].
-    retries: usize,
-}
-
-/// Pump one pre-generated workload through a session client under the
-/// given load discipline (the legacy wrappers' engine room).
-fn pump_workload(
-    session: &Session,
-    queries: &Dataset,
-    inserts: &Dataset,
-    ops: &[Op],
-    load: Load,
-) -> PumpOut {
-    // The service pumping its own workload is exempt from the
-    // per-client fairness cap (that knob protects external clients
-    // from each other) — a capped pump would shed queries the shard
-    // budgets had room for.
-    let client = session.internal_client();
-    let total = ops.len();
-    let mut out = PumpOut {
-        query_tickets: (0..queries.len()).map(|_| None).collect(),
-        write_tickets: Vec::new(),
-        retries: 0,
-    };
-    if total == 0 {
-        return out;
-    }
-    // Completion notifications multiplex the in-flight window; ticket
-    // id → op index maps them back (retries mint fresh ticket ids).
-    let (ntx, nrx) = unbounded::<u64>();
-    let mut tid2op: HashMap<u64, usize> = HashMap::new();
-    let submit = |op_idx: usize,
-                  ref_time: f64,
-                  out: &mut PumpOut,
-                  tid2op: &mut HashMap<u64, usize>,
-                  first: bool| {
-        match ops[op_idx] {
-            Op::Query(qi) => {
-                let t =
-                    client.submit_query(queries.point(qi), Some(ref_time), Some(ntx.clone()), None);
-                tid2op.insert(t.id(), op_idx);
-                out.query_tickets[qi] = Some(t);
-            }
-            Op::Insert(j) => {
-                let t = client.submit_write(
-                    WriteOp::Insert(inserts.point(j)),
-                    Some(ref_time),
-                    true,
-                    Some(ntx.clone()),
-                    None,
-                );
-                tid2op.insert(t.id(), op_idx);
-                debug_assert!(first);
-                out.write_tickets.push(t);
-            }
-            Op::Delete(g) => {
-                let t = client.submit_write(
-                    WriteOp::Delete(g),
-                    Some(ref_time),
-                    true,
-                    Some(ntx.clone()),
-                    None,
-                );
-                tid2op.insert(t.id(), op_idx);
-                debug_assert!(first);
-                out.write_tickets.push(t);
-            }
-        }
-    };
-
-    match load {
-        Load::Closed { .. } | Load::ClosedBackoff { .. } => {
-            let (window, max_retries) = match load {
-                Load::Closed { window } => (window, 0usize),
-                Load::ClosedBackoff {
-                    window,
-                    max_retries,
-                } => (window, max_retries),
-                _ => unreachable!(),
-            };
-            let window = window.max(1).min(total);
-            let mut ref_time = vec![0.0f64; total];
-            let mut attempts_left = vec![max_retries; total];
-            let mut pending: BinaryHeap<Retry> = BinaryHeap::new();
-            let mut next = 0usize;
-            let mut inflight = 0usize;
-            let mut done = 0usize;
-            while done < total {
-                // Fill the window: due retries first, then fresh ops.
-                loop {
-                    if inflight >= window {
-                        break;
-                    }
-                    let now = session.now();
-                    if pending.peek().is_some_and(|r| r.at <= now) {
-                        let r = pending.pop().unwrap();
-                        out.retries += 1;
-                        submit(r.op_idx, ref_time[r.op_idx], &mut out, &mut tid2op, false);
-                        inflight += 1;
-                        continue;
-                    }
-                    if next >= total {
-                        break;
-                    }
-                    ref_time[next] = now;
-                    submit(next, now, &mut out, &mut tid2op, true);
-                    inflight += 1;
-                    next += 1;
-                }
-                if done >= total {
-                    break;
-                }
-                // Wait for a completion — or only until the next retry
-                // is due, if one could be dispatched then.
-                let tid = if inflight < window && !pending.is_empty() {
-                    let due = pending.peek().unwrap().at;
-                    let wait = (due - session.now()).max(0.0);
-                    match nrx.recv_timeout(std::time::Duration::from_secs_f64(wait)) {
-                        Ok(tid) => tid,
-                        Err(_) => continue,
-                    }
-                } else {
-                    nrx.recv().expect("session alive")
-                };
-                inflight -= 1;
-                let op_idx = tid2op[&tid];
-                match ops[op_idx] {
-                    Op::Query(qi) => {
-                        let res = out.query_tickets[qi]
-                            .as_ref()
-                            .and_then(QueryTicket::poll)
-                            .expect("notified ticket is resolved");
-                        if res.status == OpStatus::Shed && attempts_left[op_idx] > 0 {
-                            // Honor the retry_after hint; latency stays
-                            // measured from the first attempt.
-                            attempts_left[op_idx] -= 1;
-                            let after = res
-                                .overload
-                                .map(|o| o.retry_after)
-                                .unwrap_or(crate::admission::Overload::MIN_RETRY_AFTER);
-                            pending.push(Retry {
-                                at: session.now() + after,
-                                op_idx,
-                            });
-                        } else {
-                            done += 1;
-                        }
-                    }
-                    // Writes go through the blocking path: their ticket
-                    // resolution is always terminal.
-                    _ => done += 1,
-                }
-            }
-        }
-        Load::Open { .. } | Load::Burst { .. } => {
-            // Open loop: arrivals never wait for completions. Queries
-            // submit non-blocking (a shed resolves the ticket
-            // immediately); a full write queue backpressures the
-            // arrival thread — the stall is visible in write latency,
-            // which is measured from the scheduled arrival.
-            let arrivals = load.arrival_schedule(total);
-            let epoch = session.epoch();
-            for (op_idx, &at) in arrivals.iter().enumerate() {
-                sleep_until(epoch, at);
-                submit(op_idx, at, &mut out, &mut tid2op, true);
-            }
-            // Resolution is awaited by the caller per ticket.
-        }
-    }
-    out
 }

@@ -1,12 +1,11 @@
 //! The long-lived service session: ticketed submission over persistent
 //! per-replica reactors.
 //!
-//! PRs 1–4 exposed the service as run-to-completion harness calls:
-//! `serve`, `serve_mixed` and `query_batch` each spun up serving threads,
-//! consumed one pre-generated workload and tore everything down. A
-//! serving tier has the inverse shape — start once, accept requests
-//! from many concurrent callers, report continuously — and this module
-//! is that inversion:
+//! A serving tier starts once, accepts requests from many concurrent
+//! callers and reports continuously. This module is the service's only
+//! executor — everything that runs a query or a write, from the net
+//! tier to the replay harness
+//! ([`loadgen::drive`](crate::loadgen::drive)), is a client of it:
 //!
 //! * [`Session`] — created by
 //!   [`ShardedService::start`](crate::service::ShardedService::start):
@@ -52,13 +51,13 @@
 //! (under the mint lock, held through the enqueue so per-shard queue
 //! order matches mint order — the storage updater assigns local ids
 //! positionally). The minted id is caller-visible in the resolved
-//! [`WriteResult::id`]. This is what relaxes PR 3's "writes may never
-//! shed" contract: a shed insert consumes no id, so [`Client::write`]
-//! may shed writes with `Overload` exactly like queries, while
-//! [`Client::write_blocking`] keeps the backpressure discipline (the
-//! legacy wrappers use it). Deletes may target any id whose insert has
-//! resolved (or a build-time id); deleting an id that is still
-//! unassigned or not live fails the write
+//! [`WriteResult::id`]. A shed insert consumes no id, so
+//! [`Client::write`] may shed writes with `Overload` exactly like
+//! queries, while [`Client::write_blocking`] keeps the backpressure
+//! discipline (op streams with stream-positional insert ids —
+//! [`loadgen::drive`](crate::loadgen::drive) — need it). Deletes may
+//! target any id whose insert has resolved (or a build-time id);
+//! deleting an id that is still unassigned or not live fails the write
 //! ([`WriteResult::applied`] = false) instead of corrupting anything.
 //!
 //! ## Concurrency contract
@@ -188,8 +187,10 @@ pub(crate) struct Slot<T> {
 
 struct SlotState<T> {
     outcome: Option<T>,
-    /// One-shot completion notification (the legacy wrappers' pump
-    /// loops use this to multiplex over a window of tickets).
+    /// One-shot completion notification: pumps multiplexing a window
+    /// of tickets ([`crate::loadgen::drive`], the net tier's
+    /// per-connection completion pump) listen on one channel instead
+    /// of blocking per ticket.
     notify: Option<Sender<u64>>,
 }
 
@@ -718,12 +719,11 @@ impl Client {
 
     /// Submit one write under **backpressure**: a full write queue
     /// blocks this call until the op is admitted — nothing is shed for
-    /// capacity reasons. The discipline the legacy `serve_mixed`
-    /// wrapper keeps. While an insert waits, other inserts (which mint
-    /// after it) wait behind the mint lock. The one shed a blocking
-    /// write can still report is the terminal closed-session rejection
-    /// (`retry_after == f64::INFINITY`) — blocking forever on a dead
-    /// session would be worse.
+    /// capacity reasons. While an insert waits, other inserts (which
+    /// mint after it) wait behind the mint lock. The one shed a
+    /// blocking write can still report is the terminal closed-session
+    /// rejection (`retry_after == f64::INFINITY`) — blocking forever on
+    /// a dead session would be worse.
     pub fn write_blocking(&self, op: WriteOp<'_>) -> WriteTicket {
         self.submit_write(op, None, true, None, None)
     }
@@ -1056,10 +1056,10 @@ impl Session {
         }
     }
 
-    /// An **uncapped** client for the service's own internal pumps
-    /// (legacy wrappers, batch serving): the per-client fairness cap
-    /// protects external callers from each other, not the service from
-    /// itself.
+    /// An **uncapped** client for the crate's own pumps
+    /// ([`crate::loadgen::drive`], batch serving): the per-client
+    /// fairness cap protects external callers from each other, not the
+    /// service from itself.
     pub(crate) fn internal_client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
@@ -1094,18 +1094,14 @@ impl Session {
     }
 
     /// An incremental snapshot of the session's counters as a
-    /// [`ServiceReport`]: monotonic latency samples and shed / failover
-    /// / device / load counters covering everything that has resolved
-    /// so far. Callable at any time, including mid-run and after
-    /// shutdown. Per-ticket *results* live on the tickets, so
-    /// [`ServiceReport::results`] holds empty placeholders (shape only:
-    /// one entry per terminal query, completed first, then shed —
-    /// keeping `qps`/`shed_rate`/`latency` arithmetic exact). Interval
+    /// [`ServiceReport`]: monotonic latency histograms and shed /
+    /// failover / device / load counters covering everything that has
+    /// resolved so far. Callable at any time, including mid-run and
+    /// after shutdown. Per-op results live on the tickets. Interval
     /// reporting: keep the previous snapshot and call
     /// [`ServiceReport::interval_since`].
     ///
     /// [`ServiceReport`]: crate::service::ServiceReport
-    /// [`ServiceReport::results`]: crate::service::ServiceReport::results
     /// [`ServiceReport::interval_since`]: crate::service::ServiceReport::interval_since
     pub fn metrics(&self) -> ServiceReport {
         build_report(&self.shared)
@@ -1787,25 +1783,13 @@ fn replica_load(shared: &SessionShared) -> Vec<Vec<u64>> {
 }
 
 /// Assemble a [`ServiceReport`](crate::service::ServiceReport)
-/// snapshot from the session's monotonic counters. Bounded: the
-/// latency data is carried as histograms; the per-op vectors hold only
-/// shape placeholders (see [`Session::metrics`]).
+/// snapshot from the session's monotonic counters.
 fn build_report(shared: &SessionShared) -> ServiceReport {
     let num_shards = shared.topo.num_shards();
     let replicas = shared.config.replicas_per_shard;
     let mut report = {
         let m = shared.metrics.lock().unwrap();
         ServiceReport {
-            results: vec![Vec::new(); m.completed_queries + m.shed_queries],
-            statuses: {
-                let mut st = vec![OpStatus::Ok; m.completed_queries];
-                st.extend(std::iter::repeat_n(OpStatus::Shed, m.shed_queries));
-                st
-            },
-            latencies: Vec::new(),
-            service_latencies: Vec::new(),
-            write_latencies: Vec::new(),
-            write_service_latencies: Vec::new(),
             completed_queries: m.completed_queries,
             writes_applied: m.writes_applied,
             read_hist: m.read_hist.clone(),
@@ -1817,7 +1801,6 @@ fn build_report(shared: &SessionShared) -> ServiceReport {
             writes_failed: m.writes_failed,
             shed_queries: m.shed_queries,
             shed_writes: m.shed_writes,
-            retries: 0,
             failovers: 0,
             lost_partials: 0,
             peak_queue_depth: 0,

@@ -219,7 +219,9 @@ pub struct ShardBuildConfig {
     /// use independent families; with one shard the index is identical to
     /// a plain `build_index` at this seed).
     pub seed: u64,
-    /// Directory for the per-shard index files.
+    /// Directory for the per-shard index files. The default is a fresh
+    /// unique directory under the system temp dir, so two builds that
+    /// leave it unset never share files.
     pub dir: PathBuf,
     /// Per-shard DRAM cache capacity in 512-byte blocks (0 = uncached).
     pub cache_blocks: usize,
@@ -236,7 +238,7 @@ impl Default for ShardBuildConfig {
         Self {
             num_shards: 1,
             seed: 42,
-            dir: std::env::temp_dir().join("e2lsh-service"),
+            dir: e2lsh_storage::testutil::temp_path("e2lsh-service"),
             cache_blocks: 0,
             cache_lock_shards: 8,
             capacity: None,

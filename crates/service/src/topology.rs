@@ -18,7 +18,7 @@
 //! compute tasks) panics.
 //! The fencing protocol that makes this race-free lives with the
 //! per-run dispatch state in [`crate::router`]; the topology just holds
-//! the durable flag (a fenced replica stays fenced across serve calls
+//! the durable flag (a fenced replica stays fenced across sessions
 //! until [`Topology::unfence`]).
 //!
 //! Replica 0 of each shard reuses the cache the [`ShardSet`] built (so
@@ -171,8 +171,8 @@ impl Topology {
         self.replicas[s][r].fence()
     }
 
-    /// Clear a replica's fence so future serve calls and sessions use
-    /// it again (reactors are spawned per session, so recovery needs no
+    /// Clear a replica's fence so future sessions use it again
+    /// (reactors are spawned per session, so recovery needs no
     /// handshake; a session that already fenced the replica's reactor
     /// picks it back up at the next session start).
     pub fn unfence(&self, s: usize, r: usize) {
@@ -258,8 +258,7 @@ mod tests {
             &ShardBuildConfig {
                 num_shards: 2,
                 seed: 11,
-                dir: std::env::temp_dir()
-                    .join(format!("e2lsh-topology-{}-{tag}", std::process::id())),
+                dir: e2lsh_storage::testutil::temp_path(&format!("topology-{tag}")),
                 cache_blocks,
                 ..Default::default()
             },

@@ -11,9 +11,11 @@
 //! * the gated queue never exceeds its depth/byte budget, sheds *iff* a
 //!   budget would be broken, pops FIFO, and its peak-depth counter is
 //!   the exact high-water mark (reference model: a `VecDeque`);
-//! * `query_batch` on a duplicate-heavy batch issues exactly the
+//! * `Session::query_batch` on a duplicate-heavy batch issues exactly the
 //!   engine probes of its unique sub-batch (`DeviceStats` / `total_io`
 //!   counters) and returns byte-identical results for duplicates.
+
+mod common;
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
@@ -192,8 +194,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
             &ShardBuildConfig {
                 num_shards: 2,
                 seed: 5,
-                dir: std::env::temp_dir()
-                    .join(format!("e2lsh-batch-dedup-{}-{tag}", std::process::id())),
+                dir: e2lsh_storage::testutil::temp_path(&format!("batch-dedup-{tag}")),
                 cache_blocks: 0, // uncached: total_io counts every probe
                 ..Default::default()
             },
@@ -212,7 +213,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
     };
     let config = ServiceConfig {
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
         device: DeviceSpec::SimPerWorker {
@@ -223,7 +224,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
     };
 
     let svc = ShardedService::new(build("a"), config.clone());
-    let rep = svc.query_batch(&batch);
+    let rep = svc.start().query_batch(&batch);
     assert!(rep.collapsed > 0, "batch must contain duplicates");
     assert_eq!(rep.unique + rep.collapsed, batch.len());
     assert_eq!(rep.shed, 0);
@@ -250,7 +251,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
         uniq.push(batch.point(i));
     }
     let svc_u = ShardedService::new(build("b"), config.clone());
-    let rep_u = svc_u.query_batch(&uniq);
+    let rep_u = svc_u.start().query_batch(&uniq);
     assert_eq!(rep_u.collapsed, 0);
     assert_eq!(
         rep.total_io, rep_u.total_io,
@@ -261,7 +262,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
     // And strictly fewer probes than per-query serving of the full
     // duplicate-heavy stream.
     let svc_q = ShardedService::new(build("c"), config);
-    let rep_q = svc_q.serve(&batch, Load::Closed { window: 8 });
+    let (driven_q, rep_q) = common::run_reads(&svc_q, &batch, Load::Closed { window: 8 });
     assert!(
         rep.total_io < rep_q.total_io,
         "batch {} probes !< per-query {} probes",
@@ -270,7 +271,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
     );
     // Same answers, either way.
     for i in 0..batch.len() {
-        assert_eq!(rep.results[i], rep_q.results[i], "query {i}");
+        assert_eq!(rep.results[i], driven_q.queries[i].neighbors, "query {i}");
     }
 
     svc.shards().cleanup();
@@ -294,7 +295,7 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
         &ShardBuildConfig {
             num_shards: 2,
             seed: 9,
-            dir: std::env::temp_dir().join(format!("e2lsh-batch-shed-{}", std::process::id())),
+            dir: e2lsh_storage::testutil::temp_path("batch-shed"),
             cache_blocks: 0,
             ..Default::default()
         },
@@ -314,7 +315,7 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
         shards,
         ServiceConfig {
             workers_per_replica: 1,
-            contexts_per_worker: 2,
+            inflight_per_replica: 2,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimPerWorker {
@@ -327,7 +328,7 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
             ..Default::default()
         },
     );
-    let rep = svc.query_batch(&batch);
+    let rep = svc.start().query_batch(&batch);
     assert!(rep.shed > 0, "tiny budget must shed part of the batch");
     assert!(rep.shed < batch.len(), "some queries must be admitted");
     assert!(rep.peak_queue_depth <= 4);

@@ -7,6 +7,8 @@
 //! must surface as `coalesced_reads` in the shutdown report and the
 //! JSON export.
 
+mod common;
+
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -46,7 +48,7 @@ fn params_for(ds: &Dataset) -> E2lshParams {
 }
 
 fn shard_dir(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("e2lsh-cache-policy-{}-{name}", std::process::id()))
+    e2lsh_storage::testutil::temp_path(&format!("cache-policy-{name}"))
 }
 
 fn build_shards(data: &Dataset, tag: &str, cache_blocks: usize) -> ShardSet {
@@ -83,7 +85,7 @@ fn tinylfu_results_match_lru_and_region_counters_partition() {
             shards,
             ServiceConfig {
                 workers_per_replica: 2,
-                contexts_per_worker: 8,
+                inflight_per_replica: 16,
                 k: 2,
                 s_override: Some(AMPLE),
                 device: DeviceSpec::SimPerWorker {
@@ -94,18 +96,23 @@ fn tinylfu_results_match_lru_and_region_counters_partition() {
                 ..Default::default()
             },
         );
-        let report = svc.serve(&queries, Load::Closed { window: 16 });
+        let out = common::run_reads(&svc, &queries, Load::Closed { window: 16 });
         svc.shards().cleanup();
-        report
+        out
     };
 
-    let lru = run(CachePolicy::Lru, "lru");
-    let tiny = run(tinylfu(), "tinylfu");
+    let (lru_driven, lru) = run(CachePolicy::Lru, "lru");
+    let (tiny_driven, tiny) = run(tinylfu(), "tinylfu");
 
-    assert_eq!(lru.results.len(), tiny.results.len());
-    for qi in 0..lru.results.len() {
+    assert_eq!(lru_driven.queries.len(), tiny_driven.queries.len());
+    for (qi, (l, t)) in lru_driven
+        .queries
+        .iter()
+        .zip(&tiny_driven.queries)
+        .enumerate()
+    {
         assert_eq!(
-            lru.results[qi], tiny.results[qi],
+            l.neighbors, t.neighbors,
             "query {qi}: cache policy changed results"
         );
     }
@@ -187,7 +194,6 @@ fn coalesced_reads_surface_in_report_and_export() {
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 32,
             inflight_per_replica: 128,
             k: 2,
             s_override: Some(AMPLE),

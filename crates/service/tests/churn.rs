@@ -64,11 +64,7 @@ fn service(
         &ShardBuildConfig {
             num_shards: 2,
             seed: seed(),
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-churn-{tag}-{}-seed{}",
-                std::process::id(),
-                seed()
-            )),
+            dir: e2lsh_storage::testutil::temp_path(&format!("churn-{tag}")),
             cache_blocks: 2048,
             capacity,
             ..Default::default()
@@ -78,7 +74,7 @@ fn service(
     .expect("shard build");
     let mut config = ServiceConfig {
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: 1,
         s_override: Some(1_000_000),
         device: DeviceSpec::SimPerWorker {

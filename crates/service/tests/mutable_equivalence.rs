@@ -19,12 +19,15 @@
 //! Seeded: set `E2LSH_TEST_SEED` to reproduce a CI failure locally
 //! (the CI stress job runs this test in release under several seeds).
 
+mod common;
+
+use common::{run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::distance::dist2;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    dedup_batch, mixed_ops_resuming, zipf_indices, DeviceSpec, Load, Op, OpStatus, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService,
+    dedup_batch, mixed_ops_resuming, zipf_indices, DeviceSpec, Driven, Load, Op, OpStatus,
+    ServiceConfig, ShardBuildConfig, ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use rand::{Rng, SeedableRng};
@@ -87,6 +90,11 @@ impl Oracle {
     }
 }
 
+/// Per-query merged neighbors of a driven run, by query index.
+fn neighbors(driven: &Driven) -> Vec<Vec<(u32, f32)>> {
+    driven.queries.iter().map(|r| r.neighbors.clone()).collect()
+}
+
 /// Mean recall@k of `results` against the oracle's ground truth.
 fn mean_recall(results: &[Vec<(u32, f32)>], queries: &Dataset, oracle: &Oracle) -> f64 {
     let mut acc = 0.0;
@@ -107,11 +115,7 @@ fn mean_recall(results: &[Vec<(u32, f32)>], queries: &Dataset, oracle: &Oracle) 
 }
 
 fn shard_dir(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "e2lsh-mutable-eq-{}-{name}-seed{}",
-        std::process::id(),
-        seed()
-    ))
+    e2lsh_storage::testutil::temp_path(&format!("mutable-eq-{name}"))
 }
 
 fn service_over(data: &Dataset, dir_tag: &str, build_seed: u64) -> ShardedService {
@@ -131,7 +135,7 @@ fn service_over(data: &Dataset, dir_tag: &str, build_seed: u64) -> ShardedServic
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 8,
+            inflight_per_replica: 16,
             k: K,
             s_override: Some(AMPLE),
             device: DeviceSpec::SimPerWorker {
@@ -184,22 +188,28 @@ fn mutable_service_matches_oracle() {
             round_pool.push(pool.point(i));
         }
 
-        let rep = svc.serve_mixed(&queries, &round_pool, &w.ops, Load::Closed { window: 8 });
+        let (driven, rep) = run_mixed(
+            &svc,
+            &queries,
+            &round_pool,
+            &w.ops,
+            Load::Closed { window: 8 },
+        );
 
         assert_eq!(rep.writes_failed, 0, "round {round}: writes failed");
         assert_eq!(
-            rep.write_latencies.len(),
+            driven.writes.len(),
             w.num_inserts + w.num_deletes,
-            "round {round}: every write reports a latency"
+            "round {round}: every write resolves"
         );
-        assert!(rep.write_latencies.iter().all(|&l| l >= 0.0));
-        assert_eq!(rep.results.len(), QUERIES);
+        assert!(driven.writes.iter().all(|w| w.applied && w.latency >= 0.0));
+        assert_eq!(driven.queries.len(), QUERIES);
         // Ids deleted in *earlier* rounds (strictly happened-before this
         // round's queries) must never appear. Ids deleted concurrently
         // within this round may — consistency is claimed only after the
         // delete completes.
-        for (qi, res) in rep.results.iter().enumerate() {
-            for &(id, _) in res {
+        for (qi, res) in driven.queries.iter().enumerate() {
+            for &(id, _) in &res.neighbors {
                 assert!(
                     !deleted_before_round.contains(&id),
                     "round {round} query {qi}: returned id {id} deleted in an earlier round"
@@ -240,9 +250,9 @@ fn mutable_service_matches_oracle() {
     );
 
     // Quiescent read-only pass: no concurrent writes, full consistency.
-    let final_rep = svc.serve(&queries, Load::Closed { window: 8 });
+    let final_results = neighbors(&run_reads(&svc, &queries, Load::Closed { window: 8 }).0);
     let live_set: HashSet<u32> = live_ids.iter().copied().collect();
-    for (qi, res) in final_rep.results.iter().enumerate() {
+    for (qi, res) in final_results.iter().enumerate() {
         for &(id, _) in res {
             assert!(
                 live_set.contains(&id),
@@ -259,19 +269,20 @@ fn mutable_service_matches_oracle() {
         live_data.push(oracle.all.point(g as usize));
     }
     let static_svc = service_over(&live_data, "static", seed ^ 0xBA5E);
-    let static_rep = static_svc.serve(&queries, Load::Closed { window: 8 });
+    let (static_driven, _) = run_reads(&static_svc, &queries, Load::Closed { window: 8 });
     // Map static ids (positions in live_sorted) back to global ids.
-    let static_results: Vec<Vec<(u32, f32)>> = static_rep
-        .results
+    let static_results: Vec<Vec<(u32, f32)>> = static_driven
+        .queries
         .iter()
         .map(|r| {
-            r.iter()
+            r.neighbors
+                .iter()
                 .map(|&(id, d)| (live_sorted[id as usize], d))
                 .collect()
         })
         .collect();
 
-    let recall_mutable = mean_recall(&final_rep.results, &queries, &oracle);
+    let recall_mutable = mean_recall(&final_results, &queries, &oracle);
     let recall_static = mean_recall(&static_results, &queries, &oracle);
     assert!(
         recall_mutable + 0.15 >= recall_static,
@@ -288,16 +299,17 @@ fn mutable_service_matches_oracle() {
     svc.shards().cleanup();
 }
 
-/// Batch-equivalence oracle: `query_batch` (dedup on, duplicate-heavy
+/// Batch-equivalence oracle: `Session::query_batch` (dedup on, duplicate-heavy
 /// batches) must match issuing the same queries one-by-one — while the
 /// service mutates underneath, and exactly at quiescence.
 ///
 /// Per round, a duplicate-heavy batch is served concurrently with a
-/// `serve_mixed` round of inserts/deletes on another thread. During
+/// driven round of inserts/deletes in another session on another
+/// thread. During
 /// concurrency the one-by-one reference is not deterministic, so the
 /// concurrent check is invariant-based: duplicates byte-identical, no
 /// id deleted in an *earlier* round served, all ids valid. After each
-/// round (quiescent), the batch results must equal per-query `serve`
+/// round (quiescent), the batch results must equal per-query driven
 /// results bit-for-bit, and at the end recall is checked against the
 /// brute-force oracle over the live set.
 #[test]
@@ -351,14 +363,16 @@ fn query_batch_matches_one_by_one_under_writes() {
         let mut mixed_rep = None;
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
-                svc.serve_mixed(
+                run_mixed(
+                    &svc,
                     &base_queries,
                     &round_pool,
                     &w.ops,
                     Load::Closed { window: 8 },
                 )
+                .1
             });
-            batch_rep = Some(svc.query_batch(&batch));
+            batch_rep = Some(svc.start().query_batch(&batch));
             mixed_rep = Some(handle.join().expect("mixed round"));
         });
         let batch_rep = batch_rep.unwrap();
@@ -411,11 +425,11 @@ fn query_batch_matches_one_by_one_under_writes() {
         pool_off += w.num_inserts;
 
         // Quiescent regime: batch == one-by-one, bit for bit.
-        let quiet_batch = svc.query_batch(&batch);
-        let one_by_one = svc.serve(&batch, Load::Closed { window: 8 });
+        let quiet_batch = svc.start().query_batch(&batch);
+        let (driven, one_by_one) = run_reads(&svc, &batch, Load::Closed { window: 8 });
         for i in 0..batch.len() {
             assert_eq!(
-                quiet_batch.results[i], one_by_one.results[i],
+                quiet_batch.results[i], driven.queries[i].neighbors,
                 "round {round} query {i}: quiescent batch diverges from one-by-one"
             );
         }
@@ -431,7 +445,7 @@ fn query_batch_matches_one_by_one_under_writes() {
     // Final recall check: quiescent batch results against the
     // brute-force oracle over the live set (per unique query — the
     // duplicates are clones by construction).
-    let final_rep = svc.query_batch(&batch);
+    let final_rep = svc.start().query_batch(&batch);
     let live_set: HashSet<u32> = live_ids.iter().copied().collect();
     for (qi, res) in final_rep.results.iter().enumerate() {
         for &(id, _) in res {

@@ -88,11 +88,7 @@ fn build_service(
         &ShardBuildConfig {
             num_shards: 2,
             seed: build_seed,
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-net-{}-{tag}-seed{}",
-                std::process::id(),
-                seed()
-            )),
+            dir: e2lsh_storage::testutil::temp_path(&format!("net-{tag}")),
             cache_blocks: 2048,
             ..Default::default()
         },
@@ -101,7 +97,7 @@ fn build_service(
     .expect("shard build");
     let mut config = ServiceConfig {
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: K,
         s_override: Some(AMPLE),
         device: DeviceSpec::SimPerWorker {
@@ -564,9 +560,12 @@ fn wire_results_match_in_process_session() {
         );
     }
 
-    // The metrics frame is the schema-v3 export with live net counters.
+    // The metrics frame is the current export with live net counters.
     let json = c.metrics_json().expect("metrics frame");
-    assert!(json.contains("\"schema_version\":3"));
+    assert!(json.contains(&format!(
+        "\"schema_version\":{}",
+        e2lsh_service::SCHEMA_VERSION
+    )));
     assert!(json.contains("\"frames_in\""));
     c.ping().expect("ping");
     drop(c);

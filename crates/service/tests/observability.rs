@@ -71,11 +71,7 @@ fn build_service(
         &ShardBuildConfig {
             num_shards: 2,
             seed: seed() ^ 0x0B5,
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-observability-{}-{tag}-seed{}",
-                std::process::id(),
-                seed()
-            )),
+            dir: e2lsh_storage::testutil::temp_path(&format!("observability-{tag}")),
             cache_blocks: 2048,
             ..Default::default()
         },
@@ -84,7 +80,7 @@ fn build_service(
     .expect("shard build");
     let mut config = ServiceConfig {
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
         device: DeviceSpec::SimPerWorker {
@@ -345,11 +341,38 @@ fn interval_histogram_is_bit_exact_under_concurrent_traffic() {
     );
     assert_eq!(interval.completed_queries, phase2.len());
     assert_eq!(interval.latency().count, phase2.len());
-    // And no O(completed-ops) state rides the snapshots.
-    assert!(fin.latencies.is_empty() && fin.write_latencies.is_empty());
 
     drop(session.shutdown());
     svc.shards().cleanup();
+}
+
+/// Snapshots passed in the wrong order are refused even when only the
+/// write side moved between them (regression: the guard compared the
+/// query counters alone, so a reversed write-only interval slipped
+/// through to an integer underflow in `writes_applied` / `total_io`).
+#[test]
+#[should_panic(expected = "in order")]
+fn interval_since_rejects_reversed_write_only_snapshots() {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed() ^ 0x0DD);
+    let data = clustered(600, &mut rng);
+    let extra = clustered(4, &mut rng);
+    let svc = build_service(&data, "reversed", |_| {});
+    let session = svc.start();
+    let before = session.metrics();
+    let client = session.client();
+    for j in 0..extra.len() {
+        assert!(
+            client
+                .write_blocking(WriteOp::Insert(extra.point(j)))
+                .wait()
+                .applied
+        );
+    }
+    let after = session.shutdown();
+    assert_eq!(after.completed_queries + after.shed_queries, 0);
+    // Clean up first: the next line is the panic under test.
+    svc.shards().cleanup();
+    let _ = before.interval_since(&after);
 }
 
 /// The JSON exporter on a real session report: parses back, carries the
@@ -381,11 +404,17 @@ fn export_schema_round_trips_live_report() {
     ] {
         assert!(v.get(key).is_some(), "missing top-level key {key}");
     }
+    assert_eq!(
+        v.get("schema_version").unwrap().as_f64(),
+        Some(e2lsh_service::SCHEMA_VERSION as f64)
+    );
     let counters = v.get("counters").unwrap();
     assert_eq!(
         counters.get("completed_queries").unwrap().as_f64(),
         Some(queries.len() as f64)
     );
+    // v4: a session never retries, so it exports no such counter.
+    assert!(counters.get("retries").is_none());
     assert_eq!(
         v.get("slow_queries").unwrap().as_array().unwrap().len(),
         4,

@@ -9,9 +9,12 @@
 //!   supported steady state, not an overload: every ticket resolves.
 //! * Fencing a replica mid-run with a deep in-flight window re-serves
 //!   its outstanding slots on the sibling; no ticket is lost or shed.
-//! * `ServiceConfig::resolved_inflight` keeps legacy configs at their
-//!   pre-reactor capacity (`workers × contexts`).
+//! * `inflight_per_replica` is a plain slot count: the default is 16
+//!   and 0 is rejected at construction (there is no derive sentinel).
 
+mod common;
+
+use common::run_reads;
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -49,7 +52,7 @@ fn params_for(ds: &Dataset) -> E2lshParams {
 }
 
 fn shard_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("e2lsh-reactor-test-{}-{tag}", std::process::id()))
+    e2lsh_storage::testutil::temp_path(&format!("reactor-test-{tag}"))
 }
 
 /// Reference results: batch engine over one index per shard, merged —
@@ -80,7 +83,7 @@ fn reference_results(shards: &ShardSet, queries: &Dataset, k: usize) -> Vec<Vec<
 
 fn build(
     data: &Dataset,
-    tag: &str,
+    dir: std::path::PathBuf,
     num_shards: usize,
     replicas: usize,
     compute: usize,
@@ -92,7 +95,7 @@ fn build(
         &ShardBuildConfig {
             num_shards,
             seed: 77,
-            dir: shard_dir(tag),
+            dir,
             cache_blocks: 1024,
             ..Default::default()
         },
@@ -119,7 +122,7 @@ fn build(
 
 /// Slots ≫ compute threads must not change results: a 64-deep reactor
 /// window over a 2-thread pool returns the reference bit-exactly, both
-/// through the legacy closed-loop wrapper and a hand-driven session.
+/// driven closed-loop and ticket by ticket.
 #[test]
 fn deep_inflight_matches_reference() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xEAC7);
@@ -127,13 +130,13 @@ fn deep_inflight_matches_reference() {
     let queries = clustered(24, &mut rng);
     let k = 5;
 
-    let svc = build(&data, "deep", 2, 1, 2, 64, k);
+    let svc = build(&data, shard_dir("deep"), 2, 1, 2, 64, k);
     let expect = reference_results(svc.shards(), &queries, k);
 
-    let report = svc.serve(&queries, Load::Closed { window: 128 });
+    let (driven, _) = run_reads(&svc, &queries, Load::Closed { window: 128 });
     for (qi, want) in expect.iter().enumerate() {
         assert_eq!(
-            &report.results[qi], want,
+            &driven.queries[qi].neighbors, want,
             "query {qi}: deep-inflight reactor differs from batch engine"
         );
     }
@@ -166,17 +169,17 @@ fn kiloslot_window_over_four_threads_resolves_everything() {
     let queries = skewed_queries(&base, 500, 1.1, 9);
     let k = 2;
 
-    let svc = build(&data, "kiloslot", 1, 1, 4, 1024, k);
+    let svc = build(&data, shard_dir("kiloslot"), 1, 1, 4, 1024, k);
     let expect = reference_results(svc.shards(), &queries, k);
 
     // The closed window exceeds the slot count: the reactor must park
     // the overflow in its admission queue, not deadlock or shed.
-    let report = svc.serve(&queries, Load::Closed { window: 2048 });
-    assert_eq!(report.results.len(), queries.len());
+    let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 2048 });
+    assert_eq!(driven.queries.len(), queries.len());
     assert_eq!(report.shed_queries, 0, "deep window shed queries");
-    assert!(report.statuses.iter().all(|&s| s == OpStatus::Ok));
+    assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
     for (qi, want) in expect.iter().enumerate() {
-        assert_eq!(&report.results[qi], want, "query {qi}");
+        assert_eq!(&driven.queries[qi].neighbors, want, "query {qi}");
     }
     assert!(report.qps() > 0.0);
     svc.shards().cleanup();
@@ -195,26 +198,37 @@ fn mid_run_fence_with_deep_inflight_resolves_all_tickets() {
 
     let mut observed_failover = false;
     for (attempt, delay_ms) in [30u64, 60, 90, 15, 120].iter().enumerate() {
-        let svc = build(&data, &format!("fence{attempt}"), 2, 2, 2, 128, k);
+        let svc = build(
+            &data,
+            shard_dir(&format!("fence{attempt}")),
+            2,
+            2,
+            2,
+            128,
+            k,
+        );
         let expect = reference_results(svc.shards(), &queries, k);
-        let mut rep = None;
+        let mut out = None;
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 std::thread::sleep(std::time::Duration::from_millis(*delay_ms));
                 assert!(svc.topology().fence(0, 1));
             });
-            rep = Some(svc.serve(&queries, Load::Closed { window: 256 }));
+            out = Some(run_reads(&svc, &queries, Load::Closed { window: 256 }));
         });
-        let rep = rep.unwrap();
+        let (driven, rep) = out.unwrap();
 
         // Liveness and safety on every attempt, whether or not the
         // fence caught slots in flight.
-        assert_eq!(rep.results.len(), queries.len());
+        assert_eq!(driven.queries.len(), queries.len());
         assert_eq!(rep.shed_queries, 0, "shed storm after fence");
         assert_eq!(rep.lost_partials, 0, "sibling was live");
-        assert!(rep.statuses.iter().all(|&s| s == OpStatus::Ok));
+        assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
         for (qi, want) in expect.iter().enumerate() {
-            assert_eq!(&rep.results[qi], want, "query {qi} after fence");
+            assert_eq!(
+                &driven.queries[qi].neighbors, want,
+                "query {qi} after fence"
+            );
         }
         let caught = rep.failovers > 0;
         observed_failover |= caught;
@@ -229,30 +243,15 @@ fn mid_run_fence_with_deep_inflight_resolves_all_tickets() {
     );
 }
 
-/// `resolved_inflight` keeps legacy configs at their pre-reactor
-/// capacity and lets the new knob override it.
+/// The slot count is a plain number: 16 by default, and a replica with
+/// no slot could never serve, so 0 is refused before any thread starts.
 #[test]
-fn resolved_inflight_derives_legacy_capacity() {
-    let legacy = ServiceConfig {
-        workers_per_replica: 3,
-        contexts_per_worker: 8,
-        ..Default::default()
-    };
-    assert_eq!(legacy.resolved_inflight(), 24);
-
-    let explicit = ServiceConfig {
-        workers_per_replica: 4,
-        contexts_per_worker: 8,
-        inflight_per_replica: 1024,
-        ..Default::default()
-    };
-    assert_eq!(explicit.resolved_inflight(), 1024);
-
-    // Degenerate knobs still yield at least one slot.
-    let degenerate = ServiceConfig {
-        workers_per_replica: 0,
-        contexts_per_worker: 0,
-        ..Default::default()
-    };
-    assert_eq!(degenerate.resolved_inflight(), 1);
+fn zero_inflight_is_rejected_at_construction() {
+    assert_eq!(ServiceConfig::default().inflight_per_replica, 16);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x2E20);
+    let data = clustered(200, &mut rng);
+    let dir = shard_dir("zero");
+    let refused = std::panic::catch_unwind(|| build(&data, dir.clone(), 1, 1, 1, 0, 1)).is_err();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(refused, "a zero-slot replica was accepted");
 }

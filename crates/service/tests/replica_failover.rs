@@ -10,7 +10,7 @@
 //! 2. **fence mid-run under a mixed read–write stream** — outstanding
 //!    queries on the dead replica re-dispatch to its sibling
 //!    (`failovers > 0`), *every* write of the stream is applied
-//!    (`write_latencies` covers the stream, `writes_failed == 0`,
+//!    (every write ticket resolves applied, `writes_failed == 0`,
 //!    `shed_writes == 0`), nothing is shed under the generous budget
 //!    (no shed storm), the run terminates, and a quiescent pass
 //!    afterwards sees a database consistent with the op stream
@@ -19,6 +19,9 @@
 //!    (outstanding queries complete with that shard's partial empty,
 //!    later ones shed with `Overload`) and the run still terminates.
 
+mod common;
+
+use common::{run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -74,10 +77,7 @@ fn build_service_on(
         &ShardBuildConfig {
             num_shards: 2,
             seed: build_seed,
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-failover-{}-{tag}-seed{build_seed}",
-                std::process::id()
-            )),
+            dir: e2lsh_storage::testutil::temp_path(&format!("failover-{tag}")),
             cache_blocks: 2048,
             ..Default::default()
         },
@@ -90,7 +90,7 @@ fn build_service_on(
             replicas_per_shard: replicas,
             routing,
             workers_per_replica: 1,
-            contexts_per_worker: 8,
+            inflight_per_replica: 8,
             k: 3,
             s_override: Some(AMPLE),
             device: DeviceSpec::SimShared {
@@ -125,11 +125,11 @@ fn fenced_replica_receives_no_load_and_results_hold() {
     let queries = clustered(48, &mut rng);
 
     let svc = build_service(&data, 3, "prefence", seed ^ 0xF0);
-    let expect = svc.serve(&queries, Load::Closed { window: 8 });
+    let (expect, _) = run_reads(&svc, &queries, Load::Closed { window: 8 });
 
     svc.topology().fence(0, 1);
     svc.topology().fence(1, 2);
-    let rep = svc.serve(&queries, Load::Closed { window: 8 });
+    let (driven, rep) = run_reads(&svc, &queries, Load::Closed { window: 8 });
     assert_eq!(rep.shed_queries, 0);
     assert_eq!(rep.failovers, 0, "pre-fenced replicas need no failover");
     assert_eq!(rep.lost_partials, 0);
@@ -137,7 +137,7 @@ fn fenced_replica_receives_no_load_and_results_hold() {
     assert_eq!(rep.replica_load[1][2], 0, "fenced replica got work");
     for qi in 0..queries.len() {
         assert_eq!(
-            rep.results[qi], expect.results[qi],
+            driven.queries[qi].neighbors, expect.queries[qi].neighbors,
             "query {qi}: routing around a fence changed results (seed {seed})"
         );
     }
@@ -163,7 +163,7 @@ fn mid_run_fence_fails_over_without_losing_writes() {
     let mut observed_failover = false;
     for (attempt, delay_ms) in [40u64, 70, 100, 130, 25].iter().enumerate() {
         let svc = build_service(&data, 2, &format!("midrun{attempt}"), seed ^ 0xFA11);
-        let mut rep = None;
+        let mut out = None;
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 // Fence one replica of shard 0 while the run is in full
@@ -171,15 +171,21 @@ fn mid_run_fence_fails_over_without_losing_writes() {
                 std::thread::sleep(std::time::Duration::from_millis(*delay_ms));
                 assert!(svc.topology().fence(0, 1));
             });
-            rep = Some(svc.serve_mixed(&queries, &pool, &w.ops, Load::Closed { window: 32 }));
+            out = Some(run_mixed(
+                &svc,
+                &queries,
+                &pool,
+                &w.ops,
+                Load::Closed { window: 32 },
+            ));
         });
-        let rep = rep.unwrap();
+        let (driven, rep) = out.unwrap();
 
         // Zero lost writes: every write of the stream was applied.
         assert_eq!(rep.shed_writes, 0, "writes must never shed (seed {seed})");
         assert_eq!(rep.writes_failed, 0, "writes failed (seed {seed})");
         assert_eq!(
-            rep.write_latencies.len(),
+            driven.writes.iter().filter(|w| w.applied).count(),
             w.num_inserts + w.num_deletes,
             "lost writes (seed {seed})"
         );
@@ -188,8 +194,8 @@ fn mid_run_fence_fails_over_without_losing_writes() {
         assert_eq!(rep.shed_queries, 0, "shed storm after fence (seed {seed})");
         assert_eq!(rep.lost_partials, 0, "sibling was live (seed {seed})");
         // Terminal accounting: every query completed.
-        assert_eq!(rep.results.len(), queries.len());
-        assert!(rep.statuses.iter().all(|&s| s == OpStatus::Ok));
+        assert_eq!(driven.queries.len(), queries.len());
+        assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
 
         if rep.failovers == 0 {
             // Fence landed in a lull — try another offset.
@@ -213,11 +219,11 @@ fn mid_run_fence_fails_over_without_losing_writes() {
                 }
             }
         }
-        let quiet = svc.serve(&queries, Load::Closed { window: 8 });
+        let (quiet_driven, quiet) = run_reads(&svc, &queries, Load::Closed { window: 8 });
         assert_eq!(quiet.failovers, 0);
         assert_eq!(quiet.replica_load[0][1], 0, "fenced replica served reads");
-        for (qi, res) in quiet.results.iter().enumerate() {
-            for &(id, _) in res {
+        for (qi, res) in quiet_driven.queries.iter().enumerate() {
+            for &(id, _) in &res.neighbors {
                 assert!(
                     live.contains(&id),
                     "quiescent query {qi}: id {id} deleted or never inserted (seed {seed})"
@@ -255,18 +261,23 @@ fn fencing_the_last_replica_degrades_without_hanging() {
         8,
         RoutePolicy::PowerOfTwoChoices,
     );
-    let mut rep = None;
+    let mut out = None;
     std::thread::scope(|scope| {
         scope.spawn(|| {
             std::thread::sleep(std::time::Duration::from_millis(100));
             assert!(svc.topology().fence(0, 0));
         });
-        rep = Some(svc.serve(&queries, Load::Closed { window: 16 }));
+        out = Some(run_reads(&svc, &queries, Load::Closed { window: 16 }));
     });
-    let rep = rep.unwrap(); // completing at all is the core assertion
+    let (driven, rep) = out.unwrap(); // completing at all is the core assertion
 
-    assert_eq!(rep.results.len(), queries.len());
-    let completed = rep.statuses.iter().filter(|&&s| s == OpStatus::Ok).count();
+    assert_eq!(driven.queries.len(), queries.len());
+    let completed = driven
+        .queries
+        .iter()
+        .filter(|r| r.status == OpStatus::Ok)
+        .count();
+    assert_eq!(completed, rep.completed_queries);
     assert_eq!(completed + rep.shed_queries, queries.len());
     assert!(
         rep.shed_queries > 0,
@@ -277,8 +288,8 @@ fn fencing_the_last_replica_degrades_without_hanging() {
         "outstanding shard-0 partials must be abandoned (seed {seed})"
     );
     // Degraded-mode answers never invent ids.
-    for res in &rep.results {
-        for &(id, _) in res {
+    for res in &driven.queries {
+        for &(id, _) in &res.neighbors {
             assert!((id as usize) < data.len());
         }
     }
@@ -308,25 +319,25 @@ fn broadcast_fence_mid_run_terminates_with_full_results() {
         8,
         RoutePolicy::Broadcast,
     );
-    let mut rep = None;
+    let mut out = None;
     std::thread::scope(|scope| {
         scope.spawn(|| {
             std::thread::sleep(std::time::Duration::from_millis(100));
             assert!(svc.topology().fence(0, 1));
         });
-        rep = Some(svc.serve(&queries, Load::Closed { window: 16 }));
+        out = Some(run_reads(&svc, &queries, Load::Closed { window: 16 }));
     });
-    let rep = rep.unwrap(); // terminating at all is the regression
+    let (driven, rep) = out.unwrap(); // terminating at all is the regression
 
     // Two live replicas per shard remain: every query still completes
     // with full (replica-redundant) answers, nothing sheds, nothing is
     // lost.
-    assert_eq!(rep.results.len(), queries.len());
-    assert!(rep.statuses.iter().all(|&s| s == OpStatus::Ok));
+    assert_eq!(driven.queries.len(), queries.len());
+    assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
     assert_eq!(rep.shed_queries, 0, "siblings were live (seed {seed})");
     assert_eq!(rep.lost_partials, 0, "siblings were live (seed {seed})");
     assert_eq!(rep.failovers, 0, "broadcast needs no re-dispatch");
-    for (qi, res) in rep.results.iter().enumerate() {
+    for (qi, res) in driven.queries.iter().map(|r| &r.neighbors).enumerate() {
         assert!(!res.is_empty(), "query {qi} returned nothing (seed {seed})");
         let mut ids: Vec<u32> = res.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();

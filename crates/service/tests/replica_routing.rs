@@ -20,6 +20,8 @@
 //!   features, never accuracy features), with broadcast's duplicate
 //!   partials deduplicated at merge.
 
+mod common;
+
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::router::{power_of_two_pick, round_robin_pick, splitmix64};
@@ -182,10 +184,7 @@ fn routing_policies_and_replication_preserve_results() {
             &ShardBuildConfig {
                 num_shards: 2,
                 seed: 7,
-                dir: std::env::temp_dir().join(format!(
-                    "e2lsh-replica-routing-{}-{tag}",
-                    std::process::id()
-                )),
+                dir: e2lsh_storage::testutil::temp_path(&format!("replica-routing-{tag}")),
                 cache_blocks: 1024,
                 ..Default::default()
             },
@@ -206,7 +205,7 @@ fn routing_policies_and_replication_preserve_results() {
         replicas_per_shard: replicas,
         routing,
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
         device: DeviceSpec::SimPerWorker {
@@ -217,7 +216,7 @@ fn routing_policies_and_replication_preserve_results() {
     };
 
     let reference = ShardedService::new(build("ref"), config(1, RoutePolicy::RoundRobin));
-    let expect = reference.serve(&queries, Load::Closed { window: 8 });
+    let (expect, _) = common::run_reads(&reference, &queries, Load::Closed { window: 8 });
     reference.shards().cleanup();
 
     for (routing, tag) in [
@@ -226,12 +225,12 @@ fn routing_policies_and_replication_preserve_results() {
         (RoutePolicy::Broadcast, "bcast"),
     ] {
         let svc = ShardedService::new(build(tag), config(3, routing));
-        let rep = svc.serve(&queries, Load::Closed { window: 8 });
+        let (driven, rep) = common::run_reads(&svc, &queries, Load::Closed { window: 8 });
         assert_eq!(rep.replicas, 3);
         assert_eq!(rep.shed_queries, 0);
         for qi in 0..queries.len() {
             assert_eq!(
-                rep.results[qi], expect.results[qi],
+                driven.queries[qi].neighbors, expect.queries[qi].neighbors,
                 "{tag}: query {qi} diverged from the single-replica reference"
             );
         }

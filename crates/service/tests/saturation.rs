@@ -23,6 +23,9 @@
 //! only with `E2LSH_STRESS=1` (CI's saturation job, release); the
 //! default `cargo test -q` runs a scaled-down single 2×-capacity point.
 
+mod common;
+
+use common::{run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -69,11 +72,7 @@ fn build_service(data: &Dataset, budget: impl Into<AdmissionControl>, seed: u64)
         &ShardBuildConfig {
             num_shards: 2,
             seed,
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-saturation-{}-seed{}",
-                std::process::id(),
-                seed
-            )),
+            dir: e2lsh_storage::testutil::temp_path("saturation"),
             cache_blocks: 2048,
             ..Default::default()
         },
@@ -93,7 +92,7 @@ fn build_service(data: &Dataset, budget: impl Into<AdmissionControl>, seed: u64)
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 8,
+            inflight_per_replica: 16,
             k: 1,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -120,7 +119,11 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
 
     // Measured capacity: closed loop at a window comfortably under the
     // queue bound (nothing is shed here — the window never outruns it).
-    let cap_rep = svc.serve(&queries, Load::Closed { window: 16 });
+    // The first pass only warms the block cache: the open-loop runs
+    // below see a warm cache, and a cold-cache capacity would make
+    // "2×" under-offer them.
+    run_reads(&svc, &queries, Load::Closed { window: 16 });
+    let (_, cap_rep) = run_reads(&svc, &queries, Load::Closed { window: 16 });
     assert_eq!(cap_rep.shed_queries, 0, "closed window must fit the bound");
     let capacity = cap_rep.qps();
     assert!(capacity > 0.0);
@@ -136,7 +139,8 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
     };
     for &frac in fractions {
         let rate = capacity * frac;
-        let rep = svc.serve(
+        let (driven, rep) = run_reads(
+            &svc,
             &queries,
             Load::Open {
                 rate_qps: rate,
@@ -151,18 +155,17 @@ fn overload_sheds_instead_of_queueing_unboundedly() {
             rep.peak_queue_depth
         );
         // Terminal accounting: every query either completed or shed.
-        assert_eq!(rep.results.len(), queries.len());
-        assert_eq!(rep.statuses.len(), queries.len());
-        let shed = rep
-            .statuses
+        assert_eq!(driven.queries.len(), queries.len());
+        let shed = driven
+            .queries
             .iter()
-            .filter(|&&s| s == OpStatus::Shed)
+            .filter(|r| r.status == OpStatus::Shed)
             .count();
         assert_eq!(shed, rep.shed_queries);
-        for (q, st) in rep.statuses.iter().enumerate() {
-            if *st == OpStatus::Shed {
-                assert!(rep.results[q].is_empty(), "shed query {q} has results");
-                assert_eq!(rep.latencies[q], 0.0);
+        for (q, r) in driven.queries.iter().enumerate() {
+            if r.status == OpStatus::Shed {
+                assert!(r.neighbors.is_empty(), "shed query {q} has results");
+                assert_eq!(r.latency, 0.0);
             }
         }
 
@@ -223,7 +226,8 @@ fn writes_backpressure_instead_of_shedding() {
     let svc = build_service(&data, AdmissionBudget::depth(2), seed ^ 0x33);
     let w = e2lsh_service::mixed_ops(queries.len(), 0.4, 0.3, 600, pool.len(), seed ^ 4);
     assert!(w.num_inserts > 0 && w.num_deletes > 0);
-    let rep = svc.serve_mixed(
+    let (driven, rep) = run_mixed(
+        &svc,
         &queries,
         &pool,
         &w.ops,
@@ -236,7 +240,7 @@ fn writes_backpressure_instead_of_shedding() {
     assert_eq!(rep.shed_writes, 0, "writes must backpressure, never shed");
     assert_eq!(rep.writes_failed, 0);
     assert_eq!(
-        rep.write_latencies.len(),
+        driven.writes.iter().filter(|w| w.applied).count(),
         w.num_inserts + w.num_deletes,
         "every write of the stream must be applied"
     );
@@ -266,7 +270,8 @@ fn byte_budget_sheds_under_burst_arrivals() {
     let queries = skewed_queries(&base_queries, 160, 1.1, seed ^ 2);
     // Burst arrivals: whole batches hit the queues at one instant, so
     // the 4-point byte budget must shed parts of most bursts.
-    let rep = svc.serve(
+    let (_, rep) = run_reads(
+        &svc,
         &queries,
         Load::Burst {
             rate_qps: 100_000.0,
@@ -312,7 +317,8 @@ fn write_burst_cannot_shed_reads() {
     // stall the dispatcher constantly.
     let w = e2lsh_service::mixed_ops(queries.len(), 0.6, 0.3, 600, pool.len(), seed ^ 6);
     assert!(w.num_inserts + w.num_deletes > queries.len());
-    let rep = svc.serve_mixed(
+    let (driven, rep) = run_mixed(
+        &svc,
         &queries,
         &pool,
         &w.ops,
@@ -328,7 +334,10 @@ fn write_burst_cannot_shed_reads() {
     );
     assert_eq!(rep.shed_writes, 0);
     assert_eq!(rep.writes_failed, 0);
-    assert_eq!(rep.write_latencies.len(), w.num_inserts + w.num_deletes);
+    assert_eq!(
+        driven.writes.iter().filter(|w| w.applied).count(),
+        w.num_inserts + w.num_deletes
+    );
     assert_eq!(rep.latency().count, queries.len(), "every read completed");
     svc.shards().cleanup();
 }
@@ -348,28 +357,32 @@ fn closed_backoff_retries_instead_of_shedding() {
     // queues long before the workers drain them.
     let svc = build_service(&data, AdmissionBudget::depth(4), seed ^ 0xB0FF);
 
-    let plain = svc.serve(&queries, Load::Closed { window: 96 });
+    let (plain_driven, plain) = run_reads(&svc, &queries, Load::Closed { window: 96 });
     assert!(
         plain.shed_queries > 0,
         "window 96 over bound 4 must shed without backoff (seed {seed})"
     );
-    assert_eq!(plain.retries, 0);
+    assert_eq!(plain_driven.retries, 0);
 
-    let backoff = svc.serve(
+    let (driven, backoff) = run_reads(
+        &svc,
         &queries,
         Load::ClosedBackoff {
             window: 96,
             max_retries: 200,
         },
     );
-    assert_eq!(
-        backoff.shed_queries, 0,
+    // A query's last attempt decides its fate; the session books every
+    // rejected *attempt* in `shed_queries`, one per retry.
+    assert!(
+        driven.queries.iter().all(|r| r.status == OpStatus::Ok),
         "backoff-honoring clients still shed (seed {seed})"
     );
     assert!(
-        backoff.retries > 0,
+        driven.retries > 0,
         "no retries despite guaranteed overflow (seed {seed})"
     );
+    assert_eq!(backoff.shed_queries, driven.retries);
     assert_eq!(backoff.latency().count, queries.len());
     assert!(backoff.peak_queue_depth <= 4);
     // Backoff wait is part of the client-visible latency (measured from

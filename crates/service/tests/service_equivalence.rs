@@ -1,6 +1,6 @@
 //! The sharded, multi-threaded service must return exactly the results
 //! of the single-threaded batch engine on the deterministic simulated
-//! device: sharding + worker pools + caching are performance features,
+//! device: sharding + reactors + caching are performance features,
 //! never accuracy features.
 //!
 //! The candidate budget is left effectively unbounded in these tests so
@@ -8,6 +8,9 @@
 //! budget, *which* candidates are examined before the budget runs out
 //! depends on timing).
 
+mod common;
+
+use common::run_reads;
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -49,7 +52,7 @@ fn params_for(ds: &Dataset) -> E2lshParams {
 }
 
 fn shard_dir(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("e2lsh-service-test-{}-{name}", std::process::id()))
+    e2lsh_storage::testutil::temp_path(&format!("service-test-{name}"))
 }
 
 /// Reference results: batch engine over one index per shard, merged.
@@ -80,7 +83,7 @@ fn reference_results(shards: &ShardSet, queries: &Dataset, k: usize) -> Vec<Vec<
 fn service_config(workers: usize, k: usize, device: DeviceSpec) -> ServiceConfig {
     ServiceConfig {
         workers_per_replica: workers,
-        contexts_per_worker: 8,
+        inflight_per_replica: workers * 8,
         k,
         s_override: Some(AMPLE),
         device,
@@ -134,19 +137,19 @@ fn single_shard_service_matches_run_queries() {
             },
         ),
     );
-    let report = svc.serve(&queries, Load::Closed { window: 16 });
+    let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 16 });
 
-    assert_eq!(report.results.len(), queries.len());
+    assert_eq!(driven.queries.len(), queries.len());
     for qi in 0..queries.len() {
         assert_eq!(
-            report.results[qi], batch.outcomes[qi].neighbors,
+            driven.queries[qi].neighbors, batch.outcomes[qi].neighbors,
             "query {qi}: service differs from run_queries"
         );
     }
     assert!(report.qps() > 0.0);
-    assert!(report.latencies.iter().all(|&l| l >= 0.0));
-    svc.shards().cleanup();
+    assert!(driven.queries.iter().all(|r| r.latency >= 0.0));
     std::fs::remove_file(&plain_path).ok();
+    svc.shards().cleanup();
 }
 
 #[test]
@@ -179,15 +182,15 @@ fn multi_shard_service_equals_merged_per_shard_batches() {
             },
         ),
     );
-    let report = svc.serve(&queries, Load::Closed { window: 8 });
+    let (driven, _) = run_reads(&svc, &queries, Load::Closed { window: 8 });
     for (qi, want) in expect.iter().enumerate() {
         assert_eq!(
-            &report.results[qi], want,
+            &driven.queries[qi].neighbors, want,
             "query {qi}: sharded service differs from merged batches"
         );
     }
-    // The session API is the same engine: a hand-driven session returns
-    // the reference results bit-exactly too.
+    // A session driven by hand, ticket by ticket, returns the
+    // reference results bit-exactly too.
     let session = svc.start();
     let client = session.client();
     let tickets: Vec<_> = (0..queries.len())
@@ -202,11 +205,11 @@ fn multi_shard_service_equals_merged_per_shard_batches() {
     }
     drop(session.shutdown());
     // Global ids must be valid and unique.
-    for r in &report.results {
-        let mut ids: Vec<u32> = r.iter().map(|&(id, _)| id).collect();
+    for r in &driven.queries {
+        let mut ids: Vec<u32> = r.neighbors.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), r.len());
+        assert_eq!(ids.len(), r.neighbors.len());
         assert!(ids.iter().all(|&id| (id as usize) < data.len()));
     }
     svc.shards().cleanup();
@@ -243,17 +246,22 @@ fn results_identical_with_cache_on_and_off_and_hits_counted() {
                 },
             ),
         );
-        let report = svc.serve(&queries, Load::Closed { window: 16 });
+        let out = run_reads(&svc, &queries, Load::Closed { window: 16 });
         svc.shards().cleanup();
-        report
+        out
     };
 
-    let cold = run(0, "nocache");
-    let warm = run(4096, "cache");
-    assert_eq!(cold.results.len(), warm.results.len());
-    for qi in 0..cold.results.len() {
+    let (cold_driven, cold) = run(0, "nocache");
+    let (warm_driven, warm) = run(4096, "cache");
+    assert_eq!(cold_driven.queries.len(), warm_driven.queries.len());
+    for (qi, (c, w)) in cold_driven
+        .queries
+        .iter()
+        .zip(&warm_driven.queries)
+        .enumerate()
+    {
         assert_eq!(
-            cold.results[qi], warm.results[qi],
+            c.neighbors, w.neighbors,
             "query {qi}: cache changed results"
         );
     }
@@ -295,20 +303,21 @@ fn open_loop_serves_every_query_with_sane_latencies() {
             },
         ),
     );
-    let report = svc.serve(
+    let (driven, report) = run_reads(
+        &svc,
         &queries,
         Load::Open {
             rate_qps: 2000.0,
             seed: 11,
         },
     );
-    assert_eq!(report.results.len(), queries.len());
+    assert_eq!(driven.queries.len(), queries.len());
     for (qi, want) in expect.iter().enumerate() {
-        assert_eq!(&report.results[qi], want, "query {qi}");
+        assert_eq!(&driven.queries[qi].neighbors, want, "query {qi}");
     }
     let lat = report.latency();
     assert!(lat.count == queries.len());
-    assert!(report.latencies.iter().all(|&l| l >= 0.0));
+    assert!(driven.queries.iter().all(|r| r.latency >= 0.0));
     assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99 && lat.p99 <= lat.max);
     assert!(report.duration > 0.0 && report.qps() > 0.0);
     svc.shards().cleanup();

@@ -1,5 +1,5 @@
 //! Session-API suite: concurrent multi-client sessions, ticket
-//! invariants, and wrapper/session equivalence.
+//! invariants, and report/ticket agreement.
 //!
 //! What is checked (seeded; set `E2LSH_TEST_SEED` to reproduce a CI
 //! failure locally — the CI `session` job runs this file in release
@@ -10,21 +10,24 @@
 //!    exactly once, shed tickets carry an `Overload` with a positive
 //!    `retry_after`, and a quiescent pass is checked against a
 //!    brute-force mirror of the op stream (deleted ids gone, reported
-//!    distances exact, results bit-equal to a fresh legacy `serve`);
-//! 2. **wrapper equivalence** — `serve`, `serve_mixed` and
-//!    `query_batch` are thin wrappers over the session API; each is
-//!    asserted bit-exact against a hand-driven session on the same
-//!    seeded workload;
+//!    distances exact, results bit-equal to a fresh session's);
+//! 2. **report/ticket agreement** — the session snapshot is booked from
+//!    the same events that resolve the tickets: histograms rebuilt from
+//!    a driven run's ticket latencies equal the report's bucket for
+//!    bucket, and the counters equal the ticket counts;
 //! 3. **session mechanics** — id minting under shed writes (no gaps),
 //!    per-client fairness caps, metrics snapshots and interval deltas,
 //!    and shed-on-closed-session submissions.
 
+mod common;
+
+use common::{run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::distance::dist2;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    mixed_ops, AdmissionBudget, AdmissionControl, DeviceSpec, Load, Op, OpStatus, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService, WriteOp, CLIENT_THROTTLE_SHARD,
+    mixed_ops, AdmissionBudget, AdmissionControl, DeviceSpec, LatencyHistogram, Load, Op, OpStatus,
+    ServiceConfig, ShardBuildConfig, ShardSet, ShardedService, WriteOp, CLIENT_THROTTLE_SHARD,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use rand::{Rng, SeedableRng};
@@ -74,11 +77,7 @@ fn build_service(
         &ShardBuildConfig {
             num_shards: 2,
             seed: build_seed,
-            dir: std::env::temp_dir().join(format!(
-                "e2lsh-session-api-{}-{tag}-seed{}",
-                std::process::id(),
-                seed()
-            )),
+            dir: e2lsh_storage::testutil::temp_path(&format!("session-api-{tag}")),
             cache_blocks: 2048,
             ..Default::default()
         },
@@ -87,7 +86,7 @@ fn build_service(
     .expect("shard build");
     let mut config = ServiceConfig {
         workers_per_replica: 2,
-        contexts_per_worker: 8,
+        inflight_per_replica: 16,
         k: K,
         s_override: Some(AMPLE),
         device: DeviceSpec::SimPerWorker {
@@ -253,202 +252,89 @@ fn multi_client_session_with_oracle_check() {
     assert!(m2.total_io >= m.total_io);
     m = m2;
 
-    // The mutated database answers a fresh legacy wrapper call with
-    // bit-exactly the session's quiescent results.
+    // The mutated database answers a fresh session, driven 8 deep,
+    // with bit-exactly this session's quiescent results.
     let quiet_session: Vec<Vec<(u32, f32)>> = (0..queries.len())
         .map(|qi| quiet_client.query(queries.point(qi)).wait().neighbors)
         .collect();
     drop(session.shutdown());
-    let wrapper = svc.serve(&queries, Load::Closed { window: 8 });
+    let (fresh, _) = run_reads(&svc, &queries, Load::Closed { window: 8 });
     for (qi, quiet) in quiet_session.iter().enumerate() {
         assert_eq!(
-            &wrapper.results[qi], quiet,
-            "query {qi}: wrapper differs from hand-driven session (seed {seed})"
+            &fresh.queries[qi].neighbors, quiet,
+            "query {qi}: fresh session differs from the mutating one (seed {seed})"
         );
     }
     assert!(m.latency().count > 0);
     svc.shards().cleanup();
 }
 
-/// 2a. Read-only wrapper equivalence: `serve` is bit-exact against a
-/// hand-driven session submitting the same queries.
+/// 2. The report and the tickets never disagree: after a driven
+///    closed-loop mixed run, histograms rebuilt from the resolved
+///    tickets' latencies equal the shutdown report's bucket for bucket,
+///    and the report's counters equal the ticket counts.
 #[test]
-fn serve_wrapper_matches_hand_driven_session() {
-    let seed = seed();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xEAD);
-    let data = clustered(700, &mut rng);
-    let queries = clustered(40, &mut rng);
-    let svc = build_service(
-        &data,
-        "readeq",
-        seed ^ 0xEAD,
-        AdmissionControl::UNBOUNDED,
-        |_| {},
-    );
-
-    let wrapper = svc.serve(&queries, Load::Closed { window: 16 });
-
-    let session = svc.start();
-    let client = session.client();
-    let tickets: Vec<_> = (0..queries.len())
-        .map(|qi| client.query(queries.point(qi)))
-        .collect();
-    let hand: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    let report = session.shutdown();
-
-    assert_eq!(wrapper.results.len(), hand.len());
-    for (qi, r) in hand.iter().enumerate() {
-        assert_eq!(r.status, OpStatus::Ok);
-        assert_eq!(
-            wrapper.results[qi], r.neighbors,
-            "query {qi}: wrapper differs from hand-driven session (seed {seed})"
-        );
-        assert!(r.n_io > 0, "served query reported no I/O");
-    }
-    // Session snapshot accounting covers the hand-driven run.
-    assert_eq!(report.latency().count, queries.len());
-    assert_eq!(report.shed_queries, 0);
-    assert!(report.total_io > 0);
-    svc.shards().cleanup();
-}
-
-/// 2b. Mixed-stream wrapper equivalence: `serve_mixed` at window 1
-/// (sequential) is bit-exact against a hand-driven session applying
-/// the same seeded op stream one ticket at a time — including the
-/// minted insert ids and the final database state.
-#[test]
-fn serve_mixed_wrapper_matches_hand_driven_session() {
+fn report_histograms_and_counters_match_the_tickets() {
     let seed = seed();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x313ED);
     let data = clustered(600, &mut rng);
     let pool = clustered(120, &mut rng);
-    let queries = clustered(30, &mut rng);
+    let queries = clustered(60, &mut rng);
     let w = mixed_ops(queries.len(), 0.35, 0.4, data.len(), pool.len(), seed ^ 9);
     assert!(w.num_inserts > 0 && w.num_deletes > 0);
-
-    // Two identically built services (same build seed, separate dirs).
-    let svc_a = build_service(
-        &data,
-        "mixeq-a",
-        seed ^ 0x313ED,
-        AdmissionControl::UNBOUNDED,
-        |_| {},
-    );
-    let svc_b = build_service(
-        &data,
-        "mixeq-b",
-        seed ^ 0x313ED,
-        AdmissionControl::UNBOUNDED,
-        |_| {},
-    );
-
-    // Window 1: the wrapper applies the stream strictly sequentially,
-    // so the hand-driven session can replay it op by op.
-    let wrapper = svc_a.serve_mixed(&queries, &pool, &w.ops, Load::Closed { window: 1 });
-    assert_eq!(wrapper.shed_writes, 0);
-    assert_eq!(wrapper.writes_failed, 0);
-
-    let session = svc_b.start();
-    let client = session.client();
-    let mut hand: Vec<Vec<(u32, f32)>> = vec![Vec::new(); queries.len()];
-    for op in &w.ops {
-        match *op {
-            Op::Query(qi) => {
-                let r = client.query(queries.point(qi)).wait();
-                assert_eq!(r.status, OpStatus::Ok);
-                hand[qi] = r.neighbors;
-            }
-            Op::Insert(j) => {
-                let r = client.write_blocking(WriteOp::Insert(pool.point(j))).wait();
-                assert!(r.applied);
-                assert_eq!(
-                    r.id,
-                    Some((data.len() + j) as u32),
-                    "session minted a different id than the wrapper (seed {seed})"
-                );
-            }
-            Op::Delete(g) => {
-                let r = client.write_blocking(WriteOp::Delete(g)).wait();
-                assert!(r.applied, "delete of live id {g} failed");
-            }
-        }
-    }
-    drop(session.shutdown());
-
-    for (qi, by_hand) in hand.iter().enumerate() {
-        assert_eq!(
-            &wrapper.results[qi], by_hand,
-            "query {qi}: wrapper differs from hand-driven session (seed {seed})"
-        );
-    }
-    // The two databases evolved identically: a quiescent pass agrees
-    // bit-exactly.
-    let quiet_a = svc_a.serve(&queries, Load::Closed { window: 4 });
-    let quiet_b = svc_b.serve(&queries, Load::Closed { window: 4 });
-    for qi in 0..queries.len() {
-        assert_eq!(
-            quiet_a.results[qi], quiet_b.results[qi],
-            "query {qi}: post-stream databases diverged (seed {seed})"
-        );
-    }
-    svc_a.shards().cleanup();
-    svc_b.shards().cleanup();
-}
-
-/// 2c. Batch wrapper equivalence: `query_batch` ≡ `Session::query_batch`
-/// ≡ hand-submitted unique tickets fanned back out.
-#[test]
-fn query_batch_wrapper_matches_hand_driven_session() {
-    let seed = seed();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBA7C);
-    let data = clustered(600, &mut rng);
-    let base = clustered(24, &mut rng);
-    // Duplicate-heavy batch.
-    let picks = e2lsh_service::zipf_indices(base.len(), 96, 1.2, seed ^ 11);
-    let mut batch = Dataset::with_capacity(DIM, picks.len());
-    for &i in &picks {
-        batch.push(base.point(i));
-    }
-
+    // 4 slots + 2 queued per replica against a window of 24: some
+    // queries must shed, so the shed counter is exercised too.
     let svc = build_service(
         &data,
-        "batcheq",
-        seed ^ 0xBA7C,
-        AdmissionControl::UNBOUNDED,
-        |_| {},
+        "agree",
+        seed ^ 0x313ED,
+        AdmissionControl {
+            read: AdmissionBudget::depth(2),
+            write: AdmissionBudget::UNBOUNDED,
+        },
+        |c| c.inflight_per_replica = 4,
     );
-    let wrapper = svc.query_batch(&batch);
-    assert!(wrapper.collapsed > 0, "batch must contain duplicates");
+    let (driven, report) = run_mixed(&svc, &queries, &pool, &w.ops, Load::Closed { window: 24 });
 
-    let session = svc.start();
-    let session_rep = session.query_batch(&batch);
-
-    // Hand-driven: dedup, submit uniques, fan out.
-    let dd = e2lsh_service::dedup_batch(&batch);
-    let client = session.client();
-    let tickets: Vec<_> = dd
-        .uniques
-        .iter()
-        .map(|&i| client.query(batch.point(i)))
-        .collect();
-    let uniq: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    drop(session.shutdown());
-
-    assert_eq!(wrapper.results.len(), batch.len());
-    assert_eq!(session_rep.results.len(), batch.len());
-    assert_eq!(wrapper.unique, session_rep.unique);
-    for i in 0..batch.len() {
-        let by_hand = &uniq[dd.rep[i]].neighbors;
-        assert_eq!(
-            &wrapper.results[i], by_hand,
-            "query {i}: batch wrapper differs from hand-driven tickets (seed {seed})"
-        );
-        assert_eq!(
-            &session_rep.results[i], by_hand,
-            "query {i}: Session::query_batch differs from hand-driven tickets (seed {seed})"
-        );
-        assert_eq!(wrapper.statuses[i], OpStatus::Ok);
+    let mut reads = LatencyHistogram::new();
+    let mut shed = 0usize;
+    for r in &driven.queries {
+        match r.status {
+            OpStatus::Ok => reads.record(r.latency),
+            OpStatus::Shed => shed += 1,
+        }
     }
+    let mut writes = LatencyHistogram::new();
+    for r in driven.writes.iter().filter(|r| r.applied) {
+        writes.record(r.latency);
+    }
+    assert_eq!(
+        reads, report.read_hist,
+        "read histogram != tickets (seed {seed})"
+    );
+    assert_eq!(
+        writes, report.write_hist,
+        "write histogram != tickets (seed {seed})"
+    );
+    assert_eq!(report.completed_queries, reads.count() as usize);
+    assert_eq!(report.shed_queries, shed);
+    assert_eq!(report.writes_applied, writes.count() as usize);
+    assert_eq!(driven.retries, 0);
+    // Writes resolve in stream order with the stream-positional ids the
+    // op generator assumed: the j-th insert is global id n0 + j.
+    let stream_ids: Vec<Option<u32>> = w
+        .ops
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Query(_) => None,
+            Op::Insert(j) => Some(Some((data.len() + j) as u32)),
+            Op::Delete(g) => Some(Some(g)),
+        })
+        .collect();
+    let ticket_ids: Vec<Option<u32>> = driven.writes.iter().map(|r| r.id).collect();
+    assert_eq!(ticket_ids, stream_ids, "minted ids drifted (seed {seed})");
+    assert!(shed > 0, "window 24 over 4 + 2 never shed (seed {seed})");
+    assert!(report.completed_queries > 0);
     svc.shards().cleanup();
 }
 
@@ -577,14 +463,14 @@ fn per_client_inflight_cap_sheds_client_side() {
     assert_eq!(r.status, OpStatus::Ok, "independent client throttled");
     drop(session.shutdown());
 
-    // The legacy wrappers pump through an *uncapped* internal client:
-    // the fairness cap protects external clients from each other, not
-    // the service from its own harness (regression: a capped pump shed
+    // `drive` pumps through an *uncapped* internal client: the
+    // fairness cap protects external clients from each other, not the
+    // service from its own harness (regression: a capped pump shed
     // queries the shard budgets had room for).
-    let rep = svc.serve(&queries, Load::Closed { window: 8 });
+    let (_, rep) = run_reads(&svc, &queries, Load::Closed { window: 8 });
     assert_eq!(
         rep.shed_queries, 0,
-        "wrapper shed under its own fairness cap (seed {seed})"
+        "drive shed under the fairness cap (seed {seed})"
     );
     svc.shards().cleanup();
 }
@@ -711,7 +597,7 @@ fn unfence_mid_session_routes_around_dead_lane() {
     );
     // The unfence takes effect at the next session start: under
     // round-robin the revived replica takes its full share again.
-    let fresh = svc.serve(&queries, Load::Closed { window: 8 });
+    let (_, fresh) = run_reads(&svc, &queries, Load::Closed { window: 8 });
     assert!(
         fresh.replica_load[0][1] > 0,
         "unfenced replica still idle in a fresh session (seed {seed})"

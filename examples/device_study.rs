@@ -23,7 +23,7 @@ fn main() -> std::io::Result<()> {
         data.max_abs_coord(),
         data.dim(),
     );
-    let path = std::env::temp_dir().join("e2lshos-device-study.idx");
+    let path = e2lshos::storage::testutil::temp_path("device-study.idx");
     build_index(&data, &params, &BuildConfig::default(), &path)?;
 
     println!(

@@ -50,7 +50,7 @@ fn main() -> std::io::Result<()> {
         base.max_abs_coord().max(255.0),
         dim,
     );
-    let path = std::env::temp_dir().join("e2lshos-dedup.idx");
+    let path = e2lshos::storage::testutil::temp_path("dedup.idx");
     build_index(&base, &params, &BuildConfig::default(), &path)?;
     let mut dev = FileDevice::open(&path, 8)?;
     let index = StorageIndex::open(&mut dev)?;

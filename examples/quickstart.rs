@@ -31,7 +31,7 @@ fn main() -> std::io::Result<()> {
         params.s,
         params.num_radii()
     );
-    let path = std::env::temp_dir().join("e2lshos-quickstart.idx");
+    let path = e2lshos::storage::testutil::temp_path("quickstart.idx");
     let report = build_index(&data, &params, &BuildConfig::default(), &path)?;
     println!(
         "index built: {:.1} MiB on storage ({} bucket blocks)",

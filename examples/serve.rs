@@ -1,9 +1,10 @@
 //! Serving-layer tour: shard a dataset, stand up the service as a
 //! **long-lived session** and submit interactively through ticketed
-//! clients (with a mid-run metrics snapshot), then run the legacy
-//! harness wrappers: closed-loop and open-loop (Poisson) admission,
-//! the open loop pushed past capacity to watch bounded admission shed
-//! load, a duplicate-heavy batch through `query_batch`,
+//! clients (with a mid-run metrics snapshot), then replay whole
+//! workloads through fresh sessions with `loadgen::drive`: closed-loop
+//! and open-loop (Poisson) admission, the open loop pushed past
+//! capacity to watch bounded admission shed load, a duplicate-heavy
+//! batch through `Session::query_batch`,
 //! backoff-honoring clients retrying on the `Overload::retry_after`
 //! hint, each shard backed by 3 replicas with one killed mid-run, the
 //! router failing its queries over to a sibling, and finally the
@@ -18,9 +19,9 @@
 //! surfaces this per request: the op's status is `OpStatus::Shed`, its
 //! results are empty, its latency is excluded from the accepted-request
 //! percentiles, and shed counts / shed rate / peak queue depth appear
-//! in every report. Writes are never dropped — their stream-positional
-//! ids could not survive it — so a full write queue backpressures the
-//! dispatcher instead. Nothing is silently dropped and nothing queues
+//! in every report. A replayed op stream's writes are never dropped —
+//! their stream-positional ids could not survive it — so a full write
+//! queue backpressures `drive` instead. Nothing is silently dropped and nothing queues
 //! without bound — offered load beyond capacity turns into explicit,
 //! countable rejections (reads) or bounded stalls (writes).
 //!
@@ -28,11 +29,24 @@
 
 use e2lshos::prelude::*;
 use e2lshos::service::{
-    skewed_queries, zipf_indices, AdmissionBudget, Load, NetClient, NetServer, NetServerConfig,
-    RoutePolicy, WriteOp,
+    drive, skewed_queries, zipf_indices, AdmissionBudget, Driven, Load, NetClient, NetServer,
+    NetServerConfig, RoutePolicy, ServiceReport, WriteOp,
 };
+use e2lshos::storage::testutil::temp_path;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Replay a read-only query stream through a fresh session under a
+/// load discipline: `start() → drive → shutdown()`. Per-query outcomes
+/// come back on the resolved tickets (`Driven`), counters and latency
+/// histograms on the session's final report.
+fn replay(service: &ShardedService, queries: &Dataset, load: Load) -> (Driven, ServiceReport) {
+    let reads: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
+    let no_inserts = Dataset::with_capacity(queries.dim(), 0);
+    let session = service.start();
+    let driven = drive(&session, queries, &no_inserts, &reads, load);
+    (driven, session.shutdown())
+}
 
 fn clustered(n: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -70,7 +84,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: 2,
             seed: 42,
-            dir: std::env::temp_dir().join(format!("e2lsh-serve-example-{}", std::process::id())),
+            dir: temp_path("serve-example"),
             cache_blocks: 8192, // 4 MiB per shard
             ..Default::default()
         },
@@ -99,7 +113,7 @@ fn main() {
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 16,
+            inflight_per_replica: 32,
             k: 3,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -161,9 +175,9 @@ fn main() {
     );
     assert!(first.iter().all(|r| r.status == OpStatus::Ok));
 
-    // Closed loop: a fixed population of 32 in-flight queries — the
-    // legacy wrapper, now a thin client of the session API.
-    let closed = service.serve(&queries, Load::Closed { window: 32 });
+    // Closed loop: a fixed population of 32 in-flight queries, replayed
+    // through a fresh session.
+    let (closed_driven, closed) = replay(&service, &queries, Load::Closed { window: 32 });
     let lat = closed.latency();
     println!(
         "closed loop: {:.0} QPS, p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms, \
@@ -177,7 +191,8 @@ fn main() {
 
     // Open loop: Poisson arrivals at 60% of the closed-loop throughput —
     // latency now includes queueing delay.
-    let open = service.serve(
+    let (_, open) = replay(
+        &service,
         &queries,
         Load::Open {
             rate_qps: (closed.qps() * 0.6).max(1.0),
@@ -195,18 +210,18 @@ fn main() {
         open.device.cache_hit_rate() * 100.0
     );
 
-    let q0 = &closed.results[0];
+    let q0 = &closed_driven.queries[0].neighbors;
     println!("top-{} for query 0: {:?}", q0.len(), q0);
 
     // Batched serving: a duplicate-heavy request (Zipf-hot picks) goes
-    // through query_batch — byte-identical queries are deduped before
-    // the engine, so the batch costs its *unique* queries only.
+    // through Session::query_batch — byte-identical queries are deduped
+    // before the engine, so the batch costs its *unique* queries only.
     let picks = zipf_indices(base_queries.len(), 256, 1.2, 4);
     let mut batch = Dataset::with_capacity(base_queries.dim(), picks.len());
     for &i in &picks {
         batch.push(base_queries.point(i));
     }
-    let brep = service.query_batch(&batch);
+    let brep = service.start().query_batch(&batch);
     println!(
         "query_batch: {} queries → {} unique ({:.0}% dedup), {} engine probes, p99 {:.2} ms",
         batch.len(),
@@ -218,16 +233,15 @@ fn main() {
 
     // Overload: rebuild the service with a finite admission budget and
     // offer 3× the measured throughput open-loop. The queue bound
-    // holds; the excess is shed with the typed Overload error (statuses
-    // report OpStatus::Shed per query) instead of queueing forever.
+    // holds; the excess is shed with the typed Overload error (each shed
+    // ticket resolves OpStatus::Shed) instead of queueing forever.
     service.shards().cleanup();
     let shards = ShardSet::build(
         &data,
         &ShardBuildConfig {
             num_shards: 2,
             seed: 42,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-example-ovl-{}", std::process::id())),
+            dir: temp_path("serve-example-ovl"),
             cache_blocks: 8192,
             ..Default::default()
         },
@@ -247,7 +261,7 @@ fn main() {
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 16,
+            inflight_per_replica: 32,
             k: 3,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -258,7 +272,8 @@ fn main() {
             ..Default::default()
         },
     );
-    let overload = bounded.serve(
+    let (_, overload) = replay(
+        &bounded,
         &queries,
         Load::Open {
             rate_qps: closed.qps() * 3.0,
@@ -272,7 +287,7 @@ fn main() {
         overload.goodput(),
         overload.shed_rate() * 100.0,
         overload.shed_queries,
-        overload.results.len(),
+        queries.len(),
         overload.peak_queue_depth,
         lat.p99 * 1e3
     );
@@ -281,7 +296,8 @@ fn main() {
     // hint derived from the queue's drain rate. Load::ClosedBackoff
     // retries shed queries after the hinted delay — overload turns into
     // counted retries instead of lost requests.
-    let polite = bounded.serve(
+    let (polite, polite_rep) = replay(
+        &bounded,
         &queries,
         Load::ClosedBackoff {
             window: 96,
@@ -289,10 +305,14 @@ fn main() {
         },
     );
     println!(
-        "backoff clients: {} retries, {} shed, goodput {:.0} QPS",
+        "backoff clients: {} retries, {} shed for good, goodput {:.0} QPS",
         polite.retries,
-        polite.shed_queries,
-        polite.goodput()
+        polite
+            .queries
+            .iter()
+            .filter(|r| r.status == OpStatus::Shed)
+            .count(),
+        polite_rep.goodput()
     );
     bounded.shards().cleanup();
 
@@ -306,8 +326,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: 2,
             seed: 42,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-example-rep-{}", std::process::id())),
+            dir: temp_path("serve-example-rep"),
             cache_blocks: 8192,
             ..Default::default()
         },
@@ -329,7 +348,7 @@ fn main() {
             replicas_per_shard: 3,
             routing: RoutePolicy::PowerOfTwoChoices,
             workers_per_replica: 1,
-            contexts_per_worker: 16,
+            inflight_per_replica: 16,
             k: 3,
             s_override: None,
             device: DeviceSpec::SimShared {
@@ -345,7 +364,7 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_millis(20));
             replicated.topology().fence(0, 2); // replica 2 of shard 0 "crashes"
         });
-        rep = Some(replicated.serve(&queries, Load::Closed { window: 32 }));
+        rep = Some(replay(&replicated, &queries, Load::Closed { window: 32 }).1);
     });
     let rep = rep.unwrap();
     println!(
@@ -369,8 +388,7 @@ fn main() {
         &ShardBuildConfig {
             num_shards: 2,
             seed: 42,
-            dir: std::env::temp_dir()
-                .join(format!("e2lsh-serve-example-net-{}", std::process::id())),
+            dir: temp_path("serve-example-net"),
             cache_blocks: 8192,
             ..Default::default()
         },
@@ -390,7 +408,7 @@ fn main() {
         shards,
         ServiceConfig {
             workers_per_replica: 2,
-            contexts_per_worker: 16,
+            inflight_per_replica: 32,
             k: 5,
             device: DeviceSpec::SimShared {
                 profile: DeviceProfile::ESSD,
@@ -428,13 +446,10 @@ fn main() {
         first.neighbors.first()
     );
 
-    // The metrics frame returns the schema-v3 JSON export — the same
-    // document the bench artifacts embed, net counters included.
+    // The metrics frame returns the JSON export — the same document
+    // the bench artifacts embed, net counters included.
     let json = client.metrics_json().expect("metrics frame");
-    println!(
-        "net: metrics frame is {} bytes of schema-v3 JSON",
-        json.len()
-    );
+    println!("net: metrics frame is {} bytes of JSON", json.len());
 
     // Clean disconnect: drop the client (EOF at a frame boundary),
     // then drain the server. Every owed response was already written,

@@ -14,7 +14,7 @@ fn main() -> std::io::Result<()> {
     let mut live = all.prefix(10_000);
     let params =
         E2lshParams::derive_practical(10_000, 2.0, 2.0, 0.7, 0.3, all.max_abs_coord(), all.dim());
-    let path = std::env::temp_dir().join("e2lshos-streaming.idx");
+    let path = e2lshos::storage::testutil::temp_path("streaming.idx");
     let cfg = BuildConfig {
         capacity: Some(12_000),
         ..Default::default()

@@ -16,7 +16,7 @@
 //!   cloneable `Client` handles submit queries and writes
 //!   non-blocking through per-request tickets (`QueryTicket` /
 //!   `WriteTicket`), with incremental `ServiceReport` snapshots and a
-//!   draining shutdown; replica groups with private worker pools and
+//!   draining shutdown; replica groups with private reactors and
 //!   caches over shared per-shard indexes (replica-aware cache warming
 //!   on replica start/unfence), load-aware replica routing
 //!   (power-of-two-choices) with fencing and failover, top-k merging,

@@ -25,8 +25,9 @@ fn build(
         named.data.max_abs_coord(),
         named.data.dim(),
     );
-    let path =
-        std::env::temp_dir().join(format!("e2lshos-costmodel-{}-{n}.idx", std::process::id()));
+    // Unique per call: the tests run as parallel threads of one process
+    // and build the same `n`.
+    let path = e2lshos::storage::testutil::temp_path("costmodel.idx");
     build_index(&named.data, &params, &BuildConfig::default(), &path).unwrap();
     (named.data, named.queries, path)
 }

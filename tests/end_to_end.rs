@@ -8,7 +8,7 @@ use e2lshos::datasets::suite::{load_sized, DatasetId};
 use e2lshos::prelude::*;
 
 fn temp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("e2lshos-it-{}-{}", std::process::id(), name))
+    e2lshos::storage::testutil::temp_path(&format!("it-{name}"))
 }
 
 #[test]
