@@ -122,10 +122,9 @@ fn replay(c: &BlockCache, trace: &[usize], block: &Arc<[u8]>) {
 
 /// Hit rate over a window: replay and report the counter deltas.
 fn windowed_hit_rate(c: &BlockCache, trace: &[usize], block: &Arc<[u8]>) -> f64 {
-    let (h0, m0) = (c.hits(), c.misses());
+    let before = c.counters();
     replay(c, trace, block);
-    let (h, m) = (c.hits() - h0, c.misses() - m0);
-    h as f64 / (h + m).max(1) as f64
+    c.counters().minus(&before).cache_hit_rate()
 }
 
 fn main() {
@@ -158,9 +157,9 @@ fn main() {
                 skew,
                 capacity_frac: frac,
                 capacity_blocks: capacity,
-                lru_hit_rate: lru.hit_rate(),
-                tinylfu_hit_rate: tiny.hit_rate(),
-                tinylfu_admission_rejected: tiny.admission_rejected(),
+                lru_hit_rate: lru.counters().cache_hit_rate(),
+                tinylfu_hit_rate: tiny.counters().cache_hit_rate(),
+                tinylfu_admission_rejected: tiny.counters().cache_admission_rejected,
             };
             println!(
                 "{:>6.1} {:>10.2} {:>8} {:>8.1}% {:>8.1}% {:>10}",
@@ -283,7 +282,6 @@ fn main() {
                 dir: e2lsh_storage::testutil::temp_path(&format!("serve-cache-{name}")),
                 cache_blocks: 1 << 13, // 4 MiB: small enough to contend
                 capacity: Some(2 * (N + POOL)),
-                ..Default::default()
             },
             e2lsh_bench::prep::e2lsh_params,
         )
@@ -351,7 +349,6 @@ fn main() {
             dir: e2lsh_storage::testutil::temp_path("serve-cache-co"),
             cache_blocks: 1 << 13,
             capacity: Some(2 * (N + POOL)),
-            ..Default::default()
         },
         e2lsh_bench::prep::e2lsh_params,
     )

@@ -202,14 +202,19 @@ fn main() {
         for &i in &picks {
             batch.push(w.queries.point(i));
         }
-        let brep = svc.start().query_batch(&batch);
-        assert_eq!(brep.shed, 0, "unbounded batch serving must not shed");
+        let session = svc.start();
+        let results = session.query_batch(&batch);
+        let brep = session.shutdown();
+        assert_eq!(
+            brep.shed_queries, 0,
+            "unbounded batch serving must not shed"
+        );
         let (_, qrep) = run_reads(&svc, &batch, Load::Closed { window: 48 });
         let saving = 1.0 - brep.total_io as f64 / qrep.total_io.max(1) as f64;
         let row = BatchRow {
             batch_size,
             zipf_s: s,
-            dedup_rate: brep.dedup_rate(),
+            dedup_rate: 1.0 - brep.completed_queries as f64 / results.len() as f64,
             batch_probes: brep.total_io,
             per_query_probes: qrep.total_io,
             probe_saving: saving,

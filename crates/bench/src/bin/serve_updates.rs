@@ -99,7 +99,6 @@ fn main() {
                 dir: e2lsh_storage::testutil::temp_path("serve-updates"),
                 cache_blocks: 1 << 16, // 32 MiB of 512-byte blocks per shard
                 capacity: Some(2 * (N + POOL) / NUM_SHARDS),
-                ..Default::default()
             },
             e2lsh_bench::prep::e2lsh_params,
         )

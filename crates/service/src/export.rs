@@ -15,7 +15,11 @@
 //!   breakdowns (see [`crate::trace`]).
 //!
 //! Plus `replica_load`, the `[shard][replica]` served-query matrix
-//! behind the imbalance gauge. The bench bins write one such document
+//! behind the imbalance gauge. Counter, second-sum and histogram names
+//! are not listed here: each is the export name its field carries in
+//! its family's declaration (`ServiceReport`, `DeviceStats`,
+//! `NetCounters`), so a newly declared counter is exported without
+//! touching this module. The bench bins write one such document
 //! per run as `results/BENCH_<name>.json`; `bench`'s `schema_check`
 //! binary parses them back (vendored `serde_json::from_str`) and
 //! asserts the required keys.
@@ -50,67 +54,25 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Snapshot every counter, gauge and per-stage histogram summary of
-    /// `report` under its stable export name.
+    /// `report` under its stable export name. The names of counters,
+    /// second sums and histograms are the ones their declarations
+    /// carry ([`ServiceReport`], its `device` and its `net` families);
+    /// only the derived rates are named here.
     pub fn from_report(report: &ServiceReport) -> Self {
-        let d = &report.device;
-        let counters: Vec<(&'static str, u64)> = vec![
-            ("completed_queries", report.completed_queries as u64),
-            ("shed_queries", report.shed_queries as u64),
-            ("writes_applied", report.writes_applied as u64),
-            ("writes_failed", report.writes_failed as u64),
-            ("shed_writes", report.shed_writes as u64),
-            ("failovers", report.failovers as u64),
-            ("lost_partials", report.lost_partials as u64),
-            ("peak_queue_depth", report.peak_queue_depth as u64),
-            ("total_io", report.total_io),
-            ("workers", report.workers as u64),
-            ("shards", report.shards as u64),
-            ("replicas", report.replicas as u64),
-            ("device_completed", d.completed),
-            ("device_bytes", d.bytes),
-            ("cache_hits", d.cache_hits),
-            ("cache_misses", d.cache_misses),
-            ("cache_evictions", d.cache_evictions),
-            ("cache_invalidations", d.cache_invalidations),
-            ("cache_stale_fills", d.cache_stale_fills),
-            ("cache_warmed", d.cache_warmed),
-            ("cache_admission_rejected", d.cache_admission_rejected),
-            ("cache_table_hits", d.cache_table_hits),
-            ("cache_table_misses", d.cache_table_misses),
-            ("cache_bucket_hits", d.cache_bucket_hits),
-            ("cache_bucket_misses", d.cache_bucket_misses),
-            ("coalesced_reads", d.coalesced_reads),
-            ("blocks_reclaimed", d.blocks_reclaimed),
-            ("filter_bits_cleared", d.filter_bits_cleared),
-            ("bytes_reclaimed", d.bytes_reclaimed),
-            ("chain_inconsistencies", d.chain_inconsistencies),
-            ("connections_accepted", report.net.connections_accepted),
-            ("connections_dropped", report.net.connections_dropped),
-            ("connections_peak", report.net.connections_peak),
-            ("frames_in", report.net.frames_in),
-            ("frames_out", report.net.frames_out),
-            ("frame_decode_errors", report.net.frame_decode_errors),
-            ("tickets_orphaned", report.net.tickets_orphaned),
-        ];
-        let gauges: Vec<(&'static str, f64)> = vec![
-            ("duration_s", report.duration),
-            ("qps", report.qps()),
-            ("goodput_qps", report.goodput()),
-            ("shed_rate", report.shed_rate()),
-            ("wps", report.wps()),
-            ("mean_n_io", report.mean_n_io()),
-            ("replica_imbalance", report.replica_imbalance()),
-            ("device_latency_sum_s", d.latency_sum),
-            ("device_busy_sum_s", d.busy_sum),
-        ];
-        let histograms: Vec<(&'static str, LatencySummary)> = vec![
-            ("read_latency", report.latency()),
-            ("read_service_latency", report.service_latency()),
-            ("read_queue_wait", report.queue_wait()),
-            ("write_latency", report.write_latency()),
-            ("write_service_latency", report.write_service_latency()),
-            ("write_queue_wait", report.write_queue_wait()),
-        ];
+        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+        let mut counter = |name, v| counters.push((name, v));
+        let mut gauge = |name, v| gauges.push((name, v));
+        report.export(&mut counter, &mut gauge, |name, h| {
+            histograms.push((name, h.summary()))
+        });
+        gauge("qps", report.qps());
+        gauge("goodput_qps", report.goodput());
+        gauge("shed_rate", report.shed_rate());
+        gauge("wps", report.wps());
+        gauge("mean_n_io", report.mean_n_io());
+        gauge("replica_imbalance", report.replica_imbalance());
+        report.device.export(&mut counter, &mut gauge);
+        report.net.export(&mut counter, &mut gauge);
         Self {
             counters,
             gauges,
@@ -312,7 +274,12 @@ mod tests {
     use crate::trace::SpanKind;
 
     fn sample_report() -> ServiceReport {
-        let mut r = ServiceReport::empty(4, 2, 1);
+        let mut r = ServiceReport {
+            workers: 4,
+            shards: 2,
+            replicas: 1,
+            ..Default::default()
+        };
         r.completed_queries = 10;
         r.shed_queries = 2;
         for i in 0..10 {

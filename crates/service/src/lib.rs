@@ -97,8 +97,9 @@
 //! Batches of queries go through
 //! [`Session::query_batch`](session::Session::query_batch):
 //! byte-identical hot queries are deduplicated before the engine (one
-//! probe per unique query per shard, merged results fanned back out to
-//! every duplicate) and the whole request shares one fan-out/merge
+//! probe per unique query per shard, the representative's
+//! [`QueryResult`] handed to every duplicate — there is no batch
+//! report) and the whole request shares one fan-out/merge
 //! pass, driven by the storage crate's batched
 //! [`QueryDriver::run_batch`](e2lsh_storage::query::QueryDriver::run_batch)
 //! entry point.
@@ -138,8 +139,7 @@ pub use metrics::{imbalance, percentile, LatencyHistogram, LatencySummary, OpSta
 pub use net::{NetClient, NetCounters, NetQueryReply, NetServer, NetServerConfig, NetWriteReply};
 pub use router::RoutePolicy;
 pub use service::{
-    dedup_batch, BatchDedup, BatchQueryReport, DeviceSpec, ServiceConfig, ServiceReport,
-    ShardedService,
+    dedup_batch, BatchDedup, DeviceSpec, ServiceConfig, ServiceReport, ShardedService,
 };
 pub use session::{
     Client, QueryResult, QueryTicket, Session, WriteOp, WriteResult, WriteTicket,

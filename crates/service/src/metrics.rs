@@ -4,9 +4,9 @@
 //! completes: shed ops carry [`OpStatus::Shed`] and must be excluded
 //! from latency percentiles — a rejected request has no service time,
 //! and averaging zeros in would *flatter* the tail exactly when the
-//! system is saturated. [`LatencySummary::of_accepted`] is the
-//! rejected-aware entry point; shed counts are reported separately
-//! (shed rate, goodput) so saturation sweeps show both sides.
+//! system is saturated. The session therefore books latency samples of
+//! accepted ops only; shed counts are reported separately (shed rate,
+//! goodput) so saturation sweeps show both sides.
 //!
 //! Long-lived sessions book latencies into [`LatencyHistogram`] — a
 //! fixed-memory, log-bucketed (HDR-style) histogram that is mergeable
@@ -44,8 +44,8 @@ pub fn imbalance(loads: &[u64]) -> f64 {
 /// Percentile of an **unsorted** latency sample (nearest-rank method).
 /// `p` is in `[0, 100]`. Returns 0 for an empty sample. Uses quickselect
 /// on one working copy — O(n), no full sort. Callers taking several
-/// percentiles of the same sample should sort once and use
-/// [`percentile_sorted`], or better, book into a [`LatencyHistogram`].
+/// percentiles of the same sample should book into a
+/// [`LatencyHistogram`].
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
@@ -60,14 +60,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 fn nearest_rank(p: f64, len: usize) -> usize {
     let p = p.clamp(0.0, 100.0);
     (((p / 100.0) * len as f64).ceil() as usize).max(1)
-}
-
-/// Percentile of an already ascending-sorted sample.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[nearest_rank(p, sorted.len()) - 1]
 }
 
 /// Summary statistics of a latency sample (seconds).
@@ -85,34 +77,6 @@ pub struct LatencySummary {
     pub p99: f64,
     /// Worst observed.
     pub max: f64,
-}
-
-impl LatencySummary {
-    /// Summarize the samples of **accepted** ops only: `samples[i]` is
-    /// kept iff `statuses[i]` is [`OpStatus::Ok`]. The two slices are
-    /// parallel (per-op, in op order). Sorts the kept samples **once**
-    /// for all five statistics (never per percentile).
-    pub fn of_accepted(samples: &[f64], statuses: &[OpStatus]) -> Self {
-        debug_assert_eq!(samples.len(), statuses.len());
-        let mut accepted: Vec<f64> = samples
-            .iter()
-            .zip(statuses)
-            .filter(|&(_, s)| *s == OpStatus::Ok)
-            .map(|(&l, _)| l)
-            .collect();
-        if accepted.is_empty() {
-            return Self::default();
-        }
-        accepted.sort_by(|a, b| a.total_cmp(b));
-        Self {
-            count: accepted.len(),
-            mean: accepted.iter().sum::<f64>() / accepted.len() as f64,
-            p50: percentile_sorted(&accepted, 50.0),
-            p95: percentile_sorted(&accepted, 95.0),
-            p99: percentile_sorted(&accepted, 99.0),
-            max: *accepted.last().unwrap(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,19 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn accepted_summary_skips_shed_ops() {
-        let lat = [1.0, 0.0, 3.0, 0.0];
-        let st = [OpStatus::Ok, OpStatus::Shed, OpStatus::Ok, OpStatus::Shed];
-        let s = LatencySummary::of_accepted(&lat, &st);
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.max, 3.0);
-        // All shed: empty summary, not zeros averaged in.
-        let none = LatencySummary::of_accepted(&lat, &[OpStatus::Shed; 4]);
-        assert_eq!(none.count, 0);
-    }
-
-    #[test]
     fn imbalance_ratio() {
         assert_eq!(imbalance(&[]), 0.0);
         assert_eq!(imbalance(&[0, 0, 0]), 0.0);
@@ -363,12 +314,15 @@ mod tests {
 
     #[test]
     fn summary_is_order_free() {
-        let ok = [OpStatus::Ok; 3];
-        let a = LatencySummary::of_accepted(&[3.0, 1.0, 2.0], &ok);
-        let b = LatencySummary::of_accepted(&[1.0, 2.0, 3.0], &ok);
-        assert_eq!(a.p50, b.p50);
+        let summarize = |samples: [f64; 3]| {
+            let mut h = LatencyHistogram::new();
+            samples.into_iter().for_each(|s| h.record(s));
+            h.summary()
+        };
+        let a = summarize([3.0, 1.0, 2.0]);
+        let b = summarize([1.0, 2.0, 3.0]);
+        assert_eq!((a.p50, a.p99, a.max), (b.p50, b.p99, b.max));
         assert_eq!(a.mean, 2.0);
-        assert_eq!(a.max, 3.0);
         assert_eq!(a.count, 3);
     }
 

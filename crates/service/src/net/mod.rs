@@ -74,48 +74,44 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Net-tier counters, reported through
-/// [`ServiceReport::net`](crate::service::ServiceReport::net) and the
-/// JSON exporter. All monotonic except `connections_peak`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Connections the acceptor handed to a reader/pump pair.
-    pub connections_accepted: u64,
-    /// Connections that ended **uncleanly**: the peer vanished
-    /// mid-frame or responses became undeliverable. A clean close at a
-    /// frame boundary with every response delivered does not count.
-    pub connections_dropped: u64,
-    /// High-water mark of simultaneously live connections.
-    pub connections_peak: u64,
-    /// Request frames fully read off sockets (decodable or not).
-    pub frames_in: u64,
-    /// Response frames fully written to sockets.
-    pub frames_out: u64,
-    /// Frames that failed to decode or validate (bad version, unknown
-    /// kind, truncation, oversize, dimension mismatch).
-    pub frame_decode_errors: u64,
-    /// Tickets that resolved after their connection became
-    /// unreachable: the result was discarded instead of written. The
-    /// session-side registry entry is still reclaimed — orphaned means
-    /// undeliverable, never leaked.
-    pub tickets_orphaned: u64,
-}
-
-impl NetCounters {
-    /// Interval slice: monotonic counters subtract; `connections_peak`
-    /// keeps the current cumulative value (same convention as the
-    /// report's `peak_queue_depth`).
-    pub fn minus(&self, prev: &Self) -> Self {
-        Self {
-            connections_accepted: self.connections_accepted - prev.connections_accepted,
-            connections_dropped: self.connections_dropped - prev.connections_dropped,
-            connections_peak: self.connections_peak,
-            frames_in: self.frames_in - prev.frames_in,
-            frames_out: self.frames_out - prev.frames_out,
-            frame_decode_errors: self.frame_decode_errors - prev.frame_decode_errors,
-            tickets_orphaned: self.tickets_orphaned - prev.tickets_orphaned,
-        }
+e2lsh_storage::counter_family! {
+    /// Net-tier counters, reported through
+    /// [`ServiceReport::net`](crate::service::ServiceReport::net) and
+    /// the JSON exporter. A saturating family: an interval slice
+    /// ([`NetCounters::minus`]) subtracts the monotonic counters
+    /// clamped at zero — a [`Session::metrics`] snapshot carries zeros
+    /// here while a [`NetServer::metrics`] snapshot of the same session
+    /// does not — and `connections_peak` keeps the later snapshot's
+    /// cumulative value (same convention as the report's
+    /// `peak_queue_depth`).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NetCounters;
+    counters {
+        /// Connections the acceptor handed to a reader/pump pair.
+        connections_accepted: u64 = "connections_accepted",
+        /// Connections that ended **uncleanly**: the peer vanished
+        /// mid-frame or responses became undeliverable. A clean close
+        /// at a frame boundary with every response delivered does not
+        /// count.
+        connections_dropped: u64 = "connections_dropped",
+        /// Request frames fully read off sockets (decodable or not).
+        frames_in: u64 = "frames_in",
+        /// Response frames fully written to sockets.
+        frames_out: u64 = "frames_out",
+        /// Frames that failed to decode or validate (bad version,
+        /// unknown kind, truncation, oversize, dimension mismatch).
+        frame_decode_errors: u64 = "frame_decode_errors",
+        /// Tickets that resolved after their connection became
+        /// unreachable: the result was discarded instead of written.
+        /// The session-side registry entry is still reclaimed —
+        /// orphaned means undeliverable, never leaked.
+        tickets_orphaned: u64 = "tickets_orphaned",
     }
+    peaks {
+        /// High-water mark of simultaneously live connections.
+        connections_peak: u64 = "connections_peak",
+    }
+    seconds {}
 }
 
 /// Live atomics behind [`NetCounters`].

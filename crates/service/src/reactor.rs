@@ -216,9 +216,9 @@ pub fn run_replica(
     // racing this handshake must not suppress the ReplicaDown (the
     // collector's only cue to rescue the abandoned jobs; a suppressed
     // emission would strand their tickets forever). The reactor is the
-    // lane's only queue receiver, so it is always the "last exiter":
-    // the counter still feeds the router's dead-lane check.
-    ctx.lane.exited.fetch_add(1, Ordering::SeqCst);
+    // lane's only queue receiver, so its exit is the lane's: the flag
+    // feeds the router's dead-lane check.
+    ctx.lane.exited.store(true, Ordering::SeqCst);
     if ctx.lane.fenced.load(Ordering::SeqCst) {
         // Quiesce: a dispatcher that saw the flag up never sends; one
         // that raced it holds `routes` until its send lands. After this

@@ -67,7 +67,7 @@
 use crate::admission::{GatedSender, Overload};
 use crate::reactor::Job;
 use crate::topology::Topology;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -132,17 +132,18 @@ pub struct LaneState {
     /// In-progress sends to this lane (incremented before the down
     /// check, decremented after the send lands — see the module docs).
     pub routes: AtomicUsize,
-    /// Queue receivers of this replica that have exited this session —
-    /// one per replica since the reactor redesign; the reactor performs
-    /// the quiesce + `ReplicaDown` duty itself when fenced.
-    pub exited: AtomicUsize,
+    /// Set when the replica's reactor — the lane's only queue receiver
+    /// — has exited this session: a send would hit a disconnected
+    /// channel. The reactor performs the quiesce + `ReplicaDown` duty
+    /// itself when it exits fenced.
+    pub exited: AtomicBool,
     /// Latched when the replica's reactor observes the fence: within
     /// this session the fence is **sticky** — an unfence racing the
     /// exit handshake must not suppress the `ReplicaDown` emission
     /// (stranding in-flight tickets) or leave the lane half-dead.
     /// Checked every reactor iteration and by the router's availability
     /// test; cleared only by the next session (fresh lane states).
-    pub fenced: std::sync::atomic::AtomicBool,
+    pub fenced: AtomicBool,
 }
 
 /// Build the per-session lane-state grid for `num_shards` × `replicas`.
@@ -228,17 +229,12 @@ pub(crate) struct Router {
     rng_seed: u64,
     /// Session-owned failover counters.
     stats: Arc<RouterStats>,
-    /// Queue receivers per replica this session spawned — 1 since the
-    /// reactor redesign (the dead-lane check: once `LaneState::exited`
-    /// reaches it, the lane's queue has no receivers left).
-    exiters_per_replica: usize,
     /// The session epoch, for stamping each ticket's `routed` trace
     /// timestamp on the same clock as every other stage.
     epoch: Instant,
 }
 
 impl Router {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         topo: Arc<Topology>,
         txs: Vec<Vec<GatedSender<Job>>>,
@@ -246,7 +242,6 @@ impl Router {
         policy: RoutePolicy,
         seed: u64,
         stats: Arc<RouterStats>,
-        exiters_per_replica: usize,
         epoch: Instant,
     ) -> Self {
         let num_shards = topo.num_shards();
@@ -260,7 +255,6 @@ impl Router {
             rng_seq: AtomicU64::new(0),
             rng_seed: seed,
             stats,
-            exiters_per_replica,
             epoch,
         }
     }
@@ -280,7 +274,7 @@ impl Router {
         let lane = &self.lanes[shard][replica];
         self.topo.is_down(shard, replica)
             || lane.fenced.load(Ordering::SeqCst)
-            || lane.exited.load(Ordering::SeqCst) >= self.exiters_per_replica
+            || lane.exited.load(Ordering::SeqCst)
     }
 
     fn no_live_overload(&self, shard: usize) -> Overload {

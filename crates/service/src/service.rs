@@ -12,8 +12,11 @@
 //!
 //! * [`ServiceConfig`] — the configuration;
 //! * [`ServiceReport`] — the [`Session::metrics`] /
-//!   [`Session::shutdown`] snapshot (see
-//!   [`ServiceReport::interval_since`]) and [`BatchQueryReport`];
+//!   [`Session::shutdown`] snapshot, the one report shape (see
+//!   [`ServiceReport::interval_since`]). Its counters and histograms
+//!   are declared once, in the `counter_family!` invocation below; the
+//!   session books into a value of this very type, and subtraction and
+//!   export derive from the declaration;
 //! * [`dedup_batch`] — the batch dedup map.
 //!
 //! Queries fan out to every **shard**, and within each shard the
@@ -32,7 +35,7 @@
 //! [`Session::shutdown`]: crate::session::Session::shutdown
 
 use crate::admission::AdmissionControl;
-use crate::metrics::{imbalance, LatencyHistogram, LatencySummary, OpStatus};
+use crate::metrics::{imbalance, LatencyHistogram, LatencySummary};
 use crate::net::NetCounters;
 use crate::router::{RoutePolicy, MAX_REPLICAS};
 use crate::session::Session;
@@ -223,142 +226,129 @@ impl ServiceConfig {
     }
 }
 
-/// A [`Session::metrics`] / [`Session::shutdown`] snapshot: the
-/// session's monotonic counters and latency histograms at one instant.
-///
-/// Latency lives in fixed-memory [`LatencyHistogram`]s (the `*_hist`
-/// fields), so snapshots are O(1) in completed ops and a session can
-/// run for days without growth; every summary method reads them, with
-/// quantile error bounded by [`LatencyHistogram::RELATIVE_ERROR`].
-/// Per-op truth — neighbors, status, exact latency — resolves on the
-/// tickets ([`QueryResult`](crate::session::QueryResult) /
-/// [`WriteResult`](crate::session::WriteResult)), never here.
-///
-/// [`Session::metrics`]: crate::session::Session::metrics
-/// [`Session::shutdown`]: crate::session::Session::shutdown
-#[derive(Clone, Debug)]
-pub struct ServiceReport {
-    /// Queries completed (accepted and answered).
-    pub completed_queries: usize,
-    /// Writes applied by the shard writers (excludes failed and shed
-    /// writes).
-    pub writes_applied: usize,
-    /// End-to-end latency histogram of completed queries (what
-    /// [`ServiceReport::latency`] summarizes): queue entry (submission,
-    /// or the scheduled arrival passed to
-    /// [`Client::query_at`](crate::session::Client::query_at)) to the
-    /// last shard's finish.
-    pub read_hist: LatencyHistogram,
-    /// Service-only latency histogram of completed queries.
-    pub read_service_hist: LatencyHistogram,
-    /// Enqueue-wait histogram of completed queries (per-op
-    /// `latency - service`, never a difference of percentiles).
-    pub read_wait_hist: LatencyHistogram,
-    /// End-to-end latency histogram of applied writes.
-    pub write_hist: LatencyHistogram,
-    /// Service-only latency histogram of applied writes.
-    pub write_service_hist: LatencyHistogram,
-    /// Enqueue-wait histogram of applied writes.
-    pub write_wait_hist: LatencyHistogram,
-    /// The slow-query log at snapshot time: full [`TraceSpan`]
-    /// breakdowns of the most recent requests whose end-to-end latency
-    /// exceeded [`ServiceConfig::slow_query_threshold`] (bounded by
-    /// [`ServiceConfig::slow_log_capacity`]).
-    pub slow_queries: Vec<TraceSpan>,
-    /// Writes whose updater returned an error (the shard stays
-    /// queryable; rewritten blocks were still invalidated) or whose
-    /// delete target was not live.
-    pub writes_failed: usize,
-    /// Query submissions rejected at admission with
-    /// [`Overload`](crate::admission::Overload). Counted per
-    /// *submission*: a client that retries a shed query (as
-    /// [`Load::ClosedBackoff`](crate::loadgen::Load::ClosedBackoff)
-    /// does) books one shed per rejected attempt.
-    pub shed_queries: usize,
-    /// Writes rejected at admission: [`Client::write`] sheds on a full
-    /// write queue — the relaxed contract session-minted insert ids
-    /// enable (see [`crate::session`]);
-    /// [`Client::write_blocking`](crate::session::Client::write_blocking)
-    /// backpressures instead and never adds to this.
+e2lsh_storage::counter_family! {
+    /// A [`Session::metrics`] / [`Session::shutdown`] snapshot: the
+    /// session's monotonic counters and latency histograms at one
+    /// instant.
     ///
-    /// [`Client::write`]: crate::session::Client::write
-    pub shed_writes: usize,
-    /// Queries re-dispatched from a fenced replica to a live sibling
-    /// (counted per query × shard partial).
-    pub failovers: usize,
-    /// Shard partials abandoned because a fenced replica had no live
-    /// sibling left: the affected queries completed with that shard's
-    /// contribution empty (degraded answers, not hangs).
-    pub lost_partials: usize,
-    /// High-water per-replica queue depth (max across all replicas'
-    /// read queues and the shards' write queues); never exceeds the
-    /// configured read/write
-    /// [`AdmissionBudget`](crate::admission::AdmissionBudget) depths
-    /// except for the one-op overrun of a blocking write that could
-    /// never fit the budget at all (admitted alone into an empty queue
-    /// rather than hanging the submitter — see
-    /// [`GatedSender::send_blocking`](crate::admission::GatedSender::send_blocking)).
-    pub peak_queue_depth: usize,
-    /// Seconds from the session epoch to the last terminal event.
-    pub duration: f64,
-    /// Device statistics summed over replicas (shared arrays counted
-    /// once per shard; cache counters — including invalidations,
-    /// discarded stale fills and warmed blocks — are per-session deltas
-    /// over every replica's cache).
-    pub device: DeviceStats,
-    /// Total I/Os issued across shards (under
-    /// [`RoutePolicy::Broadcast`] this includes the R× amplification).
-    pub total_io: u64,
-    /// Compute threads serving (shards × replicas × compute threads
-    /// per replica's reactor). The field name predates the reactor.
-    pub workers: usize,
-    /// Shards queried.
-    pub shards: usize,
-    /// Replicas per shard.
-    pub replicas: usize,
-    /// Queries served per `[shard][replica]` (live reactor counters):
-    /// the observable the router balances. See
-    /// [`ServiceReport::replica_imbalance`].
-    pub replica_load: Vec<Vec<u64>>,
-    /// Network-tier counters ([`crate::net::NetServer`]): all zero for
-    /// in-process sessions; a `NetServer`'s
-    /// [`metrics`](crate::net::NetServer::metrics) snapshot fills them.
-    pub net: NetCounters,
+    /// Latency lives in fixed-memory [`LatencyHistogram`]s (the
+    /// `*_hist` fields), so snapshots are O(1) in completed ops and a
+    /// session can run for days without growth; every summary method
+    /// reads them, with quantile error bounded by
+    /// [`LatencyHistogram::RELATIVE_ERROR`]. Per-op truth — neighbors,
+    /// status, exact latency — resolves on the tickets
+    /// ([`QueryResult`](crate::session::QueryResult) /
+    /// [`WriteResult`](crate::session::WriteResult)), never here.
+    ///
+    /// One session owns these counters, so slicing an interval
+    /// ([`ServiceReport::interval_since`]) asserts the snapshots are in
+    /// order; the generated `minus` alone would saturate silently.
+    ///
+    /// [`Session::metrics`]: crate::session::Session::metrics
+    /// [`Session::shutdown`]: crate::session::Session::shutdown
+    #[derive(Clone, Debug, Default)]
+    pub struct ServiceReport;
+    counters {
+        /// Queries completed (accepted and answered).
+        completed_queries: usize = "completed_queries",
+        /// Query submissions rejected at admission with
+        /// [`Overload`](crate::admission::Overload). Counted per
+        /// *submission*: a client that retries a shed query (as
+        /// [`Load::ClosedBackoff`](crate::loadgen::Load::ClosedBackoff)
+        /// does) books one shed per rejected attempt.
+        shed_queries: usize = "shed_queries",
+        /// Writes applied by the shard writers (excludes failed and
+        /// shed writes).
+        writes_applied: usize = "writes_applied",
+        /// Writes whose updater returned an error (the shard stays
+        /// queryable; rewritten blocks were still invalidated) or whose
+        /// delete target was not live.
+        writes_failed: usize = "writes_failed",
+        /// Writes rejected at admission: [`Client::write`] sheds on a
+        /// full write queue — the relaxed contract session-minted
+        /// insert ids enable (see [`crate::session`]);
+        /// [`Client::write_blocking`](crate::session::Client::write_blocking)
+        /// backpressures instead and never adds to this.
+        ///
+        /// [`Client::write`]: crate::session::Client::write
+        shed_writes: usize = "shed_writes",
+        /// Queries re-dispatched from a fenced replica to a live
+        /// sibling (counted per query × shard partial).
+        failovers: usize = "failovers",
+        /// Shard partials abandoned because a fenced replica had no
+        /// live sibling left: the affected queries completed with that
+        /// shard's contribution empty (degraded answers, not hangs).
+        lost_partials: usize = "lost_partials",
+        /// Total I/Os issued across shards (under
+        /// [`RoutePolicy::Broadcast`] this includes the R×
+        /// amplification).
+        total_io: u64 = "total_io",
+    }
+    peaks {
+        /// High-water per-replica queue depth (max across all replicas'
+        /// read queues and the shards' write queues); never exceeds the
+        /// configured read/write
+        /// [`AdmissionBudget`](crate::admission::AdmissionBudget) depths
+        /// except for the one-op overrun of a blocking write that could
+        /// never fit the budget at all (admitted alone into an empty
+        /// queue rather than hanging the submitter — see
+        /// [`GatedSender::send_blocking`](crate::admission::GatedSender::send_blocking)).
+        peak_queue_depth: usize = "peak_queue_depth",
+        /// Compute threads serving (shards × replicas × compute threads
+        /// per replica's reactor). The field name predates the reactor.
+        workers: usize = "workers",
+        /// Shards queried.
+        shards: usize = "shards",
+        /// Replicas per shard.
+        replicas: usize = "replicas",
+    }
+    seconds {
+        /// Seconds from the session epoch to the last terminal event.
+        duration = "duration_s",
+    }
+    histograms(LatencyHistogram) {
+        /// End-to-end latency histogram of completed queries (what
+        /// [`ServiceReport::latency`] summarizes): queue entry
+        /// (submission, or the scheduled arrival passed to
+        /// [`Client::query_at`](crate::session::Client::query_at)) to
+        /// the last shard's finish.
+        read_hist = "read_latency",
+        /// Service-only latency histogram of completed queries.
+        read_service_hist = "read_service_latency",
+        /// Enqueue-wait histogram of completed queries (per-op
+        /// `latency - service`, never a difference of percentiles).
+        read_wait_hist = "read_queue_wait",
+        /// End-to-end latency histogram of applied writes.
+        write_hist = "write_latency",
+        /// Service-only latency histogram of applied writes.
+        write_service_hist = "write_service_latency",
+        /// Enqueue-wait histogram of applied writes.
+        write_wait_hist = "write_queue_wait",
+    }
+    other {
+        /// The slow-query log at snapshot time: full [`TraceSpan`]
+        /// breakdowns of the most recent requests whose end-to-end
+        /// latency exceeded [`ServiceConfig::slow_query_threshold`]
+        /// (bounded by [`ServiceConfig::slow_log_capacity`]).
+        slow_queries: Vec<TraceSpan>,
+        /// Device statistics summed over replicas (shared arrays
+        /// counted once per shard; cache counters — including
+        /// invalidations, discarded stale fills and warmed blocks — are
+        /// per-session deltas over every replica's cache).
+        device: DeviceStats,
+        /// Queries served per `[shard][replica]` (live reactor
+        /// counters): the observable the router balances. See
+        /// [`ServiceReport::replica_imbalance`].
+        replica_load: Vec<Vec<u64>>,
+        /// Network-tier counters ([`crate::net::NetServer`]): all zero
+        /// for in-process sessions; a `NetServer`'s
+        /// [`metrics`](crate::net::NetServer::metrics) snapshot fills
+        /// them.
+        net: NetCounters,
+    }
 }
 
 impl ServiceReport {
-    /// An all-zero report for a service of the given shape: what a
-    /// session that has served nothing reports (the unit tests' blank
-    /// to fill in).
-    #[cfg(test)]
-    pub(crate) fn empty(workers: usize, shards: usize, replicas: usize) -> Self {
-        Self {
-            completed_queries: 0,
-            writes_applied: 0,
-            read_hist: LatencyHistogram::new(),
-            read_service_hist: LatencyHistogram::new(),
-            read_wait_hist: LatencyHistogram::new(),
-            write_hist: LatencyHistogram::new(),
-            write_service_hist: LatencyHistogram::new(),
-            write_wait_hist: LatencyHistogram::new(),
-            slow_queries: Vec::new(),
-            writes_failed: 0,
-            shed_queries: 0,
-            shed_writes: 0,
-            failovers: 0,
-            lost_partials: 0,
-            peak_queue_depth: 0,
-            duration: 0.0,
-            device: DeviceStats::default(),
-            total_io: 0,
-            workers,
-            shards,
-            replicas,
-            replica_load: vec![vec![0; replicas]; shards],
-            net: NetCounters::default(),
-        }
-    }
-
     /// **Accepted** (completed) queries per second — the service's
     /// goodput. Shed queries do not count.
     pub fn qps(&self) -> f64 {
@@ -466,51 +456,30 @@ impl ServiceReport {
     /// bucket counts, so the interval's histograms are *bit-identical*
     /// to histograms that recorded only the interval's ops — and
     /// `duration` becomes the interval's wall time (so `qps()` etc. are
-    /// interval rates). High-water marks (`peak_queue_depth`), the
-    /// slow-query log and structural fields
-    /// (`workers`/`shards`/`replicas`) carry this snapshot's values.
+    /// interval rates). High-water marks (`peak_queue_depth`,
+    /// `net.connections_peak`), the slow-query log and structural
+    /// fields (`workers`/`shards`/`replicas`) carry this snapshot's
+    /// values.
     ///
-    /// Panics if `prev` is not an earlier snapshot of the same session
-    /// (any monotonic counter or the clock running backwards).
+    /// One rule per family: this report's own counters, histograms and
+    /// clock are session-owned, so running backwards **panics**
+    /// ("snapshots from one session, in order"); `device`, `net` and
+    /// `replica_load` are observations of shared resources (replica
+    /// caches, a [`NetServer`](crate::net::NetServer) that only some
+    /// snapshots include) and **saturate** at zero.
     ///
     /// [`Session::metrics`]: crate::session::Session::metrics
     pub fn interval_since(&self, prev: &ServiceReport) -> ServiceReport {
         assert!(
-            self.completed_queries >= prev.completed_queries
-                && self.shed_queries >= prev.shed_queries
-                && self.writes_applied >= prev.writes_applied
-                && self.writes_failed >= prev.writes_failed
-                && self.shed_writes >= prev.shed_writes
-                && self.total_io >= prev.total_io
-                && self.duration >= prev.duration,
+            self.own_totals()
+                .iter()
+                .zip(prev.own_totals())
+                .all(|(&now, before)| now >= before),
             "snapshots from one session, in order"
         );
         ServiceReport {
-            completed_queries: self.completed_queries - prev.completed_queries,
-            writes_applied: self.writes_applied - prev.writes_applied,
-            read_hist: self.read_hist.minus(&prev.read_hist),
-            read_service_hist: self.read_service_hist.minus(&prev.read_service_hist),
-            read_wait_hist: self.read_wait_hist.minus(&prev.read_wait_hist),
-            write_hist: self.write_hist.minus(&prev.write_hist),
-            write_service_hist: self.write_service_hist.minus(&prev.write_service_hist),
-            write_wait_hist: self.write_wait_hist.minus(&prev.write_wait_hist),
-            slow_queries: self.slow_queries.clone(),
-            writes_failed: self.writes_failed - prev.writes_failed,
-            shed_queries: self.shed_queries - prev.shed_queries,
-            shed_writes: self.shed_writes - prev.shed_writes,
-            failovers: self.failovers - prev.failovers,
-            lost_partials: self.lost_partials - prev.lost_partials,
-            peak_queue_depth: self.peak_queue_depth,
-            duration: self.duration - prev.duration,
-            device: {
-                let mut d = self.device;
-                crate::session::device_sub(&mut d, &prev.device);
-                d
-            },
-            total_io: self.total_io - prev.total_io,
-            workers: self.workers,
-            shards: self.shards,
-            replicas: self.replicas,
+            device: self.device.minus(&prev.device),
+            net: self.net.minus(&prev.net),
             replica_load: self
                 .replica_load
                 .iter()
@@ -518,69 +487,25 @@ impl ServiceReport {
                 .map(|(now, before)| {
                     now.iter()
                         .zip(before)
-                        .map(|(&n, &b)| n - b.min(n))
+                        .map(|(&n, &b)| n.saturating_sub(b))
                         .collect()
                 })
                 .collect(),
-            net: self.net.minus(&prev.net),
+            ..self.minus(prev)
         }
     }
-}
 
-/// Results of one batch request served by
-/// [`Session::query_batch`](crate::session::Session::query_batch).
-#[derive(Clone, Debug)]
-pub struct BatchQueryReport {
-    /// Merged global top-k per **input** query, distance ascending.
-    /// Duplicates of one unique query hold clones of the same merged
-    /// vector — byte-identical. Empty for shed queries.
-    pub results: Vec<Vec<(u32, f32)>>,
-    /// Per-input-query status; duplicates share their representative's
-    /// fate (one admission decision per unique query).
-    pub statuses: Vec<OpStatus>,
-    /// Per-input-query latency in seconds from the request arrival
-    /// (all queries of a batch enter the queue at one instant) to the
-    /// last shard finish of the query's representative. 0 for shed
-    /// queries.
-    pub latencies: Vec<f64>,
-    /// Distinct queries after dedup (engine-side work units).
-    pub unique: usize,
-    /// Duplicates collapsed by dedup (`results.len() - unique`).
-    pub collapsed: usize,
-    /// Input queries shed with [`Overload`](crate::admission::Overload)
-    /// (duplicates counted).
-    pub shed: usize,
-    /// Unique queries re-dispatched off a fenced replica mid-batch.
-    pub failovers: usize,
-    /// High-water replica queue depth while serving this batch.
-    pub peak_queue_depth: usize,
-    /// Seconds from request arrival to the last completion.
-    pub duration: f64,
-    /// Device statistics (conventions as in [`ServiceReport::device`]).
-    pub device: DeviceStats,
-    /// Engine probes issued across shards (table + bucket reads) — with
-    /// dedup this counts **unique** queries' I/O only; the saving over
-    /// per-query serving is `collapsed` × the per-query I/O cost.
-    pub total_io: u64,
-    /// Compute threads that served the request.
-    pub workers: usize,
-    /// Shards queried.
-    pub shards: usize,
-}
-
-impl BatchQueryReport {
-    /// Latency percentiles over accepted input queries.
-    pub fn latency(&self) -> LatencySummary {
-        LatencySummary::of_accepted(&self.latencies, &self.statuses)
-    }
-
-    /// Fraction of the batch collapsed by dedup.
-    pub fn dedup_rate(&self) -> f64 {
-        if self.results.is_empty() {
-            0.0
-        } else {
-            self.collapsed as f64 / self.results.len() as f64
-        }
+    /// Every declared counter, peak and clock of this report (not its
+    /// nested families) plus each histogram's sample count, in
+    /// declaration order — the monotonicity check's view of a snapshot.
+    fn own_totals(&self) -> Vec<f64> {
+        let totals = std::cell::RefCell::new(Vec::new());
+        self.export(
+            |_, v| totals.borrow_mut().push(v as f64),
+            |_, v| totals.borrow_mut().push(v),
+            |_, h| totals.borrow_mut().push(h.count() as f64),
+        );
+        totals.into_inner()
     }
 }
 

@@ -14,7 +14,11 @@
 //!   returns incremental [`ServiceReport`] snapshots while the session
 //!   runs (monotonic counters — see
 //!   [`ServiceReport::interval_since`]); [`Session::shutdown`] drains
-//!   outstanding work and joins every thread.
+//!   outstanding work and joins every thread. The session books its
+//!   counters straight into a [`ServiceReport`] value (the report *is*
+//!   the metrics state — no parallel struct to copy field by field),
+//!   and [`Session::query_batch`] returns the tickets' results rather
+//!   than a report of its own.
 //! * [`Client`] — a cloneable submission handle ([`Session::client`]).
 //!   Submission is **non-blocking**: [`Client::query`] returns a
 //!   [`QueryTicket`], [`Client::write`] a [`WriteTicket`]; the caller's
@@ -77,12 +81,12 @@
 //! [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
 
 use crate::admission::{gated, GateHandle, GatedReceiver, GatedSender, Overload};
-use crate::metrics::{LatencyHistogram, OpStatus};
+use crate::metrics::OpStatus;
 use crate::reactor::{run_replica, Job, ReactorCtx, ReactorMsg, ReplicaStatsCell};
 use crate::router::{
     clear_routed_bit, is_routed_to, lane_states, quota, RoutePolicy, Router, RouterStats,
 };
-use crate::service::{dedup_batch, BatchQueryReport, DeviceSpec, ServiceConfig, ServiceReport};
+use crate::service::{dedup_batch, DeviceSpec, ServiceConfig, ServiceReport};
 use crate::shard::Shard;
 use crate::shared_sim::SharedSimArray;
 use crate::topology::Topology;
@@ -338,82 +342,6 @@ struct Accum {
     spans: Vec<ShardSpan>,
 }
 
-/// Monotonic session counters behind [`Session::metrics`]. Bounded:
-/// latencies go into fixed-size log-bucketed histograms (no
-/// per-completed-op state), so a session can run for days without the
-/// metrics path growing. Snapshot deltas slice exactly via
-/// [`ServiceReport::interval_since`] (histogram subtraction).
-///
-/// [`ServiceReport::interval_since`]: crate::service::ServiceReport::interval_since
-struct MetricsInner {
-    read_hist: LatencyHistogram,
-    read_service_hist: LatencyHistogram,
-    read_wait_hist: LatencyHistogram,
-    write_hist: LatencyHistogram,
-    write_service_hist: LatencyHistogram,
-    write_wait_hist: LatencyHistogram,
-    completed_queries: usize,
-    writes_applied: usize,
-    shed_queries: usize,
-    shed_writes: usize,
-    writes_failed: usize,
-    total_io: u64,
-    /// Bucket blocks returned to shard free lists (delete-time
-    /// empty-block unlink + maintenance compaction), summed over
-    /// shards.
-    blocks_reclaimed: u64,
-    /// Occupancy-filter bits cleared by maintenance tombstone GC.
-    filter_bits_cleared: u64,
-    /// Bytes made reusable by reclamation.
-    bytes_reclaimed: u64,
-    /// Deletes that found their victim missing from some chains
-    /// (pre-existing index inconsistency), summed over shards.
-    chain_inconsistencies: u64,
-    /// Seconds since the session epoch of the latest terminal event.
-    last_event: f64,
-}
-
-impl Default for MetricsInner {
-    fn default() -> Self {
-        Self {
-            read_hist: LatencyHistogram::new(),
-            read_service_hist: LatencyHistogram::new(),
-            read_wait_hist: LatencyHistogram::new(),
-            write_hist: LatencyHistogram::new(),
-            write_service_hist: LatencyHistogram::new(),
-            write_wait_hist: LatencyHistogram::new(),
-            completed_queries: 0,
-            writes_applied: 0,
-            shed_queries: 0,
-            shed_writes: 0,
-            writes_failed: 0,
-            total_io: 0,
-            blocks_reclaimed: 0,
-            filter_bits_cleared: 0,
-            bytes_reclaimed: 0,
-            chain_inconsistencies: 0,
-            last_event: 0.0,
-        }
-    }
-}
-
-/// Cache counters at session start, for per-session deltas.
-#[derive(Clone, Copy, Debug, Default)]
-struct CacheSnapshot {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-    stale_fills: u64,
-    warmed: u64,
-    admission_rejected: u64,
-    table_hits: u64,
-    table_misses: u64,
-    bucket_hits: u64,
-    bucket_misses: u64,
-    coalesced: u64,
-}
-
 /// State shared by the session handle, its clients, the collector and
 /// the writer threads.
 pub(crate) struct SessionShared {
@@ -432,14 +360,23 @@ pub(crate) struct SessionShared {
     write_gates: Vec<GateHandle>,
     /// Live tickets — the routing table, keyed by ticket id.
     registry: Mutex<HashMap<u64, Arc<InFlight>>>,
-    metrics: Mutex<MetricsInner>,
+    /// The session's monotonic counters, booked straight into the
+    /// report shape: a [`Session::metrics`] snapshot is a clone of this
+    /// value plus the fields read from other owners (see
+    /// `build_report`). Bounded: latencies go into fixed-size
+    /// histograms, so a session can run for days without the metrics
+    /// path growing. `duration` holds the latest terminal event.
+    metrics: Mutex<ServiceReport>,
     next_ticket: AtomicU64,
     /// Next unassigned global id; the lock is held through the enqueue
     /// so per-shard write-queue order matches mint order.
     mint: Mutex<u64>,
     /// `[shard][replica]` live statistics cells (one per reactor).
     replica_cells: Vec<Vec<Arc<ReplicaStatsCell>>>,
-    cache_snap: Vec<CacheSnapshot>,
+    /// Every replica cache's counters at session start, so reports
+    /// show per-session deltas even when a warm cache is reused across
+    /// sessions.
+    cache_snap: Vec<DeviceStats>,
     /// Request tracing: sampled span ring + slow-query log.
     tracer: Tracer,
 }
@@ -476,13 +413,13 @@ impl SessionShared {
     fn book_shed_query(&self, now: f64) {
         let mut m = self.metrics.lock().unwrap();
         m.shed_queries += 1;
-        m.last_event = m.last_event.max(now);
+        m.duration = m.duration.max(now);
     }
 
     fn book_shed_write(&self, now: f64) {
         let mut m = self.metrics.lock().unwrap();
         m.shed_writes += 1;
-        m.last_event = m.last_event.max(now);
+        m.duration = m.duration.max(now);
     }
 }
 
@@ -800,7 +737,7 @@ impl Client {
                     let finish = shared.now();
                     let mut m = shared.metrics.lock().unwrap();
                     m.writes_failed += 1;
-                    m.last_event = m.last_event.max(finish);
+                    m.duration = m.duration.max(finish);
                     drop(m);
                     slot.resolve(WriteResult {
                         status: OpStatus::Ok,
@@ -888,10 +825,9 @@ impl Session {
         let replicas = config.replicas_per_shard;
         let wpr = config.workers_per_replica;
         let epoch = Instant::now();
-        // Snapshot the cache counters before warming, so the blocks
-        // this session warms at start count in its `cache_warmed`
-        // delta.
-        let cache_snap = cache_snapshots(&topo);
+        // Before warming, so the blocks warmed below count in this
+        // session's `cache_warmed` delta.
+        let cache_snap: Vec<DeviceStats> = cache_counters(&topo).collect();
 
         // Replica-start cache warming: a cold replica copies the
         // working set of its warmest sibling instead of paying the
@@ -934,9 +870,6 @@ impl Session {
             config.routing,
             0xE25_0E25,
             Arc::clone(&router_stats),
-            // One reactor per replica is the lane's only queue
-            // receiver, so one exit marks the lane dead.
-            1,
             epoch,
         ));
 
@@ -970,7 +903,12 @@ impl Session {
             read_gates,
             write_gates,
             registry: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(MetricsInner::default()),
+            metrics: Mutex::new(ServiceReport {
+                workers: num_shards * replicas * wpr,
+                shards: num_shards,
+                replicas,
+                ..Default::default()
+            }),
             next_ticket: AtomicU64::new(0),
             mint: Mutex::new(mint),
             replica_cells,
@@ -1131,44 +1069,24 @@ impl Session {
     /// queries are deduplicated before the engine (see
     /// [`dedup_batch`](crate::service::dedup_batch())), each unique query
     /// is submitted as its own ticket at one shared arrival instant,
-    /// and the merged results are fanned back out to every duplicate.
-    /// Blocks until the whole batch resolves.
+    /// and every input query gets its representative's resolved
+    /// [`QueryResult`] (duplicates hold clones — byte-identical
+    /// neighbors, one admission fate, one latency). Blocks until the
+    /// whole batch resolves.
     ///
-    /// On a session shared with concurrent submitters, the report's
-    /// session-level fields (`device`, `total_io`, `failovers`,
-    /// `peak_queue_depth`) are deltas/high-waters that may include the
-    /// concurrent work; per-query results, statuses and latencies are
-    /// exact.
-    pub fn query_batch(&self, batch: &Dataset) -> BatchQueryReport {
-        let shards = self.shared.topo.shards();
-        assert_eq!(batch.dim(), shards.dim(), "query dimensionality");
-        let num_shards = shards.num_shards();
-        let replicas = self.shared.config.replicas_per_shard;
-        let workers_total = num_shards * replicas * self.shared.config.workers_per_replica;
+    /// There is no batch report: dedup counts come from `dedup_batch`,
+    /// and I/O, device and shed totals from a
+    /// [`Session::metrics`] interval around the call, like every other
+    /// caller's (a duplicate's `n_io` repeats its representative's, so
+    /// summing the results over-counts; the interval's `total_io` is
+    /// the engine's truth).
+    pub fn query_batch(&self, batch: &Dataset) -> Vec<QueryResult> {
+        assert_eq!(
+            batch.dim(),
+            self.shared.topo.shards().dim(),
+            "query dimensionality"
+        );
         let dedup = dedup_batch(batch);
-        let nu = dedup.uniques.len();
-        if batch.is_empty() {
-            return BatchQueryReport {
-                results: Vec::new(),
-                statuses: Vec::new(),
-                latencies: Vec::new(),
-                unique: 0,
-                collapsed: 0,
-                shed: 0,
-                failovers: 0,
-                peak_queue_depth: 0,
-                duration: 0.0,
-                device: DeviceStats::default(),
-                total_io: 0,
-                workers: workers_total,
-                shards: num_shards,
-            };
-        }
-
-        let before_io = self.shared.metrics.lock().unwrap().total_io;
-        let before_failovers = self.shared.router_stats.failovers();
-        let before_device = aggregate_device(&self.shared);
-
         // One arrival instant for the whole request; the internal
         // client is uncapped (fairness applies to external clients).
         let client = self.internal_client();
@@ -1178,40 +1096,8 @@ impl Session {
             .iter()
             .map(|&i| client.query_at(batch.point(i), ref_t))
             .collect();
-        let unique_results: Vec<QueryResult> = tickets.into_iter().map(QueryTicket::wait).collect();
-
-        let n = batch.len();
-        let mut results = Vec::with_capacity(n);
-        let mut statuses = Vec::with_capacity(n);
-        let mut latencies = Vec::with_capacity(n);
-        for i in 0..n {
-            let u = &unique_results[dedup.rep[i]];
-            results.push(u.neighbors.clone());
-            statuses.push(u.status);
-            latencies.push(u.latency);
-        }
-        let shed = statuses.iter().filter(|&&s| s == OpStatus::Shed).count();
-        let duration = unique_results
-            .iter()
-            .map(|r| r.latency)
-            .fold(0.0f64, f64::max);
-        let mut device = aggregate_device(&self.shared);
-        device_sub(&mut device, &before_device);
-        BatchQueryReport {
-            results,
-            statuses,
-            latencies,
-            unique: nu,
-            collapsed: n - nu,
-            shed,
-            failovers: self.shared.router_stats.failovers() - before_failovers,
-            peak_queue_depth: peak_queue_depth(&self.shared),
-            duration,
-            device,
-            total_io: self.shared.metrics.lock().unwrap().total_io - before_io,
-            workers: workers_total,
-            shards: num_shards,
-        }
+        let unique: Vec<QueryResult> = tickets.into_iter().map(QueryTicket::wait).collect();
+        dedup.rep.iter().map(|&u| unique[u].clone()).collect()
     }
 
     /// Drain and stop: close the queues (new submissions resolve
@@ -1348,10 +1234,10 @@ fn run_writer(shared: &SessionShared, s: usize, jobs: GatedReceiver<WriteJob>) {
             } else {
                 m.writes_failed += 1;
             }
-            m.blocks_reclaimed += freed;
-            m.bytes_reclaimed += freed * BLOCK_SIZE as u64;
-            m.chain_inconsistencies += inconsistent;
-            m.last_event = m.last_event.max(finish);
+            m.device.blocks_reclaimed += freed;
+            m.device.bytes_reclaimed += freed * BLOCK_SIZE as u64;
+            m.device.chain_inconsistencies += inconsistent;
+            m.duration = m.duration.max(finish);
         }
         let span_needed = !shared.tracer.disabled() || inconsistent > 0;
         if span_needed {
@@ -1424,9 +1310,9 @@ fn maintenance_tick(
     match up.maintain(block_budget) {
         Ok(rep) => {
             let mut m = shared.metrics.lock().unwrap();
-            m.blocks_reclaimed += rep.blocks_reclaimed;
-            m.filter_bits_cleared += rep.filter_bits_cleared;
-            m.bytes_reclaimed += rep.bytes_reclaimed;
+            m.device.blocks_reclaimed += rep.blocks_reclaimed;
+            m.device.filter_bits_cleared += rep.filter_bits_cleared;
+            m.device.bytes_reclaimed += rep.bytes_reclaimed;
             drop(m);
             rep.completed_pass && !rep.productive()
         }
@@ -1553,7 +1439,7 @@ fn try_finish(shared: &SessionShared, e: &InFlight, num_shards: usize) -> bool {
         m.read_service_hist.record(service_latency);
         m.read_wait_hist
             .record((latency - service_latency).max(0.0));
-        m.last_event = m.last_event.max(finish);
+        m.duration = m.duration.max(finish);
     }
     if !shared.tracer.disabled() {
         shared.tracer.observe(TraceSpan {
@@ -1651,121 +1537,49 @@ fn peak_queue_depth(shared: &SessionShared) -> usize {
     read.max(write)
 }
 
-/// Fold the per-session cache-counter deltas of every replica cache
-/// into `device`.
-fn add_cache_deltas(shared: &SessionShared, device: &mut DeviceStats) {
-    let mut i = 0;
-    for s in 0..shared.topo.num_shards() {
-        for rep in shared.topo.shard_replicas(s) {
-            if let Some(c) = rep.cache() {
-                let snap = &shared.cache_snap[i];
-                device.cache_hits += c.hits() - snap.hits;
-                device.cache_misses += c.misses() - snap.misses;
-                device.cache_evictions += c.evictions() - snap.evictions;
-                device.cache_invalidations += c.invalidations() - snap.invalidations;
-                device.cache_stale_fills += c.stale_fills() - snap.stale_fills;
-                device.cache_warmed += c.warmed() - snap.warmed;
-                device.cache_admission_rejected += c.admission_rejected() - snap.admission_rejected;
-                device.cache_table_hits += c.table_hits() - snap.table_hits;
-                device.cache_table_misses += c.table_misses() - snap.table_misses;
-                device.cache_bucket_hits += c.bucket_hits() - snap.bucket_hits;
-                device.cache_bucket_misses += c.bucket_misses() - snap.bucket_misses;
-                device.coalesced_reads += c.coalesced() - snap.coalesced;
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Snapshot cache counters so reports show per-session deltas even when
-/// a warm cache is reused across sessions. One snapshot per replica, in
-/// `[shard][replica]` order flattened. Taken *before* start-time cache
-/// warming, so the blocks a session warms at start appear in its own
-/// `cache_warmed` delta.
-fn cache_snapshots(topo: &Topology) -> Vec<CacheSnapshot> {
+/// Every replica cache's counters, one entry per replica in
+/// `[shard][replica]` order flattened (zeros for uncached replicas).
+fn cache_counters(topo: &Topology) -> impl Iterator<Item = DeviceStats> + '_ {
     (0..topo.num_shards())
-        .flat_map(|s| {
-            topo.shard_replicas(s).iter().map(|rep| match rep.cache() {
-                Some(c) => CacheSnapshot {
-                    hits: c.hits(),
-                    misses: c.misses(),
-                    evictions: c.evictions(),
-                    invalidations: c.invalidations(),
-                    stale_fills: c.stale_fills(),
-                    warmed: c.warmed(),
-                    admission_rejected: c.admission_rejected(),
-                    table_hits: c.table_hits(),
-                    table_misses: c.table_misses(),
-                    bucket_hits: c.bucket_hits(),
-                    bucket_misses: c.bucket_misses(),
-                    coalesced: c.coalesced(),
-                },
-                None => CacheSnapshot::default(),
-            })
+        .flat_map(|s| topo.shard_replicas(s))
+        .map(|rep| {
+            rep.cache()
+                .map_or_else(DeviceStats::default, |c| c.counters())
         })
-        .collect()
 }
 
 /// Aggregate the live per-replica device statistics: shared sim arrays
 /// report whole-array totals from every handle, so those are merged
-/// max-by-completed per shard; private devices are summed. Cache
-/// deltas (including warmed blocks) are folded in.
+/// max-by-completed per shard; private devices are summed. Only what
+/// the underlying devices served is taken from the cells — their
+/// per-device cache counters are replaced by the per-session deltas of
+/// the replica caches (which include warmed blocks).
 fn aggregate_device(shared: &SessionShared) -> DeviceStats {
     let shared_device = matches!(shared.config.device, DeviceSpec::SimShared { .. });
+    let served = |d: DeviceStats| DeviceStats {
+        completed: d.completed,
+        bytes: d.bytes,
+        latency_sum: d.latency_sum,
+        busy_sum: d.busy_sum,
+        ..DeviceStats::default()
+    };
     let mut out = DeviceStats::default();
     for per_shard in &shared.replica_cells {
         let mut best = DeviceStats::default();
         for cell in per_shard.iter() {
             let d = *cell.device.lock().unwrap();
-            if shared_device {
-                if d.completed >= best.completed {
-                    best = d;
-                }
-            } else {
-                out.completed += d.completed;
-                out.bytes += d.bytes;
-                out.latency_sum += d.latency_sum;
-                out.busy_sum += d.busy_sum;
+            if !shared_device {
+                out += &served(d);
+            } else if d.completed >= best.completed {
+                best = d;
             }
         }
-        if shared_device {
-            out.completed += best.completed;
-            out.bytes += best.bytes;
-            out.latency_sum += best.latency_sum;
-            out.busy_sum += best.busy_sum;
-        }
+        out += &served(best);
     }
-    add_cache_deltas(shared, &mut out);
+    for (now, start) in cache_counters(&shared.topo).zip(&shared.cache_snap) {
+        out += &now.minus(start);
+    }
     out
-}
-
-/// Field-wise saturating subtraction for device-stats deltas (per-batch
-/// reports and [`ServiceReport::interval_since`]).
-///
-/// [`ServiceReport::interval_since`]: crate::service::ServiceReport::interval_since
-pub(crate) fn device_sub(d: &mut DeviceStats, prev: &DeviceStats) {
-    d.completed -= prev.completed.min(d.completed);
-    d.bytes -= prev.bytes.min(d.bytes);
-    d.latency_sum = (d.latency_sum - prev.latency_sum).max(0.0);
-    d.busy_sum = (d.busy_sum - prev.busy_sum).max(0.0);
-    d.cache_hits -= prev.cache_hits.min(d.cache_hits);
-    d.cache_misses -= prev.cache_misses.min(d.cache_misses);
-    d.cache_evictions -= prev.cache_evictions.min(d.cache_evictions);
-    d.cache_invalidations -= prev.cache_invalidations.min(d.cache_invalidations);
-    d.cache_stale_fills -= prev.cache_stale_fills.min(d.cache_stale_fills);
-    d.cache_warmed -= prev.cache_warmed.min(d.cache_warmed);
-    d.cache_admission_rejected -= prev
-        .cache_admission_rejected
-        .min(d.cache_admission_rejected);
-    d.cache_table_hits -= prev.cache_table_hits.min(d.cache_table_hits);
-    d.cache_table_misses -= prev.cache_table_misses.min(d.cache_table_misses);
-    d.cache_bucket_hits -= prev.cache_bucket_hits.min(d.cache_bucket_hits);
-    d.cache_bucket_misses -= prev.cache_bucket_misses.min(d.cache_bucket_misses);
-    d.coalesced_reads -= prev.coalesced_reads.min(d.coalesced_reads);
-    d.blocks_reclaimed -= prev.blocks_reclaimed.min(d.blocks_reclaimed);
-    d.filter_bits_cleared -= prev.filter_bits_cleared.min(d.filter_bits_cleared);
-    d.bytes_reclaimed -= prev.bytes_reclaimed.min(d.bytes_reclaimed);
-    d.chain_inconsistencies -= prev.chain_inconsistencies.min(d.chain_inconsistencies);
 }
 
 /// Queries served per `[shard][replica]`, from the live reactor cells.
@@ -1782,55 +1596,16 @@ fn replica_load(shared: &SessionShared) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Assemble a [`ServiceReport`](crate::service::ServiceReport)
-/// snapshot from the session's monotonic counters.
+/// Assemble a [`ServiceReport`] snapshot: the session's own counters
+/// (a clone of the value the metrics mutex guards — including the
+/// writer-level reclamation counters in `device`, which devices know
+/// nothing of) plus everything owned elsewhere, read outside that lock.
 fn build_report(shared: &SessionShared) -> ServiceReport {
-    let num_shards = shared.topo.num_shards();
-    let replicas = shared.config.replicas_per_shard;
-    let mut report = {
-        let m = shared.metrics.lock().unwrap();
-        ServiceReport {
-            completed_queries: m.completed_queries,
-            writes_applied: m.writes_applied,
-            read_hist: m.read_hist.clone(),
-            read_service_hist: m.read_service_hist.clone(),
-            read_wait_hist: m.read_wait_hist.clone(),
-            write_hist: m.write_hist.clone(),
-            write_service_hist: m.write_service_hist.clone(),
-            write_wait_hist: m.write_wait_hist.clone(),
-            writes_failed: m.writes_failed,
-            shed_queries: m.shed_queries,
-            shed_writes: m.shed_writes,
-            failovers: 0,
-            lost_partials: 0,
-            peak_queue_depth: 0,
-            duration: m.last_event,
-            device: DeviceStats::default(),
-            total_io: m.total_io,
-            workers: num_shards * replicas * shared.config.workers_per_replica,
-            shards: num_shards,
-            replicas,
-            replica_load: Vec::new(),
-            slow_queries: Vec::new(),
-            net: crate::net::NetCounters::default(),
-        }
-    };
-    // Everything below reads locks/atomics other than the metrics
-    // mutex; filled outside the lock scope above.
+    let mut report = shared.metrics.lock().unwrap().clone();
     report.failovers = shared.router_stats.failovers();
     report.lost_partials = shared.router_stats.abandoned();
     report.peak_queue_depth = peak_queue_depth(shared);
-    report.device = aggregate_device(shared);
-    {
-        // Reclamation counters are writer-level: devices know nothing
-        // of free lists, so the report fills them from the session
-        // counters the writer threads book.
-        let m = shared.metrics.lock().unwrap();
-        report.device.blocks_reclaimed = m.blocks_reclaimed;
-        report.device.filter_bits_cleared = m.filter_bits_cleared;
-        report.device.bytes_reclaimed = m.bytes_reclaimed;
-        report.device.chain_inconsistencies = m.chain_inconsistencies;
-    }
+    report.device += &aggregate_device(shared);
     report.replica_load = replica_load(shared);
     report.slow_queries = shared.tracer.slow_queries();
     report

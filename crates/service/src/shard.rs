@@ -210,6 +210,10 @@ impl Shard {
     }
 }
 
+/// Independently locked segments each shard cache's key space is
+/// striped over (contention reduction; clamped to the cache's capacity).
+const CACHE_LOCK_SHARDS: usize = 8;
+
 /// How shard indexes are built.
 #[derive(Clone, Debug)]
 pub struct ShardBuildConfig {
@@ -225,9 +229,6 @@ pub struct ShardBuildConfig {
     pub dir: PathBuf,
     /// Per-shard DRAM cache capacity in 512-byte blocks (0 = uncached).
     pub cache_blocks: usize,
-    /// Lock shards of the cache (power of contention reduction; clamped
-    /// to `cache_blocks`).
-    pub cache_lock_shards: usize,
     /// Per-shard object-ID capacity reserved for online inserts
     /// (`None` = the storage default, 2× the shard's build-time size).
     pub capacity: Option<usize>,
@@ -240,7 +241,6 @@ impl Default for ShardBuildConfig {
             seed: 42,
             dir: e2lsh_storage::testutil::temp_path("e2lsh-service"),
             cache_blocks: 0,
-            cache_lock_shards: 8,
             capacity: None,
         }
     }
@@ -290,7 +290,7 @@ impl ShardSet {
             build_index(&local, &params, &build_cfg, &path)?;
             let index = open_index(&path)?;
             let cache = (cfg.cache_blocks > 0)
-                .then(|| Arc::new(BlockCache::new(cfg.cache_blocks, cfg.cache_lock_shards)));
+                .then(|| Arc::new(BlockCache::new(cfg.cache_blocks, CACHE_LOCK_SHARDS)));
             let base_len = local.len();
             shards.push(Shard {
                 id: s,

@@ -319,7 +319,7 @@ mod tests {
         assert_eq!(copied, 8);
         let warmed = topo.replica(0, 1).cache().unwrap();
         assert_eq!(warmed.len(), 8);
-        assert_eq!(warmed.warmed(), 8);
+        assert_eq!(warmed.counters().cache_warmed, 8);
         // Budget 0 and uncached shards are no-ops.
         assert_eq!(topo.warm_replica(0, 2, 0), 0);
         // unfence_and_warm clears the fence and warms in one call.

@@ -224,19 +224,24 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
     };
 
     let svc = ShardedService::new(build("a"), config.clone());
-    let rep = svc.start().query_batch(&batch);
-    assert!(rep.collapsed > 0, "batch must contain duplicates");
-    assert_eq!(rep.unique + rep.collapsed, batch.len());
-    assert_eq!(rep.shed, 0);
-    assert!(rep.statuses.iter().all(|&s| s == OpStatus::Ok));
+    let (res, rep) = common::run_batch(&svc, &batch);
+    let dd = dedup_batch(&batch);
+    assert!(
+        dd.uniques.len() < batch.len(),
+        "batch must contain duplicates"
+    );
+    // The engine served the uniques; every input got a result.
+    assert_eq!(rep.completed_queries, dd.uniques.len());
+    assert_eq!(res.len(), batch.len());
+    assert_eq!(rep.shed_queries, 0);
+    assert!(res.iter().all(|r| r.status == OpStatus::Ok));
 
     // Duplicates: byte-identical results (same ids, same distance bits).
-    let dd = dedup_batch(&batch);
     for i in 0..batch.len() {
         for j in (i + 1)..batch.len() {
             if dd.rep[i] == dd.rep[j] {
                 assert_eq!(
-                    rep.results[i], rep.results[j],
+                    res[i].neighbors, res[j].neighbors,
                     "duplicates {i} and {j} diverged"
                 );
             }
@@ -251,8 +256,8 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
         uniq.push(batch.point(i));
     }
     let svc_u = ShardedService::new(build("b"), config.clone());
-    let rep_u = svc_u.start().query_batch(&uniq);
-    assert_eq!(rep_u.collapsed, 0);
+    let (res_u, rep_u) = common::run_batch(&svc_u, &uniq);
+    assert_eq!(rep_u.completed_queries, res_u.len(), "nothing to collapse");
     assert_eq!(
         rep.total_io, rep_u.total_io,
         "dedup must reduce the batch to its unique probes"
@@ -270,8 +275,8 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
         rep_q.total_io
     );
     // Same answers, either way.
-    for i in 0..batch.len() {
-        assert_eq!(rep.results[i], driven_q.queries[i].neighbors, "query {i}");
+    for (i, (batched, single)) in res.iter().zip(&driven_q.queries).enumerate() {
+        assert_eq!(batched.neighbors, single.neighbors, "query {i}");
     }
 
     svc.shards().cleanup();
@@ -328,23 +333,29 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
             ..Default::default()
         },
     );
-    let rep = svc.start().query_batch(&batch);
-    assert!(rep.shed > 0, "tiny budget must shed part of the batch");
-    assert!(rep.shed < batch.len(), "some queries must be admitted");
+    let (res, rep) = common::run_batch(&svc, &batch);
+    let shed = res.iter().filter(|r| r.status == OpStatus::Shed).count();
+    assert!(shed > 0, "tiny budget must shed part of the batch");
+    assert!(shed < batch.len(), "some queries must be admitted");
     assert!(rep.peak_queue_depth <= 4);
     let dd = dedup_batch(&batch);
+    // One admission decision per unique query: the session booked the
+    // unique sheds, the results carry them out to every duplicate.
+    assert!(rep.shed_queries > 0 && rep.shed_queries <= shed);
+    assert_eq!(rep.shed_queries + rep.completed_queries, dd.uniques.len());
     for i in 0..batch.len() {
-        match rep.statuses[i] {
-            OpStatus::Ok => assert!(!rep.results[i].is_empty() || rep.latencies[i] >= 0.0),
+        match res[i].status {
+            OpStatus::Ok => assert!(!res[i].neighbors.is_empty() || res[i].latency >= 0.0),
             OpStatus::Shed => {
-                assert!(rep.results[i].is_empty());
-                assert_eq!(rep.latencies[i], 0.0);
+                assert!(res[i].neighbors.is_empty());
+                assert_eq!(res[i].latency, 0.0);
+                assert!(res[i].overload.is_some());
             }
         }
         // Duplicates share fate.
         for j in 0..batch.len() {
             if dd.rep[i] == dd.rep[j] {
-                assert_eq!(rep.statuses[i], rep.statuses[j]);
+                assert_eq!(res[i].status, res[j].status);
             }
         }
     }

@@ -169,9 +169,9 @@ fn warm_replica_survives_tinylfu_admission_filter() {
     assert!(target.is_empty(), "replica 1 starts cold");
     let copied = topo.warm_replica(0, 1, donated.len());
     assert_eq!(copied, donated.len(), "every donated block is admitted");
-    assert_eq!(target.warmed(), copied as u64);
+    assert_eq!(target.counters().cache_warmed, copied as u64);
     assert_eq!(
-        target.admission_rejected(),
+        target.counters().cache_admission_rejected,
         0,
         "warm path bypasses the filter"
     );

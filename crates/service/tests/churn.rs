@@ -67,7 +67,6 @@ fn service(
             dir: e2lsh_storage::testutil::temp_path(&format!("churn-{tag}")),
             cache_blocks: 2048,
             capacity,
-            ..Default::default()
         },
         params_for,
     )

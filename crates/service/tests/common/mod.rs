@@ -3,7 +3,7 @@
 #![allow(dead_code)]
 
 use e2lsh_core::dataset::Dataset;
-use e2lsh_service::{drive, Driven, Load, Op, ServiceReport, ShardedService};
+use e2lsh_service::{drive, Driven, Load, Op, QueryResult, ServiceReport, ShardedService};
 
 /// Replay a mixed op stream through a fresh session of `svc`. Returns
 /// the resolved tickets and the session's final snapshot.
@@ -24,4 +24,13 @@ pub fn run_reads(svc: &ShardedService, queries: &Dataset, load: Load) -> (Driven
     let ops: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
     let no_inserts = Dataset::with_capacity(queries.dim(), 0);
     run_mixed(svc, queries, &no_inserts, &ops, load)
+}
+
+/// Serve one batch request through a fresh session of `svc`. Returns
+/// the per-input results and the session's final snapshot — a private
+/// session, so its counters cover exactly this batch.
+pub fn run_batch(svc: &ShardedService, batch: &Dataset) -> (Vec<QueryResult>, ServiceReport) {
+    let session = svc.start();
+    let results = session.query_batch(batch);
+    (results, session.shutdown())
 }

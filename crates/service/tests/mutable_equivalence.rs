@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{run_mixed, run_reads};
+use common::{run_batch, run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::distance::dist2;
 use e2lsh_core::params::E2lshParams;
@@ -372,22 +372,30 @@ fn query_batch_matches_one_by_one_under_writes() {
                 )
                 .1
             });
-            batch_rep = Some(svc.start().query_batch(&batch));
+            batch_rep = Some(run_batch(&svc, &batch));
             mixed_rep = Some(handle.join().expect("mixed round"));
         });
-        let batch_rep = batch_rep.unwrap();
+        let (batch_res, batch_rep) = batch_rep.unwrap();
         let mixed_rep = mixed_rep.unwrap();
         assert_eq!(mixed_rep.writes_failed, 0, "round {round}: writes failed");
 
         // Invariant checks on the concurrent batch.
-        assert_eq!(batch_rep.results.len(), batch.len());
-        assert_eq!(batch_rep.shed, 0, "unbounded admission must not shed");
-        assert!(batch_rep.statuses.iter().all(|&s| s == OpStatus::Ok));
-        assert_eq!(batch_rep.unique, dd.uniques.len());
-        assert_eq!(batch_rep.collapsed, batch.len() - dd.uniques.len());
+        assert_eq!(batch_res.len(), batch.len());
+        assert_eq!(
+            batch_rep.shed_queries, 0,
+            "unbounded admission must not shed"
+        );
+        assert!(batch_res.iter().all(|r| r.status == OpStatus::Ok));
+        // The engine served exactly the unique queries; the rest of the
+        // batch was collapsed onto them.
+        assert_eq!(batch_rep.completed_queries, dd.uniques.len());
+        assert_eq!(
+            batch_res.len() - batch_rep.completed_queries,
+            batch.len() - dd.uniques.len()
+        );
         let id_limit = next_id as usize + w.num_inserts;
-        for (qi, res) in batch_rep.results.iter().enumerate() {
-            for &(id, _) in res {
+        for (qi, res) in batch_res.iter().enumerate() {
+            for &(id, _) in &res.neighbors {
                 assert!(
                     !deleted_before_round.contains(&id),
                     "round {round} batch query {qi}: id {id} deleted in an earlier round"
@@ -400,7 +408,7 @@ fn query_batch_matches_one_by_one_under_writes() {
         }
         for i in 0..batch.len() {
             assert_eq!(
-                batch_rep.results[i], batch_rep.results[dd.uniques[dd.rep[i]]],
+                batch_res[i].neighbors, batch_res[dd.uniques[dd.rep[i]]].neighbors,
                 "round {round}: duplicate {i} diverged from its representative"
             );
         }
@@ -425,11 +433,12 @@ fn query_batch_matches_one_by_one_under_writes() {
         pool_off += w.num_inserts;
 
         // Quiescent regime: batch == one-by-one, bit for bit.
-        let quiet_batch = svc.start().query_batch(&batch);
+        let (quiet_res, quiet_batch) = run_batch(&svc, &batch);
         let (driven, one_by_one) = run_reads(&svc, &batch, Load::Closed { window: 8 });
-        for i in 0..batch.len() {
+        assert_eq!(quiet_res.len(), driven.queries.len());
+        for (i, (batched, single)) in quiet_res.iter().zip(&driven.queries).enumerate() {
             assert_eq!(
-                quiet_batch.results[i], driven.queries[i].neighbors,
+                batched.neighbors, single.neighbors,
                 "round {round} query {i}: quiescent batch diverges from one-by-one"
             );
         }
@@ -445,10 +454,10 @@ fn query_batch_matches_one_by_one_under_writes() {
     // Final recall check: quiescent batch results against the
     // brute-force oracle over the live set (per unique query — the
     // duplicates are clones by construction).
-    let final_rep = svc.start().query_batch(&batch);
+    let (final_res, _) = run_batch(&svc, &batch);
     let live_set: HashSet<u32> = live_ids.iter().copied().collect();
-    for (qi, res) in final_rep.results.iter().enumerate() {
-        for &(id, _) in res {
+    for (qi, res) in final_res.iter().enumerate() {
+        for &(id, _) in &res.neighbors {
             assert!(
                 live_set.contains(&id),
                 "final batch query {qi}: id {id} is deleted or was never inserted"
@@ -458,7 +467,7 @@ fn query_batch_matches_one_by_one_under_writes() {
     let unique_results: Vec<Vec<(u32, f32)>> = dd
         .uniques
         .iter()
-        .map(|&i| final_rep.results[i].clone())
+        .map(|&i| final_res[i].neighbors.clone())
         .collect();
     let mut unique_queries = Dataset::with_capacity(DIM, dd.uniques.len());
     for &i in &dd.uniques {

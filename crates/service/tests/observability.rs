@@ -27,10 +27,12 @@
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    percentile, AdmissionControl, DeviceSpec, LatencyHistogram, OpStatus, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService, SpanKind, WriteOp,
+    percentile, AdmissionControl, DeviceSpec, LatencyHistogram, NetClient, NetCounters, NetServer,
+    NetServerConfig, OpStatus, ServiceConfig, ServiceReport, ShardBuildConfig, ShardSet,
+    ShardedService, SpanKind, WriteOp,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
+use e2lsh_storage::device::DeviceStats;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -375,6 +377,185 @@ fn interval_since_rejects_reversed_write_only_snapshots() {
     let _ = before.interval_since(&after);
 }
 
+/// The three report families — `DeviceStats`, `NetCounters` and
+/// `ServiceReport`'s own fields — one value per declared field. The
+/// literals name every field (no `..Default::default()`), so a newly
+/// declared counter does not compile here until it is numbered, and
+/// the checks below then cover it: `(a + b) − b == a` (histograms
+/// bucket for bucket) and exactly one export per field, in declaration
+/// order.
+#[test]
+fn every_declared_counter_adds_subtracts_and_exports() {
+    fn hist(samples: u32) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        (0..samples).for_each(|i| h.record(1e-4 * f64::from(i + 1)));
+        h
+    }
+    fn numbered(from: u32, len: usize) -> Vec<f64> {
+        (from..).take(len).map(f64::from).collect()
+    }
+    let device = DeviceStats {
+        completed: 101,
+        bytes: 102,
+        cache_hits: 103,
+        cache_misses: 104,
+        cache_evictions: 105,
+        cache_invalidations: 106,
+        cache_stale_fills: 107,
+        cache_warmed: 108,
+        cache_admission_rejected: 109,
+        cache_table_hits: 110,
+        cache_table_misses: 111,
+        cache_bucket_hits: 112,
+        cache_bucket_misses: 113,
+        coalesced_reads: 114,
+        blocks_reclaimed: 115,
+        filter_bits_cleared: 116,
+        bytes_reclaimed: 117,
+        chain_inconsistencies: 118,
+        latency_sum: 119.0,
+        busy_sum: 120.0,
+    };
+    let net = NetCounters {
+        connections_accepted: 101,
+        connections_dropped: 102,
+        frames_in: 103,
+        frames_out: 104,
+        frame_decode_errors: 105,
+        tickets_orphaned: 106,
+        connections_peak: 107,
+    };
+    let report = ServiceReport {
+        completed_queries: 101,
+        shed_queries: 102,
+        writes_applied: 103,
+        writes_failed: 104,
+        shed_writes: 105,
+        failovers: 106,
+        lost_partials: 107,
+        total_io: 108,
+        peak_queue_depth: 109,
+        workers: 110,
+        shards: 111,
+        replicas: 112,
+        duration: 113.0,
+        read_hist: hist(114),
+        read_service_hist: hist(115),
+        read_wait_hist: hist(116),
+        write_hist: hist(117),
+        write_service_hist: hist(118),
+        write_wait_hist: hist(119),
+        slow_queries: Vec::new(),
+        device,
+        replica_load: vec![vec![7, 9]],
+        net,
+    };
+
+    // b = 2a field by field (peaks: max(a, a) = a), so (a + b) − b == a.
+    let mut device_b = device;
+    device_b += &device;
+    let mut device_sum = device;
+    device_sum += &device_b;
+    assert_ne!(device_sum, device);
+    assert_eq!(device_sum.minus(&device_b), device);
+    assert_eq!(device.minus(&device_sum), DeviceStats::default());
+    let exported = std::cell::RefCell::new(Vec::new());
+    device.export(
+        |_, v| exported.borrow_mut().push(v as f64),
+        |_, v| exported.borrow_mut().push(v),
+    );
+    assert_eq!(exported.into_inner(), numbered(101, 20));
+
+    let mut net_b = net;
+    net_b += &net;
+    let mut net_sum = net;
+    net_sum += &net_b;
+    assert_ne!(net_sum, net);
+    assert_eq!(net_sum.minus(&net_b), net);
+    let mut exported = Vec::new();
+    net.export(|_, v| exported.push(v as f64), |_, _| unreachable!());
+    assert_eq!(exported, numbered(101, 7));
+
+    // The report's own fields; `interval_since` also slices the nested
+    // families and the load matrix.
+    let own = |r: &ServiceReport| {
+        let (mut counters, mut seconds, mut hists) = (Vec::new(), Vec::new(), Vec::new());
+        r.export(
+            |name, v| counters.push((name, v)),
+            |name, v| seconds.push((name, v)),
+            |name, h| hists.push((name, h.clone())),
+        );
+        (counters, seconds, hists)
+    };
+    let mut report_b = report.clone();
+    report_b += &report;
+    report_b.device = device_b;
+    report_b.net = net_b;
+    let mut report_sum = report.clone();
+    report_sum += &report_b;
+    report_sum.device = device_sum;
+    report_sum.net = net_sum;
+    report_sum.replica_load = vec![vec![10, 9]];
+    assert_ne!(own(&report_sum), own(&report));
+    let back = report_sum.interval_since(&report_b);
+    assert_eq!(own(&back), own(&report));
+    assert_eq!((back.device, back.net), (device, net));
+    assert_eq!(back.replica_load, vec![vec![3, 0]]);
+    let (counters, seconds, hists) = own(&report);
+    let exported: Vec<f64> = (counters.iter().map(|&(_, v)| v as f64))
+        .chain(seconds.iter().map(|&(_, v)| v))
+        .chain(hists.iter().map(|(_, h)| h.count() as f64))
+        .collect();
+    assert_eq!(exported, numbered(101, 19));
+}
+
+/// One subtraction rule per family (regression: `failovers`,
+/// `lost_partials` and every net counter used to subtract with a bare
+/// `-`, outside the "in order" assertion). Net counters saturate — a
+/// `Session::metrics` snapshot carries none while a
+/// `NetServer::metrics` snapshot of the same session does, and slicing
+/// one against the other is legal — while every session-owned counter
+/// running backwards is a typed panic, never an integer underflow.
+#[test]
+fn interval_since_saturates_across_observers_and_types_every_reversal() {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed() ^ 0x1F5);
+    let data = clustered(600, &mut rng);
+    let svc = build_service(&data, "families", |_| {});
+    let session = svc.start();
+    let server = NetServer::spawn(&session, NetServerConfig::default()).expect("spawn");
+    let mut wire = NetClient::connect(server.addr(), 1).expect("connect");
+    assert_eq!(
+        wire.query(data.point(0)).expect("wire query").status,
+        OpStatus::Ok
+    );
+    let server_view = server.metrics();
+    assert!(server_view.net.frames_in > 0 && server_view.net.connections_peak > 0);
+    let mixed = session.metrics().interval_since(&server_view);
+    assert_eq!(mixed.net, NetCounters::default());
+    assert_eq!(mixed.completed_queries, 0);
+
+    let now = session.metrics();
+    let bumps: [fn(&mut ServiceReport); 2] = [|r| r.failovers += 1, |r| r.lost_partials += 1];
+    for bump in bumps {
+        let mut later = now.clone();
+        bump(&mut later);
+        let reversed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| now.interval_since(&later)));
+        let payload = reversed.expect_err("a reversed interval must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(msg.contains("in order"), "untyped panic: {msg:?}");
+    }
+
+    drop(wire);
+    drop(server.shutdown());
+    drop(session.shutdown());
+    svc.shards().cleanup();
+}
+
 /// The JSON exporter on a real session report: parses back, carries the
 /// required keys, and its counters match the report.
 #[test]
@@ -415,6 +596,86 @@ fn export_schema_round_trips_live_report() {
     );
     // v4: a session never retries, so it exports no such counter.
     assert!(counters.get("retries").is_none());
+    // Schema v4's key set, name for name: every declared counter,
+    // second sum and histogram once under its export name, next to the
+    // six derived rates. A renamed, dropped or added key is a schema
+    // bump, not a refactor.
+    let keys = |section: &str| -> Vec<String> {
+        let fields = v.get(section).unwrap().as_object().unwrap();
+        fields.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let sorted = |mut names: Vec<String>| {
+        names.sort_unstable();
+        names
+    };
+    let expect = |names: &[&str]| sorted(names.iter().map(|n| n.to_string()).collect());
+    assert_eq!(
+        sorted(keys("counters")),
+        expect(&[
+            "completed_queries",
+            "shed_queries",
+            "writes_applied",
+            "writes_failed",
+            "shed_writes",
+            "failovers",
+            "lost_partials",
+            "peak_queue_depth",
+            "total_io",
+            "workers",
+            "shards",
+            "replicas",
+            "device_completed",
+            "device_bytes",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "cache_invalidations",
+            "cache_stale_fills",
+            "cache_warmed",
+            "cache_admission_rejected",
+            "cache_table_hits",
+            "cache_table_misses",
+            "cache_bucket_hits",
+            "cache_bucket_misses",
+            "coalesced_reads",
+            "blocks_reclaimed",
+            "filter_bits_cleared",
+            "bytes_reclaimed",
+            "chain_inconsistencies",
+            "connections_accepted",
+            "connections_dropped",
+            "connections_peak",
+            "frames_in",
+            "frames_out",
+            "frame_decode_errors",
+            "tickets_orphaned",
+        ])
+    );
+    assert_eq!(
+        sorted(keys("gauges")),
+        expect(&[
+            "duration_s",
+            "qps",
+            "goodput_qps",
+            "shed_rate",
+            "wps",
+            "mean_n_io",
+            "replica_imbalance",
+            "device_latency_sum_s",
+            "device_busy_sum_s",
+        ])
+    );
+    assert_eq!(
+        sorted(keys("histograms")),
+        expect(&[
+            "read_latency",
+            "read_service_latency",
+            "read_queue_wait",
+            "write_latency",
+            "write_service_latency",
+            "write_queue_wait",
+        ])
+    );
     assert_eq!(
         v.get("slow_queries").unwrap().as_array().unwrap().len(),
         4,

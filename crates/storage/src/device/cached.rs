@@ -73,38 +73,31 @@ pub enum CachePolicy {
     TinyLfu(TinyLfuConfig),
 }
 
-/// Tuning knobs of [`CachePolicy::TinyLfu`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// The one knob of [`CachePolicy::TinyLfu`]; the segment shape is fixed
+/// (Caffeine's defaults, the constants below).
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct TinyLfuConfig {
-    /// Fraction of each region's capacity given to the admission window
-    /// (clamped to at least one block). Caffeine's default is 1%.
-    pub window_fraction: f64,
-    /// Fraction of the main (non-window) area reserved for the
-    /// protected segment; blocks re-referenced while on probation are
-    /// promoted into it. Caffeine's default is 80%.
-    pub protected_fraction: f64,
     /// First bucket-region block key (block units, i.e.
     /// `heap_base / BLOCK_SIZE`): keys below it are table-region, keys
-    /// at or above it bucket-region. 0 disables partitioning (single
-    /// region) — the serving layer fills this in from the shard's
-    /// geometry.
+    /// at or above it bucket-region. 0 (the default) disables
+    /// partitioning (single region) — the serving layer fills this in
+    /// from the shard's geometry.
     pub region_boundary: u64,
+}
+
+impl TinyLfuConfig {
+    /// Fraction of each region's capacity given to the admission window
+    /// (clamped to at least one block).
+    pub const WINDOW_FRACTION: f64 = 0.01;
+    /// Fraction of the main (non-window) area reserved for the
+    /// protected segment; blocks re-referenced while on probation are
+    /// promoted into it.
+    pub const PROTECTED_FRACTION: f64 = 0.8;
     /// Fraction of total capacity budgeted to the table region when
     /// `region_boundary > 0` (clamped so both regions keep at least one
     /// block, and to the actual number of table blocks striped onto
     /// each lock shard).
-    pub table_fraction: f64,
-}
-
-impl Default for TinyLfuConfig {
-    fn default() -> Self {
-        Self {
-            window_fraction: 0.01,
-            protected_fraction: 0.8,
-            region_boundary: 0,
-            table_fraction: 0.2,
-        }
-    }
+    const TABLE_FRACTION: f64 = 0.2;
 }
 
 /// A 4-bit count-min frequency sketch with a doorkeeper bloom filter and
@@ -277,10 +270,11 @@ impl Region {
         }
     }
 
-    fn tiny_lfu(cap: usize, window_fraction: f64, protected_fraction: f64) -> Self {
-        let window = (((cap as f64) * window_fraction).round() as usize).clamp(1, cap);
+    fn tiny_lfu(cap: usize) -> Self {
+        let window =
+            (((cap as f64) * TinyLfuConfig::WINDOW_FRACTION).round() as usize).clamp(1, cap);
         let main = cap - window;
-        let protected = ((main as f64) * protected_fraction).floor() as usize;
+        let protected = ((main as f64) * TinyLfuConfig::PROTECTED_FRACTION).floor() as usize;
         Self {
             lists: [Dll::new(); 3],
             total_cap: cap,
@@ -354,18 +348,14 @@ impl CacheShard {
                 regions[BUCKET] = Region::lru(capacity);
             }
             CachePolicy::TinyLfu(cfg) => {
-                let wf = cfg.window_fraction.clamp(0.0, 1.0);
-                let pf = cfg.protected_fraction.clamp(0.0, 1.0);
-                let tf = cfg.table_fraction.clamp(0.0, 1.0);
-                let partitioned = cfg.region_boundary > 0 && tf > 0.0 && capacity >= 2;
-                if partitioned {
-                    let want = ((capacity as f64) * tf).round() as usize;
+                if cfg.region_boundary > 0 && capacity >= 2 {
+                    let want = ((capacity as f64) * TinyLfuConfig::TABLE_FRACTION).round() as usize;
                     let table_cap = want.clamp(1, capacity - 1).min(table_blocks_hint.max(1));
-                    regions[TABLE] = Region::tiny_lfu(table_cap, wf, pf);
-                    regions[BUCKET] = Region::tiny_lfu(capacity - table_cap, wf, pf);
+                    regions[TABLE] = Region::tiny_lfu(table_cap);
+                    regions[BUCKET] = Region::tiny_lfu(capacity - table_cap);
                     boundary = cfg.region_boundary;
                 } else {
-                    regions[BUCKET] = Region::tiny_lfu(capacity, wf, pf);
+                    regions[BUCKET] = Region::tiny_lfu(capacity);
                 }
                 sketch = Some(CmSketch::new(capacity));
             }
@@ -723,28 +713,24 @@ pub struct BlockCache {
     counter_boundary: u64,
     /// Per-lock-shard table-block estimate, kept for shard rebuilds.
     table_hint: usize,
+    live: CacheCounters,
+}
+
+/// The cache-wide live counters; [`BlockCache::counters`] snapshots each
+/// into the [`DeviceStats`] field that documents it.
+#[derive(Default)]
+struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Single-key invalidations performed (diagnostic counter).
     invalidations: AtomicU64,
-    /// In-flight fills discarded because their key was invalidated (or
-    /// the cache flushed) between submit and completion.
     stale_fills: AtomicU64,
-    /// Blocks copied in from a sibling cache by [`BlockCache::warm_from`].
     warmed: AtomicU64,
-    /// Window candidates the TinyLFU filter refused to admit into the
-    /// main area (always 0 under LRU).
     admission_rejected: AtomicU64,
-    /// Lookups of table-region blocks (keys below the region boundary).
     table_hits: AtomicU64,
     table_misses: AtomicU64,
-    /// Lookups of bucket-region blocks (everything else).
     bucket_hits: AtomicU64,
     bucket_misses: AtomicU64,
-    /// Miss reads that parked on another read's in-flight fill instead
-    /// of touching the device ([`CachedDevice`] single-flight
-    /// coalescing).
     coalesced: AtomicU64,
 }
 
@@ -787,18 +773,7 @@ impl BlockCache {
             policy,
             counter_boundary,
             table_hint,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            stale_fills: AtomicU64::new(0),
-            warmed: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
-            table_hits: AtomicU64::new(0),
-            table_misses: AtomicU64::new(0),
-            bucket_hits: AtomicU64::new(0),
-            bucket_misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            live: CacheCounters::default(),
         }
     }
 
@@ -813,24 +788,12 @@ impl BlockCache {
     /// Fold one lookup into the global and per-region counters.
     fn note_lookup(&self, key: u64, hit: bool) {
         let table = self.counter_boundary > 0 && key < self.counter_boundary;
-        let (global, regional) = if hit {
-            (
-                &self.hits,
-                if table {
-                    &self.table_hits
-                } else {
-                    &self.bucket_hits
-                },
-            )
-        } else {
-            (
-                &self.misses,
-                if table {
-                    &self.table_misses
-                } else {
-                    &self.bucket_misses
-                },
-            )
+        let c = &self.live;
+        let (global, regional) = match (hit, table) {
+            (true, true) => (&c.hits, &c.table_hits),
+            (true, false) => (&c.hits, &c.bucket_hits),
+            (false, true) => (&c.misses, &c.table_misses),
+            (false, false) => (&c.misses, &c.bucket_misses),
         };
         global.fetch_add(1, Ordering::Relaxed);
         regional.fetch_add(1, Ordering::Relaxed);
@@ -838,10 +801,13 @@ impl BlockCache {
 
     fn note_outcome(&self, out: InsertOutcome) {
         if out.evicted > 0 {
-            self.evictions.fetch_add(out.evicted, Ordering::Relaxed);
+            self.live
+                .evictions
+                .fetch_add(out.evicted, Ordering::Relaxed);
         }
         if out.rejected > 0 {
-            self.admission_rejected
+            self.live
+                .admission_rejected
                 .fetch_add(out.rejected, Ordering::Relaxed);
         }
     }
@@ -926,7 +892,7 @@ impl BlockCache {
     ) -> bool {
         let mut shard = self.shard_for(key).lock().unwrap();
         if !shard.is_fresh(key, epoch) {
-            self.stale_fills.fetch_add(1, Ordering::Relaxed);
+            self.live.stale_fills.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         let out = shard.insert(key, data, privileged);
@@ -956,7 +922,7 @@ impl BlockCache {
             shard.epochs = HashMap::new();
         }
         shard.remove_key(key);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.live.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop every cached block and discard every in-flight fill (coarse
@@ -978,17 +944,6 @@ impl BlockCache {
     /// Alias of [`BlockCache::invalidate_all`].
     pub fn clear(&self) {
         self.invalidate_all();
-    }
-
-    /// Single-key invalidations performed.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-
-    /// In-flight miss fills discarded because their key was invalidated
-    /// (or the cache flushed) between submit and completion.
-    pub fn stale_fills(&self) -> u64 {
-        self.stale_fills.load(Ordering::Relaxed)
     }
 
     /// Blocks currently cached.
@@ -1063,8 +1018,8 @@ impl BlockCache {
     /// the warm pass discards the affected block instead of resurrecting
     /// pre-write bytes, and **bypasses the admission filter** — a cold
     /// TinyLFU sketch would otherwise reject every donated block.
-    /// Returns the number of blocks copied (also accumulated in
-    /// [`BlockCache::warmed`]).
+    /// Returns the number of blocks copied (also accumulated in the
+    /// `cache_warmed` counter).
     ///
     /// The donor's entries are valid by construction (writers invalidate
     /// rewritten blocks in every replica cache), but the copy is not
@@ -1085,74 +1040,31 @@ impl BlockCache {
                 copied += 1;
             }
         }
-        self.warmed.fetch_add(copied as u64, Ordering::Relaxed);
+        self.live.warmed.fetch_add(copied as u64, Ordering::Relaxed);
         copied
     }
 
-    /// Blocks copied in from sibling caches by [`BlockCache::warm_from`].
-    pub fn warmed(&self) -> u64 {
-        self.warmed.load(Ordering::Relaxed)
-    }
-
-    /// Lookups served from DRAM.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that went to the device.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Blocks displaced to make room (TinyLFU: admitted candidates'
-    /// victims; rejected candidates count in
-    /// [`BlockCache::admission_rejected`] instead).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Window candidates the TinyLFU admission filter refused (0 under
-    /// LRU).
-    pub fn admission_rejected(&self) -> u64 {
-        self.admission_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Hits on table-region blocks (keys below the region boundary; 0
-    /// when unpartitioned — everything counts as bucket-region then).
-    pub fn table_hits(&self) -> u64 {
-        self.table_hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses on table-region blocks.
-    pub fn table_misses(&self) -> u64 {
-        self.table_misses.load(Ordering::Relaxed)
-    }
-
-    /// Hits on bucket-region blocks.
-    pub fn bucket_hits(&self) -> u64 {
-        self.bucket_hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses on bucket-region blocks.
-    pub fn bucket_misses(&self) -> u64 {
-        self.bucket_misses.load(Ordering::Relaxed)
-    }
-
-    /// Miss reads that shared another read's in-flight fill instead of
-    /// touching the device (accumulated by every [`CachedDevice`] with
-    /// coalescing enabled on this cache).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Hits over all lookups (0 when no lookups yet).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
+    /// Snapshot of the cache-wide counters in [`DeviceStats`] shape:
+    /// every `cache_*` field and `coalesced_reads` (summed over the
+    /// [`CachedDevice`]s coalescing on this cache), the rest zero. Two
+    /// snapshots subtract with [`DeviceStats::minus`].
+    pub fn counters(&self) -> DeviceStats {
+        let c = &self.live;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        DeviceStats {
+            cache_hits: load(&c.hits),
+            cache_misses: load(&c.misses),
+            cache_evictions: load(&c.evictions),
+            cache_invalidations: load(&c.invalidations),
+            cache_stale_fills: load(&c.stale_fills),
+            cache_warmed: load(&c.warmed),
+            cache_admission_rejected: load(&c.admission_rejected),
+            cache_table_hits: load(&c.table_hits),
+            cache_table_misses: load(&c.table_misses),
+            cache_bucket_hits: load(&c.bucket_hits),
+            cache_bucket_misses: load(&c.bucket_misses),
+            coalesced_reads: load(&c.coalesced),
+            ..DeviceStats::default()
         }
     }
 }
@@ -1319,7 +1231,7 @@ impl<D: Device> Device for CachedDevice<D> {
                                 self.waiters.entry(leader).or_default().push(req.tag);
                                 self.parked += 1;
                                 self.local_coalesced += 1;
-                                self.cache.coalesced.fetch_add(1, Ordering::Relaxed);
+                                self.cache.live.coalesced.fetch_add(1, Ordering::Relaxed);
                                 return;
                             }
                         }
@@ -1406,7 +1318,7 @@ impl<D: Device> Device for CachedDevice<D> {
         // lookups so that summing worker stats never multiplies
         // shared-cache totals. Evictions are a property of the (possibly
         // shared) cache, not of any one device — read them from
-        // [`BlockCache::evictions`].
+        // [`BlockCache::counters`].
         let mut s = self.inner.stats();
         s.cache_hits = self.local_hits;
         s.cache_misses = self.local_misses;
@@ -1490,8 +1402,8 @@ mod tests {
                 cache.len()
             );
         }
-        assert!(cache.evictions() > 0);
-        assert_eq!(cache.len() as u64 + cache.evictions(), 100);
+        assert!(cache.counters().cache_evictions > 0);
+        assert_eq!(cache.len() as u64 + cache.counters().cache_evictions, 100);
     }
 
     #[test]
@@ -1505,7 +1417,7 @@ mod tests {
         assert!(cache.get(1).is_some());
         assert!(cache.get(2).is_none());
         assert!(cache.get(3).is_some());
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.counters().cache_evictions, 1);
     }
 
     #[test]
@@ -1532,7 +1444,7 @@ mod tests {
         assert!(cache.is_empty());
         assert!(cache.get(2).is_none());
         // Invalidation and clearing count neither hits nor evictions.
-        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.counters().cache_evictions, 0);
     }
 
     #[test]
@@ -1610,8 +1522,8 @@ mod tests {
             1,
             "fill for B must survive the invalidation of A"
         );
-        assert_eq!(cache.stale_fills(), 0);
-        assert_eq!(cache.invalidations(), 1);
+        assert_eq!(cache.counters().cache_stale_fills, 0);
+        assert_eq!(cache.counters().cache_invalidations, 1);
         // The next read of B is a DRAM hit.
         let (_, _) = read_block(&mut dev, 1024, t);
         assert_eq!(dev.stats().cache_hits, 1);
@@ -1636,7 +1548,7 @@ mod tests {
             cache.insert_if_fresh(2, Arc::from([2u8].as_slice()), eb),
             "fill for an unrelated key must be accepted"
         );
-        assert_eq!(cache.stale_fills(), 1);
+        assert_eq!(cache.counters().cache_stale_fills, 1);
         // A fresh epoch taken after the invalidation fills fine.
         let ea2 = cache.fill_epoch(1);
         assert!(cache.insert_if_fresh(1, Arc::from([1u8].as_slice()), ea2));
@@ -1646,7 +1558,7 @@ mod tests {
         cache.invalidate_all();
         assert!(!cache.insert_if_fresh(3, Arc::from([3u8].as_slice()), e3));
         assert!(cache.is_empty());
-        assert_eq!(cache.stale_fills(), 2);
+        assert_eq!(cache.counters().cache_stale_fills, 2);
     }
 
     /// Epoch-map overflow: invalidating more distinct keys than the
@@ -1665,7 +1577,7 @@ mod tests {
             !cache.insert_if_fresh(victim_key, Arc::from([1u8].as_slice()), epoch),
             "fill spanning an epoch-map overflow must be discarded"
         );
-        assert_eq!(cache.stale_fills(), 1);
+        assert_eq!(cache.counters().cache_stale_fills, 1);
         // A fresh fill after the overflow is accepted and served.
         let epoch = cache.fill_epoch(victim_key);
         assert!(cache.insert_if_fresh(victim_key, Arc::from([2u8].as_slice()), epoch));
@@ -1686,7 +1598,7 @@ mod tests {
         let fresh = donor.new_like();
         let copied = fresh.warm_from(&donor, 4);
         assert_eq!(copied, 4);
-        assert_eq!(fresh.warmed(), 4);
+        assert_eq!(fresh.counters().cache_warmed, 4);
         assert_eq!(fresh.len(), 4);
         // Warmed blocks serve as hits with the donor's exact bytes.
         assert_eq!(fresh.get(2).unwrap().as_ref(), &[2u8][..]);
@@ -1727,13 +1639,14 @@ mod tests {
                 cache.insert(key, Arc::from(key.to_le_bytes().as_slice()));
             }
         }
-        assert_eq!(cache.hits(), expect_hits);
-        assert_eq!(cache.misses(), expect_misses);
-        assert_eq!(cache.hits() + cache.misses(), 50);
-        assert!(cache.hit_rate() > 0.0 && cache.hit_rate() < 1.0);
+        let c = cache.counters();
+        assert_eq!(c.cache_hits, expect_hits);
+        assert_eq!(c.cache_misses, expect_misses);
+        assert_eq!(c.cache_hits + c.cache_misses, 50);
+        assert!(c.cache_hit_rate() > 0.0 && c.cache_hit_rate() < 1.0);
         // Unpartitioned: every lookup counts as bucket-region.
-        assert_eq!(cache.bucket_hits() + cache.bucket_misses(), 50);
-        assert_eq!(cache.table_hits() + cache.table_misses(), 0);
+        assert_eq!(c.cache_bucket_hits + c.cache_bucket_misses, 50);
+        assert_eq!(c.cache_table_hits + c.cache_table_misses, 0);
     }
 
     #[test]
@@ -1745,8 +1658,8 @@ mod tests {
         let (bytes_a, _) = read_block(&mut a, 1024, 0.0); // miss, fills shared cache
         let (bytes_b, _) = read_block(&mut b, 1024, 0.0); // hit via the other device
         assert_eq!(bytes_a, bytes_b);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.counters().cache_hits, 1);
+        assert_eq!(cache.counters().cache_misses, 1);
     }
 
     // ── TinyLFU admission ────────────────────────────────────────────
@@ -1757,7 +1670,6 @@ mod tests {
             shards,
             CachePolicy::TinyLfu(TinyLfuConfig {
                 region_boundary: boundary,
-                ..TinyLfuConfig::default()
             }),
         )
     }
@@ -1791,7 +1703,10 @@ mod tests {
             (1..=4).all(|k| cache.peek(k).is_some()),
             "one-hit-wonder scan displaced the proven-hot working set"
         );
-        assert!(cache.admission_rejected() > 0, "no admission contest ran");
+        assert!(
+            cache.counters().cache_admission_rejected > 0,
+            "no admission contest ran"
+        );
         assert!(cache.len() <= cache.capacity());
         // The same scan against plain LRU flushes the hot set.
         let lru = BlockCache::new(8, 1);
@@ -1804,7 +1719,7 @@ mod tests {
             access(&lru, k);
         }
         assert!((1..=4).all(|k| lru.peek(k).is_none()));
-        assert_eq!(lru.admission_rejected(), 0);
+        assert_eq!(lru.counters().cache_admission_rejected, 0);
     }
 
     #[test]
@@ -1834,7 +1749,8 @@ mod tests {
         cache.insert(2, Arc::from([2u8].as_slice()));
         assert!(cache.peek(1).is_some());
         assert!(cache.peek(99).is_none());
-        assert_eq!(cache.hits() + cache.misses(), 0, "peek counts no lookup");
+        let c = cache.counters();
+        assert_eq!(c.cache_hits + c.cache_misses, 0, "peek counts no lookup");
         // peek(1) did not refresh 1's recency: it is still the LRU
         // victim (a get(1) would have saved it).
         cache.insert(3, Arc::from([3u8].as_slice()));
@@ -1844,19 +1760,15 @@ mod tests {
 
     #[test]
     fn region_partition_protects_table_blocks() {
-        // Keys 0..4 are table-region; budget = round(8 * 0.2) = 2.
+        // Keys 0..4 are table-region; budget = round(8 * TABLE_FRACTION) = 2.
         let cache = BlockCache::with_policy(
             8,
             1,
-            CachePolicy::TinyLfu(TinyLfuConfig {
-                region_boundary: 4,
-                table_fraction: 0.25,
-                ..TinyLfuConfig::default()
-            }),
+            CachePolicy::TinyLfu(TinyLfuConfig { region_boundary: 4 }),
         );
         access(&cache, 0);
         access(&cache, 1);
-        assert_eq!(cache.table_misses(), 2);
+        assert_eq!(cache.counters().cache_table_misses, 2);
         // Hammer the bucket region with far more traffic than its
         // budget: the table entries must be untouchable.
         for k in 100..200u64 {
@@ -1868,9 +1780,9 @@ mod tests {
         );
         assert!(cache.peek(1).is_some());
         assert!(cache.len() <= cache.capacity());
-        assert_eq!(cache.bucket_misses(), 100);
+        assert_eq!(cache.counters().cache_bucket_misses, 100);
         assert!(cache.get(0).is_some());
-        assert_eq!(cache.table_hits(), 1);
+        assert_eq!(cache.counters().cache_table_hits, 1);
     }
 
     #[test]
@@ -1888,7 +1800,7 @@ mod tests {
         let copied = fresh.warm_from(&donor, 12);
         assert_eq!(copied, 12);
         assert_eq!(fresh.len(), 12);
-        assert_eq!(fresh.warmed(), 12);
+        assert_eq!(fresh.counters().cache_warmed, 12);
         // Every donated block is resident and served as a hit.
         let warmed_keys: Vec<u64> = donor.hottest(12).iter().map(|&(k, _)| k).collect();
         for k in warmed_keys {
@@ -1984,7 +1896,7 @@ mod tests {
         assert_eq!(tags.len(), 3);
         assert_eq!(dev.stats().completed, 1, "one device read served all three");
         assert_eq!(dev.stats().coalesced_reads, 2);
-        assert_eq!(cache.coalesced(), 2);
+        assert_eq!(cache.counters().coalesced_reads, 2);
         assert_eq!(dev.inflight(), 0);
         // The block is cached: the next read is a DRAM hit.
         let (_, _) = read_block(&mut dev, 1024, t);
@@ -2028,7 +1940,7 @@ mod tests {
         );
         assert_eq!(dev.stats().coalesced_reads, 0);
         // The stale leader's fill was discarded; the fresh read filled.
-        assert_eq!(cache.stale_fills(), 1);
+        assert_eq!(cache.counters().cache_stale_fills, 1);
         assert_eq!(cache.len(), 1);
     }
 

@@ -41,83 +41,170 @@ pub struct IoCompletion {
     pub time: f64,
 }
 
-/// Cumulative device statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeviceStats {
-    /// I/Os completed.
-    pub completed: u64,
-    /// Bytes returned.
-    pub bytes: u64,
-    /// Sum of per-I/O latencies in seconds (completion − submission).
-    pub latency_sum: f64,
-    /// Sum of device busy time in seconds (for usage accounting; virtual
-    /// devices only).
-    pub busy_sum: f64,
-    /// Block reads served from a DRAM cache (0 without a
-    /// [`cached::CachedDevice`]). Per device, so sums over workers
-    /// sharing one cache stay correct.
-    pub cache_hits: u64,
-    /// Block reads that went to the underlying device.
-    pub cache_misses: u64,
-    /// Cached blocks displaced to make room. A cache-level (not
-    /// per-device) quantity: [`cached::CachedDevice::stats`] leaves it 0
-    /// and aggregators fill it from
-    /// [`cached::BlockCache::evictions`] (the service report does).
-    pub cache_evictions: u64,
-    /// Cached blocks dropped because their backing storage was
-    /// rewritten. Cache-level like evictions; aggregators fill it from
-    /// [`cached::BlockCache::invalidations`].
-    pub cache_invalidations: u64,
-    /// In-flight miss fills discarded because their block was
-    /// invalidated between submit and completion. Cache-level;
-    /// aggregators fill it from [`cached::BlockCache::stale_fills`].
-    pub cache_stale_fills: u64,
-    /// Blocks pre-filled from a sibling replica's cache
-    /// ([`cached::BlockCache::warm_from`] — replica-aware cache
-    /// warming). Cache-level like evictions; aggregators fill it from
-    /// [`cached::BlockCache::warmed`].
-    pub cache_warmed: u64,
-    /// Window candidates the TinyLFU admission filter refused to admit
-    /// into the cache's main area (0 under the default LRU policy).
-    /// Cache-level; aggregators fill it from
-    /// [`cached::BlockCache::admission_rejected`].
-    pub cache_admission_rejected: u64,
-    /// Cache hits on table-region blocks (hash-table slot reads, below
-    /// the region boundary; 0 when the cache is unpartitioned).
-    /// Cache-level; from [`cached::BlockCache::table_hits`].
-    pub cache_table_hits: u64,
-    /// Cache misses on table-region blocks. Cache-level; from
-    /// [`cached::BlockCache::table_misses`].
-    pub cache_table_misses: u64,
-    /// Cache hits on bucket-region blocks (chain reads; all lookups
-    /// when unpartitioned). Cache-level; from
-    /// [`cached::BlockCache::bucket_hits`].
-    pub cache_bucket_hits: u64,
-    /// Cache misses on bucket-region blocks. Cache-level; from
-    /// [`cached::BlockCache::bucket_misses`].
-    pub cache_bucket_misses: u64,
-    /// Miss reads that parked on another read's in-flight fill instead
-    /// of issuing a duplicate device read
-    /// ([`cached::CachedDevice`] single-flight coalescing). Per device
-    /// in [`cached::CachedDevice::stats`]; service aggregation fills it
-    /// from [`cached::BlockCache::coalesced`].
-    pub coalesced_reads: u64,
-    /// Bucket blocks returned to the free list by deletes or background
-    /// maintenance (empty-block unlink and chain compaction). A
-    /// writer-level quantity: devices leave it 0 and the service report
-    /// fills it from the per-shard maintenance counters.
-    pub blocks_reclaimed: u64,
-    /// Occupancy-filter bits cleared by tombstone GC (the bit's bucket
-    /// no longer holds live entries). Writer-level like
-    /// `blocks_reclaimed`.
-    pub filter_bits_cleared: u64,
-    /// Bytes made reusable by reclamation (`blocks_reclaimed ×`
-    /// block size, plus heap trimmed by cursor rollback). Writer-level.
-    pub bytes_reclaimed: u64,
-    /// Delete operations that removed fewer entries than the `r·L`
-    /// chains they should appear in — the index was already
-    /// inconsistent. Writer-level.
-    pub chain_inconsistencies: u64,
+/// Declare a **counter family**: a report struct whose counters are
+/// each named once. The one field list yields the struct, its only `+=`
+/// (`AddAssign<&Self>`), its only `−` (`minus`) and its export names
+/// (`export`), so a new counter is one declaration plus its booking
+/// site and cannot be left out of a subtraction or of the exporter.
+///
+/// Every field is `name: type = "export name"` in one of these sections:
+///
+/// * `counters` — monotonic integer totals: `+=` adds, `minus`
+///   subtracts; exported through `export`'s first callback;
+/// * `peaks` — high-water marks and structural sizes: `+=` keeps the
+///   max, `minus` the later snapshot's value; exported as counters;
+/// * `seconds` — `f64` sums of seconds: like `counters`, exported
+///   through the second callback (gauges);
+/// * `histograms(Type)` — latency histograms (`merge` / `minus`), handed
+///   to a third `export` callback only families with this section have;
+/// * `other` (follows `histograms`) — carried along: untouched by `+=`,
+///   cloned from the later snapshot by `minus`, not exported.
+///
+/// `minus` **saturates** at zero, so snapshots of a shared resource by
+/// different observers subtract safely; an owner that guarantees order
+/// asserts it on top (`ServiceReport::interval_since`).
+#[macro_export]
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])* pub struct $name:ident;
+        counters { $( $(#[$cm:meta])* $c:ident: $cty:ty = $cn:literal, )* }
+        peaks { $( $(#[$pm:meta])* $p:ident: $pty:ty = $pn:literal, )* }
+        seconds { $( $(#[$sm:meta])* $s:ident = $sn:literal, )* }
+        $(
+            histograms($hty:ty) { $( $(#[$hm:meta])* $h:ident = $hn:literal, )* }
+            other { $( $(#[$om:meta])* $o:ident: $oty:ty, )* }
+        )?
+    ) => {
+        $(#[$meta])* pub struct $name {
+            $( $(#[$cm])* pub $c: $cty, )*
+            $( $(#[$pm])* pub $p: $pty, )*
+            $( $(#[$sm])* pub $s: f64, )*
+            $( $( $(#[$hm])* pub $h: $hty, )* $( $(#[$om])* pub $o: $oty, )* )?
+        }
+
+        impl ::std::ops::AddAssign<&$name> for $name {
+            fn add_assign(&mut self, delta: &$name) {
+                $( self.$c += delta.$c; )*
+                $( self.$p = self.$p.max(delta.$p); )*
+                $( self.$s += delta.$s; )*
+                $( $( self.$h.merge(&delta.$h); )* )?
+            }
+        }
+
+        impl $name {
+            /// `self − prev`, saturating at zero: counters, second sums
+            /// and histograms subtract; peaks and `other` fields carry
+            /// this (the later) snapshot's value.
+            #[allow(clippy::clone_on_copy)] // `other` fields may or may not be `Copy`
+            pub fn minus(&self, prev: &Self) -> Self {
+                Self {
+                    $( $c: self.$c.saturating_sub(prev.$c), )*
+                    $( $p: self.$p, )*
+                    $( $s: (self.$s - prev.$s).max(0.0), )*
+                    $( $( $h: self.$h.minus(&prev.$h), )* $( $o: self.$o.clone(), )* )?
+                }
+            }
+
+            /// Visit every exported field under its stable export name:
+            /// counters and peaks through `counter`, second sums through
+            /// `seconds`, histograms (if declared) through `histogram`.
+            #[allow(clippy::unnecessary_cast, unused_mut, unused_variables)] // sections may be empty
+            pub fn export(
+                &self,
+                mut counter: impl FnMut(&'static str, u64),
+                mut seconds: impl FnMut(&'static str, f64)
+                $(, mut histogram: impl FnMut(&'static str, &$hty))?
+            ) {
+                $( counter($cn, self.$c as u64); )*
+                $( counter($pn, self.$p as u64); )*
+                $( seconds($sn, self.$s); )*
+                $( $( histogram($hn, &self.$h); )* )?
+            }
+        }
+    };
+}
+
+counter_family! {
+    /// Cumulative device statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct DeviceStats;
+    counters {
+        /// I/Os completed.
+        completed: u64 = "device_completed",
+        /// Bytes returned.
+        bytes: u64 = "device_bytes",
+        /// Block reads served from a DRAM cache (0 without a
+        /// [`cached::CachedDevice`]). Per device in
+        /// [`cached::CachedDevice::stats`], so sums over workers
+        /// sharing one cache stay correct; the cache-wide total is in
+        /// [`cached::BlockCache::counters`], which is also where every
+        /// `cache_*` field below comes from (devices leave them 0).
+        cache_hits: u64 = "cache_hits",
+        /// Block reads that went to the underlying device.
+        cache_misses: u64 = "cache_misses",
+        /// Cached blocks displaced to make room (TinyLFU: admitted
+        /// candidates' victims; rejected candidates count in
+        /// `cache_admission_rejected` instead).
+        cache_evictions: u64 = "cache_evictions",
+        /// Cached blocks dropped because their backing storage was
+        /// rewritten (single-key invalidations).
+        cache_invalidations: u64 = "cache_invalidations",
+        /// In-flight miss fills discarded because their block was
+        /// invalidated (or the cache flushed) between submit and
+        /// completion.
+        cache_stale_fills: u64 = "cache_stale_fills",
+        /// Blocks pre-filled from a sibling replica's cache
+        /// ([`cached::BlockCache::warm_from`] — replica-aware cache
+        /// warming).
+        cache_warmed: u64 = "cache_warmed",
+        /// Window candidates the TinyLFU admission filter refused to
+        /// admit into the cache's main area (0 under the default LRU
+        /// policy).
+        cache_admission_rejected: u64 = "cache_admission_rejected",
+        /// Cache hits on table-region blocks (hash-table slot reads,
+        /// below the region boundary; 0 when the cache is
+        /// unpartitioned — everything counts as bucket-region then).
+        cache_table_hits: u64 = "cache_table_hits",
+        /// Cache misses on table-region blocks.
+        cache_table_misses: u64 = "cache_table_misses",
+        /// Cache hits on bucket-region blocks (chain reads; all
+        /// lookups when unpartitioned).
+        cache_bucket_hits: u64 = "cache_bucket_hits",
+        /// Cache misses on bucket-region blocks.
+        cache_bucket_misses: u64 = "cache_bucket_misses",
+        /// Miss reads that parked on another read's in-flight fill
+        /// instead of issuing a duplicate device read
+        /// ([`cached::CachedDevice`] single-flight coalescing). Per
+        /// device in [`cached::CachedDevice::stats`], cache-wide in
+        /// [`cached::BlockCache::counters`].
+        coalesced_reads: u64 = "coalesced_reads",
+        /// Bucket blocks returned to the free list by deletes or
+        /// background maintenance (empty-block unlink and chain
+        /// compaction). A writer-level quantity: devices leave it 0
+        /// and the service's writer threads book it.
+        blocks_reclaimed: u64 = "blocks_reclaimed",
+        /// Occupancy-filter bits cleared by tombstone GC (the bit's
+        /// bucket no longer holds live entries). Writer-level like
+        /// `blocks_reclaimed`.
+        filter_bits_cleared: u64 = "filter_bits_cleared",
+        /// Bytes made reusable by reclamation (`blocks_reclaimed ×`
+        /// block size, plus heap trimmed by cursor rollback).
+        /// Writer-level.
+        bytes_reclaimed: u64 = "bytes_reclaimed",
+        /// Delete operations that removed fewer entries than the `r·L`
+        /// chains they should appear in — the index was already
+        /// inconsistent. Writer-level.
+        chain_inconsistencies: u64 = "chain_inconsistencies",
+    }
+    peaks {}
+    seconds {
+        /// Sum of per-I/O latencies in seconds (completion −
+        /// submission).
+        latency_sum = "device_latency_sum_s",
+        /// Sum of device busy time in seconds (for usage accounting;
+        /// virtual devices only).
+        busy_sum = "device_busy_sum_s",
+    }
 }
 
 impl DeviceStats {

@@ -1134,7 +1134,7 @@ mod tests {
             );
             addr += BLOCK_SIZE as u64;
         }
-        let (h0, m0) = (cache.hits(), cache.misses());
+        let before = cache.counters();
         b.set_scan_cache(Some(std::sync::Arc::clone(&cache)));
         let rep_b = b.maintain(10_000).unwrap();
         drop(b);
@@ -1154,8 +1154,8 @@ mod tests {
             "cache-served scan must leave a byte-identical index"
         );
         assert_eq!(
-            (cache.hits(), cache.misses()),
-            (h0, m0),
+            (cache.counters().cache_hits, cache.counters().cache_misses),
+            (before.cache_hits, before.cache_misses),
             "scan reads must not count as cache lookups"
         );
         std::fs::remove_file(&path_a).ok();

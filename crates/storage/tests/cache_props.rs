@@ -90,10 +90,10 @@ struct ModelTinyLfu {
 
 impl ModelTinyLfu {
     fn new(cap: usize) -> Self {
-        let cfg = TinyLfuConfig::default();
-        let window = (((cap as f64) * cfg.window_fraction).round() as usize).clamp(1, cap);
+        let window =
+            (((cap as f64) * TinyLfuConfig::WINDOW_FRACTION).round() as usize).clamp(1, cap);
         let main = cap - window;
-        let protected = ((main as f64) * cfg.protected_fraction).floor() as usize;
+        let protected = ((main as f64) * TinyLfuConfig::PROTECTED_FRACTION).floor() as usize;
         Self {
             window: VecDeque::new(),
             probation: VecDeque::new(),
@@ -206,9 +206,10 @@ proptest! {
             prop_assert!(cache.len() <= cache.capacity());
             prop_assert_eq!(cache.len(), model.order.len());
         }
-        prop_assert_eq!(cache.hits(), model.hits);
-        prop_assert_eq!(cache.misses(), model.misses);
-        prop_assert_eq!(cache.evictions(), model.evictions);
+        let c = cache.counters();
+        prop_assert_eq!(c.cache_hits, model.hits);
+        prop_assert_eq!(c.cache_misses, model.misses);
+        prop_assert_eq!(c.cache_evictions, model.evictions);
     }
 
     /// Capacity and counter invariants hold for any shard count.
@@ -233,9 +234,10 @@ proptest! {
                 cache.capacity()
             );
         }
-        prop_assert_eq!(cache.hits() + cache.misses(), lookups);
+        let c = cache.counters();
+        prop_assert_eq!(c.cache_hits + c.cache_misses, lookups);
         // Every cached or evicted block came from a miss-triggered insert.
-        prop_assert_eq!(cache.misses(), cache.len() as u64 + cache.evictions());
+        prop_assert_eq!(c.cache_misses, cache.len() as u64 + c.cache_evictions);
         // A hit must return the bytes that were inserted for that key.
         for &k in &keys {
             if let Some(data) = cache.get(k) {
@@ -469,10 +471,11 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(cache.hits(), model.hits);
-        prop_assert_eq!(cache.misses(), model.misses);
-        prop_assert_eq!(cache.evictions(), model.evictions);
-        prop_assert_eq!(cache.admission_rejected(), model.rejected);
+        let c = cache.counters();
+        prop_assert_eq!(c.cache_hits, model.hits);
+        prop_assert_eq!(c.cache_misses, model.misses);
+        prop_assert_eq!(c.cache_evictions, model.evictions);
+        prop_assert_eq!(c.cache_admission_rejected, model.rejected);
     }
 
     /// Single-flight invariant: any multiset of reads submitted while
@@ -515,7 +518,7 @@ proptest! {
         let s = dev.stats();
         prop_assert_eq!(s.completed, distinct.len() as u64, "one device read per block");
         prop_assert_eq!(s.coalesced_reads, (blocks.len() - distinct.len()) as u64);
-        prop_assert_eq!(cache.coalesced(), s.coalesced_reads);
+        prop_assert_eq!(cache.counters().coalesced_reads, s.coalesced_reads);
         prop_assert_eq!(s.cache_misses, blocks.len() as u64);
         prop_assert_eq!(s.cache_hits, 0);
     }

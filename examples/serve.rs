@@ -221,12 +221,16 @@ fn main() {
     for &i in &picks {
         batch.push(base_queries.point(i));
     }
-    let brep = service.start().query_batch(&batch);
+    // The results are the tickets' results (one per input query); the
+    // engine-side cost is the session's own report.
+    let session = service.start();
+    let results = session.query_batch(&batch);
+    let brep = session.shutdown();
     println!(
         "query_batch: {} queries → {} unique ({:.0}% dedup), {} engine probes, p99 {:.2} ms",
-        batch.len(),
-        brep.unique,
-        brep.dedup_rate() * 100.0,
+        results.len(),
+        brep.completed_queries,
+        (1.0 - brep.completed_queries as f64 / results.len() as f64) * 100.0,
         brep.total_io,
         brep.latency().p99 * 1e3
     );
