@@ -96,18 +96,48 @@ pub fn index_cache_dir() -> std::path::PathBuf {
 /// Build (or reuse from cache) the on-storage index for a workload at a
 /// given γ. Returns the file path.
 pub fn ensure_disk_index(w: &Workload, gamma: f32) -> std::path::PathBuf {
-    use e2lsh_storage::build::{build_index, BuildConfig};
-    let path = index_cache_dir().join(format!(
-        "{}-n{}-g{}.idx",
-        w.id.name(),
-        w.data.len(),
+    ensure_disk_index_in(&index_cache_dir(), w.id.name(), &w.data, gamma)
+}
+
+/// [`ensure_disk_index`] in `dir`. A cached image is only as good as the
+/// binary that built it: the file name carries the on-storage format
+/// version and the hash-kernel revision (hash values are rounded
+/// projections — another summation order is another index), and a file
+/// found under that name is reused only if it opens as an index with the
+/// parameters this binary would build; anything else is rebuilt in place.
+fn ensure_disk_index_in(
+    dir: &std::path::Path,
+    name: &str,
+    data: &Dataset,
+    gamma: f32,
+) -> std::path::PathBuf {
+    use e2lsh_core::distance::KERNEL_REVISION;
+    use e2lsh_storage::build::{build_index, BuildConfig, FORMAT_VERSION};
+    let path = dir.join(format!(
+        "{name}-n{}-g{}-f{FORMAT_VERSION}k{KERNEL_REVISION}.idx",
+        data.len(),
         (gamma * 100.0).round() as u32
     ));
-    if !path.exists() {
-        let params = e2lsh_params_gamma(&w.data, gamma);
-        build_index(&w.data, &params, &BuildConfig::default(), &path).expect("index build failed");
+    let params = e2lsh_params_gamma(data, gamma);
+    if !image_matches(&path, &params) {
+        build_index(data, &params, &BuildConfig::default(), &path).expect("index build failed");
     }
     path
+}
+
+/// True when `path` opens as an index built for `want`.
+fn image_matches(path: &std::path::Path, want: &E2lshParams) -> bool {
+    use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
+    let Ok(backing) = Backing::open(path) else {
+        return false;
+    };
+    let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, backing);
+    e2lsh_storage::StorageIndex::open(&mut dev).is_ok_and(|index| {
+        let got = index.params();
+        (got.n, got.m, got.l, got.s) == (want.n, want.m, want.l, want.s)
+            && (got.c, got.w, got.gamma) == (want.c, want.w, want.gamma)
+            && got.radii == want.radii
+    })
 }
 
 #[cfg(test)]
@@ -123,5 +153,42 @@ mod tests {
         assert!(w.params.l >= 8 && w.params.l <= 16, "L = {}", w.params.l);
         assert!(w.params.m >= 5, "m = {}", w.params.m);
         assert!(w.params.num_radii() >= 8, "r = {}", w.params.num_radii());
+    }
+
+    #[test]
+    fn stale_cached_image_is_rebuilt_and_a_matching_one_reused() {
+        let dir = e2lsh_storage::testutil::temp_path("prep-cache");
+        std::fs::create_dir_all(&dir).unwrap();
+        let NamedDataset { data, .. } = suite::load_sized(DatasetId::Sift, 600, 1);
+        let params = e2lsh_params_gamma(&data, 1.0);
+
+        let path = ensure_disk_index_in(&dir, "sift", &data, 1.0);
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(
+            name.contains("-f1k") && name.ends_with(".idx"),
+            "{name} must carry the format version and the kernel revision"
+        );
+        assert!(image_matches(&path, &params));
+
+        // Same name, other parameters (what an older binary would have
+        // left behind): rebuilt for this binary's parameters.
+        let other = e2lsh_params_gamma(&data, 0.7);
+        e2lsh_storage::build_index(&data, &other, &Default::default(), &path).unwrap();
+        assert!(!image_matches(&path, &params), "planted image differs");
+        assert_eq!(ensure_disk_index_in(&dir, "sift", &data, 1.0), path);
+        assert!(image_matches(&path, &params), "mismatching image rebuilt");
+
+        // Not an index at all: rebuilt, not queried.
+        std::fs::write(&path, b"not an index").unwrap();
+        ensure_disk_index_in(&dir, "sift", &data, 1.0);
+        assert!(image_matches(&path, &params), "garbage rebuilt");
+
+        // A matching image is left alone (a rebuild would rewrite it).
+        let stamp = |p: &std::path::Path| std::fs::metadata(p).unwrap().modified().unwrap();
+        let before = stamp(&path);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        ensure_disk_index_in(&dir, "sift", &data, 1.0);
+        assert_eq!(stamp(&path), before, "matching image reused");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

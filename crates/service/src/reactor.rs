@@ -20,12 +20,23 @@
 //!   tasks run the driver against a submit-only buffer device; the
 //!   reactor replays the buffered I/O onto the real device when the
 //!   task returns, keeping the device handle single-owner.
-//! * **Slot lifecycle**: free → admitted (checked out to an `Admit`
-//!   task) → in flight (home, I/O outstanding) → checked out to a
-//!   `Complete` task → … → finished (harvested, partial emitted, slot
-//!   freed). Completions that arrive while a slot is checked out are
-//!   parked in a per-slot pending list and re-dispatched the moment the
-//!   slot returns, so one slow hash never blocks the poll loop.
+//! * **Run-to-miss**: a compute step ends when the query needs the
+//!   *device*, not when it needs a block (the paper's §5.4
+//!   interleaving — a core stops for storage reads only). A replica
+//!   with a cache lends its compute threads the cache's shareable
+//!   front ([`Device::cache_front`]): a hit completes inside the step
+//!   and is fed straight back into the driver; only misses (with the
+//!   fill epoch of their lookup) travel back for the reactor to replay
+//!   through [`Device::submit_miss`], which does not look up again. A
+//!   replica without a cache has no front and every read takes the
+//!   buffered path — the choice is what the reactor observes, not a
+//!   knob.
+//! * **Slot lifecycle**: free → admitted (checked out to an admitting
+//!   task) → in flight (home, device reads outstanding) → checked out
+//!   to a completing task → … → finished (harvested, partial emitted,
+//!   slot freed). Completions that arrive while a slot is checked out
+//!   are parked in a per-slot pending list and re-dispatched the moment
+//!   the slot returns, so one slow step never blocks the poll loop.
 //! * **Idle discipline**: every no-progress iteration blocks on the
 //!   event source that can actually wake it — the compute-result
 //!   channel, the modeled next-completion time (wall-driven sim), the
@@ -60,8 +71,10 @@ use crate::router::LaneState;
 use crate::shard::Shard;
 use crate::topology::Replica;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use e2lsh_storage::device::cached::{CacheFront, FillEpoch, Lookup};
 use e2lsh_storage::device::{Device, DeviceStats, IoCompletion, IoRequest};
 use e2lsh_storage::query::{completion_ctx, EngineClock, EngineConfig, QueryDriver, QueryState};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -237,25 +250,19 @@ pub fn run_replica(
     }
 }
 
-/// A unit of CPU work shipped to the compute pool. The slot travels
-/// with the task (checked out of the reactor's table), so exactly one
-/// thread touches a query's state at a time.
-enum Task {
-    /// Hash the point, plan the probes and buffer the first I/O wave.
-    Admit {
-        slot: Box<QueryState>,
-        ci: usize,
-        point: Arc<[f32]>,
-        now: f64,
-    },
-    /// Scan the completed blocks, evaluate distances, buffer follow-up
-    /// I/O (and re-hash on radius escalation).
-    Complete {
-        slot: Box<QueryState>,
-        ci: usize,
-        comps: Vec<IoCompletion>,
-        now: f64,
-    },
+/// A unit of CPU work shipped to the compute pool: one step of one
+/// query. The slot travels with the task (checked out of the reactor's
+/// table), so exactly one thread touches a query's state at a time.
+struct Task {
+    slot: Box<QueryState>,
+    ci: usize,
+    now: f64,
+    /// A free slot's new query: hash the point and plan the probes
+    /// first. `None` for a slot already running.
+    admit: Option<Arc<[f32]>>,
+    /// Device completions to scan (distance checks, follow-up reads,
+    /// re-hash on radius escalation); empty at admission.
+    comps: Vec<IoCompletion>,
 }
 
 /// A compute task's result. `slot: None` means the task panicked — the
@@ -264,24 +271,38 @@ enum Task {
 struct Done {
     ci: usize,
     slot: Option<Box<QueryState>>,
-    /// I/Os the driver issued during the task, to be replayed onto the
-    /// real device by the reactor.
-    subs: Vec<IoRequest>,
+    /// The reads the step could not answer itself, for the reactor to
+    /// replay onto the real device: cache misses with the epoch their
+    /// lookup returned (the device does not look up again), everything
+    /// else — an uncached replica's reads, uncacheable reads — bare.
+    subs: Vec<(IoRequest, Option<FillEpoch>)>,
 }
 
 /// The submit-only device the compute pool drives the [`QueryDriver`]
-/// against: it records the driver's submissions for the reactor to
-/// replay, so the real device handle stays owned by one thread. The
-/// driver never polls or waits inside `admit`/`handle_completion` —
-/// only the executor loop does — so the other methods are inert.
-#[derive(Default)]
-struct SubmitBuffer {
-    subs: Vec<IoRequest>,
+/// against. With the replica's cache front it answers hits on the spot —
+/// the completion waits on `hits` for [`run_compute`] to feed back — and
+/// records only what needs the device, for the reactor to replay; the
+/// real device handle stays owned by one thread. The driver never polls
+/// or waits inside `admit`/`handle_completion` — only the executor loop
+/// does — so the other methods are inert.
+struct SubmitBuffer<'a> {
+    front: Option<&'a CacheFront>,
+    hits: VecDeque<IoCompletion>,
+    subs: Vec<(IoRequest, Option<FillEpoch>)>,
 }
 
-impl Device for SubmitBuffer {
-    fn submit(&mut self, req: IoRequest, _now: f64) {
-        self.subs.push(req);
+impl Device for SubmitBuffer<'_> {
+    fn submit(&mut self, req: IoRequest, now: f64) {
+        match self.front.map(|front| front.lookup(&req)) {
+            // DRAM hit: complete at the submission timestamp.
+            Some(Lookup::Hit(data)) => self.hits.push_back(IoCompletion {
+                tag: req.tag,
+                data,
+                time: now,
+            }),
+            Some(Lookup::Miss(epoch)) => self.subs.push((req, Some(epoch))),
+            Some(Lookup::Uncacheable) | None => self.subs.push((req, None)),
+        }
     }
     fn poll(&mut self, _now: f64, _out: &mut Vec<IoCompletion>) {}
     fn next_completion_time(&self) -> Option<f64> {
@@ -301,57 +322,67 @@ impl Device for SubmitBuffer {
 
 /// One compute-pool thread: runs its own [`QueryDriver`] (scratch is
 /// per-thread; per-query state arrives with the task) over whatever
-/// slots the reactor checks out to it. A panic inside a task is caught
-/// and reported as `slot: None` so the reactor can fence the replica
-/// instead of hanging on a result that will never come.
-fn run_compute(shard: &Shard, engine: &EngineConfig, tasks: Receiver<Task>, done: Sender<Done>) {
+/// slots the reactor checks out to it, each **to its next miss**: cache
+/// hits the driver's submissions score on `front` are fed straight back
+/// into it, in submission order, until the query finishes or only reads
+/// that need the device remain. A panic inside a task is caught and
+/// reported as `slot: None` so the reactor can fence the replica instead
+/// of hanging on a result that will never come.
+fn run_compute(
+    shard: &Shard,
+    engine: &EngineConfig,
+    front: Option<&CacheFront>,
+    tasks: Receiver<Task>,
+    done: Sender<Done>,
+) {
     let mut driver = QueryDriver::new(&shard.index, engine);
     let mut clock = EngineClock::default();
+    let mut buf = SubmitBuffer {
+        front,
+        hits: VecDeque::new(),
+        subs: Vec::new(),
+    };
     while let Ok(task) = tasks.recv() {
-        let ci = match &task {
-            Task::Admit { ci, .. } | Task::Complete { ci, .. } => *ci,
-        };
-        let mut buf = SubmitBuffer::default();
-        let slot = catch_unwind(AssertUnwindSafe(|| match task {
-            Task::Admit {
-                mut slot,
-                ci,
-                point,
-                now,
-            } => {
-                clock.observe(now);
+        let Task {
+            mut slot,
+            ci,
+            now,
+            admit,
+            comps,
+        } = task;
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            clock.observe(now);
+            if let Some(point) = &admit {
                 // The engine-level query id is the slot index; the
                 // reactor keeps the real u64 ticket id in its own
                 // table, so it never narrows through a usize.
-                driver.admit(&mut slot, ci, &point, &mut clock, &mut buf);
-                slot
+                driver.admit(&mut slot, ci, point, &mut clock, &mut buf);
             }
-            Task::Complete {
-                mut slot,
-                comps,
-                now,
-                ..
-            } => {
-                // One read guard over the shard rows for the whole
-                // batch; the write path only appends (and appends
-                // coordinates before index entries reference them), so
-                // anything decoded from these completions is covered.
-                let data = shard.data.read().unwrap();
-                for comp in comps {
-                    clock.observe(comp.time);
-                    clock.observe(now);
-                    driver.handle_completion(&mut slot, &comp, &data, &mut clock, &mut buf);
-                }
-                slot
+            // One read guard over the shard rows for the whole step;
+            // the write path only appends (and appends coordinates
+            // before index entries reference them), so anything decoded
+            // from these completions is covered.
+            let data = shard.data.read().unwrap();
+            // Device completions first, then the hits they and the
+            // admission scored, oldest first. A hit is outstanding I/O
+            // to the driver, so the query cannot finish with one queued.
+            let mut comps = comps.into_iter();
+            while let Some(comp) = comps.next().or_else(|| buf.hits.pop_front()) {
+                clock.observe(comp.time);
+                driver.handle_completion(&mut slot, &comp, &data, &mut clock, &mut buf);
             }
         }))
-        .ok();
+        .is_ok();
+        if !stepped {
+            // Hits of the abandoned query must not reach the next slot.
+            buf.hits.clear();
+        }
         // The reactor outlives the pool, so the send only fails during
         // its unwind — when the result is moot anyway.
         let _ = done.send(Done {
             ci,
-            slot,
-            subs: buf.subs,
+            slot: stepped.then_some(slot),
+            subs: std::mem::take(&mut buf.subs),
         });
     }
 }
@@ -366,12 +397,16 @@ fn serve(
     out: &Sender<ReactorMsg>,
 ) {
     let (done_tx, done_rx) = unbounded::<Done>();
+    // A cached replica's compute steps run to their next miss; an
+    // uncached one has no front and every read goes to the device.
+    let front = device.cache_front();
+    let front = front.as_ref();
     std::thread::scope(|s| {
         let (task_tx, task_rx) = unbounded::<Task>();
         for _ in 0..ctx.compute_threads.max(1) {
             let trx = task_rx.clone();
             let dtx = done_tx.clone();
-            s.spawn(move || run_compute(ctx.shard, ctx.engine, trx, dtx));
+            s.spawn(move || run_compute(ctx.shard, ctx.engine, front, trx, dtx));
         }
         drop(task_rx);
         reactor_loop(ctx, device, jobs, out, &task_tx, &done_rx);
@@ -423,11 +458,12 @@ fn reactor_loop(
             starts[ci] = t;
             at_compute += 1;
             tasks
-                .send(Task::Admit {
+                .send(Task {
                     slot,
                     ci,
-                    point: job.point,
                     now: t,
+                    admit: Some(job.point),
+                    comps: Vec::new(),
                 })
                 .expect("compute pool outlives the reactor");
         }};
@@ -448,18 +484,22 @@ fn reactor_loop(
             };
             let ci = d.ci;
             let t = wall_now!();
-            for req in d.subs {
-                device.submit(req, t);
+            for (req, epoch) in d.subs {
+                match epoch {
+                    Some(epoch) => device.submit_miss(req, epoch, t),
+                    None => device.submit(req, t),
+                }
             }
             if slot.is_active() && !pending[ci].is_empty() {
                 let comps = std::mem::take(&mut pending[ci]);
                 at_compute += 1;
                 tasks
-                    .send(Task::Complete {
+                    .send(Task {
                         slot,
                         ci,
-                        comps,
                         now: t,
+                        admit: None,
+                        comps,
                     })
                     .expect("compute pool outlives the reactor");
             } else {
@@ -585,11 +625,12 @@ fn reactor_loop(
                     let comps = std::mem::take(&mut pending[ci]);
                     at_compute += 1;
                     tasks
-                        .send(Task::Complete {
+                        .send(Task {
                             slot,
                             ci,
-                            comps,
                             now: t,
+                            admit: None,
+                            comps,
                         })
                         .expect("compute pool outlives the reactor");
                 }

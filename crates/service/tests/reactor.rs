@@ -5,6 +5,9 @@
 //! * Deep in-flight windows (slots ≫ compute threads) return exactly
 //!   the single-threaded batch engine's results — same oracle as
 //!   `service_equivalence`, driven through `inflight_per_replica`.
+//! * A cached replica's compute steps run to their next miss: with one
+//!   and with four compute threads the answers are still the reference,
+//!   and every engine I/O costs exactly one cache lookup.
 //! * A thousand interleaved slots over a four-thread compute pool is a
 //!   supported steady state, not an overload: every ticket resolves.
 //! * Fencing a replica mid-run with a deep in-flight window re-serves
@@ -155,6 +158,51 @@ fn deep_inflight_matches_reference() {
     }
     drop(session.shutdown());
     svc.shards().cleanup();
+}
+
+/// Run-to-miss: a cached replica answers hits on the compute thread and
+/// sends the device only the misses. The answers are the reference with
+/// one compute thread and with four, and the cache is asked exactly once
+/// per engine I/O — a device that looked a replayed miss up again would
+/// book it twice.
+#[test]
+fn cached_run_to_miss_matches_reference_with_one_lookup_per_io() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x2157);
+    let data = clustered(1100, &mut rng);
+    let base = clustered(30, &mut rng);
+    // Repeats, so most reads hit and whole steps run on the compute
+    // thread.
+    let queries = skewed_queries(&base, 240, 1.1, 5);
+    let k = 5;
+
+    for compute in [1, 4] {
+        let svc = build(
+            &data,
+            shard_dir(&format!("run-to-miss{compute}")),
+            2,
+            1,
+            compute,
+            64,
+            k,
+        );
+        let expect = reference_results(svc.shards(), &queries, k);
+        let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 128 });
+        for (qi, want) in expect.iter().enumerate() {
+            assert_eq!(
+                &driven.queries[qi].neighbors, want,
+                "query {qi}, {compute} compute thread(s)"
+            );
+        }
+        let d = &report.device;
+        assert_eq!(
+            d.cache_hits + d.cache_misses,
+            report.total_io,
+            "{compute} compute thread(s): one lookup per engine I/O"
+        );
+        assert_eq!(d.completed, d.cache_misses, "the device read the misses");
+        assert!(d.cache_hits > d.cache_misses, "repeats mostly hit: {d:?}");
+        svc.shards().cleanup();
+    }
 }
 
 /// 1024 interleaved slots over a 4-thread compute pool: the in-flight

@@ -25,6 +25,10 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"E2LSHOS1";
 
+/// The on-storage format version — the digit at the end of the magic,
+/// which [`Superblock::decode`] checks. Caches of built images key on it.
+pub const FORMAT_VERSION: u32 = (MAGIC[7] - b'0') as u32;
+
 /// Maximum number of free bucket-block addresses the superblock can
 /// persist (see [`Superblock::free`]). Sized so a worst-case superblock
 /// (64 radii + full free list) still fits the 4 KiB reserved region:

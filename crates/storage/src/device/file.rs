@@ -7,7 +7,7 @@
 //! devices, so the query engine runs unchanged against real storage —
 //! this is what the integration tests and the quickstart example use.
 
-use super::{Device, DeviceStats, IoCompletion, IoRequest};
+use super::{shared_bytes, Device, DeviceStats, IoCompletion, IoRequest};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::fs::File;
 use std::path::Path;
@@ -53,7 +53,7 @@ impl FileDevice {
                     match job {
                         Job::Stop => break,
                         Job::Read { addr, len, tag } => {
-                            let data = read_at(&file, addr, len);
+                            let data = shared_bytes(len as usize, |buf| read_at(&file, addr, buf));
                             let time = t0.elapsed().as_secs_f64();
                             // Receiver may be gone during shutdown.
                             let _ = done_tx.send(IoCompletion { tag, data, time });
@@ -75,8 +75,8 @@ impl FileDevice {
     }
 }
 
-fn read_at(file: &File, addr: u64, len: u32) -> Vec<u8> {
-    let mut buf = vec![0u8; len as usize];
+/// Fill the zeroed `buf` from `addr`; bytes past the end stay zero.
+fn read_at(file: &File, addr: u64, buf: &mut [u8]) {
     #[cfg(unix)]
     {
         use std::os::unix::fs::FileExt;
@@ -92,10 +92,9 @@ fn read_at(file: &File, addr: u64, len: u32) -> Vec<u8> {
     }
     #[cfg(not(unix))]
     {
-        let _ = file;
+        let _ = (file, addr, buf);
         unimplemented!("FileDevice requires unix");
     }
-    buf
 }
 
 impl Device for FileDevice {
@@ -142,7 +141,9 @@ impl Device for FileDevice {
     }
 
     fn read_sync(&mut self, addr: u64, len: u32) -> Vec<u8> {
-        read_at(&self.file, addr, len)
+        let mut buf = vec![0u8; len as usize];
+        read_at(&self.file, addr, &mut buf);
+        buf
     }
 
     fn stats(&self) -> DeviceStats {

@@ -18,6 +18,9 @@ pub mod cached;
 pub mod file;
 pub mod sim;
 
+use cached::{CacheFront, FillEpoch};
+use std::sync::Arc;
+
 /// An asynchronous read request.
 #[derive(Clone, Copy, Debug)]
 pub struct IoRequest {
@@ -34,11 +37,21 @@ pub struct IoRequest {
 pub struct IoCompletion {
     /// Tag from the originating [`IoRequest`].
     pub tag: u64,
-    /// The bytes read.
-    pub data: Vec<u8>,
+    /// The bytes read — shared, so a cache hit hands out the cached
+    /// block itself and a miss fill is one allocation held by both the
+    /// completion and the cache.
+    pub data: Arc<[u8]>,
     /// Completion time: virtual seconds for simulated devices, seconds
     /// since engine start for wall-clock devices.
     pub time: f64,
+}
+
+/// `len` bytes allocated once as shared bytes (zeroed) and filled in
+/// place — how devices build [`IoCompletion::data`] without an extra copy.
+pub(crate) fn shared_bytes(len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
+    let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+    fill(Arc::get_mut(&mut bytes).expect("a fresh allocation is unshared"));
+    bytes
 }
 
 /// Declare a **counter family**: a report struct whose counters are
@@ -257,6 +270,21 @@ pub trait Device: Send {
 
     /// Cumulative statistics.
     fn stats(&self) -> DeviceStats;
+
+    /// The shareable lookup half of this device's DRAM cache
+    /// ([`cached::CachedDevice`]); `None` for an uncached device. An
+    /// executor that runs the engine off the device's thread asks the
+    /// front first and brings only the misses here.
+    fn cache_front(&self) -> Option<CacheFront> {
+        None
+    }
+
+    /// Queue a read whose [`CacheFront::lookup`] already missed at
+    /// `epoch`: the cache is **not** consulted again. An uncached device
+    /// has no fill to gate, so this is [`Device::submit`].
+    fn submit_miss(&mut self, req: IoRequest, _epoch: FillEpoch, now: f64) {
+        self.submit(req, now);
+    }
 }
 
 /// Storage access interface profile: the per-I/O CPU cost `T_request`

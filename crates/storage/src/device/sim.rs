@@ -15,11 +15,12 @@
 //! simulated device returns *real* index bytes while its timing comes from
 //! the model.
 
-use super::{Device, DeviceStats, IoCompletion, IoRequest};
+use super::{shared_bytes, Device, DeviceStats, IoCompletion, IoRequest};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Random-read performance profile of a storage device (paper Table 2,
 /// measured at 512-byte reads).
@@ -88,10 +89,29 @@ impl Backing {
     /// (reads of the last, partially-written block).
     pub fn read(&self, addr: u64, len: u32) -> Vec<u8> {
         let mut buf = vec![0u8; len as usize];
+        self.read_into(addr, &mut buf);
+        buf
+    }
+
+    /// [`Backing::read`] into shared bytes (a completion's payload). A
+    /// read inside a RAM image — every read of the simulated hot path —
+    /// is copied straight into its allocation, with no zero-fill first.
+    fn read_shared(&self, addr: u64, len: u32) -> Arc<[u8]> {
+        if let Backing::Mem(image) = self {
+            let start = addr as usize;
+            if let Some(bytes) = image.get(start..start.saturating_add(len as usize)) {
+                return Arc::from(bytes);
+            }
+        }
+        shared_bytes(len as usize, |buf| self.read_into(addr, buf))
+    }
+
+    /// Fill the zeroed `buf` from `addr`.
+    fn read_into(&self, addr: u64, buf: &mut [u8]) {
         match self {
             Backing::Mem(image) => {
                 let start = (addr as usize).min(image.len());
-                let end = (addr as usize + len as usize).min(image.len());
+                let end = (addr as usize + buf.len()).min(image.len());
                 if start < end {
                     buf[..end - start].copy_from_slice(&image[start..end]);
                 }
@@ -119,7 +139,6 @@ impl Backing {
                 }
             }
         }
-        buf
     }
 }
 
@@ -159,10 +178,12 @@ impl DieModel {
 
     /// Accept one I/O at `now`; returns `(start, completion)` times.
     fn accept(&mut self, now: f64) -> (f64, f64) {
-        let Reverse(Time(free)) = self.free_at.pop().expect("dies exist");
-        let start = now.max(free);
+        // Re-time the earliest-free die in place: one sift, not a pop's
+        // and a push's.
+        let mut die = self.free_at.peek_mut().expect("dies exist");
+        let start = now.max(die.0 .0);
         let done = start + self.service;
-        self.free_at.push(Reverse(Time(done)));
+        *die = Reverse(Time(done));
         (start, done)
     }
 }
@@ -172,7 +193,7 @@ struct Pending {
     done: Time,
     seq: u64,
     tag: u64,
-    data: Vec<u8>,
+    data: Arc<[u8]>,
 }
 impl PartialEq for Pending {
     fn eq(&self, other: &Self) -> bool {
@@ -240,7 +261,7 @@ impl Device for SimStorage {
     fn submit(&mut self, req: IoRequest, now: f64) {
         let dev = self.route(req.addr);
         let (start, done) = self.devices[dev].accept(now);
-        let data = self.backing.read(req.addr, req.len);
+        let data = self.backing.read_shared(req.addr, req.len);
         self.stats.completed += 1;
         self.stats.bytes += u64::from(req.len);
         self.stats.latency_sum += done - now;

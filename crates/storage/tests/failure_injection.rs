@@ -166,7 +166,11 @@ fn failed_insert_keeps_shard_queryable_and_cache_clean() {
             let t = dev.next_completion_time().unwrap();
             dev.poll(t.max(1e9), &mut out);
             assert_eq!(out.len(), 1);
-            assert_eq!(out[0].data, fresh, "fail_at {fail_at}: stale bytes served");
+            assert_eq!(
+                out[0].data[..],
+                fresh[..],
+                "fail_at {fail_at}: stale bytes served"
+            );
         }
         // A failed insert burns its id — uniformly, whichever write
         // failed: entries for it may half-exist in some tables, so
