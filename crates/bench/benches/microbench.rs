@@ -1,52 +1,25 @@
-//! Criterion microbenchmarks for the hot kernels and substrates, plus
-//! ablation benches for the design choices called out in DESIGN.md §5
-//! (fingerprint filtering, context interleaving, block size).
+//! Criterion microbenchmarks for what the ledger's micro-suite does
+//! not time: the bucket-block encoder and the baseline substrates'
+//! walks (R-tree for SRS, B+-tree for QALSH). The hot kernels — `dot` /
+//! `dist2`, compound hash, block decode, simulated submit/poll,
+//! in-memory top-1 — are `perf_ledger` rows (`core.dist2_ns`,
+//! `core.hash_ns`, `storage.block_decode_ns`, `storage.sim_io_ns`,
+//! `ladder.core_mem_us`).
 
 use ann_baselines::bptree::BPlusTree;
 use ann_baselines::rtree::RTree;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use e2lsh_core::dataset::Dataset;
-use e2lsh_core::distance::{dist2, dot};
-use e2lsh_core::index::MemIndex;
-use e2lsh_core::lsh::CompoundHash;
-use e2lsh_core::params::E2lshParams;
-use e2lsh_core::search::{knn_search, SearchOptions};
-use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
-use e2lsh_storage::device::{Device, IoRequest};
 use e2lsh_storage::layout::{BucketBlock, EntryCodec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
-fn rng() -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(42)
-}
-
-fn bench_kernels(c: &mut Criterion) {
-    let mut r = rng();
-    let a: Vec<f32> = (0..128).map(|_| r.gen()).collect();
-    let b: Vec<f32> = (0..128).map(|_| r.gen()).collect();
-    c.bench_function("dot_128d", |bench| {
-        bench.iter(|| dot(black_box(&a), black_box(&b)))
-    });
-    c.bench_function("dist2_128d", |bench| {
-        bench.iter(|| dist2(black_box(&a), black_box(&b)))
-    });
-    let ch = CompoundHash::generate(128, 12, 2.0, &mut r);
-    let mut scratch = Vec::new();
-    c.bench_function("compound_hash_m12_d128", |bench| {
-        bench.iter(|| ch.hash64(black_box(&a), 4.0, &mut scratch))
-    });
-}
-
-fn bench_block_codec(c: &mut Criterion) {
+fn bench_block_encode(c: &mut Criterion) {
     let codec = EntryCodec::new(1_000_000, 14);
     let block = BucketBlock {
         next: 12345,
         entries: (0..99u32).map(|i| (i * 31, i & codec.fp_mask())).collect(),
     };
-    let mut buf = Vec::new();
-    block.encode(&codec, &mut buf);
     c.bench_function("bucket_block_encode", |bench| {
         bench.iter_batched(
             Vec::new,
@@ -54,67 +27,10 @@ fn bench_block_codec(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    c.bench_function("bucket_block_decode", |bench| {
-        bench.iter(|| BucketBlock::decode(&codec, black_box(&buf)))
-    });
-}
-
-fn bench_device_sim(c: &mut Criterion) {
-    c.bench_function("simdevice_submit_poll", |bench| {
-        let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(vec![0u8; 1 << 20]));
-        let mut now = 0.0f64;
-        let mut out = Vec::new();
-        let mut i = 0u64;
-        bench.iter(|| {
-            i += 1;
-            dev.submit(
-                IoRequest {
-                    addr: (i * 512 * 13) % (1 << 20),
-                    len: 512,
-                    tag: i,
-                },
-                now,
-            );
-            if dev.inflight() > 64 {
-                now = dev.next_completion_time().unwrap();
-                out.clear();
-                dev.poll(now, &mut out);
-            }
-        })
-    });
-}
-
-fn small_workload() -> (Dataset, Vec<f32>, MemIndex) {
-    let mut r = rng();
-    let centers: Vec<Vec<f32>> = (0..8)
-        .map(|_| (0..32).map(|_| r.gen::<f32>() * 50.0).collect())
-        .collect();
-    let mut ds = Dataset::with_capacity(32, 4000);
-    let mut p = vec![0.0f32; 32];
-    for _ in 0..4000 {
-        let c = &centers[r.gen_range(0..8usize)];
-        for (v, &cv) in p.iter_mut().zip(c) {
-            *v = cv + r.gen::<f32>() - 0.5;
-        }
-        ds.push(&p);
-    }
-    let params =
-        E2lshParams::derive_practical(ds.len(), 2.0, 2.0, 0.8, 0.3, ds.max_abs_coord(), 32);
-    let index = MemIndex::build(&ds, &params, 7);
-    let q = ds.point(0).to_vec();
-    (ds, q, index)
-}
-
-fn bench_query(c: &mut Criterion) {
-    let (ds, q, index) = small_workload();
-    let opts = SearchOptions::default();
-    c.bench_function("mem_query_top1_n4000", |bench| {
-        bench.iter(|| knn_search(&index, &ds, black_box(&q), 1, &opts))
-    });
 }
 
 fn bench_substrates(c: &mut Criterion) {
-    let mut r = rng();
+    let mut r = ChaCha8Rng::seed_from_u64(42);
     let pts: Vec<f32> = (0..8 * 20_000).map(|_| r.gen::<f32>() * 100.0).collect();
     let tree = RTree::bulk_load(8, pts);
     let q = vec![50.0f32; 8];
@@ -142,6 +58,6 @@ fn bench_substrates(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_kernels, bench_block_codec, bench_device_sim, bench_query, bench_substrates
+    targets = bench_block_encode, bench_substrates
 );
 criterion_main!(benches);

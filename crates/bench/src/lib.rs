@@ -11,11 +11,12 @@
 //!   approximation ratio `c`), and the sweep walks the knob to produce
 //!   (overall ratio, query time) curves and to hit a target ratio;
 //! * [`report`] — uniform stdout tables plus JSON-lines records under
-//!   `results/` for archival;
-//! * [`replay`] — run a pre-generated workload through a fresh service
-//!   session (the `serve_*` bins' harness).
+//!   `results/` for archival.
+//!
+//! The repo's serving benchmark is the `perf_ledger` bin
+//! (`BENCHMARK.json`, `src/bin/perf_ledger/README.md`); it carries its
+//! own harness and uses only [`prep::e2lsh_params`] from this library.
 
 pub mod prep;
-pub mod replay;
 pub mod report;
 pub mod sweep;

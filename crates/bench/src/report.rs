@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 /// Where JSON-lines results are written (relative to the workspace root
 /// or the current directory).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let p = PathBuf::from("results");
     create_dir_all(&p).ok();
     p
@@ -21,78 +21,6 @@ pub fn record<T: Serialize>(experiment: &str, value: &T) {
         if let Ok(line) = serde_json::to_string(value) {
             let _ = writeln!(f, "{line}");
         }
-    }
-}
-
-/// Machine-readable bench artifact: one `results/BENCH_<name>.json`
-/// per bench bin, in the stable schema the CI schema check (and any
-/// downstream dashboard) consumes. Top-level keys:
-///
-/// * `schema_version` — [`e2lsh_service::SCHEMA_VERSION`], bumped with
-///   the export schema;
-/// * `bench` — the bin name;
-/// * `rows` — every table row the bin printed, as
-///   `{"section": <table>, "data": {...}}` objects in emission order;
-/// * `service` — a full [`e2lsh_service::report_json`] snapshot of a
-///   representative run (counters, gauges, histogram summaries, slow
-///   queries), or `null` when the bin never attached one.
-///
-/// Rows are serialized eagerly (`push`) so a panicking assertion later
-/// in the bin cannot corrupt already-collected data; `write` assembles
-/// the document and replaces the file atomically-enough for CI (single
-/// writer).
-pub struct BenchArtifact {
-    name: String,
-    rows: Vec<String>,
-    service: Option<String>,
-}
-
-impl BenchArtifact {
-    pub fn new(name: &str) -> Self {
-        BenchArtifact {
-            name: name.to_string(),
-            rows: Vec::new(),
-            service: None,
-        }
-    }
-
-    /// Add one table row under a section label.
-    pub fn push<T: Serialize>(&mut self, section: &str, row: &T) {
-        let (section, data) = match (
-            serde_json::to_string(&section.to_string()),
-            serde_json::to_string(row),
-        ) {
-            (Ok(s), Ok(d)) => (s, d),
-            _ => return,
-        };
-        self.rows
-            .push(format!("{{\"section\":{section},\"data\":{data}}}"));
-    }
-
-    /// Attach the representative service-report snapshot (pre-rendered
-    /// by [`e2lsh_service::report_json`]). Last call wins.
-    pub fn attach_service(&mut self, report_json: String) {
-        self.service = Some(report_json);
-    }
-
-    /// Write `results/BENCH_<name>.json` and return its path.
-    pub fn write(&self) -> PathBuf {
-        let path = results_dir().join(format!("BENCH_{}.json", self.name));
-        let name_json = serde_json::to_string(&self.name).unwrap_or_else(|_| "\"?\"".to_string());
-        let mut doc = format!(
-            "{{\"schema_version\":{},\"bench\":{name_json},\"rows\":[",
-            e2lsh_service::SCHEMA_VERSION
-        );
-        doc.push_str(&self.rows.join(","));
-        doc.push_str("],\"service\":");
-        doc.push_str(self.service.as_deref().unwrap_or("null"));
-        doc.push('}');
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("\nartifact: {}", path.display());
-        }
-        path
     }
 }
 
@@ -148,37 +76,6 @@ pub fn fmt_bytes(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn artifact_schema_round_trips() {
-        #[derive(Serialize)]
-        struct R {
-            qps: f64,
-        }
-        let mut a = BenchArtifact::new("unit_test_artifact");
-        a.push("closed", &R { qps: 1234.5 });
-        a.push("open", &R { qps: 99.0 });
-        let path = a.write();
-        let doc = std::fs::read_to_string(&path).expect("artifact written");
-        let v = serde_json::from_str(&doc).expect("artifact parses");
-        for key in ["schema_version", "bench", "rows", "service"] {
-            assert!(v.get(key).is_some(), "missing key {key}");
-        }
-        assert_eq!(
-            v.get("schema_version").unwrap().as_f64(),
-            Some(e2lsh_service::SCHEMA_VERSION as f64)
-        );
-        assert_eq!(v.get("bench").unwrap().as_str(), Some("unit_test_artifact"));
-        let rows = v.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("section").unwrap().as_str(), Some("closed"));
-        assert_eq!(
-            rows[0].get("data").unwrap().get("qps").unwrap().as_f64(),
-            Some(1234.5)
-        );
-        assert!(v.get("service").unwrap().is_null());
-        std::fs::remove_file(path).ok();
-    }
 
     #[test]
     fn formatting() {

@@ -19,10 +19,7 @@
 //! are not listed here: each is the export name its field carries in
 //! its family's declaration (`ServiceReport`, `DeviceStats`,
 //! `NetCounters`), so a newly declared counter is exported without
-//! touching this module. The bench bins write one such document
-//! per run as `results/BENCH_<name>.json`; `bench`'s `schema_check`
-//! binary parses them back (vendored `serde_json::from_str`) and
-//! asserts the required keys.
+//! touching this module.
 
 use crate::metrics::LatencySummary;
 use crate::service::ServiceReport;

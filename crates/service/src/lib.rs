@@ -66,8 +66,7 @@
 //!   not unbounded queues;
 //! * [`loadgen`] — closed-loop (fixed in-flight window) and open-loop
 //!   (Poisson or batch-shaped [`Load::Burst`] arrivals) admission,
-//!   Zipf-skewed query streams and duplicate-heavy batches
-//!   ([`loadgen::zipf_batches`]), seeded mixed read–write op streams
+//!   Zipf-skewed query streams, seeded mixed read–write op streams
 //!   ([`loadgen::mixed_ops`]), and [`loadgen::drive`] — the one pump
 //!   that replays such a stream through a live session and hands back
 //!   the resolved tickets ([`loadgen::Driven`]);
@@ -83,9 +82,9 @@
 //!   ([`ServiceConfig::trace_sample`](service::ServiceConfig)) and a
 //!   slow-query log with full breakdowns;
 //! * [`export`] — the metrics registry + JSON exporter: a stable,
-//!   versioned schema ([`export::report_json`]) the bench bins use to
-//!   emit `BENCH_*.json` artifacts;
-//! * [`net`] — the network serving tier (new in PR 10):
+//!   versioned schema ([`export::report_json`]) — what the net tier's
+//!   `Metrics` frame carries;
+//! * [`net`] — the network serving tier:
 //!   length-prefixed binary frames over `std::net` TCP, a
 //!   [`net::NetServer`] mapping pipelined in-flight frames 1:1 onto
 //!   session tickets (per-connection reader + completion pump,
@@ -132,8 +131,8 @@ pub use admission::{
 pub use e2lsh_storage::device::cached::{CachePolicy, TinyLfuConfig};
 pub use export::{report_json, MetricsRegistry, SCHEMA_VERSION};
 pub use loadgen::{
-    drive, mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_batches,
-    zipf_indices, Driven, Load, MixedWorkload, Op,
+    drive, mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_indices, Driven,
+    Load, MixedWorkload, Op,
 };
 pub use metrics::{imbalance, percentile, LatencyHistogram, LatencySummary, OpStatus};
 pub use net::{NetClient, NetCounters, NetQueryReply, NetServer, NetServerConfig, NetWriteReply};

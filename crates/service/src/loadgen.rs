@@ -495,8 +495,8 @@ pub fn poisson_arrivals(n: usize, rate_qps: f64, seed: u64) -> Vec<f64> {
 
 /// `total` indices into `0..n` drawn with Zipf(`s`) popularity (rank 0
 /// = most popular). The index-level primitive behind
-/// [`skewed_queries`] and [`zipf_batches`]: skewed *keys* are what give
-/// both the DRAM cache and batch dedup something to catch.
+/// [`skewed_queries`]: skewed *keys* are what give both the DRAM cache
+/// and batch dedup something to catch.
 pub fn zipf_indices(n: usize, total: usize, s: f64, seed: u64) -> Vec<usize> {
     assert!(n > 0);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -528,24 +528,6 @@ pub fn skewed_queries(base: &Dataset, total: usize, s: f64, seed: u64) -> Datase
         out.push(base.point(rank));
     }
     out
-}
-
-/// Duplicate-heavy batch requests: `num_batches` batches of
-/// `batch_size` indices into `0..n`, each drawn Zipf(`s`) —
-/// within-batch repeats of hot keys are exactly what
-/// [`Session::query_batch`](crate::session::Session::query_batch)'s
-/// dedup collapses. Deterministic in `seed`.
-pub fn zipf_batches(
-    n: usize,
-    num_batches: usize,
-    batch_size: usize,
-    s: f64,
-    seed: u64,
-) -> Vec<Vec<usize>> {
-    let flat = zipf_indices(n, num_batches * batch_size, s, seed);
-    flat.chunks(batch_size.max(1))
-        .map(<[usize]>::to_vec)
-        .collect()
 }
 
 #[cfg(test)]
@@ -630,22 +612,6 @@ mod tests {
             seed: 9,
         };
         assert_eq!(one.arrival_schedule(100), poisson_arrivals(100, 500.0, 9));
-    }
-
-    #[test]
-    fn zipf_batches_are_duplicate_heavy_and_seeded() {
-        let batches = zipf_batches(32, 10, 64, 1.2, 5);
-        assert_eq!(batches.len(), 10);
-        assert!(batches.iter().all(|b| b.len() == 64));
-        assert!(batches.iter().flatten().all(|&i| i < 32));
-        // Zipf skew ⇒ each batch repeats hot keys (64 draws over 32
-        // keys must collide, and skew makes it much worse than uniform).
-        for b in &batches {
-            let distinct: std::collections::HashSet<usize> = b.iter().copied().collect();
-            assert!(distinct.len() < b.len(), "no duplicates to dedup");
-        }
-        assert_eq!(batches, zipf_batches(32, 10, 64, 1.2, 5), "seeded");
-        assert_ne!(batches, zipf_batches(32, 10, 64, 1.2, 6));
     }
 
     #[test]

@@ -272,17 +272,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Occupied buckets as `(upper_bound_seconds, count)` pairs, for
-    /// export. Sparse: empty buckets are skipped.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
-            .collect()
-    }
-
     /// Maximum relative error of [`Self::quantile`] vs the exact
     /// nearest-rank percentile: one sub-bucket width.
     pub const RELATIVE_ERROR: f64 = 1.0 / SUBS as f64;
@@ -404,8 +393,5 @@ mod tests {
         assert_eq!(s.p50, h.quantile(50.0));
         assert_eq!(s.p99, h.quantile(99.0));
         assert_eq!(s.max, h.max());
-        assert!(!h.nonzero_buckets().is_empty());
-        let total: u64 = h.nonzero_buckets().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 500);
     }
 }

@@ -127,14 +127,6 @@ pub struct ServiceConfig {
     /// [`Client::write`]: crate::session::Client::write
     /// [`Client::write_blocking`]: crate::session::Client::write_blocking
     pub admission: AdmissionControl,
-    /// Replica-aware cache warming budget in blocks: at session start
-    /// (and after [`Topology::unfence_and_warm`]), a replica whose
-    /// block cache is cold is pre-filled with up to this many of its
-    /// warmest sibling's most-recently-used blocks, so it does not pay
-    /// the full cold-start miss cost. 0 (the default) disables warming.
-    /// Warmed blocks count in
-    /// [`DeviceStats::cache_warmed`](e2lsh_storage::device::DeviceStats::cache_warmed).
-    pub cache_warm_blocks: usize,
     /// Per-client fairness cap: one [`Client`](crate::session::Client)
     /// (with its clones) may have at most this many queries
     /// outstanding; excess submissions are shed client-side with
@@ -204,7 +196,6 @@ impl Default for ServiceConfig {
             s_override: None,
             device: DeviceSpec::File { io_workers: 4 },
             admission: AdmissionControl::UNBOUNDED,
-            cache_warm_blocks: 0,
             per_client_inflight: usize::MAX,
             trace_sample: 0.0,
             trace_capacity: 1024,

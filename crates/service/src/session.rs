@@ -815,34 +815,13 @@ impl Session {
     /// Bring the service up: spawn every replica's reactor (which
     /// brings up its own compute pool), one writer thread per shard
     /// (updaters open lazily on the first write, so read-only sessions
-    /// never take the shards' write handles) and the collector. Warms cold replica caches from
-    /// their warmest sibling when
-    /// [`ServiceConfig::cache_warm_blocks`] is nonzero.
-    ///
-    /// [`ServiceConfig::cache_warm_blocks`]: crate::service::ServiceConfig::cache_warm_blocks
+    /// never take the shards' write handles) and the collector.
     pub(crate) fn start(topo: Arc<Topology>, config: ServiceConfig) -> Self {
         let num_shards = topo.num_shards();
         let replicas = config.replicas_per_shard;
         let wpr = config.workers_per_replica;
         let epoch = Instant::now();
-        // Before warming, so the blocks warmed below count in this
-        // session's `cache_warmed` delta.
         let cache_snap: Vec<DeviceStats> = cache_counters(&topo).collect();
-
-        // Replica-start cache warming: a cold replica copies the
-        // working set of its warmest sibling instead of paying the
-        // cold-start misses (writers are not running yet, so the copy
-        // cannot race an invalidation sweep).
-        if config.cache_warm_blocks > 0 {
-            for s in 0..num_shards {
-                for r in 0..replicas {
-                    let cold = topo.replica(s, r).cache().is_some_and(|c| c.is_empty());
-                    if cold {
-                        topo.warm_replica(s, r, config.cache_warm_blocks);
-                    }
-                }
-            }
-        }
 
         let engine = config.engine();
         let sim_time = config.device.is_sim();

@@ -31,7 +31,7 @@
 
 use crate::shard::{Shard, ShardSet};
 use e2lsh_storage::device::cached::BlockCache;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Health and per-replica resources of one replica.
@@ -43,8 +43,6 @@ pub struct Replica {
     /// and its reactor abandons its queue (see `crate::router` for the
     /// handshake).
     down: AtomicBool,
-    /// Times this replica has been fenced (diagnostics).
-    fences: AtomicU64,
 }
 
 impl Replica {
@@ -61,19 +59,9 @@ impl Replica {
     /// Fence this replica (idempotent; returns whether the call changed
     /// the state). All fences — operator calls through
     /// [`Topology::fence`] and a panicking reactor fencing its own
-    /// replica — go through here, so the diagnostics counter counts
-    /// every one.
+    /// replica — go through here.
     pub(crate) fn fence(&self) -> bool {
-        let changed = !self.down.swap(true, Ordering::SeqCst);
-        if changed {
-            self.fences.fetch_add(1, Ordering::Relaxed);
-        }
-        changed
-    }
-
-    /// Times this replica has been fenced.
-    pub fn fences(&self) -> u64 {
-        self.fences.load(Ordering::Relaxed)
+        !self.down.swap(true, Ordering::SeqCst)
     }
 }
 
@@ -105,7 +93,6 @@ impl Topology {
                             (None, _) => None,
                         },
                         down: AtomicBool::new(false),
-                        fences: AtomicU64::new(0),
                     })
                     .collect()
             })
@@ -230,15 +217,6 @@ impl Topology {
             .filter(|&r| !self.is_down(s, r))
             .collect()
     }
-
-    /// Fence events across all replicas (diagnostics).
-    pub fn total_fences(&self) -> u64 {
-        self.replicas
-            .iter()
-            .flatten()
-            .map(|r| r.fences.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -344,7 +322,6 @@ mod tests {
         assert!(topo.is_down(0, 1));
         assert_eq!(topo.live_replicas(0), vec![0]);
         assert_eq!(topo.live_replicas(1), vec![0, 1], "other shard untouched");
-        assert_eq!(topo.total_fences(), 1);
         topo.unfence(0, 1);
         assert_eq!(topo.live_replicas(0), vec![0, 1]);
         topo.shards().cleanup();

@@ -24,7 +24,7 @@
 //! All timestamps are seconds on the session epoch clock. The stage
 //! durations *telescope*: `route + queue_wait + service + merge` is
 //! exactly `end_to_end` (each stage is the difference of adjacent
-//! timestamps), which `serve_replicas` asserts per logged request.
+//! timestamps).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

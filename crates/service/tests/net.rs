@@ -26,7 +26,13 @@
 //! 5. **tenant budgets** — one tenant's pipelined burst past its
 //!    `per_tenant_inflight` cap sheds with `Overloaded` + finite
 //!    `retry_after` *across connections of that tenant*, while a
-//!    different tenant on the same server is served.
+//!    different tenant on the same server is served;
+//! 6. **stalled reader** — a peer that stops reading with dozens of
+//!    replies owed stalls neither the collector nor another
+//!    connection, and gets every reply once it reads again;
+//! 7. **connection swarm** — simultaneous connections with reconnect
+//!    churn show in `connections_peak`, every query resolves and the
+//!    registry ends empty (`E2LSH_STRESS=1`: 210 connections, not 24).
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
@@ -267,16 +273,21 @@ fn open_raw(addr: std::net::SocketAddr) -> TcpStream {
     s
 }
 
+/// Read one response frame; returns (corr, response).
+fn read_response(stream: &mut TcpStream) -> (u64, Response) {
+    match read_frame(stream).expect("read response frame") {
+        ReadFrame::Body(b) => {
+            let (hdr, rsp) = decode_response(&b).expect("decode response frame");
+            (hdr.corr, rsp)
+        }
+        other => panic!("expected a response frame, got {other:?}"),
+    }
+}
+
 /// Read one frame and expect a typed error; returns (code, corr).
 fn expect_error(stream: &mut TcpStream) -> (ErrorCode, u64) {
-    match read_frame(stream).expect("read error frame") {
-        ReadFrame::Body(b) => {
-            let (hdr, rsp) = decode_response(&b).expect("decode error frame");
-            match rsp {
-                Response::Error { code, .. } => (code, hdr.corr),
-                other => panic!("expected an error frame, got {other:?}"),
-            }
-        }
+    match read_response(stream) {
+        (corr, Response::Error { code, .. }) => (code, corr),
         other => panic!("expected an error frame, got {other:?}"),
     }
 }
@@ -679,6 +690,142 @@ fn tenant_budget_is_shared_across_connections() {
 
     drop((a, b, other));
     drop(server.shutdown());
+    drop(session.shutdown());
+    svc.shards().cleanup();
+}
+
+/// Stalled reader: a peer that stops reading stalls nobody and loses
+/// nothing. The stall is program order — the peer's first read comes
+/// after the other connection has finished — not a timer.
+#[test]
+fn stalled_reader_stalls_nobody_and_gets_every_reply() {
+    let seed = seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x57A11);
+    let data = clustered(600, &mut rng);
+    let queries = clustered(8, &mut rng);
+    let svc = build_service(&data, "stall", seed ^ 0x57A11, |_| {});
+    let session = svc.start();
+    let server = NetServer::spawn(&session, NetServerConfig::default()).expect("spawn");
+    let query = |corr: usize, wire: &mut Vec<u8>| {
+        let point = queries.point(corr % queries.len()).to_vec();
+        encode_request(3, corr as u64, &Request::Query { point }, wire);
+    };
+
+    // Metrics replies are ~1.4 KB each: FLOOD of them is about three
+    // times what loopback buffers for a peer that is not reading
+    // (~4 MB at Linux defaults), so this connection's pump parks inside
+    // a socket write with the PIPELINE query replies queued behind it.
+    // Where a host buffers more, the assertions below still hold.
+    const FLOOD: usize = 10_000;
+    const PIPELINE: usize = 48;
+    let mut slow = open_raw(server.addr());
+    let mut wire = Vec::new();
+    (0..FLOOD).for_each(|corr| encode_request(3, corr as u64, &Request::Metrics, &mut wire));
+    (FLOOD..FLOOD + PIPELINE).for_each(|corr| query(corr, &mut wire));
+    slow.write_all(&wire).unwrap();
+
+    // The collector resolves the stalled connection's tickets without
+    // a byte of theirs being read.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (net, left) = (server.metrics().net, session.outstanding_tickets());
+        if net.frames_in >= (FLOOD + PIPELINE) as u64 && left == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "stalled connection wedged the server: {net:?}, {left} tickets (seed {seed})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Another connection is served start to finish meanwhile (a read
+    // timeout, not a hang, if it is not).
+    let mut victim = open_raw(server.addr());
+    for corr in 0..40 {
+        wire.clear();
+        query(corr, &mut wire);
+        victim.write_all(&wire).unwrap();
+        let (c, rsp) = read_response(&mut victim);
+        let served = c == corr as u64 && matches!(rsp, Response::Neighbors { .. });
+        assert!(served, "victim query {corr} answered {rsp:?} (seed {seed})");
+    }
+
+    // The stalled peer resumes: every reply arrives, each exactly once.
+    let mut corrs = std::collections::HashSet::new();
+    let mut neighbor_replies = 0;
+    for _ in 0..FLOOD + PIPELINE {
+        let (corr, rsp) = read_response(&mut slow);
+        corrs.insert(corr);
+        neighbor_replies += matches!(rsp, Response::Neighbors { .. }) as usize;
+    }
+    assert_eq!(
+        (corrs.len(), neighbor_replies),
+        (FLOOD + PIPELINE, PIPELINE)
+    );
+
+    drop((slow, victim));
+    let net = server.shutdown().net;
+    assert_eq!((net.connections_dropped, net.tickets_orphaned), (0, 0));
+    drop(session.shutdown());
+    svc.shards().cleanup();
+}
+
+/// Connection swarm with reconnect churn: the peak is observed, every
+/// query resolves, and no registry entry is left behind.
+#[test]
+fn connection_swarm_peaks_and_leaves_no_tickets() {
+    let seed = seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5A42);
+    let data = clustered(600, &mut rng);
+    let queries = clustered(8, &mut rng);
+    let svc = build_service(&data, "swarm", seed ^ 0x5A42, |_| {});
+    let session = svc.start();
+    let server = NetServer::spawn(&session, NetServerConfig::default()).expect("spawn");
+    let addr = server.addr();
+
+    let stress = std::env::var("E2LSH_STRESS").as_deref() == Ok("1");
+    let (conns, churned) = if stress { (210, 60) } else { (24, 8) };
+    const QUERIES: usize = 6;
+    let all_live = std::sync::Barrier::new(conns);
+    let run = |client: &mut NetClient, i: usize| {
+        let ok = |j: &usize| {
+            let reply = client.query(queries.point((i + j) % queries.len()));
+            reply.expect("swarm query").status == OpStatus::Ok
+        };
+        (0..QUERIES).filter(ok).count()
+    };
+    let ok: usize = std::thread::scope(|scope| {
+        let swarm: Vec<_> = (0..conns)
+            .map(|i| {
+                let (all_live, run) = (&all_live, &run);
+                scope.spawn(move || {
+                    // A tenant per connection. A served ping means the
+                    // server counted this connection, so past the
+                    // barrier all of them are live at once.
+                    let tenant = 1000 + i as u16;
+                    let mut client = NetClient::connect(addr, tenant).expect("connect");
+                    client.ping().expect("ping");
+                    all_live.wait();
+                    let mut ok = run(&mut client, i);
+                    if i < churned {
+                        drop(client);
+                        let mut again = NetClient::connect(addr, tenant).expect("reconnect");
+                        ok += run(&mut again, i + QUERIES);
+                    }
+                    ok
+                })
+            })
+            .collect();
+        swarm.into_iter().map(|h| h.join().expect("swarm")).sum()
+    });
+
+    assert_eq!(ok, (conns + churned) * QUERIES, "seed {seed}");
+    assert_eq!(session.outstanding_tickets(), 0, "seed {seed}");
+    let net = server.shutdown().net;
+    assert!(net.connections_peak >= conns as u64, "{net:?}");
+    assert_eq!(net.connections_accepted, (conns + churned) as u64);
+    assert_eq!((net.connections_dropped, net.tickets_orphaned), (0, 0));
     drop(session.shutdown());
     svc.shards().cleanup();
 }

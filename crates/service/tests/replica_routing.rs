@@ -13,8 +13,7 @@
 //!   sustainable aggregate load, round-robin's slow-replica backlog
 //!   grows linearly with the arrival count while power-of-two-choices
 //!   keeps every queue bounded — the model-level statement of "route by
-//!   load, not by turn", and the reason the `serve_replicas` bench's
-//!   p99 favors p2c under skew;
+//!   load, not by turn", and the reason p99 favors p2c under skew;
 //! * the integration-level agreement: every routing policy returns the
 //!   same merged results (replication and routing are performance
 //!   features, never accuracy features), with broadcast's duplicate
