@@ -9,7 +9,7 @@
 use ann_datasets::suite::DatasetId;
 use e2lsh_bench::prep::{ensure_disk_index, workload};
 use e2lsh_bench::report;
-use e2lsh_storage::build::{build_index, BuildConfig};
+use e2lsh_storage::build::{build_index, BuildConfig, FORMAT_VERSION};
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
 use e2lsh_storage::device::Interface;
 use e2lsh_storage::index::StorageIndex;
@@ -21,6 +21,9 @@ struct Row {
     ablation: String,
     query_us: f64,
     n_io: f64,
+    /// Block reads per query no fingerprint matched (filter false
+    /// positives; every empty-bucket probe with the filter off).
+    wasted_block_reads: f64,
     qps: f64,
     extra: f64,
 }
@@ -41,10 +44,11 @@ fn main() {
         let rep = run_queries(&index, &w.data, &w.queries, cfg, &mut dev);
         let fp_rejects: u64 = rep.outcomes.iter().map(|o| o.fp_rejects as u64).sum();
         println!(
-            "{:<34} {:>10.1} µs {:>8.1} I/O {:>9.0} qps {:>12.0}",
+            "{:<34} {:>10.1} µs {:>8.1} I/O {:>8.1} wasted {:>9.0} qps {:>12.0}",
             name,
             rep.mean_query_time() * 1e6,
             rep.mean_n_io(),
+            rep.mean_wasted_block_reads(),
             rep.qps(),
             if extra < 0.0 {
                 fp_rejects as f64 / rep.outcomes.len() as f64
@@ -58,6 +62,7 @@ fn main() {
                 ablation: name,
                 query_us: rep.mean_query_time() * 1e6,
                 n_io: rep.mean_n_io(),
+                wasted_block_reads: rep.mean_wasted_block_reads(),
                 qps: rep.qps(),
                 extra,
             },
@@ -65,8 +70,8 @@ fn main() {
     };
 
     println!(
-        "{:<34} {:>13} {:>12} {:>13} {:>12}",
-        "Ablation", "query time", "N_IO", "QPS", "extra"
+        "{:<34} {:>13} {:>12} {:>15} {:>13} {:>12}",
+        "Ablation", "query time", "N_IO", "wasted reads", "QPS", "extra"
     );
     // 1. Occupancy filter.
     let mut cfg = EngineConfig::simulated(Interface::IO_URING, 1);
@@ -94,7 +99,10 @@ fn main() {
     //    (u close to 32 leaves few fingerprint bits).
     for u in [10u32, 14, 18] {
         let p = e2lsh_bench::prep::e2lsh_params_gamma(&w.data, 0.7);
-        let path2 = e2lsh_bench::prep::index_cache_dir().join(format!("ablate-u{u}.idx"));
+        // Keyed by the format version: an image of another format is
+        // refused at open, not rebuilt.
+        let path2 =
+            e2lsh_bench::prep::index_cache_dir().join(format!("ablate-u{u}-f{FORMAT_VERSION}.idx"));
         if !path2.exists() {
             build_index(
                 &w.data,
@@ -112,10 +120,11 @@ fn main() {
         let rep = run_queries(&index, &w.data, &w.queries, &cfg, &mut dev);
         let fp_rejects: u64 = rep.outcomes.iter().map(|o| o.fp_rejects as u64).sum();
         println!(
-            "{:<34} {:>10.1} µs {:>8.1} I/O {:>9.0} qps {:>9.0} fp-rej",
+            "{:<34} {:>10.1} µs {:>8.1} I/O {:>8.1} wasted {:>9.0} qps {:>9.0} fp-rej",
             format!("table bits u = {u} (fp = {} bits)", 32 - u),
             rep.mean_query_time() * 1e6,
             rep.mean_n_io(),
+            rep.mean_wasted_block_reads(),
             rep.qps(),
             fp_rejects as f64 / rep.outcomes.len() as f64
         );

@@ -165,7 +165,8 @@ mod tests {
         let path = ensure_disk_index_in(&dir, "sift", &data, 1.0);
         let name = path.file_name().unwrap().to_str().unwrap();
         assert!(
-            name.contains("-f1k") && name.ends_with(".idx"),
+            name.contains(&format!("-f{}k", e2lsh_storage::build::FORMAT_VERSION))
+                && name.ends_with(".idx"),
             "{name} must carry the format version and the kernel revision"
         );
         assert!(image_matches(&path, &params));
@@ -182,6 +183,15 @@ mod tests {
         std::fs::write(&path, b"not an index").unwrap();
         ensure_disk_index_in(&dir, "sift", &data, 1.0);
         assert!(image_matches(&path, &params), "garbage rebuilt");
+
+        // The right parameters in the previous format (refused at open
+        // with a typed error): rebuilt as well.
+        let mut image = std::fs::read(&path).unwrap();
+        image[7] -= 1;
+        std::fs::write(&path, image).unwrap();
+        assert!(!image_matches(&path, &params), "format 1 must not open");
+        ensure_disk_index_in(&dir, "sift", &data, 1.0);
+        assert!(image_matches(&path, &params), "previous format rebuilt");
 
         // A matching image is left alone (a rebuild would rewrite it).
         let stamp = |p: &std::path::Path| std::fs::metadata(p).unwrap().modified().unwrap();

@@ -132,7 +132,7 @@ pub struct Shard {
     /// queries may still distance-check them; their index entries are
     /// gone, so they stop appearing in results).
     pub data: RwLock<Dataset>,
-    /// The shard's opened E2LSHoS index (occupancy bitmaps are live:
+    /// The shard's opened E2LSHoS index (occupancy filters are live:
     /// the write path publishes new filter bits into it).
     pub index: StorageIndex,
     /// The shard's index file.

@@ -4,7 +4,7 @@
 //! generalizes that to **R replicas per shard**: every replica of shard
 //! `s` serves queries against the *same* on-storage index and the same
 //! locked row store (the [`Shard`] — its `RwLock`'d dataset and atomic
-//! occupancy-filter bitmaps make the shared mutable state safe), but
+//! occupancy-filter words make the shared mutable state safe), but
 //! owns an **independent** reactor (and its compute pool), DRAM block
 //! cache and admission queue. Reads scale out by adding replicas; writes keep the single
 //! writer per shard and publish to every replica for free — the index

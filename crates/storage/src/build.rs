@@ -23,10 +23,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"E2LSHOS1";
+const MAGIC: &[u8; 8] = b"E2LSHOS2";
 
 /// The on-storage format version — the digit at the end of the magic,
 /// which [`Superblock::decode`] checks. Caches of built images key on it.
+/// Version 2 made the occupancy filter a per-slot blocked Bloom filter
+/// ([`TableGeometry::filter_positions`]); a version-1 image carries a
+/// prefix bitmap in the same region and is refused.
 pub const FORMAT_VERSION: u32 = (MAGIC[7] - b'0') as u32;
 
 /// Maximum number of free bucket-block addresses the superblock can
@@ -46,8 +49,9 @@ pub struct BuildConfig {
     /// `max(8, ⌈log2 n⌉ − 6)` (paper: "slightly smaller than log2 n"),
     /// clamped so the object info still fits in 40 bits.
     pub u_bits: Option<u32>,
-    /// Occupancy-filter prefix bits; `None` picks
-    /// `min(⌈log2 n⌉ + 1, u + 10, 32)` (≈ 40% filter load, so the
+    /// log2 of the occupancy filter's bits per table; `None` picks
+    /// `min(⌈log2 n⌉ + 1, u + 10, 32)` (2–4 filter bits per unit of ID
+    /// capacity, 4–8 per indexed key at the default 2× capacity, so the
     /// majority of probes whose true bucket is empty are skipped without
     /// I/O while the DRAM filters stay in the megabyte range).
     pub filter_bits: Option<u32>,
@@ -70,7 +74,8 @@ impl Default for BuildConfig {
     }
 }
 
-/// Default occupancy-filter width for `n` objects and table bits `u`.
+/// Default occupancy-filter size (log2 bits per table) for `n` objects
+/// and table bits `u`.
 pub fn default_filter_bits(n: usize, u_bits: u32) -> u32 {
     let id_bits = (usize::BITS - (n.max(2) - 1).leading_zeros()).max(1);
     (id_bits + 1).clamp(u_bits, u_bits + 10).min(HASH_BITS)
@@ -163,10 +168,20 @@ impl Superblock {
 
     /// Decode from a [`SUPERBLOCK_SIZE`]-byte buffer.
     pub fn decode(buf: &[u8]) -> io::Result<Self> {
-        if buf.len() < SUPERBLOCK_SIZE || &buf[..8] != MAGIC {
+        if buf.len() < SUPERBLOCK_SIZE || buf[..7] != MAGIC[..7] {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not an E2LSHoS index (bad magic)",
+            ));
+        }
+        if buf[7] != MAGIC[7] {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "index format version {} is not the version {FORMAT_VERSION} this build \
+                     reads: rebuild the index",
+                    char::from(buf[7])
+                ),
             ));
         }
         let mut off = 8usize;
@@ -182,6 +197,12 @@ impl Superblock {
         let l = u32::from_le_bytes(take(4).try_into().unwrap());
         let u_bits = u32::from_le_bytes(take(4).try_into().unwrap());
         let filter_bits = u32::from_le_bytes(take(4).try_into().unwrap());
+        if u_bits > filter_bits || filter_bits > HASH_BITS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "corrupt superblock: filter narrower than the table or wider than the hash",
+            ));
+        }
         let c = f32::from_le_bytes(take(4).try_into().unwrap());
         let w = f32::from_le_bytes(take(4).try_into().unwrap());
         let gamma = f32::from_le_bytes(take(4).try_into().unwrap());
@@ -283,9 +304,7 @@ pub fn build_index<P: AsRef<Path>>(
     // Reused per-table buffers.
     let mut keyed: Vec<(u64, u32, u32)> = Vec::with_capacity(n); // (slot, fp, id)
     let mut table: Vec<u64> = vec![0; slots];
-    let filter_words = ((1usize << filter_bits) / 64).max(1);
-    let filter_mask = (1u64 << filter_bits) - 1;
-    let mut filter: Vec<u64> = vec![0; filter_words];
+    let mut filter: Vec<u64> = vec![0; geometry.filter_words_per_table()];
     let mut block_buf: Vec<u8> = Vec::with_capacity(BLOCK_SIZE);
     let mut table_writes: Vec<(u64, Vec<u8>)> = Vec::new();
 
@@ -298,8 +317,9 @@ pub fn build_index<P: AsRef<Path>>(
             for oid in 0..n {
                 let key64 = compound.hash64(dataset.point(oid), radius, &mut scratch);
                 let h32 = hash_v_bits(key64, HASH_BITS);
-                let prefix = (h32 & filter_mask) as usize;
-                filter[prefix / 64] |= 1u64 << (prefix % 64);
+                for (word, bit) in geometry.filter_positions(h32) {
+                    filter[word] |= bit;
+                }
                 let (slot, fp) = split_hash(h32, u_bits);
                 keyed.push((slot, fp, oid as u32));
             }
@@ -505,6 +525,36 @@ mod tests {
     fn bad_magic_rejected() {
         let buf = vec![0u8; SUPERBLOCK_SIZE];
         assert!(Superblock::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn filter_geometry_outside_the_hash_is_rejected() {
+        // `filter_bits − u_bits` sizes every slot's filter block: a
+        // corrupt pair must fail typed at decode, not underflow later.
+        let mut sb = Superblock {
+            n: 10,
+            capacity: 20,
+            dim: 4,
+            m: 2,
+            l: 3,
+            u_bits: 12,
+            filter_bits: 11,
+            c: 2.0,
+            w: 4.0,
+            gamma: 1.0,
+            s: 5,
+            seed: 1,
+            radii: vec![1.0],
+            total_bytes: 4096,
+            free: Vec::new(),
+        };
+        let err = Superblock::decode(&sb.encode()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        (sb.u_bits, sb.filter_bits) = (8, 33);
+        let err = Superblock::decode(&sb.encode()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        (sb.u_bits, sb.filter_bits) = (8, 8);
+        assert!(Superblock::decode(&sb.encode()).is_ok());
     }
 
     #[test]

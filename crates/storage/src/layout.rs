@@ -3,15 +3,18 @@
 //! The index image is a flat byte address space:
 //!
 //! ```text
-//! ┌───────────────┬────────────────────────────┬─────────────────────┐
-//! │ superblock    │ hash tables                │ bucket block heap   │
-//! │ (4 KiB)       │ r·L tables × 2^u × 8 bytes │ 512-byte blocks     │
-//! └───────────────┴────────────────────────────┴─────────────────────┘
+//! ┌────────────┬────────────────────┬───────────────────┬───────────────┐
+//! │ superblock │ hash tables        │ occupancy filters │ bucket heap   │
+//! │ (4 KiB)    │ r·L × 2^u × 8 B    │ r·L × 2^f bits    │ 512-B blocks  │
+//! └────────────┴────────────────────┴───────────────────┴───────────────┘
 //! ```
 //!
 //! * Each **hash table** maps the `u`-bit prefix of a 32-bit compound hash
 //!   value to the storage address of the first bucket block of its chain
 //!   (0 = empty).
+//! * Each table's **occupancy filter** is loaded into DRAM at open: a
+//!   blocked Bloom filter with one `2^(f−u)`-bit block per slot (see
+//!   [`TableGeometry::filter_positions`]), consulted before any I/O.
 //! * Each **bucket block** is 512 bytes — the minimum read unit of a
 //!   typical NVMe SSD — holding a 16-byte header (8-byte next-block
 //!   address, 2-byte entry count, 6 bytes reserved/padding) and up to
@@ -22,6 +25,7 @@
 //!   be rejected without a distance check.
 
 use bytes::{Buf, BufMut};
+use e2lsh_core::fxhash::splitmix64;
 
 /// Bucket block size in bytes (minimum NVMe read unit).
 pub const BLOCK_SIZE: usize = 512;
@@ -36,18 +40,32 @@ pub const HASH_BITS: u32 = 32;
 /// Superblock reserved size.
 pub const SUPERBLOCK_SIZE: usize = 4096;
 
+/// Bit positions a hash value sets and tests in its slot's block of the
+/// occupancy filter (the Bloom filter's `k`). A format constant: at the
+/// 4–8 filter bits per key [`crate::build::default_filter_bits`] gives,
+/// 3 is within 1.5 points of the optimal false-positive rate.
+pub const FILTER_HASHES: usize = 3;
+// `filter_positions` cuts one 64-bit mix into slices 21 bits apart.
+const _: () = assert!(FILTER_HASHES * 21 <= 64);
+
 /// Geometry of the hash-table region: `r·L` tables of `2^u` 8-byte slots,
-/// followed by the DRAM-destined occupancy filters (one bit per
-/// `filter_bits`-bit hash prefix per table), followed by the bucket heap.
+/// followed by the DRAM-destined occupancy filters (`2^filter_bits` bits
+/// per table), followed by the bucket heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableGeometry {
     /// Hash-table index bits `u`.
     pub u_bits: u32,
-    /// Occupancy-filter prefix bits (≥ `u_bits`, ≤ 32). A clear filter bit
-    /// proves that no object shares the first `filter_bits` bits of the
-    /// hash value, so the probe can be skipped without I/O — this is how
-    /// E2LSHoS "avoids issuing I/Os for empty buckets" (paper Sec. 4.3)
-    /// while keeping only megabytes in DRAM (Table 6's "Index mem").
+    /// log2 of one table's occupancy-filter size in bits (≥ `u_bits`,
+    /// ≤ 32). The filter is a blocked Bloom filter: slot `s` owns the
+    /// `2^(filter_bits − u_bits)` contiguous bits starting at
+    /// `s · 2^(filter_bits − u_bits)`, and a hash value sets
+    /// [`FILTER_HASHES`] bits inside its slot's block, chosen by its
+    /// whole fingerprint ([`TableGeometry::filter_positions`]). A clear
+    /// bit at any of them proves that no indexed object has this hash
+    /// value, so the probe is skipped without I/O — this is how E2LSHoS
+    /// "avoids issuing I/Os for empty buckets" (paper Sec. 4.3) while
+    /// keeping only megabytes in DRAM (Table 6's "Index mem"). All bits
+    /// set proves nothing: the bucket may still hold no match.
     pub filter_bits: u32,
     /// Number of radii `r`.
     pub num_radii: usize,
@@ -88,10 +106,62 @@ impl TableGeometry {
         self.table_base(ri, li) + (h & (self.slots() - 1)) * 8
     }
 
-    /// Bytes of one table's occupancy filter (`2^filter_bits` bits).
+    /// Bytes of one table's occupancy filter (`2^filter_bits` bits, in
+    /// whole 64-bit words).
     #[inline]
     pub fn filter_bytes_per_table(&self) -> u64 {
-        (1u64 << self.filter_bits) / 8
+        ((1u64 << self.filter_bits) / 8).max(8)
+    }
+
+    /// 64-bit words of one table's occupancy filter.
+    #[inline]
+    pub fn filter_words_per_table(&self) -> usize {
+        (self.filter_bytes_per_table() / 8) as usize
+    }
+
+    /// The [`FILTER_HASHES`] filter bits of hash value `h32`, as `(word
+    /// index, bit mask)` pairs within its table's filter. This is the
+    /// only definition of the filter layout: building, querying,
+    /// inserting and GC all go through it (or through
+    /// [`TableGeometry::filter_slot_words`] for a slot's whole block).
+    ///
+    /// The low `u` bits of `h32` pick the slot and with it the block;
+    /// position `i` inside the block is `c = filter_bits − u_bits` bits
+    /// of one 64-bit mix of the fingerprint `h32 >> u`, taken 21 bits
+    /// apart (disjoint — hence independent — slices for `c ≤ 21`). With
+    /// `c = 0` the block is one bit and all positions coincide on it: a
+    /// plain slot-occupancy bit.
+    #[inline]
+    pub fn filter_positions(&self, h32: u64) -> [(usize, u64); FILTER_HASHES] {
+        let c = self.filter_bits - self.u_bits;
+        let (slot, fp) = split_hash(h32, self.u_bits);
+        let mix = splitmix64(u64::from(fp));
+        std::array::from_fn(|i| {
+            let within = mix.rotate_right(21 * i as u32) & ((1u64 << c) - 1);
+            let bit = (slot << c) | within;
+            ((bit / 64) as usize, 1u64 << (bit % 64))
+        })
+    }
+
+    /// The words holding slot `slot`'s filter block (only the low `u`
+    /// bits of `slot` are used, as in [`TableGeometry::slot_addr`]), and
+    /// the mask of the block's bits within each of them: all ones when the block spans
+    /// whole words (`c ≥ 6`), a sub-word run when several slots share one
+    /// word (`c < 6`) — a rewrite of the block must then leave the other
+    /// slots' bits as they are.
+    #[inline]
+    pub fn filter_slot_words(&self, slot: u64) -> (std::ops::Range<usize>, u64) {
+        let c = self.filter_bits - self.u_bits;
+        let first_bit = (slot & (self.slots() - 1)) << c;
+        let first = (first_bit / 64) as usize;
+        if c >= 6 {
+            (first..first + (1usize << (c - 6)), u64::MAX)
+        } else {
+            (
+                first..first + 1,
+                ((1u64 << (1u32 << c)) - 1) << (first_bit % 64),
+            )
+        }
     }
 
     /// Byte offset of the filter for table `(ri, li)`.
@@ -242,6 +312,7 @@ mod tests {
         assert_eq!(g.table_bytes(), 8192);
         assert_eq!(g.num_tables(), 12);
         assert_eq!(g.filter_bytes_per_table(), 1024);
+        assert_eq!(g.filter_words_per_table(), 128);
         assert_eq!(g.table_base(0, 0), SUPERBLOCK_SIZE as u64);
         assert_eq!(g.table_base(0, 1), SUPERBLOCK_SIZE as u64 + 8192);
         assert_eq!(g.table_base(1, 0), SUPERBLOCK_SIZE as u64 + 4 * 8192);
@@ -254,6 +325,88 @@ mod tests {
         // Slot address wraps on u bits.
         assert_eq!(g.slot_addr(0, 0, 0), g.table_base(0, 0));
         assert_eq!(g.slot_addr(0, 0, 1024 + 5), g.table_base(0, 0) + 5 * 8);
+    }
+
+    fn filter_geometry(u_bits: u32, filter_bits: u32) -> TableGeometry {
+        TableGeometry {
+            u_bits,
+            filter_bits,
+            num_radii: 1,
+            l: 1,
+        }
+    }
+
+    #[test]
+    fn filter_positions_fall_inside_the_slots_own_block() {
+        // c = 7 (the benchmark's geometry), 0, 2, 6, 10 and the widest
+        // block a 32-bit hash allows.
+        for (u, f) in [(8, 15), (8, 8), (8, 10), (6, 12), (10, 20), (4, 32)] {
+            let g = filter_geometry(u, f);
+            assert_eq!(g.filter_words_per_table() as u64 * 64, 1u64 << f);
+            for t in 0..20_000u64 {
+                let h32 = splitmix64(t) & 0xFFFF_FFFF;
+                let (slot, _) = split_hash(h32, u);
+                let (words, mask) = g.filter_slot_words(slot);
+                assert!(words.end <= g.filter_words_per_table());
+                for (word, bit) in g.filter_positions(h32) {
+                    assert_eq!(bit.count_ones(), 1);
+                    assert!(words.contains(&word), "u {u} f {f}: word outside block");
+                    assert_eq!(bit & mask, bit, "u {u} f {f}: bit outside block");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_block_of_one_bit_is_a_slot_occupancy_bit() {
+        // c = 0: every hash value of a slot maps all its positions onto
+        // the slot's single bit, whatever the fingerprint.
+        let g = filter_geometry(8, 8);
+        for slot in 0..256u64 {
+            let want = ((slot / 64) as usize, 1u64 << (slot % 64));
+            assert_eq!(g.filter_slot_words(slot), (want.0..want.0 + 1, want.1));
+            for fp in [0u64, 1, 0xABCDEF, 0xFF_FFFF] {
+                assert_eq!(g.filter_positions(slot | (fp << 8)), [want; FILTER_HASHES]);
+            }
+        }
+    }
+
+    #[test]
+    fn filter_blocks_sharing_a_word_tile_it() {
+        // c < 6: 64 / 2^c slots share each word; their masks are
+        // disjoint runs of 2^c bits that together cover the word.
+        for c in 0..6u32 {
+            let g = filter_geometry(8, 8 + c);
+            let per_word = 64u64 >> c;
+            for first in (0..256u64).step_by(per_word as usize) {
+                let mut cover = 0u64;
+                for slot in first..first + per_word {
+                    let (words, mask) = g.filter_slot_words(slot);
+                    assert_eq!(
+                        words,
+                        (first / per_word) as usize..(first / per_word) as usize + 1
+                    );
+                    assert_eq!(mask.count_ones(), 1 << c);
+                    assert_eq!(cover & mask, 0, "c {c}: blocks overlap");
+                    cover |= mask;
+                }
+                assert_eq!(cover, u64::MAX, "c {c}: blocks leave a gap");
+            }
+        }
+    }
+
+    #[test]
+    fn filter_positions_use_the_whole_fingerprint() {
+        // Hash values that agree on their low `filter_bits` bits — one
+        // prefix-bitmap bit — are told apart by their high bits.
+        let g = filter_geometry(8, 15);
+        let base = 0x1234u64; // low 15 bits
+        let distinct: std::collections::HashSet<_> = (0..1000u64)
+            .map(|hi| g.filter_positions(base | (hi << 15)))
+            .collect();
+        assert!(distinct.len() > 990, "{} distinct triples", distinct.len());
+        // Deterministic: the rule is part of the on-storage format.
+        assert_eq!(g.filter_positions(base), g.filter_positions(base));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! Each query is a small state machine: per search radius it (1) computes
 //! its `L` compound hash values, (2) issues reads for the hash-table slots
-//! of the non-empty buckets, (3) on each slot completion issues a read for
-//! the first bucket block, (4) on each block completion fingerprint-filters
-//! the entries, distance-checks the survivors against the DRAM-resident
-//! coordinates, and follows the chain pointer while the candidate budget
-//! `S` lasts. When all `L` probes of a radius finish, the `(R, c)`-NN
-//! success test either ends the query or escalates the radius.
+//! of the buckets the DRAM occupancy filter cannot prove empty (a blocked
+//! Bloom filter: no false negatives, some false positives — counted per
+//! query as [`QueryOutcome::wasted_block_reads`]), (3) on each slot
+//! completion issues a read for the first bucket block, (4) on each block
+//! completion fingerprint-filters the entries, distance-checks the
+//! survivors against the DRAM-resident coordinates, and follows the chain
+//! pointer while the candidate budget `S` lasts. When all `L` probes of a
+//! radius finish, the `(R, c)`-NN success test either ends the query or
+//! escalates the radius.
 //!
 //! Multiple queries are interleaved (the paper's "context switching") so
 //! many I/Os are in flight at once, which is what lets flash devices reach
@@ -62,8 +65,8 @@ pub struct EngineConfig {
     pub s_override: Option<usize>,
     /// Radius cap (default: the full schedule).
     pub max_radii: Option<usize>,
-    /// Skip I/Os for slots the occupancy bitmap marks empty (paper
-    /// Section 4.3); disable to measure the unfiltered I/O count.
+    /// Skip I/Os for hash values the occupancy filter proves absent
+    /// (paper Section 4.3); disable to measure the unfiltered I/O count.
     pub use_occupancy_filter: bool,
     /// True = virtual-time simulation; false = wall-clock execution.
     pub virtual_time: bool,
@@ -139,6 +142,13 @@ pub struct QueryOutcome {
     pub dist_comps: u32,
     /// Entries skipped by the fingerprint check.
     pub fp_rejects: u32,
+    /// Bucket-block reads in which no entry passed the fingerprint check
+    /// — I/O that could not have produced a candidate. Chains are about
+    /// one block long, so this is the number of probes the occupancy
+    /// filter let through for nothing (its false positives, or every
+    /// probe of an empty bucket when the filter is off), each of which
+    /// also cost a slot read.
+    pub wasted_block_reads: u32,
     /// Query admission time (seconds, virtual or wall).
     pub start_time: f64,
     /// Query completion time.
@@ -200,24 +210,32 @@ impl BatchReport {
             / self.outcomes.len() as f64
     }
 
-    /// Mean I/Os per query (`N_IO` of the cost model).
-    pub fn mean_n_io(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().map(|o| o.n_io() as f64).sum::<f64>() / self.outcomes.len() as f64
-    }
-
-    /// Mean radii searched (`r̄` of Table 4).
-    pub fn mean_radii(&self) -> f64 {
+    /// Mean of a per-query counter over the batch (0 for an empty one).
+    fn mean_of(&self, counter: impl Fn(&QueryOutcome) -> u32) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
         }
         self.outcomes
             .iter()
-            .map(|o| o.radii_searched as f64)
+            .map(|o| f64::from(counter(o)))
             .sum::<f64>()
             / self.outcomes.len() as f64
+    }
+
+    /// Mean I/Os per query (`N_IO` of the cost model).
+    pub fn mean_n_io(&self) -> f64 {
+        self.mean_of(QueryOutcome::n_io)
+    }
+
+    /// Mean radii searched (`r̄` of Table 4).
+    pub fn mean_radii(&self) -> f64 {
+        self.mean_of(|o| o.radii_searched)
+    }
+
+    /// Mean bucket-block reads per query that no entry's fingerprint
+    /// matched ([`QueryOutcome::wasted_block_reads`]).
+    pub fn mean_wasted_block_reads(&self) -> f64 {
+        self.mean_of(|o| o.wasted_block_reads)
     }
 }
 
@@ -703,6 +721,7 @@ impl<'a> QueryDriver<'a> {
             let (_, fp) = split_hash(st.probes[li], geometry.u_bits);
             let want_fp = fp & codec.fp_mask();
             if st.examined < self.budget {
+                let candidates_before = st.out.candidates;
                 for &(id, fp) in &block.entries {
                     if st.examined >= self.budget {
                         break;
@@ -729,6 +748,7 @@ impl<'a> QueryDriver<'a> {
                         st.topk.offer(id, d2);
                     }
                 }
+                st.out.wasted_block_reads += u32::from(st.out.candidates == candidates_before);
                 if block.next != 0 && st.examined < self.budget {
                     clock.charge_io(self.config.interface.t_request);
                     device.submit(
@@ -827,6 +847,7 @@ mod tests {
         assert_eq!(report.mean_latency(), 1.5);
         assert_eq!(report.mean_n_io(), (5.0 + 9.0) / 2.0);
         assert_eq!(report.mean_radii(), 2.0);
+        assert_eq!(report.mean_wasted_block_reads(), 0.0);
     }
 
     #[test]
@@ -842,6 +863,7 @@ mod tests {
         assert_eq!(report.mean_query_time(), 0.0);
         assert_eq!(report.mean_latency(), 0.0);
         assert_eq!(report.mean_n_io(), 0.0);
+        assert_eq!(report.mean_wasted_block_reads(), 0.0);
     }
 
     #[test]

@@ -19,3 +19,12 @@ pub fn temp_path(name: &str) -> PathBuf {
         name
     ))
 }
+
+/// The seed of the seeded suites: `E2LSH_TEST_SEED` (CI runs three), 11
+/// when unset.
+pub fn test_seed() -> u64 {
+    std::env::var("E2LSH_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(11)
+}

@@ -18,8 +18,8 @@
 //!   churn stops growing the heap.
 //! * **maintain** — a budgeted background pass ([`Updater::maintain`])
 //!   that compacts sparse chains (merging adjacent blocks whose combined
-//!   entries fit one block), unlinks empty blocks, and garbage-collects
-//!   occupancy-filter bits whose bucket no longer holds live entries.
+//!   entries fit one block), unlinks empty blocks, and rewrites each
+//!   slot's occupancy-filter block to exactly its live entries' bits.
 //!
 //! Updates write through a [`std::fs::File`] opened read-write; readers
 //! opened afterwards (or an in-process [`StorageIndex`] refreshed with
@@ -102,9 +102,9 @@ pub fn is_id_exhausted(e: &io::Error) -> bool {
 }
 
 /// Storage mutations performed by one or more update operations: which
-/// blocks were rewritten (for cache invalidation) and which occupancy
-/// filter bits were newly set (for refreshing a live
-/// [`StorageIndex`]'s DRAM bitmaps).
+/// blocks were rewritten (for cache invalidation) and which hash values
+/// newly entered the occupancy filter (for refreshing a live
+/// [`StorageIndex`]'s DRAM filters).
 ///
 /// The trace accumulates across operations until taken with
 /// [`Updater::take_trace`], and records writes **even when the
@@ -120,8 +120,9 @@ pub struct WriteTrace {
     /// regions are only read via `read_sync` at open and never enter
     /// the block cache.
     pub blocks: Vec<u64>,
-    /// `(radius index, table index, 32-bit hash)` of occupancy-filter
-    /// bits newly set by inserts.
+    /// `(radius index, table index, 32-bit hash)` of every inserted
+    /// hash value that set a new occupancy-filter bit — replay each
+    /// with [`StorageIndex::set_filter_bit`].
     pub filter_bits: Vec<(usize, usize, u64)>,
     /// Bucket blocks returned to the free list (empty-block unlink or
     /// chain compaction) since the last take. Freed blocks are *not*
@@ -162,8 +163,8 @@ impl WriteTrace {
 pub struct MaintenanceReport {
     /// Bucket blocks unlinked and returned to the free list.
     pub blocks_reclaimed: u64,
-    /// Occupancy-filter bits cleared because their bucket no longer
-    /// holds live entries.
+    /// Occupancy-filter bits cleared because no live entry of their
+    /// slot sets them any more.
     pub filter_bits_cleared: u64,
     /// Bytes made reusable (`blocks_reclaimed × BLOCK_SIZE`).
     pub bytes_reclaimed: u64,
@@ -228,7 +229,7 @@ pub struct Updater {
     /// End-of-heap allocation cursor.
     next_block_addr: u64,
     /// Per-table occupancy filters (mirrors the on-disk region; flushed
-    /// on every insert that sets a new bit and every GC clear).
+    /// on every insert that sets a new bit and every GC rewrite).
     filters: Vec<Vec<u64>>,
     /// Mutations since the last [`Updater::take_trace`].
     trace: WriteTrace,
@@ -434,6 +435,13 @@ impl Updater {
         self.write_checked(addr, bytes)
     }
 
+    /// Tracked write of one encoded bucket block.
+    fn write_block(&mut self, addr: u64, block: &BucketBlock) -> io::Result<()> {
+        let mut out = Vec::with_capacity(BLOCK_SIZE);
+        block.encode(&self.codec, &mut out);
+        self.write_tracked(addr, &out)
+    }
+
     /// Number of objects the index currently covers (IDs are `0..n`).
     pub fn len(&self) -> usize {
         self.sb.n as usize
@@ -591,17 +599,13 @@ impl Updater {
                     LinkAction::Squeeze { head, block } => {
                         let mut block = block.clone();
                         block.entries.push((id, plan.fp));
-                        let mut out = Vec::with_capacity(BLOCK_SIZE);
-                        block.encode(&self.codec, &mut out);
-                        self.write_tracked(*head, &out)
+                        self.write_block(*head, &block)
                     }
                     LinkAction::Fresh { old_head } => {
                         let block = BucketBlock {
                             next: *old_head,
                             entries: vec![(id, plan.fp)],
                         };
-                        let mut out = Vec::with_capacity(BLOCK_SIZE);
-                        block.encode(&self.codec, &mut out);
                         let addr = fresh_addrs[next_fresh];
                         next_fresh += 1;
                         // The block is fully written before the slot
@@ -609,7 +613,7 @@ impl Updater {
                         // sees the old head or the complete new one,
                         // never a partial block.
                         let slot_addr = self.geometry.slot_addr(ri, li, plan.slot);
-                        self.write_tracked(addr, &out)
+                        self.write_block(addr, &block)
                             .and_then(|()| self.write_tracked(slot_addr, &addr.to_le_bytes()))
                     }
                 };
@@ -678,8 +682,15 @@ impl Updater {
         Ok(removed)
     }
 
+    /// This handle's mirror of table `(ri, li)`'s occupancy-filter words
+    /// — equal to the on-storage region after every operation, failed
+    /// ones included.
+    pub fn filter_words(&self, ri: usize, li: usize) -> &[u64] {
+        &self.filters[ri * self.geometry.l + li]
+    }
+
     /// Merge the in-memory filter state into an open [`StorageIndex`] so
-    /// an in-process reader observes newly inserted prefixes. (Readers
+    /// an in-process reader observes newly inserted hash values. (Readers
     /// opened from the file after the update see them automatically;
     /// the serving layer instead mirrors the per-operation
     /// [`WriteTrace::filter_bits`], which is cheaper than a full merge.)
@@ -702,11 +713,11 @@ impl Updater {
     ///   predecessor is merged into it (one atomic predecessor rewrite
     ///   carrying both the combined entries and the successor pointer)
     ///   and freed;
-    /// * **tombstone GC** — the slot's live filter prefixes are
+    /// * **tombstone GC** — the slot's filter block is
     ///   recomputed from its surviving entries and every other bit of
-    ///   the slot's coset is cleared, on storage and in the in-memory
-    ///   mirror (the filter is exact, so this cannot drop a live
-    ///   object's bit).
+    ///   the slot's block is cleared, on storage and in the in-memory
+    ///   mirror (the new block is exactly the union of the survivors'
+    ///   bits, so this cannot drop a live object's bit).
     ///
     /// Freed blocks keep their bytes and enter the reuse quarantine;
     /// see the module docs for why a concurrent stale reader stays
@@ -746,7 +757,7 @@ impl Updater {
     }
 
     /// Scan one slot's chain: unlink empty blocks, merge mergeable
-    /// neighbours, then GC the slot's filter coset. Returns the number
+    /// neighbours, then GC the slot's filter block. Returns the number
     /// of block reads performed.
     fn maintain_slot(
         &mut self,
@@ -761,12 +772,12 @@ impl Updater {
         read_at(&self.file, slot_addr, &mut head_buf)?;
         let head = u64::from_le_bytes(head_buf);
         let mut reads = 0u64;
-        // Live filter prefixes of this slot's chain. An entry's prefix
-        // reconstructs exactly from its stored (slot, fingerprint):
-        // h32 = slot | (fp << u), and the filter indexes its low
-        // `filter_bits` bits.
-        let filter_mask = (1u64 << self.geometry.filter_bits) - 1;
-        let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        // The slot's filter block as its chain's entries set it. An
+        // entry's hash value reconstructs exactly from its stored
+        // (slot, fingerprint): h32 = slot | (fp << u).
+        let g = self.geometry;
+        let (words, slot_mask) = g.filter_slot_words(slot);
+        let mut live = vec![0u64; words.len()];
         let mut prev: Option<(u64, BucketBlock)> = None;
         let mut addr = head;
         while addr != 0 {
@@ -775,7 +786,9 @@ impl Updater {
             let block = BucketBlock::decode(&self.codec, &buf);
             let next = block.next;
             for &(_, fp) in &block.entries {
-                live.insert((slot | (u64::from(fp) << self.geometry.u_bits)) & filter_mask);
+                for (word, bit) in g.filter_positions(slot | (u64::from(fp) << g.u_bits)) {
+                    live[word - words.start] |= bit;
+                }
             }
             if block.entries.is_empty() && self.can_free() {
                 // Unlink: repoint whatever points at this block past
@@ -786,12 +799,7 @@ impl Updater {
                     None => self.write_tracked(slot_addr, &next.to_le_bytes())?,
                     Some((paddr, pblock)) => {
                         pblock.next = next;
-                        let (pa, out) = {
-                            let mut out = Vec::with_capacity(BLOCK_SIZE);
-                            pblock.encode(&self.codec, &mut out);
-                            (*paddr, out)
-                        };
-                        self.write_tracked(pa, &out)?;
+                        self.write_block(*paddr, pblock)?;
                     }
                 }
                 self.free_block(addr);
@@ -813,12 +821,7 @@ impl Updater {
                     // entries twice; the query merge dedups by id.)
                     pblock.entries.extend_from_slice(&block.entries);
                     pblock.next = next;
-                    let (pa, out) = {
-                        let mut out = Vec::with_capacity(BLOCK_SIZE);
-                        pblock.encode(&self.codec, &mut out);
-                        (*paddr, out)
-                    };
-                    self.write_tracked(pa, &out)?;
+                    self.write_block(*paddr, pblock)?;
                     self.free_block(addr);
                     rep.blocks_reclaimed += 1;
                     rep.bytes_reclaimed += BLOCK_SIZE as u64;
@@ -832,31 +835,17 @@ impl Updater {
         }
         rep.blocks_scanned += reads;
 
-        // Tombstone GC: clear every set coset bit without a live entry.
-        // The on-disk filter is written word-wise first (matching
-        // set_filter_bit's failure discipline), then mirrored.
-        let t = ri * self.geometry.l + li;
-        let cosets = 1u64 << (self.geometry.filter_bits - self.geometry.u_bits);
-        let mut dirty_words: std::collections::BTreeMap<usize, u64> =
-            std::collections::BTreeMap::new();
-        for j in 0..cosets {
-            let prefix = (slot | (j << self.geometry.u_bits)) & filter_mask;
-            let word = (prefix / 64) as usize;
-            let bit = 1u64 << (prefix % 64);
-            let cur = dirty_words
-                .get(&word)
-                .copied()
-                .unwrap_or(self.filters[t][word]);
-            if cur & bit != 0 && !live.contains(&prefix) {
-                dirty_words.insert(word, cur & !bit);
-                rep.filter_bits_cleared += 1;
-            }
+        // Tombstone GC: the block becomes exactly the union of its live
+        // entries' bits; bits of other slots sharing its word stay.
+        let old = &self.filters[ri * g.l + li][words.clone()];
+        for (new, &old) in live.iter_mut().zip(old) {
+            rep.filter_bits_cleared += u64::from((old & slot_mask & !*new).count_ones());
+            *new |= old & !slot_mask;
         }
-        for (word, value) in dirty_words {
-            let waddr = self.geometry.filter_base(ri, li) + (word as u64) * 8;
-            self.write_checked(waddr, &value.to_le_bytes())?;
-            self.filters[t][word] = value;
-            rep.filter_words.push((ri, li, word, value));
+        if live != old {
+            self.store_filter_words(ri, li, words.start, &live)?;
+            rep.filter_words
+                .extend(words.zip(live).map(|(word, value)| (ri, li, word, value)));
         }
         Ok(reads)
     }
@@ -929,17 +918,13 @@ impl Updater {
                         None => self.write_tracked(slot_addr, &block.next.to_le_bytes())?,
                         Some((paddr, mut pblock)) => {
                             pblock.next = block.next;
-                            let mut out = Vec::with_capacity(BLOCK_SIZE);
-                            pblock.encode(&self.codec, &mut out);
-                            self.write_tracked(paddr, &out)?;
+                            self.write_block(paddr, &pblock)?;
                         }
                     }
                     self.free_block(addr);
                     return Ok((removed, true));
                 }
-                let mut out = Vec::with_capacity(BLOCK_SIZE);
-                block.encode(&self.codec, &mut out);
-                self.write_tracked(addr, &out)?;
+                self.write_block(addr, &block)?;
                 return Ok((removed, false)); // at most once per chain
             }
             let next = block.next;
@@ -950,22 +935,37 @@ impl Updater {
     }
 
     fn set_filter_bit(&mut self, ri: usize, li: usize, h32: u64) -> io::Result<()> {
-        let t = ri * self.geometry.l + li;
-        let prefix = (h32 & ((1u64 << self.geometry.filter_bits) - 1)) as usize;
-        let word = prefix / 64;
-        if (self.filters[t][word] >> (prefix % 64)) & 1 == 1 {
+        let g = self.geometry;
+        let positions = g.filter_positions(h32);
+        let filter = &self.filters[ri * g.l + li];
+        if positions.iter().all(|&(word, bit)| filter[word] & bit != 0) {
             return Ok(());
         }
-        // Write the touched word to storage *before* updating the
-        // in-memory mirror: if the write fails, the bit must stay clear
-        // in memory too, or a later insert with the same prefix would
-        // early-return above without ever persisting it — leaving the
-        // object unfindable after a reopen, with no error anywhere.
-        let new_word = self.filters[t][word] | 1u64 << (prefix % 64);
-        let addr = self.geometry.filter_base(ri, li) + (word as u64) * 8;
-        self.write_checked(addr, &new_word.to_le_bytes())?;
-        self.filters[t][word] = new_word;
+        let (words, _) = g.filter_slot_words(h32);
+        let mut block = filter[words.clone()].to_vec();
+        for (word, bit) in positions {
+            block[word - words.start] |= bit;
+        }
+        self.store_filter_words(ri, li, words.start, &block)?;
         self.trace.filter_bits.push((ri, li, h32));
+        Ok(())
+    }
+
+    /// Store a slot's filter block (`words`, from word `first` of table
+    /// `(ri, li)`) in one positioned write, storage *before* the mirror:
+    /// were a failed write mirrored, a later insert of the same hash
+    /// value would early-return in `set_filter_bit` without persisting
+    /// its bits — the object unfindable after a reopen, with no error.
+    fn store_filter_words(
+        &mut self,
+        ri: usize,
+        li: usize,
+        first: usize,
+        words: &[u64],
+    ) -> io::Result<()> {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.write_checked(self.geometry.filter_base(ri, li) + first as u64 * 8, &bytes)?;
+        self.filters[ri * self.geometry.l + li][first..first + words.len()].copy_from_slice(words);
         Ok(())
     }
 
@@ -1017,13 +1017,17 @@ mod tests {
     use crate::device::sim::{Backing, DeviceProfile, SimStorage};
     use crate::device::Interface;
     use crate::query::{run_queries, EngineConfig};
-    use crate::testutil::temp_path;
+    use crate::testutil::{temp_path, test_seed};
     use e2lsh_core::dataset::Dataset;
     use e2lsh_core::params::E2lshParams;
     use rand::{Rng, SeedableRng};
 
     fn dataset(n: usize, dim: usize) -> Dataset {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
+        dataset_seeded(n, dim, 31)
+    }
+
+    fn dataset_seeded(n: usize, dim: usize, seed: u64) -> Dataset {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let rows: Vec<Vec<f32>> = (0..n)
             .map(|_| (0..dim).map(|_| rng.gen::<f32>() * 10.0).collect())
             .collect();
@@ -1443,18 +1447,88 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn maintain_clears_stale_filter_bits_exactly() {
-        let ds = dataset(200, 8);
+    /// The filter region of the image at `path`, one word vector per
+    /// table.
+    fn filters_on_disk(path: &std::path::Path, g: &TableGeometry) -> Vec<Vec<u64>> {
+        let image = std::fs::read(path).unwrap();
+        (0..g.num_tables())
+            .map(|t| {
+                let base = g.filter_base(t / g.l, t % g.l) as usize;
+                image[base..base + g.filter_bytes_per_table() as usize]
+                    .chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Delete half of a built index, insert a few new objects, run one
+    /// full maintenance pass: the filter region on disk, the updater's
+    /// mirror and a live index kept in sync the way the serving layer
+    /// does it must all equal, word for word, the filter region of a
+    /// fresh build over the survivors with the same seed and geometry.
+    /// Returns the pass's report and the churned image's path.
+    fn gc_matches_fresh_build(
+        u_bits: Option<u32>,
+        filter_bits: Option<u32>,
+    ) -> (MaintenanceReport, Dataset, std::path::PathBuf) {
+        let ds = dataset_seeded(220, 8, test_seed() ^ 0x6C);
+        let built = ds.prefix(200);
         let params = E2lshParams::derive(200, 2.0, 4.0, 1.0, ds.max_abs_coord(), 8);
+        let cfg = BuildConfig {
+            u_bits,
+            filter_bits,
+            capacity: Some(400),
+            ..Default::default()
+        };
         let path = temp_path("gc_filters.idx");
-        build_index(&ds, &params, &BuildConfig::default(), &path).unwrap();
+        build_index(&built, &params, &cfg, &path).unwrap();
+        let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&path).unwrap());
+        let live = StorageIndex::open(&mut dev).unwrap();
+
         let mut up = Updater::open(&path).unwrap();
         for i in 0..100 {
             up.delete(ds.point(i), i as u32).unwrap();
         }
+        for i in 200..220 {
+            up.insert(ds.point(i)).unwrap();
+        }
+        for (ri, li, h32) in up.take_trace().filter_bits {
+            live.set_filter_bit(ri, li, h32);
+        }
         let rep = up.maintain(usize::MAX).unwrap();
         assert!(rep.completed_pass);
+        for &(ri, li, word, value) in &rep.filter_words {
+            live.set_filter_word(ri, li, word, value);
+        }
+        // A second pass over the already-clean index changes nothing.
+        let rep2 = up.maintain(usize::MAX).unwrap();
+        assert!(!rep2.productive(), "second pass must be a no-op");
+        assert!(rep2.filter_words.is_empty());
+
+        let mut survivors = Dataset::with_capacity(8, 120);
+        for i in 100..220 {
+            survivors.push(ds.point(i));
+        }
+        let mut fresh_params = params.clone();
+        fresh_params.n = survivors.len();
+        let fresh_path = temp_path("gc_filters_fresh.idx");
+        build_index(&survivors, &fresh_params, &cfg, &fresh_path).unwrap();
+        let g = *up.geometry();
+        let fresh = filters_on_disk(&fresh_path, &g);
+        assert!(fresh.iter().flatten().any(|&w| w != 0));
+        assert_eq!(filters_on_disk(&path, &g), fresh, "GC on disk is not exact");
+        assert_eq!(up.filters, fresh, "updater mirror is not exact");
+        for (t, want) in fresh.iter().enumerate() {
+            assert_eq!(&live.filter_words(t / g.l, t % g.l), want, "live index");
+        }
+        std::fs::remove_file(&fresh_path).ok();
+        (rep, ds, path)
+    }
+
+    #[test]
+    fn maintain_clears_stale_filter_bits_exactly() {
+        let (rep, ds, path) = gc_matches_fresh_build(None, None);
         assert!(
             rep.filter_bits_cleared > 0,
             "deleting half the objects must strand filter bits"
@@ -1463,11 +1537,8 @@ mod tests {
             rep.bytes_reclaimed,
             rep.blocks_reclaimed * BLOCK_SIZE as u64
         );
-        // A second pass over the already-clean index reclaims nothing.
-        let rep2 = up.maintain(usize::MAX).unwrap();
-        assert!(!rep2.productive(), "second pass must be a no-op");
-        drop(up);
-        // GC is exact: every survivor still self-queries at distance 0.
+        // Exact means no false negative either: every sampled survivor
+        // still self-queries at distance 0.
         let mut queries = Dataset::with_capacity(8, 20);
         for i in (100..200).step_by(5) {
             queries.push(ds.point(i));
@@ -1478,6 +1549,69 @@ mod tests {
             .filter(|r| r.first().is_some_and(|&(_, d)| d == 0.0))
             .count();
         assert!(found >= 18, "survivors self-found {found}/20 after GC");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The two edges of the block layout. `filter_bits == u_bits`: one
+    /// bit per slot, all positions coincide, GC clears the bit exactly
+    /// when the chain is empty. Blocks narrower than a word: 64 / 2^c
+    /// slots share each word, so GC must rewrite its own bits and leave
+    /// the neighbours' (overwriting the word would drop live objects of
+    /// up to 63 other slots). And one block of many words (c = 10).
+    #[test]
+    fn maintain_gc_is_exact_at_the_edges_of_the_block_layout() {
+        for c in [0u32, 2, 5, 10] {
+            let (rep, _, path) = gc_matches_fresh_build(Some(8), Some(8 + c));
+            assert!(rep.filter_bits_cleared > 0, "c = {c}: nothing cleared");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Fail every write of an insert in turn (each run replays the same
+    /// writes up to the failed one, so every filter write of the clean
+    /// insert is failed exactly once). Whichever write it was, the
+    /// updater's mirror and the filter region on disk agree afterwards —
+    /// a failed filter write leaves both without the new bits — so a
+    /// reopened handle that retries the insert persists what the failed
+    /// one could not, and the object is findable in every table.
+    #[test]
+    fn failed_filter_write_leaves_mirror_and_disk_without_the_new_bits() {
+        let ds = dataset_seeded(121, 8, test_seed() ^ 0xF1);
+        let mut params = E2lshParams::derive(121, 2.0, 4.0, 1.0, ds.max_abs_coord(), 8);
+        params.n = 120;
+        let base = temp_path("filter_fail_base.idx");
+        build_index(&ds.prefix(120), &params, &BuildConfig::default(), &base).unwrap();
+        let path = temp_path("filter_fail.idx");
+        for n in 0.. {
+            std::fs::copy(&base, &path).unwrap();
+            let mut up = Updater::open(&path).unwrap();
+            let g = *up.geometry();
+            up.fail_after_writes(Some(n));
+            let res = up.insert(ds.point(120));
+            assert_eq!(up.filters, filters_on_disk(&path, &g), "write {n} failed");
+            if res.is_ok() {
+                let filter_writes = up.trace().filter_bits.len();
+                assert!(filter_writes > 0 && (filter_writes as u64) < n);
+                break;
+            }
+            drop(up);
+            let mut up = Updater::open(&path).unwrap();
+            up.insert(ds.point(120)).unwrap();
+            drop(up);
+            let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&path).unwrap());
+            let reopened = StorageIndex::open(&mut dev).unwrap();
+            let mut scratch = Vec::new();
+            for t in 0..g.num_tables() {
+                let (ri, li) = (t / g.l, t % g.l);
+                let compound = reopened.family().compound(ri, li);
+                let key = compound.hash64(ds.point(120), params.radii[ri], &mut scratch);
+                assert!(
+                    reopened.filter_hit(ri, li, hash_v_bits(key, HASH_BITS)),
+                    "retry after failed write {n} left table ({ri}, {li}) without its bits"
+                );
+            }
+        }
+        std::fs::remove_file(&base).ok();
         std::fs::remove_file(&path).ok();
     }
 

@@ -21,17 +21,23 @@
 //! 4. **no torn blocks** — reader threads walk bucket chains through
 //!    their own file handles while the writer churns and compacts;
 //!    every block decodes (count within bounds) and every chain
-//!    pointer stays block-aligned inside the heap.
+//!    pointer stays block-aligned inside the heap;
+//! 5. **no false negatives** — under random insert / delete /
+//!    `maintain(budget)` sequences, after every operation every live
+//!    object passes the occupancy filter in every table, on the
+//!    updater's mirror, on a live index kept in sync the way the serving
+//!    layer does it, and on a handle reopened from the file.
 
 use e2lsh_core::dataset::Dataset;
+use e2lsh_core::lsh::hash_v_bits;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_storage::build::{build_index, BuildConfig};
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
 use e2lsh_storage::device::Interface;
 use e2lsh_storage::index::StorageIndex;
-use e2lsh_storage::layout::{BucketBlock, BLOCK_SIZE, ENTRIES_PER_BLOCK};
+use e2lsh_storage::layout::{BucketBlock, BLOCK_SIZE, ENTRIES_PER_BLOCK, HASH_BITS};
 use e2lsh_storage::query::{run_queries, EngineConfig};
-use e2lsh_storage::testutil::temp_path;
+use e2lsh_storage::testutil::{temp_path, test_seed};
 use e2lsh_storage::update::Updater;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -39,13 +45,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const DIM: usize = 6;
-
-fn test_seed() -> u64 {
-    std::env::var("E2LSH_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11)
-}
 
 fn random_point(rng: &mut ChaCha8Rng) -> Vec<f32> {
     (0..DIM).map(|_| rng.gen::<f32>() * 10.0).collect()
@@ -408,4 +407,107 @@ fn concurrent_chain_walks_see_no_torn_blocks() {
         "readers never completed a walk"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// 5. No false negatives under random operation sequences, at the
+///    default geometry and at the block layout's edges (one bit per
+///    slot; eight slots to a filter word). Some inserts repeat a live
+///    object's coordinates, so deletes and GC meet hash values that
+///    another live object still needs.
+#[test]
+fn filter_never_hides_a_live_object_under_random_ops() {
+    let seed = test_seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB100F);
+    let open = |path: &Path| {
+        let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(path).unwrap());
+        StorageIndex::open(&mut dev).unwrap()
+    };
+    for (u_bits, filter_bits) in [(None, None), (Some(8), Some(8)), (Some(8), Some(11))] {
+        let data = dataset(60, &mut rng);
+        let params = params_for(&data);
+        let path = temp_path(&format!("churn-filter-{seed}-{filter_bits:?}.idx"));
+        let cfg = BuildConfig {
+            u_bits,
+            filter_bits,
+            capacity: Some(512),
+            ..Default::default()
+        };
+        build_index(&data, &params, &cfg, &path).unwrap();
+
+        // The serving layer's arrangement: one index opened up front,
+        // fed every write's trace and every maintenance report.
+        let synced = open(&path);
+        let mut up = Updater::open(&path).unwrap();
+        let g = *up.geometry();
+        let mut scratch = Vec::new();
+        let mut hashes_of = |p: &[f32]| -> Vec<u64> {
+            (0..g.num_tables())
+                .map(|t| {
+                    let (ri, li) = (t / g.l, t % g.l);
+                    let compound = synced.family().compound(ri, li);
+                    hash_v_bits(
+                        compound.hash64(p, params.radii[ri], &mut scratch),
+                        HASH_BITS,
+                    )
+                })
+                .collect()
+        };
+        // The oracle: every live id with its coordinates and its hash
+        // value in each table.
+        let mut live: Vec<(u32, Vec<f32>, Vec<u64>)> = (0..data.len())
+            .map(|i| (i as u32, data.point(i).to_vec(), hashes_of(data.point(i))))
+            .collect();
+
+        for step in 0..120 {
+            let what = match rng.gen_range(0..10) {
+                0..=3 => {
+                    let p = if !live.is_empty() && rng.gen_range(0..3) == 0 {
+                        live[rng.gen_range(0..live.len())].1.clone()
+                    } else {
+                        random_point(&mut rng)
+                    };
+                    let id = up.insert(&p).unwrap();
+                    let hashes = hashes_of(&p);
+                    live.push((id, p, hashes));
+                    "insert"
+                }
+                4..=7 if !live.is_empty() => {
+                    let (id, p, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                    up.delete(&p, id).unwrap();
+                    "delete"
+                }
+                _ => {
+                    let rep = up.maintain(rng.gen_range(1..300)).unwrap();
+                    for &(ri, li, word, value) in &rep.filter_words {
+                        synced.set_filter_word(ri, li, word, value);
+                    }
+                    "maintain"
+                }
+            };
+            for (ri, li, h32) in up.take_trace().filter_bits {
+                synced.set_filter_bit(ri, li, h32);
+            }
+
+            let reopened = open(&path);
+            for (id, _, hashes) in &live {
+                for (t, &h32) in hashes.iter().enumerate() {
+                    let (ri, li) = (t / g.l, t % g.l);
+                    let mirror = up.filter_words(ri, li);
+                    let in_mirror = g
+                        .filter_positions(h32)
+                        .iter()
+                        .all(|&(word, bit)| mirror[word] & bit != 0);
+                    assert!(
+                        in_mirror && synced.filter_hit(ri, li, h32) && reopened.filter_hit(ri, li, h32),
+                        "step {step} ({what}): object {id} hidden in table ({ri}, {li}) — mirror \
+                         {in_mirror}, synced {}, reopened {} (seed {seed}, filter_bits {filter_bits:?})",
+                        synced.filter_hit(ri, li, h32),
+                        reopened.filter_hit(ri, li, h32),
+                    );
+                }
+            }
+        }
+        assert_eq!(up.trace().chain_inconsistencies, 0);
+        std::fs::remove_file(&path).ok();
+    }
 }

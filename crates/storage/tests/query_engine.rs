@@ -283,7 +283,12 @@ fn occupancy_filter_reduces_ios_without_hurting_results() {
     let with = run(true);
     let without = run(false);
     assert!(with.mean_n_io() <= without.mean_n_io());
+    // What the filter saves is exactly the waste it exists to avoid:
+    // block reads no fingerprint matched (its false positives remain).
+    assert!(with.mean_wasted_block_reads() < without.mean_wasted_block_reads());
     for qi in 0..fx.queries.len() {
+        let out = &with.outcomes[qi];
+        assert!(out.wasted_block_reads <= out.block_reads);
         assert_eq!(
             with.outcomes[qi].neighbors, without.outcomes[qi].neighbors,
             "filter must not change results"
