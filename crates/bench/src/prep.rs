@@ -111,7 +111,7 @@ fn ensure_disk_index_in(
     data: &Dataset,
     gamma: f32,
 ) -> std::path::PathBuf {
-    use e2lsh_core::distance::KERNEL_REVISION;
+    use e2lsh_core::kernel::KERNEL_REVISION;
     use e2lsh_storage::build::{build_index, BuildConfig, FORMAT_VERSION};
     let path = dir.join(format!(
         "{name}-n{}-g{}-f{FORMAT_VERSION}k{KERNEL_REVISION}.idx",

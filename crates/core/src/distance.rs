@@ -1,73 +1,17 @@
-//! Euclidean distance kernels.
+//! Euclidean distance functions.
 //!
-//! The paper accelerates distance checking with AVX-512; here the kernels
-//! are written as chunked loops over sixteen independent lanes that LLVM
-//! auto-vectorizes for the target CPU. The experiment harness calibrates the *actual* cost of these
-//! kernels at startup so the virtual-time engine charges real numbers.
+//! The paper accelerates distance checking with AVX-512. Here [`dist2`] and
+//! [`dot`] are the kernels of [`crate::kernel`]: explicit AVX2 where the CPU
+//! has it, a portable 16-lane loop elsewhere, the same bits either way. The
+//! experiment harness calibrates the *actual* cost of these kernels at
+//! startup so the virtual-time engine charges real numbers.
 
-/// Independent accumulator lanes of the kernels below. A single 4-lane
-/// accumulator is one dependent add chain (every step waits out the
-/// previous add's latency); sixteen lanes are four 128-bit or two 256-bit
-/// chains the CPU overlaps, with no `-ffast-math`-style reassociation
-/// needed for LLVM to emit wide SIMD.
-const LANES: usize = 16;
-
-/// Revision of the summation order of [`dot`] / [`dist2`]. Hash values
-/// are rounded projections, so an index image built under one order must
-/// not be queried under another: bump this whenever the order changes
-/// (anything that caches built images keys them by it).
-pub const KERNEL_REVISION: u32 = 2;
-
-/// `Σ term(aᵢ, bᵢ)`: [`LANES`] running sums over whole chunks, folded
-/// pairwise, plus a scalar tail.
-#[inline(always)]
-fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let (a, b) = (a[..n].chunks_exact(LANES), b[..n].chunks_exact(LANES));
-    let tail: f32 = a
-        .remainder()
-        .iter()
-        .zip(b.remainder())
-        .map(|(&x, &y)| term(x, y))
-        .sum();
-    let mut acc = [0.0f32; LANES];
-    for (ca, cb) in a.zip(b) {
-        for lane in 0..LANES {
-            acc[lane] += term(ca[lane], cb[lane]);
-        }
-    }
-    let mut width = LANES;
-    while width > 1 {
-        width /= 2;
-        for lane in 0..width {
-            acc[lane] += acc[lane + width];
-        }
-    }
-    acc[0] + tail
-}
-
-/// Squared Euclidean distance between two equal-length vectors.
-///
-/// Panics in debug builds if the lengths differ.
-#[inline]
-pub fn dist2(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| {
-        let d = x - y;
-        d * d
-    })
-}
+pub use crate::kernel::{dist2, dot};
 
 /// Euclidean distance.
 #[inline]
 pub fn dist(a: &[f32], b: &[f32]) -> f32 {
     dist2(a, b).sqrt()
-}
-
-/// Dot product of two equal-length vectors (used by the LSH projection).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| x * y)
 }
 
 /// Squared norm `‖a‖²`.

@@ -8,8 +8,11 @@
 //!
 //! * [`math`] — special functions (erf, normal CDF, incomplete gamma,
 //!   chi-square CDF) needed for collision probabilities and baseline methods;
-//! * [`distance`] — Euclidean distance kernels written so the compiler can
-//!   auto-vectorize them (the paper uses AVX-512 kernels);
+//! * [`kernel`] — the three hot loops (dot product, squared distance,
+//!   compound-hash projection), each as a portable reference and an explicit
+//!   AVX2 version picked at run time (the paper uses AVX-512 kernels); the
+//!   crate's only `unsafe`;
+//! * [`distance`] — Euclidean distance functions over those kernels;
 //! * [`dataset`] — a flat, cache-friendly container for `n` points of
 //!   dimension `d`;
 //! * [`lsh`] — p-stable hash functions `h(o) = ⌊(a·o + b)/w⌋`, compound
@@ -51,10 +54,17 @@
 //! assert_eq!(results[0].0, 0); // the point itself is its own nearest neighbor
 //! ```
 
+// `unsafe` lives in `kernel` alone, every block under a `// SAFETY:` line
+// (clippy enforces it).
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod dataset;
 pub mod distance;
 pub mod fxhash;
 pub mod index;
+#[allow(unsafe_code)]
+pub mod kernel;
 pub mod lsh;
 pub mod math;
 pub mod params;

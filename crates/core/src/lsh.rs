@@ -9,7 +9,7 @@
 //! `o/R`, i.e. `h_R(o) = ⌊(a·o/R + b)/w⌋`, so the same `(w, c)` collision
 //! probabilities `p1 = p_w(1)`, `p2 = p_w(c)` apply at every radius.
 
-use crate::distance::dot;
+use crate::kernel::{self, Projection};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -63,17 +63,9 @@ impl CompoundHash {
     }
 
     /// Evaluate all `m` hash values for `point` at search radius `radius`,
-    /// appending them to `out` (cleared first).
+    /// into `out` (resized to `m`).
     pub fn eval_into(&self, point: &[f32], radius: f32, out: &mut Vec<i32>) {
-        assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        assert!(radius > 0.0);
-        out.clear();
-        let inv_r = 1.0 / radius;
-        for j in 0..self.m {
-            let row = &self.a[j * self.dim..(j + 1) * self.dim];
-            let proj = dot(row, point) * inv_r;
-            out.push(((proj + self.b[j]) / self.w).floor() as i32);
-        }
+        self.project(point, radius, out, None);
     }
 
     /// Evaluate and mix into a single 64-bit bucket key.
@@ -94,17 +86,26 @@ impl CompoundHash {
         out: &mut Vec<i32>,
         frac: &mut Vec<f32>,
     ) {
+        frac.resize(self.m, 0.0);
+        self.project(point, radius, out, Some(frac));
+    }
+
+    /// The one projection loop ([`kernel::project`]) behind every
+    /// evaluation: the hash a probe sequence perturbs is the hash the
+    /// index was built with.
+    fn project(&self, point: &[f32], radius: f32, out: &mut Vec<i32>, frac: Option<&mut [f32]>) {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
         assert!(radius > 0.0);
-        out.clear();
-        frac.clear();
-        let inv_r = 1.0 / radius;
-        for j in 0..self.m {
-            let row = &self.a[j * self.dim..(j + 1) * self.dim];
-            let scaled = (dot(row, point) * inv_r + self.b[j]) / self.w;
-            let h = scaled.floor();
-            out.push(h as i32);
-            frac.push(scaled - h);
+        out.resize(self.m, 0);
+        kernel::project(&self.projection(), point, 1.0 / radius, out, frac);
+    }
+
+    /// The `m` functions as the kernels take them.
+    pub fn projection(&self) -> Projection<'_> {
+        Projection {
+            rows: &self.a,
+            offsets: &self.b,
+            w: self.w,
         }
     }
 
@@ -379,6 +380,76 @@ mod tests {
         assert_eq!(hash_v_bits(h, 32), 0xdead_beef);
         assert_eq!(hash_v_bits(h, 64), h);
         assert_eq!(hash_v_bits(h, 8), 0xef);
+    }
+
+    /// The contract that lets `KERNEL_REVISION` stay: on whatever kernel
+    /// this host dispatches to, a family's bucket keys are the ones the
+    /// portable reference computes — at the benchmark's shape and at one
+    /// with an odd row count and tail dimensions.
+    #[test]
+    fn keys_at_radius_equal_the_portable_reference() {
+        let radii = [1.0f32, 2.0, 4.0, 8.0];
+        let mut r = rng();
+        for (m, dim) in [(10, 128), (7, 100)] {
+            let family = HashFamily::generate(dim, m, 4.0, 4, &radii, 5);
+            let (mut scratch, mut keys) = (Vec::new(), Vec::new());
+            let mut values = vec![0; m];
+            for _ in 0..1000 {
+                let p: Vec<f32> = (0..dim).map(|_| r.gen::<f32>() * 255.0).collect();
+                for (ri, &radius) in radii.iter().enumerate() {
+                    family.keys_at_radius(&p, ri, &mut scratch, &mut keys);
+                    for (li, &key) in keys.iter().enumerate() {
+                        let rows = family.compound(ri, li).projection();
+                        kernel::portable::project(&rows, &p, 1.0 / radius, &mut values, None);
+                        assert_eq!(key, mix_hash_values(&values), "m={m} d={dim} ri={ri}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Values computed by the auto-vectorised kernels `KERNEL_REVISION` 2
+    /// was introduced with, before there was an explicit SIMD path: a
+    /// kernel change that moves any of them must bump the revision.
+    #[test]
+    fn kernel_revision_2_golden_values() {
+        let golden: [(usize, usize, [u64; 3], u32, u32); 2] = [
+            (
+                10,
+                128,
+                [
+                    0xc369_85dc_11bd_b838,
+                    0x1112_f38d_84ec_4f39,
+                    0x29af_39e8_df9a_2f22,
+                ],
+                0xc385_6c3c,
+                0x480b_0543,
+            ),
+            (
+                7,
+                100,
+                [
+                    0x9854_4182_30fa_02a6,
+                    0x4f1f_d87f_39a5_76e0,
+                    0xf9f9_0717_ed53_1f47,
+                ],
+                0xc51e_33ab,
+                0x47e4_da73,
+            ),
+        ];
+        assert_eq!(kernel::KERNEL_REVISION, 2);
+        for (m, dim, first_keys, dot_bits, dist2_bits) in golden {
+            let family = HashFamily::generate(dim, m, 4.0, 3, &[1.0, 2.0, 4.0], 2023);
+            let p: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin() * 40.0).collect();
+            let q: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.71).cos() * 25.0).collect();
+            let (mut scratch, mut keys) = (Vec::new(), Vec::new());
+            for (ri, want) in first_keys.into_iter().enumerate() {
+                family.keys_at_radius(&p, ri, &mut scratch, &mut keys);
+                assert_eq!(keys[0], want, "m={m} d={dim} ri={ri}");
+            }
+            assert_eq!(kernel::dot(&p, &q).to_bits(), dot_bits);
+            assert_eq!(kernel::dist2(&p, &q).to_bits(), dist2_bits);
+        }
     }
 
     #[test]

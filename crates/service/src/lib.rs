@@ -110,6 +110,8 @@
 //! served from memory and the cache hit rate shows up in every
 //! [`service::ServiceReport`].
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod export;
 pub mod loadgen;

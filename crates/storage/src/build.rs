@@ -17,7 +17,7 @@ use crate::layout::{
     SUPERBLOCK_SIZE,
 };
 use e2lsh_core::dataset::Dataset;
-use e2lsh_core::lsh::{hash_v_bits, HashFamily};
+use e2lsh_core::lsh::{hash_v_bits, CompoundHash, HashFamily};
 use e2lsh_core::params::E2lshParams;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
@@ -260,6 +260,18 @@ pub fn build_index<P: AsRef<Path>>(
     config: &BuildConfig,
     path: P,
 ) -> io::Result<BuildReport> {
+    build_index_hashing(dataset, params, config, path, CompoundHash::hash64)
+}
+
+/// [`build_index`] with the bucket-key function spelled out, so a test can
+/// build the same image through the portable reference kernels.
+fn build_index_hashing<P: AsRef<Path>>(
+    dataset: &Dataset,
+    params: &E2lshParams,
+    config: &BuildConfig,
+    path: P,
+    hash64: impl Fn(&CompoundHash, &[f32], f32, &mut Vec<i32>) -> u64,
+) -> io::Result<BuildReport> {
     let n = dataset.len();
     assert!(n >= 1, "cannot index an empty dataset");
     assert_eq!(params.n, n, "params derived for a different n");
@@ -315,7 +327,7 @@ pub fn build_index<P: AsRef<Path>>(
             keyed.clear();
             filter.iter_mut().for_each(|w| *w = 0);
             for oid in 0..n {
-                let key64 = compound.hash64(dataset.point(oid), radius, &mut scratch);
+                let key64 = hash64(compound, dataset.point(oid), radius, &mut scratch);
                 let h32 = hash_v_bits(key64, HASH_BITS);
                 for (word, bit) in geometry.filter_positions(h32) {
                     filter[word] |= bit;
@@ -591,5 +603,45 @@ mod tests {
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!(len, report.total_bytes);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Whatever kernel this host dispatches to writes the image the
+    /// portable reference writes — why an image is valid on every host and
+    /// `KERNEL_REVISION` need not follow the CPU.
+    #[test]
+    fn dispatched_and_portable_kernels_build_the_same_image() {
+        use e2lsh_core::dataset::Dataset;
+        use e2lsh_core::kernel::portable;
+        use e2lsh_core::lsh::mix_hash_values;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
+        // 100 dimensions: six whole 16-lane chunks and a tail.
+        let rows: Vec<Vec<f32>> = (0..400)
+            .map(|_| (0..100).map(|_| rng.gen::<f32>() * 255.0).collect())
+            .collect();
+        let ds = Dataset::from_rows(&rows);
+        let params = E2lshParams::derive(ds.len(), 2.0, 4.0, 1.0, ds.max_abs_coord(), 100);
+        let config = BuildConfig::default();
+        let (dispatched, reference) = (temp_path("kernel_any.idx"), temp_path("kernel_ref.idx"));
+        build_index(&ds, &params, &config, &dispatched).unwrap();
+        build_index_hashing(
+            &ds,
+            &params,
+            &config,
+            &reference,
+            |compound, point, radius, scratch| {
+                scratch.resize(compound.m(), 0);
+                portable::project(&compound.projection(), point, 1.0 / radius, scratch, None);
+                mix_hash_values(scratch)
+            },
+        )
+        .unwrap();
+        let (a, b) = (
+            std::fs::read(&dispatched).unwrap(),
+            std::fs::read(&reference).unwrap(),
+        );
+        assert!(a == b, "images differ");
+        std::fs::remove_file(&dispatched).ok();
+        std::fs::remove_file(&reference).ok();
     }
 }

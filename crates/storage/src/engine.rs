@@ -8,7 +8,8 @@
 //! on the current machine* — so the modeled `T_compute` tracks the code
 //! that actually runs, not a guess.
 
-use e2lsh_core::distance::{dist2, dot};
+use e2lsh_core::distance::dist2;
+use e2lsh_core::lsh::HashFamily;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -56,35 +57,36 @@ impl CostModel {
         }
     }
 
-    /// Measure the real kernels on this machine (takes ~50 ms).
+    /// Measure the real kernels on this machine (takes ~50 ms): a whole
+    /// compound-hash evaluation at the paper's shape (`m` = 10 projections
+    /// of 128 dimensions through `kernel::project`, quantized and mixed)
+    /// and a 128-d distance check.
     pub fn calibrate() -> Self {
-        let dim = 128usize;
+        let (m, dim) = (10usize, 128usize);
         let a: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.71).cos()).collect();
+        let family = HashFamily::generate(dim, m, 4.0, 1, &[1.0], 0);
+        let compound = family.compound(0, 0);
+        let mut scratch = Vec::new();
 
-        let per_flop = |f: &dyn Fn(&[f32], &[f32]) -> f32| -> f64 {
-            // Warm up, then measure.
-            let mut acc = 0.0f32;
-            for _ in 0..10_000 {
-                acc += f(black_box(&a), black_box(&b));
-            }
-            black_box(acc);
-            let iters = 200_000u64;
+        // Seconds per call of `f`, after a warm-up.
+        let time = |iters: u32, f: &mut dyn FnMut()| -> f64 {
+            (0..iters / 10).for_each(|_| f());
             let t0 = Instant::now();
-            let mut acc = 0.0f32;
-            for _ in 0..iters {
-                acc += f(black_box(&a), black_box(&b));
-            }
-            black_box(acc);
-            t0.elapsed().as_secs_f64() / (iters as f64 * dim as f64)
+            (0..iters).for_each(|_| f());
+            t0.elapsed().as_secs_f64() / f64::from(iters)
         };
-
-        let hash_flop = per_flop(&|x, y| dot(x, y));
-        let dist_flop = per_flop(&|x, y| dist2(x, y));
+        let hash = time(100_000, &mut || {
+            black_box(compound.hash64(black_box(&a), 1.0, &mut scratch));
+        });
+        let dist = time(200_000, &mut || {
+            black_box(dist2(black_box(&a), black_box(&b)));
+        });
         Self {
-            hash_flop,
-            hash_fixed: 20e-9,
-            dist_flop,
+            // The whole evaluation was timed: nothing fixed is left over.
+            hash_flop: hash / (m * dim) as f64,
+            hash_fixed: 0.0,
+            dist_flop: dist / dim as f64,
             dist_fixed: 20e-9,
             entry_scan: 1.5e-9,
             block_fixed: 30e-9,

@@ -24,6 +24,8 @@
 //! * [`query`] — the asynchronous query engine;
 //! * [`update`] — online insert/delete without rebuilding (paper Sec. 7).
 
+#![deny(unsafe_code)]
+
 pub mod build;
 pub mod device;
 pub mod engine;

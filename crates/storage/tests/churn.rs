@@ -10,10 +10,11 @@
 //!    at distance 0 (modulo LSH recall) and no deleted id is ever
 //!    served again; deletes find their victim in every chain
 //!    (`chain_inconsistencies == 0` throughout);
-//! 2. **space plateau** — with the live set held constant, `total_bytes`
-//!    stops growing once freed blocks start being reused: second-half
-//!    growth collapses and the final heap stays within 2× the build
-//!    footprint (a leak grows every cycle; reuse plateaus near 1×);
+//! 2. **space plateau** — with the live set held constant, freed blocks
+//!    are reused: over any window of at least one fill period the heap
+//!    grows by no more than a small fraction of the live set's footprint,
+//!    and the final heap stays within 2× the build footprint (a leak
+//!    grows every cycle; reuse plateaus near 1×);
 //! 3. **filter-bit GC** — deleting half the objects and running a full
 //!    maintenance pass clears occupancy-filter bits on storage, so a
 //!    reopened index probes measurably fewer buckets
@@ -192,12 +193,21 @@ fn delete_reinsert_cycles_match_oracle() {
 }
 
 /// 2. Space plateau: with the live set constant, reclamation caps heap
-///    growth — the second half of the run grows far less than the
-///    first, and the end state stays within 2× the build footprint.
+///    growth. Growth comes in bursts — the few long chains of the large
+///    radii take every insert, so their head blocks fill together once
+///    per *fill period* (`ENTRIES_PER_BLOCK` inserts) and each allocates
+///    a block — so the bound is stated over windows of at least one
+///    period, not cycle by cycle or half against half: no such window
+///    grows the heap by more than 1/16 of the live set's footprint
+///    (42 seeds measured: at most 2.5 % over the whole run; the writer
+///    frees ≈ 320 blocks per cycle, so one that never reused them would
+///    grow ≈ 4 % per cycle, ≈ 16 % per period), and the end state stays
+///    within 2× the build footprint.
 #[test]
 fn total_bytes_plateaus_under_constant_live_set() {
+    const BATCH: usize = 25;
     let seed = test_seed();
-    let (path, _, live, _, tb) = churn_harness(seed, 300, 12, 25, 256);
+    let (path, _, live, _, tb) = churn_harness(seed, 300, 12, BATCH, 256);
     assert_eq!(live.len(), 300, "live set must be back to n0 each cycle");
 
     let tb_start = {
@@ -211,16 +221,21 @@ fn total_bytes_plateaus_under_constant_live_set() {
         assert!(tb[0] > heap, "heap empty after first cycle?");
         heap
     };
-    let mid = tb.len() / 2;
-    let first_half = tb[mid - 1].saturating_sub(tb[0]);
-    let second_half = tb[tb.len() - 1].saturating_sub(tb[mid - 1]);
-    assert!(
-        second_half <= first_half / 2 + 8 * BLOCK_SIZE as u64,
-        "no plateau: first-half growth {first_half}, second-half {second_half} (seed {seed})"
-    );
+    // The live set's footprint: the heap right after the first cycle.
+    let heap0 = tb[0] - tb_start;
+    let fill_period = ENTRIES_PER_BLOCK.div_ceil(BATCH);
+    assert!(fill_period < tb.len(), "run shorter than a fill period");
+    for from in 0..tb.len() - fill_period {
+        for to in from + fill_period..tb.len() {
+            let growth = tb[to].saturating_sub(tb[from]);
+            assert!(
+                growth <= heap0 / 16,
+                "no plateau: cycles {from}..{to} grew the heap by {growth} of {heap0} (seed {seed})"
+            );
+        }
+    }
     // A leaking writer grows the heap every cycle, a reusing one
     // plateaus near 1×: 2× of the initial heap separates the two.
-    let heap0 = tb[0] - tb_start;
     let heap_end = tb[tb.len() - 1] - tb_start;
     assert!(
         heap_end <= 2 * heap0,
