@@ -61,12 +61,6 @@ pub fn workload_sized(id: DatasetId, n: usize, n_queries: usize) -> Workload {
     }
 }
 
-/// Datasets used when an experiment loops over "all datasets". BIGANN is
-/// included at its (scaled) evaluation size.
-pub fn all_dataset_ids() -> Vec<DatasetId> {
-    DatasetId::ALL.to_vec()
-}
-
 /// The accuracy schedule for E2LSH(oS): pairs of `(γ, S multiplier)`.
 /// Smaller γ means fewer hash functions per compound, so buckets catch
 /// more (and closer) candidates — higher accuracy at more compute — while

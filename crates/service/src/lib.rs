@@ -35,16 +35,15 @@
 //!   sessions; every query fans out to all shards (one replica each)
 //!   and the per-shard top-k results are merged by distance;
 //! * [`reactor`] — the **completion-driven engine**: one event loop
-//!   per replica owns the replica's device handle and admission queue
-//!   and multiplexes up to
+//!   on one thread per replica owns the replica's device handle and
+//!   admission queue, multiplexes up to
 //!   [`ServiceConfig::inflight_per_replica`](service::ServiceConfig::inflight_per_replica)
 //!   interleaved [`QueryState`](e2lsh_storage::query::QueryState)
-//!   slots over the device's native queue depth — CPU work (hashing,
-//!   distance evaluation) runs on a small per-replica compute pool, so
-//!   in-flight queries are slots, not blocked threads (the paper's
-//!   §6.5 async-over-sync result at service scale); includes panic
-//!   containment: a crashing reactor (or compute task) fences its
-//!   replica instead of stranding its tickets;
+//!   slots over the device's native queue depth and runs their CPU
+//!   work (hashing, distance evaluation) itself — in-flight queries
+//!   are slots, not blocked threads (the paper's §6.5 async-over-sync
+//!   result at service scale); includes panic containment: a crashing
+//!   reactor fences its replica instead of stranding its tickets;
 //! * [`shared_sim`] — a simulated device array shared by a shard's
 //!   replicas, so replica scaling contends for one array's IOPS (the
 //!   paper's Figure 16 regime) instead of duplicating hardware;

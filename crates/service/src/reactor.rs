@@ -1,57 +1,33 @@
-//! The per-replica **reactor**: one completion-driven event loop per
-//! replica.
+//! The per-replica **reactor**: one completion-driven event loop on one
+//! thread per replica.
 //!
 //! The paper's central result (§6.5) is that asynchronous I/O with deep
 //! queue depth beats synchronous querying by ~20× — QD=1 cannot hide
-//! storage latency. The reactor applies that at service scale by
-//! driving the storage crate's completion-shaped [`QueryDriver`] state
-//! machine with a replica's concurrency expressed as a slot count, not
-//! a count of blocked threads:
+//! storage latency — and its engine (§5.4, Fig. 10) gets there by letting
+//! one core interleave many queries and leave a query only for a storage
+//! read. The reactor is that engine at service scale:
 //!
-//! * **One event loop per replica** ([`run_replica`]) owns the
-//!   replica's device handle and its admission queue, and multiplexes
-//!   up to [`ServiceConfig::inflight_per_replica`] interleaved
-//!   [`QueryState`] slots over the device's native queue depth — the
-//!   in-flight query count is no longer tied to a thread count.
-//! * **CPU work is offloaded** (hashing at admission and on radius
-//!   escalation, bucket scans and distance evaluation on completion) to
-//!   a small compute pool of `workers_per_replica` threads, so the
-//!   completion loop never stalls behind a hash or a scan. Compute
-//!   tasks run the driver against a submit-only buffer device; the
-//!   reactor replays the buffered I/O onto the real device when the
-//!   task returns, keeping the device handle single-owner.
-//! * **Run-to-miss**: a compute step ends when the query needs the
-//!   *device*, not when it needs a block (the paper's §5.4
-//!   interleaving — a core stops for storage reads only). A replica
-//!   with a cache lends its compute threads the cache's shareable
-//!   front ([`Device::cache_front`]): a hit completes inside the step
-//!   and is fed straight back into the driver; only misses (with the
-//!   fill epoch of their lookup) travel back for the reactor to replay
-//!   through [`Device::submit_miss`], which does not look up again. A
-//!   replica without a cache has no front and every read takes the
-//!   buffered path — the choice is what the reactor observes, not a
-//!   knob.
-//! * **Slot lifecycle**: free → admitted (checked out to an admitting
-//!   task) → in flight (home, device reads outstanding) → checked out
-//!   to a completing task → … → finished (harvested, partial emitted,
-//!   slot freed). Completions that arrive while a slot is checked out
-//!   are parked in a per-slot pending list and re-dispatched the moment
-//!   the slot returns, so one slow step never blocks the poll loop.
+//! * **One thread per replica** ([`run_replica`]) owns the replica's
+//!   device handle, its admission queue, a [`QueryDriver`] and up to
+//!   [`ServiceConfig::inflight_per_replica`] interleaved [`QueryState`]
+//!   slots. It runs the query step itself: a popped job is hashed and
+//!   its first reads submitted; each polled completion is scanned,
+//!   distance-checked and followed up where it lands. A cached replica's
+//!   DRAM hits complete on the same thread's next poll. CPU inside a
+//!   shard scales the way the paper's Fig. 16 does it — by adding such
+//!   threads ([`ServiceConfig::replicas_per_shard`], or more shards).
+//! * **Slot lifecycle**: free → active (admitted, device reads
+//!   outstanding) → finished (partial emitted, slot freed).
 //! * **Idle discipline**: every no-progress iteration blocks on the
-//!   event source that can actually wake it — the compute-result
-//!   channel, the modeled next-completion time (wall-driven sim), the
-//!   device's own wait (wall-clock devices), or the job queue — with a
-//!   debug assertion that active slots always imply outstanding I/O or
-//!   an outstanding compute task. (The old loop could fall through to a
-//!   100%-CPU spin when a device reported no completions and zero
-//!   in-flight I/Os with a slot still active.)
+//!   event source that can actually wake it — the modeled next-completion
+//!   time (wall-driven sim), the device's own wait (wall-clock devices),
+//!   or the job queue — with a debug assertion that active slots always
+//!   imply outstanding I/O.
 //!
 //! Statistics are published *live* into a per-replica
 //! [`ReplicaStatsCell`] — once per harvest batch, not once per
-//! completion, so the hot completion path no longer serializes on the
-//! metrics mutex — and ticket ids are kept in a reactor-side table
-//! instead of being round-tripped through the engine's `usize` query
-//! id, so a `u64` ticket id survives losslessly on any target.
+//! completion, so the hot completion path does not serialize on the
+//! metrics mutex.
 //!
 //! The reactor is also the replica's **fencing agent**
 //! ([`crate::router`]): it checks the replica's down flag every
@@ -59,22 +35,20 @@
 //! the lane's only queue receiver — performs the last-exiter handshake
 //! itself: wait for in-progress sends to quiesce, then emit exactly one
 //! [`ReactorMsg::ReplicaDown`], the collector's cue to re-dispatch the
-//! replica's outstanding queries. A panic anywhere in the loop (or in a
-//! compute task, which reports back and re-panics the reactor) fences
+//! replica's outstanding queries. A panic anywhere in the loop fences
 //! the replica first, so a crash degrades into the same failover path
 //! instead of stranding tickets.
 //!
 //! [`ServiceConfig::inflight_per_replica`]: crate::service::ServiceConfig::inflight_per_replica
+//! [`ServiceConfig::replicas_per_shard`]: crate::service::ServiceConfig::replicas_per_shard
 
 use crate::admission::GatedReceiver;
 use crate::router::LaneState;
 use crate::shard::Shard;
 use crate::topology::Replica;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use e2lsh_storage::device::cached::{CacheFront, FillEpoch, Lookup};
-use e2lsh_storage::device::{Device, DeviceStats, IoCompletion, IoRequest};
+use crossbeam::channel::{RecvTimeoutError, Sender, TryRecvError};
+use e2lsh_storage::device::{Device, DeviceStats, IoCompletion};
 use e2lsh_storage::query::{completion_ctx, EngineClock, EngineConfig, QueryDriver, QueryState};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -179,7 +153,7 @@ pub struct ReactorCtx<'a> {
     pub replica: usize,
     /// The replica's health handle ([`crate::topology`]): its down flag
     /// is checked every loop iteration, and [`run_replica`] fences it
-    /// when the loop (or a compute task) panics.
+    /// when the loop panics.
     pub replica_state: &'a Replica,
     /// The replica's per-session handshake state ([`crate::router`]).
     pub lane: &'a LaneState,
@@ -190,11 +164,6 @@ pub struct ReactorCtx<'a> {
     ///
     /// [`ServiceConfig::inflight_per_replica`]: crate::service::ServiceConfig::inflight_per_replica
     pub engine: &'a EngineConfig,
-    /// CPU threads in the replica's compute pool
-    /// ([`ServiceConfig::workers_per_replica`]).
-    ///
-    /// [`ServiceConfig::workers_per_replica`]: crate::service::ServiceConfig::workers_per_replica
-    pub compute_threads: usize,
     /// True when the device models time (wall-driven simulation): poll
     /// with the epoch-relative clock and sleep to modeled completion
     /// times instead of blocking in the device.
@@ -206,9 +175,8 @@ pub struct ReactorCtx<'a> {
 /// Run one replica's reactor until the job channel disconnects and all
 /// admitted queries finish — or the replica is fenced, in which case
 /// the reactor abandons its work and performs the exit handshake. A
-/// panic inside the loop (or inside a compute task) fences the replica
-/// and exits through the same handshake instead of poisoning the
-/// session.
+/// panic inside the loop fences the replica and exits through the same
+/// handshake instead of poisoning the session.
 pub fn run_replica(
     ctx: ReactorCtx<'_>,
     device: Box<dyn Device>,
@@ -250,307 +218,136 @@ pub fn run_replica(
     }
 }
 
-/// A unit of CPU work shipped to the compute pool: one step of one
-/// query. The slot travels with the task (checked out of the reactor's
-/// table), so exactly one thread touches a query's state at a time.
-struct Task {
-    slot: Box<QueryState>,
-    ci: usize,
-    now: f64,
-    /// A free slot's new query: hash the point and plan the probes
-    /// first. `None` for a slot already running.
-    admit: Option<Arc<[f32]>>,
-    /// Device completions to scan (distance checks, follow-up reads,
-    /// re-hash on radius escalation); empty at admission.
-    comps: Vec<IoCompletion>,
+/// One replica's serving state: the device handle, the engine driver and
+/// the slot table, all owned by the replica's one thread.
+struct Lane<'a> {
+    ctx: &'a ReactorCtx<'a>,
+    out: &'a Sender<ReactorMsg>,
+    device: Box<dyn Device>,
+    driver: QueryDriver<'a>,
+    clock: EngineClock,
+    slots: Vec<QueryState>,
+    /// Ticket ids live here, never inside the engine (whose query id is
+    /// the slot index): lossless on any target, no u64→usize round trip.
+    qids: Vec<u64>,
+    starts: Vec<f64>,
+    free: Vec<usize>,
+    /// Slots whose query ended this round, awaiting [`Lane::flush`].
+    finished: Vec<usize>,
+    served: u64,
 }
 
-/// A compute task's result. `slot: None` means the task panicked — the
-/// reactor re-panics, which fences the replica through
-/// [`run_replica`]'s catch.
-struct Done {
-    ci: usize,
-    slot: Option<Box<QueryState>>,
-    /// The reads the step could not answer itself, for the reactor to
-    /// replay onto the real device: cache misses with the epoch their
-    /// lookup returned (the device does not look up again), everything
-    /// else — an uncached replica's reads, uncacheable reads — bare.
-    subs: Vec<(IoRequest, Option<FillEpoch>)>,
-}
+impl Lane<'_> {
+    fn wall_now(&self) -> f64 {
+        self.ctx.epoch.elapsed().as_secs_f64()
+    }
 
-/// The submit-only device the compute pool drives the [`QueryDriver`]
-/// against. With the replica's cache front it answers hits on the spot —
-/// the completion waits on `hits` for [`run_compute`] to feed back — and
-/// records only what needs the device, for the reactor to replay; the
-/// real device handle stays owned by one thread. The driver never polls
-/// or waits inside `admit`/`handle_completion` — only the executor loop
-/// does — so the other methods are inert.
-struct SubmitBuffer<'a> {
-    front: Option<&'a CacheFront>,
-    hits: VecDeque<IoCompletion>,
-    subs: Vec<(IoRequest, Option<FillEpoch>)>,
-}
-
-impl Device for SubmitBuffer<'_> {
-    fn submit(&mut self, req: IoRequest, now: f64) {
-        match self.front.map(|front| front.lookup(&req)) {
-            // DRAM hit: complete at the submission timestamp.
-            Some(Lookup::Hit(data)) => self.hits.push_back(IoCompletion {
-                tag: req.tag,
-                data,
-                time: now,
-            }),
-            Some(Lookup::Miss(epoch)) => self.subs.push((req, Some(epoch))),
-            Some(Lookup::Uncacheable) | None => self.subs.push((req, None)),
+    /// Start `job` in a free slot: hash the point, plan the probes and
+    /// submit the first radius of reads.
+    fn admit(&mut self, job: Job) {
+        let ci = self.free.pop().expect("a slot is free");
+        let t = self.wall_now();
+        self.qids[ci] = job.qid;
+        self.starts[ci] = t;
+        self.clock.observe(t);
+        let slot = &mut self.slots[ci];
+        self.driver
+            .admit(slot, ci, &job.point, &mut self.clock, &mut *self.device);
+        if !slot.is_active() {
+            self.finished.push(ci);
         }
     }
-    fn poll(&mut self, _now: f64, _out: &mut Vec<IoCompletion>) {}
-    fn next_completion_time(&self) -> Option<f64> {
-        None
-    }
-    fn wait(&mut self) {}
-    fn inflight(&self) -> usize {
-        0
-    }
-    fn read_sync(&mut self, _addr: u64, _len: u32) -> Vec<u8> {
-        unreachable!("the reactor's compute buffer is submit-only")
-    }
-    fn stats(&self) -> DeviceStats {
-        DeviceStats::default()
-    }
-}
 
-/// One compute-pool thread: runs its own [`QueryDriver`] (scratch is
-/// per-thread; per-query state arrives with the task) over whatever
-/// slots the reactor checks out to it, each **to its next miss**: cache
-/// hits the driver's submissions score on `front` are fed straight back
-/// into it, in submission order, until the query finishes or only reads
-/// that need the device remain. A panic inside a task is caught and
-/// reported as `slot: None` so the reactor can fence the replica instead
-/// of hanging on a result that will never come.
-fn run_compute(
-    shard: &Shard,
-    engine: &EngineConfig,
-    front: Option<&CacheFront>,
-    tasks: Receiver<Task>,
-    done: Sender<Done>,
-) {
-    let mut driver = QueryDriver::new(&shard.index, engine);
-    let mut clock = EngineClock::default();
-    let mut buf = SubmitBuffer {
-        front,
-        hits: VecDeque::new(),
-        subs: Vec::new(),
-    };
-    while let Ok(task) = tasks.recv() {
-        let Task {
-            mut slot,
-            ci,
-            now,
-            admit,
-            comps,
-        } = task;
-        let stepped = catch_unwind(AssertUnwindSafe(|| {
-            clock.observe(now);
-            if let Some(point) = &admit {
-                // The engine-level query id is the slot index; the
-                // reactor keeps the real u64 ticket id in its own
-                // table, so it never narrows through a usize.
-                driver.admit(&mut slot, ci, point, &mut clock, &mut buf);
+    /// Feed one poll's completions to their queries (bucket scans,
+    /// distance checks, follow-up reads, re-hash on radius escalation).
+    fn step(&mut self, completions: &mut Vec<IoCompletion>) {
+        // One read guard over the shard rows for the whole batch; the
+        // write path only appends (and appends coordinates before index
+        // entries reference them), so anything decoded from these
+        // completions is covered.
+        let data = self.ctx.shard.data.read().unwrap();
+        for comp in completions.drain(..) {
+            let ci = completion_ctx(&comp);
+            // Wall time before every step, not once per batch: the reads
+            // it submits must reach a simulated device with the time they
+            // were really issued at.
+            self.clock.observe(self.wall_now());
+            let slot = &mut self.slots[ci];
+            debug_assert!(slot.is_active(), "completion for an idle slot");
+            self.driver
+                .handle_completion(slot, &comp, &data, &mut self.clock, &mut *self.device);
+            if !slot.is_active() {
+                self.finished.push(ci);
             }
-            // One read guard over the shard rows for the whole step;
-            // the write path only appends (and appends coordinates
-            // before index entries reference them), so anything decoded
-            // from these completions is covered.
-            let data = shard.data.read().unwrap();
-            // Device completions first, then the hits they and the
-            // admission scored, oldest first. A hit is outstanding I/O
-            // to the driver, so the query cannot finish with one queued.
-            let mut comps = comps.into_iter();
-            while let Some(comp) = comps.next().or_else(|| buf.hits.pop_front()) {
-                clock.observe(comp.time);
-                driver.handle_completion(&mut slot, &comp, &data, &mut clock, &mut buf);
-            }
-        }))
-        .is_ok();
-        if !stepped {
-            // Hits of the abandoned query must not reach the next slot.
-            buf.hits.clear();
         }
-        // The reactor outlives the pool, so the send only fails during
-        // its unwind — when the result is moot anyway.
-        let _ = done.send(Done {
-            ci,
-            slot: stepped.then_some(slot),
-            subs: std::mem::take(&mut buf.subs),
-        });
+    }
+
+    /// Publish the device statistics and the served count.
+    fn publish(&self) {
+        *self.ctx.stats.device.lock().unwrap() = self.device.stats();
+        self.ctx.stats.served.store(self.served, Ordering::Release);
+    }
+
+    /// Emit the partial results of this round's finished slots and free
+    /// them. Statistics are published once per batch — not once per
+    /// completion — and *before* the sends: the collector may resolve a
+    /// ticket the moment its last partial lands, and a snapshot taken
+    /// right then must already see this batch's device work.
+    fn flush(&mut self) {
+        if self.finished.is_empty() {
+            return;
+        }
+        self.served += self.finished.len() as u64;
+        self.publish();
+        for i in 0..self.finished.len() {
+            let ci = self.finished[i];
+            let outcome = self.slots[ci].take_outcome();
+            let shard = self.ctx.shard;
+            let neighbors = outcome
+                .neighbors
+                .iter()
+                .map(|&(id, d)| (shard.to_global(id), d))
+                .collect();
+            self.free.push(ci);
+            // The collector may already have everything it needs and be
+            // gone; that is not a reactor error.
+            let _ = self.out.send(ReactorMsg::Partial {
+                qid: self.qids[ci],
+                shard: shard.id,
+                replica: self.ctx.replica,
+                neighbors,
+                n_io: outcome.n_io(),
+                start: self.starts[ci],
+                finish: self.wall_now(),
+            });
+        }
+        self.finished.clear();
     }
 }
 
-/// Bring up the compute pool and run the reactor loop. The pool is
-/// scoped: `task_tx` drops when the loop exits (or unwinds), the pool
-/// drains and joins, and only then does `serve` return.
+/// The reactor loop proper (see [`run_replica`] for the exit paths).
 fn serve(
     ctx: &ReactorCtx<'_>,
     device: Box<dyn Device>,
     jobs: &GatedReceiver<Job>,
     out: &Sender<ReactorMsg>,
 ) {
-    let (done_tx, done_rx) = unbounded::<Done>();
-    // A cached replica's compute steps run to their next miss; an
-    // uncached one has no front and every read goes to the device.
-    let front = device.cache_front();
-    let front = front.as_ref();
-    std::thread::scope(|s| {
-        let (task_tx, task_rx) = unbounded::<Task>();
-        for _ in 0..ctx.compute_threads.max(1) {
-            let trx = task_rx.clone();
-            let dtx = done_tx.clone();
-            s.spawn(move || run_compute(ctx.shard, ctx.engine, front, trx, dtx));
-        }
-        drop(task_rx);
-        reactor_loop(ctx, device, jobs, out, &task_tx, &done_rx);
-    });
-}
-
-/// The reactor loop proper (see [`run_replica`] for the exit paths).
-fn reactor_loop(
-    ctx: &ReactorCtx<'_>,
-    mut device: Box<dyn Device>,
-    jobs: &GatedReceiver<Job>,
-    out: &Sender<ReactorMsg>,
-    tasks: &Sender<Task>,
-    done: &Receiver<Done>,
-) {
     let nslots = ctx.engine.contexts.max(1);
-    // Slot table: `None` = checked out to a compute task.
-    let mut slots: Vec<Option<Box<QueryState>>> = (0..nslots)
-        .map(|ci| Some(Box::new(QueryState::new(ci))))
-        .collect();
-    // Ticket ids live here, never inside the engine: lossless on any
-    // target, no u64→usize round trip.
-    let mut qids = vec![0u64; nslots];
-    let mut starts = vec![0.0f64; nslots];
-    // Completions that arrived while their slot was checked out.
-    let mut pending: Vec<Vec<IoCompletion>> = (0..nslots).map(|_| Vec::new()).collect();
-    let mut free: Vec<usize> = (0..nslots).rev().collect();
-    let mut at_compute = 0usize;
-    let mut served = 0u64;
+    let mut lane = Lane {
+        ctx,
+        out,
+        device,
+        driver: QueryDriver::new(&ctx.shard.index, ctx.engine),
+        clock: EngineClock::default(),
+        slots: (0..nslots).map(QueryState::new).collect(),
+        qids: vec![0; nslots],
+        starts: vec![0.0; nslots],
+        free: (0..nslots).rev().collect(),
+        finished: Vec::new(),
+        served: 0,
+    };
     let mut disconnected = false;
     let mut completions: Vec<IoCompletion> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new();
-    let mut finished: Vec<usize> = Vec::new();
-
-    macro_rules! wall_now {
-        () => {
-            ctx.epoch.elapsed().as_secs_f64()
-        };
-    }
-
-    // Check a free slot out to the compute pool with a job.
-    macro_rules! dispatch_admit {
-        ($job:expr) => {{
-            let job: Job = $job;
-            let ci = free.pop().expect("a slot is free");
-            let slot = slots[ci].take().expect("free slot is home");
-            qids[ci] = job.qid;
-            let t = wall_now!();
-            starts[ci] = t;
-            at_compute += 1;
-            tasks
-                .send(Task {
-                    slot,
-                    ci,
-                    now: t,
-                    admit: Some(job.point),
-                    comps: Vec::new(),
-                })
-                .expect("compute pool outlives the reactor");
-        }};
-    }
-
-    // Absorb one compute result: replay its buffered I/O onto the real
-    // device, re-dispatch any completions that queued up meanwhile, and
-    // stage finished queries for harvest.
-    macro_rules! handle_done {
-        ($d:expr) => {{
-            let d: Done = $d;
-            at_compute -= 1;
-            let slot = match d.slot {
-                Some(s) => s,
-                // Propagate the compute panic: run_replica's catch
-                // fences the replica and runs the failover handshake.
-                None => panic!("compute task panicked"),
-            };
-            let ci = d.ci;
-            let t = wall_now!();
-            for (req, epoch) in d.subs {
-                match epoch {
-                    Some(epoch) => device.submit_miss(req, epoch, t),
-                    None => device.submit(req, t),
-                }
-            }
-            if slot.is_active() && !pending[ci].is_empty() {
-                let comps = std::mem::take(&mut pending[ci]);
-                at_compute += 1;
-                tasks
-                    .send(Task {
-                        slot,
-                        ci,
-                        now: t,
-                        admit: None,
-                        comps,
-                    })
-                    .expect("compute pool outlives the reactor");
-            } else {
-                debug_assert!(
-                    pending[ci].is_empty(),
-                    "completions pending for an inactive slot"
-                );
-                let active = slot.is_active();
-                slots[ci] = Some(slot);
-                if !active {
-                    finished.push(ci);
-                }
-            }
-        }};
-    }
-
-    // Emit the partial results of this round's finished slots. Device
-    // statistics are published once per batch — not once per completion
-    // — and *before* the sends: the collector may resolve a ticket the
-    // moment its last partial lands, and a snapshot taken right then
-    // must already see this batch's device work.
-    macro_rules! flush_finished {
-        () => {{
-            if !finished.is_empty() {
-                *ctx.stats.device.lock().unwrap() = device.stats();
-                served += finished.len() as u64;
-                ctx.stats.served.store(served, Ordering::Release);
-                for ci in finished.drain(..) {
-                    let slot = slots[ci].as_mut().expect("finished slot is home");
-                    let outcome = slot.take_outcome();
-                    let neighbors = outcome
-                        .neighbors
-                        .iter()
-                        .map(|&(id, d)| (ctx.shard.to_global(id), d))
-                        .collect();
-                    free.push(ci);
-                    // The collector may already have everything it
-                    // needs and be gone; that is not a reactor error.
-                    let _ = out.send(ReactorMsg::Partial {
-                        qid: qids[ci],
-                        shard: ctx.shard.id,
-                        replica: ctx.replica,
-                        neighbors,
-                        n_io: outcome.n_io(),
-                        start: starts[ci],
-                        finish: wall_now!(),
-                    });
-                }
-            }
-        }};
-    }
 
     loop {
         // Fenced: abandon queued and in-flight work immediately — the
@@ -566,144 +363,85 @@ fn reactor_loop(
 
         let mut progress = false;
 
-        // Reap compute results.
-        while let Ok(d) = done.try_recv() {
-            handle_done!(d);
-            progress = true;
-        }
-        flush_finished!();
-
         // Admit as many queued jobs as there are free slots.
-        while !free.is_empty() && !disconnected {
+        while !lane.free.is_empty() && !disconnected {
             match jobs.try_recv() {
                 Ok(job) => {
-                    dispatch_admit!(job);
+                    lane.admit(job);
                     progress = true;
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => disconnected = true,
             }
         }
+        // A query whose every probed bucket is provably empty ends at
+        // admission.
+        lane.flush();
 
-        let active = nslots - free.len();
-        if active == 0 {
+        if lane.free.len() == nslots {
             if disconnected {
                 break;
             }
             // Idle: block briefly for work (timeout so a late
             // disconnect — or a fence — is noticed).
             match jobs.recv_timeout(IDLE_BLOCK) {
-                Ok(job) => dispatch_admit!(job),
+                Ok(job) => lane.admit(job),
                 Err(RecvTimeoutError::Disconnected) => disconnected = true,
                 Err(RecvTimeoutError::Timeout) => {}
             }
             continue;
         }
 
-        // Drive the device: batch this poll's completions per slot and
-        // check each touched slot out to the compute pool.
-        completions.clear();
-        let poll_now = if ctx.sim_time { wall_now!() } else { f64::MAX };
-        device.poll(poll_now, &mut completions);
+        // Drive the device and step every query a completion belongs to.
+        let poll_now = if ctx.sim_time {
+            lane.wall_now()
+        } else {
+            f64::MAX
+        };
+        lane.device.poll(poll_now, &mut completions);
         if !completions.is_empty() {
+            lane.step(&mut completions);
+            lane.flush();
             progress = true;
-            touched.clear();
-            for comp in completions.drain(..) {
-                let ci = completion_ctx(&comp);
-                if pending[ci].is_empty() {
-                    touched.push(ci);
-                }
-                pending[ci].push(comp);
-            }
-            let t = wall_now!();
-            for &ci in &touched {
-                // A checked-out slot keeps its completions parked in
-                // `pending`; they are re-dispatched from handle_done
-                // when its current task returns.
-                if let Some(slot) = slots[ci].take() {
-                    debug_assert!(slot.is_active(), "completion for an idle slot");
-                    let comps = std::mem::take(&mut pending[ci]);
-                    at_compute += 1;
-                    tasks
-                        .send(Task {
-                            slot,
-                            ci,
-                            now: t,
-                            admit: None,
-                            comps,
-                        })
-                        .expect("compute pool outlives the reactor");
-                }
-            }
         }
         if progress {
             continue;
         }
 
         // Nothing moved: block on whichever event source can wake us.
-        // Every state has one — that is the contract the old serve loop
-        // broke (it could fall through to a busy spin when a device
-        // reported no completions and no in-flight I/O with a slot
-        // still active).
-        let inflight = device.inflight();
-        debug_assert!(
-            at_compute > 0 || inflight > 0,
-            "active slots with no outstanding I/O and no compute in flight"
-        );
-        if at_compute > 0 {
-            // Compute results are the next wake source; cap the block
-            // so device completions (wall-driven sim) and queued jobs
-            // stay timely.
-            let mut timeout = IDLE_BLOCK.as_secs_f64();
-            if !free.is_empty() && !disconnected {
-                timeout = timeout.min(ADMIT_CHECK_S);
-            }
-            if ctx.sim_time && inflight > 0 {
-                if let Some(t) = device.next_completion_time() {
-                    timeout = timeout.min((t - wall_now!()).max(0.0));
-                }
-            }
-            match done.recv_timeout(Duration::from_secs_f64(timeout)) {
-                Ok(d) => {
-                    handle_done!(d);
-                    flush_finished!();
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
-            }
-        } else if inflight > 0 {
-            if ctx.sim_time {
-                if let Some(t) = device.next_completion_time() {
-                    // With free slots, cap the sleep so queued jobs are
-                    // admitted promptly instead of waiting out a whole
-                    // device service time.
-                    let t = if free.is_empty() || disconnected {
-                        t
-                    } else {
-                        t.min(wall_now!() + ADMIT_CHECK_S)
-                    };
-                    sleep_until(ctx.epoch, t);
-                }
-            } else if free.is_empty() || disconnected {
-                device.wait();
-            } else {
-                // Free slots: wait for either new work or an I/O
-                // completion, whichever comes first.
-                match jobs.recv_timeout(Duration::from_secs_f64(ADMIT_CHECK_S)) {
-                    Ok(job) => dispatch_admit!(job),
-                    Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                    Err(RecvTimeoutError::Timeout) => {}
-                }
-            }
-        } else {
-            // Unreachable per the driver's invariant (asserted above):
-            // an active slot always has I/O or compute outstanding.
+        let free_slots = !lane.free.is_empty() && !disconnected;
+        let inflight = lane.device.inflight();
+        debug_assert!(inflight > 0, "active slots with no outstanding I/O");
+        if inflight == 0 {
+            // Unreachable per the driver's invariant (asserted above).
             // Sleep, don't spin, if a device ever violates it.
             std::thread::sleep(Duration::from_micros(100));
+        } else if ctx.sim_time {
+            if let Some(t) = lane.device.next_completion_time() {
+                // With free slots, cap the sleep so queued jobs are
+                // admitted promptly instead of waiting out a whole
+                // device service time.
+                let cap = if free_slots {
+                    lane.wall_now() + ADMIT_CHECK_S
+                } else {
+                    f64::INFINITY
+                };
+                sleep_until(ctx.epoch, t.min(cap));
+            }
+        } else if free_slots {
+            // Wait for either new work or an I/O completion, whichever
+            // comes first.
+            match jobs.recv_timeout(Duration::from_secs_f64(ADMIT_CHECK_S)) {
+                Ok(job) => lane.admit(job),
+                Err(RecvTimeoutError::Disconnected) => disconnected = true,
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+        } else {
+            lane.device.wait();
         }
     }
 
     // Final publication: covers trailing device work (e.g. I/Os of
     // abandoned in-flight queries) that no harvest reported.
-    *ctx.stats.device.lock().unwrap() = device.stats();
-    ctx.stats.served.store(served, Ordering::Release);
+    lane.publish();
 }

@@ -60,9 +60,8 @@ pub enum DeviceSpec {
     },
     /// A private simulated array per replica — aggregate device
     /// bandwidth scales with the replica count (models "one drive per
-    /// replica": each replica adds hardware). The variant name predates
-    /// the reactor, when each worker thread owned a private array.
-    SimPerWorker {
+    /// replica": each replica adds hardware).
+    SimPerReplica {
         /// Device model (paper Table 2).
         profile: DeviceProfile,
         /// Drives in each replica's array.
@@ -84,7 +83,7 @@ impl DeviceSpec {
     pub(crate) fn is_sim(&self) -> bool {
         matches!(
             self,
-            DeviceSpec::SimPerWorker { .. } | DeviceSpec::SimShared { .. }
+            DeviceSpec::SimPerReplica { .. } | DeviceSpec::SimShared { .. }
         )
     }
 }
@@ -97,19 +96,13 @@ pub struct ServiceConfig {
     pub replicas_per_shard: usize,
     /// How the dispatcher picks a replica within each shard per query.
     pub routing: RoutePolicy,
-    /// CPU compute threads backing each replica's reactor (hashing,
-    /// bucket scans, distance evaluation). The replica's *I/O*
-    /// concurrency is [`ServiceConfig::inflight_per_replica`] — since
-    /// the completion-driven engine, in-flight queries are slots in the
-    /// reactor, not blocked threads.
-    pub workers_per_replica: usize,
     /// In-flight query slots per replica: how many interleaved
     /// [`QueryState`](e2lsh_storage::query::QueryState)s the replica's
     /// reactor multiplexes over its device handle. This — not a thread
-    /// count — is the service-level queue depth; thousands of slots
-    /// over a handful of compute threads is the intended regime (the
-    /// paper's §6.5 async-over-sync unlock at service scale). At least
-    /// 1; the default is 16.
+    /// count — is the service-level queue depth; thousands of slots on
+    /// the replica's one thread is the intended regime (the paper's
+    /// §6.5 async-over-sync unlock at service scale). At least 1; the
+    /// default is 16.
     pub inflight_per_replica: usize,
     /// Neighbors returned per query.
     pub k: usize,
@@ -190,7 +183,6 @@ impl Default for ServiceConfig {
         Self {
             replicas_per_shard: 1,
             routing: RoutePolicy::default(),
-            workers_per_replica: 1,
             inflight_per_replica: 16,
             k: 1,
             s_override: None,
@@ -285,8 +277,8 @@ e2lsh_storage::counter_family! {
         /// queue rather than hanging the submitter — see
         /// [`GatedSender::send_blocking`](crate::admission::GatedSender::send_blocking)).
         peak_queue_depth: usize = "peak_queue_depth",
-        /// Compute threads serving (shards × replicas × compute threads
-        /// per replica's reactor). The field name predates the reactor.
+        /// Query-serving threads (shards × replicas: one reactor thread
+        /// per replica).
         workers: usize = "workers",
         /// Shards queried.
         shards: usize = "shards",
@@ -547,7 +539,6 @@ impl ShardedService {
     /// Serve `shards` with `config`: each shard is backed by
     /// `config.replicas_per_shard` replicas (see [`crate::topology`]).
     pub fn new(shards: ShardSet, config: ServiceConfig) -> Self {
-        assert!(config.workers_per_replica >= 1);
         assert!(
             config.inflight_per_replica >= 1,
             "inflight_per_replica is the reactor's slot count: at least 1"

@@ -9,8 +9,8 @@
 //!
 //! * [`Session`] — created by
 //!   [`ShardedService::start`](crate::service::ShardedService::start):
-//!   brings up every replica's reactor (and its compute pool), the
-//!   per-shard writer threads and the result collector **once**. [`Session::metrics`]
+//!   brings up every replica's reactor thread, the per-shard writer
+//!   threads and the result collector **once**. [`Session::metrics`]
 //!   returns incremental [`ServiceReport`] snapshots while the session
 //!   runs (monotonic counters — see
 //!   [`ServiceReport::interval_since`]); [`Session::shutdown`] drains
@@ -812,14 +812,13 @@ pub struct Session {
 }
 
 impl Session {
-    /// Bring the service up: spawn every replica's reactor (which
-    /// brings up its own compute pool), one writer thread per shard
-    /// (updaters open lazily on the first write, so read-only sessions
-    /// never take the shards' write handles) and the collector.
+    /// Bring the service up: spawn every replica's reactor thread
+    /// (`reactor-s{S}r{R}`), one writer thread per shard (`writer-s{S}`;
+    /// updaters open lazily on the first write, so read-only sessions
+    /// never take the shards' write handles) and the `collector`.
     pub(crate) fn start(topo: Arc<Topology>, config: ServiceConfig) -> Self {
         let num_shards = topo.num_shards();
         let replicas = config.replicas_per_shard;
-        let wpr = config.workers_per_replica;
         let epoch = Instant::now();
         let cache_snap: Vec<DeviceStats> = cache_counters(&topo).collect();
 
@@ -883,7 +882,7 @@ impl Session {
             write_gates,
             registry: Mutex::new(HashMap::new()),
             metrics: Mutex::new(ServiceReport {
-                workers: num_shards * replicas * wpr,
+                workers: num_shards * replicas,
                 shards: num_shards,
                 replicas,
                 ..Default::default()
@@ -920,7 +919,7 @@ impl Session {
                 let engine = engine.clone();
                 let jobs = lane_rxs[s][r].clone();
                 let tx = msg_tx.clone();
-                reactor_threads.push(std::thread::spawn(move || {
+                reactor_threads.push(spawn_named(format!("reactor-s{s}r{r}"), move || {
                     let ctx = ReactorCtx {
                         shard: topo.shard(s),
                         replica: r,
@@ -928,7 +927,6 @@ impl Session {
                         lane: &lanes[s][r],
                         stats: &cell,
                         engine: &engine,
-                        compute_threads: wpr,
                         sim_time,
                         epoch,
                     };
@@ -944,13 +942,15 @@ impl Session {
             .enumerate()
             .map(|(s, jobs)| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || run_writer(&shared, s, jobs))
+                spawn_named(format!("writer-s{s}"), move || run_writer(&shared, s, jobs))
             })
             .collect();
 
         let collector = {
             let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || run_collector(&shared, msg_rx)))
+            Some(spawn_named("collector".into(), move || {
+                run_collector(&shared, msg_rx)
+            }))
         };
 
         Self {
@@ -1117,6 +1117,15 @@ impl Drop for Session {
     fn drop(&mut self) {
         self.close();
     }
+}
+
+/// Spawn a session thread under `name`, so a panic message, `top -H` and
+/// a core dump name the lane.
+fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn session thread")
 }
 
 /// The per-shard writer loop: owns the shard's [`ShardUpdater`] (the
@@ -1644,7 +1653,7 @@ fn make_device(
             cache,
             coalescing,
         ),
-        DeviceSpec::SimPerWorker {
+        DeviceSpec::SimPerReplica {
             profile,
             num_devices,
         } => wrap(

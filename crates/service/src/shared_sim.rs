@@ -203,7 +203,7 @@ mod tests {
             },
             0.0,
         );
-        // Worker a polls past the completion time: b's completion must
+        // Handle a polls past the completion time: b's completion must
         // stay queued for b.
         let mut out = Vec::new();
         a.poll(10.0, &mut out);

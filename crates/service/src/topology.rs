@@ -5,17 +5,16 @@
 //! `s` serves queries against the *same* on-storage index and the same
 //! locked row store (the [`Shard`] — its `RwLock`'d dataset and atomic
 //! occupancy-filter words make the shared mutable state safe), but
-//! owns an **independent** reactor (and its compute pool), DRAM block
-//! cache and admission queue. Reads scale out by adding replicas; writes keep the single
-//! writer per shard and publish to every replica for free — the index
+//! owns an **independent** reactor thread, DRAM block cache and
+//! admission queue. Reads scale out by adding replicas; writes keep the
+//! single writer per shard and publish to every replica for free — the index
 //! and rows are shared, only the per-replica caches need the writer's
 //! block invalidations (see [`crate::update::ShardUpdater`]).
 //!
 //! The topology also owns each replica's **health**: a replica can be
 //! *fenced* ([`Topology::fence`]) — marked down so the router stops
 //! selecting it — either by an operator/test (simulating a crash) or by
-//! the serving layer itself when the replica's reactor (or one of its
-//! compute tasks) panics.
+//! the serving layer itself when the replica's reactor panics.
 //! The fencing protocol that makes this race-free lives with the
 //! per-run dispatch state in [`crate::router`]; the topology just holds
 //! the durable flag (a fenced replica stays fenced across sessions
@@ -210,13 +209,6 @@ impl Topology {
     pub fn is_down(&self, s: usize, r: usize) -> bool {
         self.replicas[s][r].is_down()
     }
-
-    /// Live (un-fenced) replica indices of shard `s`.
-    pub fn live_replicas(&self, s: usize) -> Vec<usize> {
-        (0..self.replicas_per_shard)
-            .filter(|&r| !self.is_down(s, r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -316,14 +308,13 @@ mod tests {
     fn fencing_is_idempotent_and_reversible() {
         let shards = tiny_shards(0, "fence");
         let topo = Topology::new(shards, 2);
-        assert_eq!(topo.live_replicas(0), vec![0, 1]);
+        assert!(!topo.is_down(0, 0) && !topo.is_down(0, 1));
         assert!(topo.fence(0, 1));
         assert!(!topo.fence(0, 1), "second fence is a no-op");
-        assert!(topo.is_down(0, 1));
-        assert_eq!(topo.live_replicas(0), vec![0]);
-        assert_eq!(topo.live_replicas(1), vec![0, 1], "other shard untouched");
+        assert!(topo.is_down(0, 1) && !topo.is_down(0, 0));
+        assert!(!topo.is_down(1, 1), "other shard untouched");
         topo.unfence(0, 1);
-        assert_eq!(topo.live_replicas(0), vec![0, 1]);
+        assert!(!topo.is_down(0, 1));
         topo.shards().cleanup();
     }
 }

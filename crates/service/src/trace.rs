@@ -66,7 +66,8 @@ pub struct ShardSpan {
     /// Replica within the shard that served it (post-failover replica
     /// for re-dispatched queries).
     pub replica: usize,
-    /// Worker picked the job up; device I/O issues from here.
+    /// The replica's reactor admitted the job into a slot; device I/O
+    /// issues from here.
     pub start: f64,
     /// Partial handed to the collector (I/O complete).
     pub finish: f64,
@@ -237,11 +238,6 @@ impl TraceRing {
             .filter_map(|s| s.lock().ok().and_then(|g| g.clone()))
             .collect()
     }
-
-    /// Spans published (including overwritten and dropped ones).
-    pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
 }
 
 /// Session-wide tracing state: the sampled ring plus the slow-query log.
@@ -409,7 +405,7 @@ mod tests {
 
     #[test]
     fn stages_telescope_with_clock_skew() {
-        // Worker dequeued before the submitter stamped `routed` (the
+        // The reactor dequeued before the submitter stamped `routed` (the
         // stamp happens after the sends return): queue_wait may go
         // slightly negative but the telescoped sum stays exact.
         let s = span(2, 1.0, 1.005, &[(1.004, 1.02)], 1.021);
@@ -427,7 +423,6 @@ mod tests {
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 4);
         assert!(snap.iter().all(|s| s.id >= 6));
-        assert_eq!(ring.published(), 10);
     }
 
     #[test]

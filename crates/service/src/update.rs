@@ -129,9 +129,9 @@ impl<'a> ShardUpdater<'a> {
 
     /// Insert a point into this shard; returns its **global** id.
     ///
-    /// The coordinates become visible to the shard's query workers
-    /// before any index entry references them, so the insert is
-    /// race-free against concurrent reads; it becomes *findable* once
+    /// The coordinates become visible to the shard's reactors before any
+    /// index entry references them, so the insert is race-free against
+    /// concurrent reads; it becomes *findable* once
     /// the index entries and filter bits land (when this call returns).
     ///
     /// On error the id and its dataset row are still consumed — the

@@ -212,11 +212,10 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
         .expect("shard build")
     };
     let config = ServiceConfig {
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -319,11 +318,10 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
     let svc = ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 1,
             inflight_per_replica: 2,
             k: 1,
             s_override: None,
-            device: DeviceSpec::SimPerWorker {
+            device: DeviceSpec::SimPerReplica {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },

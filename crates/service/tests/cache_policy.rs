@@ -84,11 +84,10 @@ fn tinylfu_results_match_lru_and_region_counters_partition() {
         let svc = ShardedService::new(
             shards,
             ServiceConfig {
-                workers_per_replica: 2,
                 inflight_per_replica: 16,
                 k: 2,
                 s_override: Some(AMPLE),
-                device: DeviceSpec::SimPerWorker {
+                device: DeviceSpec::SimPerReplica {
                     profile: DeviceProfile::ESSD,
                     num_devices: 1,
                 },
@@ -193,7 +192,6 @@ fn coalesced_reads_surface_in_report_and_export() {
     let svc = ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 128,
             k: 2,
             s_override: Some(AMPLE),

@@ -72,11 +72,10 @@ fn service(
     )
     .expect("shard build");
     let mut config = ServiceConfig {
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: 1,
         s_override: Some(1_000_000),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },

@@ -19,6 +19,33 @@ pub fn run_mixed(
     (driven, session.shutdown())
 }
 
+/// [`run_mixed`] with replica `fence` (`(shard, replica)`) fenced mid-run.
+/// Progress triggers the fence — the moment `after` queries have
+/// completed — not a clock, so at any engine speed it lands while the
+/// stream's closed window is still full. `after` must not exceed the
+/// stream's query count.
+pub fn run_mixed_fencing(
+    svc: &ShardedService,
+    queries: &Dataset,
+    inserts: &Dataset,
+    ops: &[Op],
+    load: Load,
+    after: usize,
+    fence: (usize, usize),
+) -> (Driven, ServiceReport) {
+    let session = svc.start();
+    let driven = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while session.metrics().completed_queries < after {
+                std::thread::yield_now();
+            }
+            assert!(svc.topology().fence(fence.0, fence.1));
+        });
+        drive(&session, queries, inserts, ops, load)
+    });
+    (driven, session.shutdown())
+}
+
 /// [`run_mixed`] over a read-only stream: every query once, in order.
 pub fn run_reads(svc: &ShardedService, queries: &Dataset, load: Load) -> (Driven, ServiceReport) {
     let ops: Vec<Op> = (0..queries.len()).map(Op::Query).collect();

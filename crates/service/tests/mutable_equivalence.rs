@@ -134,11 +134,10 @@ fn service_over(data: &Dataset, dir_tag: &str, build_seed: u64) -> ShardedServic
     ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 16,
             k: K,
             s_override: Some(AMPLE),
-            device: DeviceSpec::SimPerWorker {
+            device: DeviceSpec::SimPerReplica {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },

@@ -102,11 +102,10 @@ fn build_service(
     )
     .expect("shard build");
     let mut config = ServiceConfig {
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: K,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -626,7 +625,7 @@ fn tenant_budget_is_shared_across_connections() {
     let svc = build_service(&data, "tenant", seed ^ 0x7E4A, |c| {
         // Millisecond-scale queries so a pipelined burst is guaranteed
         // to overlap the cap.
-        c.device = DeviceSpec::SimPerWorker {
+        c.device = DeviceSpec::SimPerReplica {
             profile: DeviceProfile::HDD,
             num_devices: 2,
         };

@@ -81,11 +81,10 @@ fn build_service(
     )
     .expect("shard build");
     let mut config = ServiceConfig {
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },

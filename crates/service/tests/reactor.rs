@@ -2,14 +2,15 @@
 //! loop must be a *performance* feature, never an accuracy or liveness
 //! feature.
 //!
-//! * Deep in-flight windows (slots ≫ compute threads) return exactly
-//!   the single-threaded batch engine's results — same oracle as
-//!   `service_equivalence`, driven through `inflight_per_replica`.
-//! * A cached replica's compute steps run to their next miss: with one
-//!   and with four compute threads the answers are still the reference,
-//!   and every engine I/O costs exactly one cache lookup.
-//! * A thousand interleaved slots over a four-thread compute pool is a
-//!   supported steady state, not an overload: every ticket resolves.
+//! * Deep in-flight windows (many slots on the replica's one thread)
+//!   return exactly the single-threaded batch engine's results — same
+//!   oracle as `service_equivalence`, driven through
+//!   `inflight_per_replica`.
+//! * A cached replica's hits complete on the reactor's next poll: the
+//!   answers are still the reference, and every engine I/O costs exactly
+//!   one cache lookup.
+//! * A thousand interleaved slots on one reactor thread is a supported
+//!   steady state, not an overload: every ticket resolves.
 //! * Fencing a replica mid-run with a deep in-flight window re-serves
 //!   its outstanding slots on the sibling; no ticket is lost or shed.
 //! * `inflight_per_replica` is a plain slot count: the default is 16
@@ -17,11 +18,11 @@
 
 mod common;
 
-use common::run_reads;
+use common::{run_mixed_fencing, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    skewed_queries, DeviceSpec, Load, OpStatus, RoutePolicy, ServiceConfig, ShardBuildConfig,
+    skewed_queries, DeviceSpec, Load, Op, OpStatus, RoutePolicy, ServiceConfig, ShardBuildConfig,
     ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
@@ -89,7 +90,6 @@ fn build(
     dir: std::path::PathBuf,
     num_shards: usize,
     replicas: usize,
-    compute: usize,
     inflight: usize,
     k: usize,
 ) -> ShardedService {
@@ -110,7 +110,6 @@ fn build(
         ServiceConfig {
             replicas_per_shard: replicas,
             routing: RoutePolicy::PowerOfTwoChoices,
-            workers_per_replica: compute,
             inflight_per_replica: inflight,
             k,
             s_override: Some(AMPLE),
@@ -123,9 +122,9 @@ fn build(
     )
 }
 
-/// Slots ≫ compute threads must not change results: a 64-deep reactor
-/// window over a 2-thread pool returns the reference bit-exactly, both
-/// driven closed-loop and ticket by ticket.
+/// Slots ≫ threads must not change results: a 64-deep window on each
+/// replica's one thread returns the reference bit-exactly, both driven
+/// closed-loop and ticket by ticket.
 #[test]
 fn deep_inflight_matches_reference() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xEAC7);
@@ -133,7 +132,7 @@ fn deep_inflight_matches_reference() {
     let queries = clustered(24, &mut rng);
     let k = 5;
 
-    let svc = build(&data, shard_dir("deep"), 2, 1, 2, 64, k);
+    let svc = build(&data, shard_dir("deep"), 2, 1, 64, k);
     let expect = reference_results(svc.shards(), &queries, k);
 
     let (driven, _) = run_reads(&svc, &queries, Load::Closed { window: 128 });
@@ -160,56 +159,41 @@ fn deep_inflight_matches_reference() {
     svc.shards().cleanup();
 }
 
-/// Run-to-miss: a cached replica answers hits on the compute thread and
-/// sends the device only the misses. The answers are the reference with
-/// one compute thread and with four, and the cache is asked exactly once
-/// per engine I/O — a device that looked a replayed miss up again would
-/// book it twice.
+/// A cached replica's reads are looked up once, where they are
+/// submitted: a hit waits for the reactor's next poll, only a miss
+/// reaches the device. The answers are the reference, and the cache is
+/// asked exactly once per engine I/O.
 #[test]
 fn cached_run_to_miss_matches_reference_with_one_lookup_per_io() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x2157);
     let data = clustered(1100, &mut rng);
     let base = clustered(30, &mut rng);
-    // Repeats, so most reads hit and whole steps run on the compute
-    // thread.
+    // Repeats, so most reads hit.
     let queries = skewed_queries(&base, 240, 1.1, 5);
     let k = 5;
 
-    for compute in [1, 4] {
-        let svc = build(
-            &data,
-            shard_dir(&format!("run-to-miss{compute}")),
-            2,
-            1,
-            compute,
-            64,
-            k,
-        );
-        let expect = reference_results(svc.shards(), &queries, k);
-        let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 128 });
-        for (qi, want) in expect.iter().enumerate() {
-            assert_eq!(
-                &driven.queries[qi].neighbors, want,
-                "query {qi}, {compute} compute thread(s)"
-            );
-        }
-        let d = &report.device;
-        assert_eq!(
-            d.cache_hits + d.cache_misses,
-            report.total_io,
-            "{compute} compute thread(s): one lookup per engine I/O"
-        );
-        assert_eq!(d.completed, d.cache_misses, "the device read the misses");
-        assert!(d.cache_hits > d.cache_misses, "repeats mostly hit: {d:?}");
-        svc.shards().cleanup();
+    let svc = build(&data, shard_dir("run-to-miss"), 2, 1, 64, k);
+    let expect = reference_results(svc.shards(), &queries, k);
+    let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 128 });
+    for (qi, want) in expect.iter().enumerate() {
+        assert_eq!(&driven.queries[qi].neighbors, want, "query {qi}");
     }
+    let d = &report.device;
+    assert_eq!(
+        d.cache_hits + d.cache_misses,
+        report.total_io,
+        "one lookup per engine I/O"
+    );
+    assert_eq!(d.completed, d.cache_misses, "the device read the misses");
+    assert!(d.cache_hits > d.cache_misses, "repeats mostly hit: {d:?}");
+    svc.shards().cleanup();
 }
 
-/// 1024 interleaved slots over a 4-thread compute pool: the in-flight
-/// query count is decoupled from the thread count, every ticket
-/// resolves, and the results are still the reference.
+/// 1024 interleaved slots on one reactor thread: the in-flight query
+/// count is decoupled from the thread count, every ticket resolves, and
+/// the results are still the reference.
 #[test]
-fn kiloslot_window_over_four_threads_resolves_everything() {
+fn kiloslot_window_resolves_everything() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x51075);
     let data = clustered(900, &mut rng);
     let base = clustered(40, &mut rng);
@@ -217,7 +201,7 @@ fn kiloslot_window_over_four_threads_resolves_everything() {
     let queries = skewed_queries(&base, 500, 1.1, 9);
     let k = 2;
 
-    let svc = build(&data, shard_dir("kiloslot"), 1, 1, 4, 1024, k);
+    let svc = build(&data, shard_dir("kiloslot"), 1, 1, 1024, k);
     let expect = reference_results(svc.shards(), &queries, k);
 
     // The closed window exceeds the slot count: the reactor must park
@@ -244,27 +228,26 @@ fn mid_run_fence_with_deep_inflight_resolves_all_tickets() {
     let queries = clustered(320, &mut rng);
     let k = 3;
 
+    let ops: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
+    let no_inserts = Dataset::with_capacity(DIM, 0);
+    // The fence fires once this many queries have completed: with 320
+    // queries behind a 256-deep window every trigger point has slots
+    // outstanding on both replicas, however fast the engine runs. (A
+    // fence thread scheduled late can still miss the run, hence a few
+    // points — safety on every attempt, liveness on at least one.)
     let mut observed_failover = false;
-    for (attempt, delay_ms) in [30u64, 60, 90, 15, 120].iter().enumerate() {
-        let svc = build(
-            &data,
-            shard_dir(&format!("fence{attempt}")),
-            2,
-            2,
-            2,
-            128,
-            k,
-        );
+    for (attempt, &after) in [32usize, 64, 128, 16].iter().enumerate() {
+        let svc = build(&data, shard_dir(&format!("fence{attempt}")), 2, 2, 128, k);
         let expect = reference_results(svc.shards(), &queries, k);
-        let mut out = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(*delay_ms));
-                assert!(svc.topology().fence(0, 1));
-            });
-            out = Some(run_reads(&svc, &queries, Load::Closed { window: 256 }));
-        });
-        let (driven, rep) = out.unwrap();
+        let (driven, rep) = run_mixed_fencing(
+            &svc,
+            &queries,
+            &no_inserts,
+            &ops,
+            Load::Closed { window: 256 },
+            after,
+            (0, 1),
+        );
 
         // Liveness and safety on every attempt, whether or not the
         // fence caught slots in flight.
@@ -287,7 +270,7 @@ fn mid_run_fence_with_deep_inflight_resolves_all_tickets() {
     }
     assert!(
         observed_failover,
-        "no fence offset caught the run with slots outstanding"
+        "no fence point caught the run with slots outstanding"
     );
 }
 
@@ -299,7 +282,7 @@ fn zero_inflight_is_rejected_at_construction() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x2E20);
     let data = clustered(200, &mut rng);
     let dir = shard_dir("zero");
-    let refused = std::panic::catch_unwind(|| build(&data, dir.clone(), 1, 1, 1, 0, 1)).is_err();
+    let refused = std::panic::catch_unwind(|| build(&data, dir.clone(), 1, 1, 0, 1)).is_err();
     std::fs::remove_dir_all(&dir).ok();
     assert!(refused, "a zero-slot replica was accepted");
 }

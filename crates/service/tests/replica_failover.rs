@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{run_mixed, run_reads};
+use common::{run_mixed_fencing, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
@@ -89,7 +89,6 @@ fn build_service_on(
         ServiceConfig {
             replicas_per_shard: replicas,
             routing,
-            workers_per_replica: 1,
             inflight_per_replica: 8,
             k: 3,
             s_override: Some(AMPLE),
@@ -155,31 +154,26 @@ fn mid_run_fence_fails_over_without_losing_writes() {
     assert!(w.num_inserts > 0 && w.num_deletes > 0);
 
     // The fence must land while the dead replica is actually holding
-    // routed queries; a write-heavy instant can leave the read queues
-    // momentarily empty, so try a few fence offsets on fresh services —
+    // routed queries. It fires on progress (a fraction of the stream's
+    // queries completed, the closed window keeping 32 ops outstanding),
+    // but a write-heavy instant can still leave the read queues
+    // momentarily empty, so try a few fence points on fresh services —
     // the safety assertions (zero lost writes, no shed storm, clean
     // termination) must hold on *every* attempt, the liveness assertion
     // (failovers observed) on at least one.
+    let num_queries = w.ops.iter().filter(|op| matches!(op, Op::Query(_))).count();
     let mut observed_failover = false;
-    for (attempt, delay_ms) in [40u64, 70, 100, 130, 25].iter().enumerate() {
+    for (attempt, divisor) in [8usize, 4, 2, 16, 3].iter().enumerate() {
         let svc = build_service(&data, 2, &format!("midrun{attempt}"), seed ^ 0xFA11);
-        let mut out = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                // Fence one replica of shard 0 while the run is in full
-                // swing (the closed window keeps 32 ops outstanding).
-                std::thread::sleep(std::time::Duration::from_millis(*delay_ms));
-                assert!(svc.topology().fence(0, 1));
-            });
-            out = Some(run_mixed(
-                &svc,
-                &queries,
-                &pool,
-                &w.ops,
-                Load::Closed { window: 32 },
-            ));
-        });
-        let (driven, rep) = out.unwrap();
+        let (driven, rep) = run_mixed_fencing(
+            &svc,
+            &queries,
+            &pool,
+            &w.ops,
+            Load::Closed { window: 32 },
+            num_queries / divisor,
+            (0, 1),
+        );
 
         // Zero lost writes: every write of the stream was applied.
         assert_eq!(rep.shed_writes, 0, "writes must never shed (seed {seed})");
@@ -198,7 +192,7 @@ fn mid_run_fence_fails_over_without_losing_writes() {
         assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
 
         if rep.failovers == 0 {
-            // Fence landed in a lull — try another offset.
+            // Fence landed in a lull — try another point.
             svc.shards().cleanup();
             continue;
         }
@@ -235,7 +229,7 @@ fn mid_run_fence_fails_over_without_losing_writes() {
     }
     assert!(
         observed_failover,
-        "no fence offset caught the run with routed queries outstanding (seed {seed})"
+        "no fence point caught the run with routed queries outstanding (seed {seed})"
     );
 }
 
@@ -302,7 +296,7 @@ fn fencing_the_last_replica_degrades_without_hanging() {
 /// owed instead of hanging the collector, and queries dispatched after
 /// the fence only expect the surviving replicas. (Regression: the
 /// first implementation pinned the quota at run start and deadlocked
-/// here, including on the automatic fence a worker panic performs.)
+/// here, including on the automatic fence a reactor panic performs.)
 #[test]
 fn broadcast_fence_mid_run_terminates_with_full_results() {
     let seed = seed();

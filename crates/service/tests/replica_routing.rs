@@ -203,11 +203,10 @@ fn routing_policies_and_replication_preserve_results() {
     let config = |replicas: usize, routing: RoutePolicy| ServiceConfig {
         replicas_per_shard: replicas,
         routing,
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },

@@ -91,7 +91,6 @@ fn build_service(data: &Dataset, budget: impl Into<AdmissionControl>, seed: u64)
     ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 16,
             k: 1,
             s_override: None,
@@ -354,7 +353,7 @@ fn closed_backoff_retries_instead_of_shedding() {
     let base_queries = clustered(48, &mut rng);
     let queries = skewed_queries(&base_queries, 200, 1.1, seed ^ 8);
     // Queue bound 4, window 96: the dispatch burst must overflow the
-    // queues long before the workers drain them.
+    // queues long before the reactors drain them.
     let svc = build_service(&data, AdmissionBudget::depth(4), seed ^ 0xB0FF);
 
     let (plain_driven, plain) = run_reads(&svc, &queries, Load::Closed { window: 96 });

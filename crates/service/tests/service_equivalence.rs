@@ -80,10 +80,9 @@ fn reference_results(shards: &ShardSet, queries: &Dataset, k: usize) -> Vec<Vec<
     merged
 }
 
-fn service_config(workers: usize, k: usize, device: DeviceSpec) -> ServiceConfig {
+fn service_config(inflight: usize, k: usize, device: DeviceSpec) -> ServiceConfig {
     ServiceConfig {
-        workers_per_replica: workers,
-        inflight_per_replica: workers * 8,
+        inflight_per_replica: inflight,
         k,
         s_override: Some(AMPLE),
         device,
@@ -112,8 +111,8 @@ fn single_shard_service_matches_run_queries() {
     ecfg.s_override = Some(AMPLE);
     let batch = run_queries(&index, &data, &queries, &ecfg, &mut dev);
 
-    // Sharded service, one shard (same seed → identical index), several
-    // workers.
+    // Sharded service, one shard (same seed → identical index), 24
+    // interleaved slots.
     let shards = ShardSet::build(
         &data,
         &ShardBuildConfig {
@@ -129,9 +128,9 @@ fn single_shard_service_matches_run_queries() {
     let svc = ShardedService::new(
         shards,
         service_config(
-            3,
+            24,
             k,
-            DeviceSpec::SimPerWorker {
+            DeviceSpec::SimPerReplica {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },
@@ -174,9 +173,9 @@ fn multi_shard_service_equals_merged_per_shard_batches() {
     let svc = ShardedService::new(
         shards,
         service_config(
-            2,
+            16,
             k,
-            DeviceSpec::SimPerWorker {
+            DeviceSpec::SimPerReplica {
                 profile: DeviceProfile::CSSD,
                 num_devices: 1,
             },
@@ -238,9 +237,9 @@ fn results_identical_with_cache_on_and_off_and_hits_counted() {
         let svc = ShardedService::new(
             shards,
             service_config(
-                2,
+                16,
                 k,
-                DeviceSpec::SimPerWorker {
+                DeviceSpec::SimPerReplica {
                     profile: DeviceProfile::ESSD,
                     num_devices: 1,
                 },
@@ -295,7 +294,7 @@ fn open_loop_serves_every_query_with_sane_latencies() {
     let svc = ShardedService::new(
         shards,
         service_config(
-            2,
+            16,
             k,
             DeviceSpec::SimShared {
                 profile: DeviceProfile::ESSD,

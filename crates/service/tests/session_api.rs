@@ -85,11 +85,10 @@ fn build_service(
     )
     .expect("shard build");
     let mut config = ServiceConfig {
-        workers_per_replica: 2,
         inflight_per_replica: 16,
         k: K,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerWorker {
+        device: DeviceSpec::SimPerReplica {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -430,7 +429,7 @@ fn per_client_inflight_cap_sheds_client_side() {
             c.per_client_inflight = 2;
             // Millisecond-scale queries so a burst is guaranteed to
             // overlap the cap.
-            c.device = DeviceSpec::SimPerWorker {
+            c.device = DeviceSpec::SimPerReplica {
                 profile: DeviceProfile::HDD,
                 num_devices: 2,
             };
@@ -554,7 +553,7 @@ fn metrics_snapshots_and_closed_session() {
 }
 
 /// 3d. A replica fenced and unfenced *mid-session* must be routed
-/// around safely (its workers are gone — sending into the dead lane
+/// around safely (its reactor is gone — sending into the dead lane
 /// would panic); the unfence takes effect at the next session start.
 #[test]
 fn unfence_mid_session_routes_around_dead_lane() {
@@ -574,10 +573,10 @@ fn unfence_mid_session_routes_around_dead_lane() {
     );
     let session = svc.start();
     let client = session.client();
-    // Fence replica 1 of shard 0 and let its workers finish dying.
+    // Fence replica 1 of shard 0 and let its reactor finish dying.
     assert!(svc.topology().fence(0, 1));
     std::thread::sleep(std::time::Duration::from_millis(100));
-    // Unfence while the session is live: the lane's workers are gone,
+    // Unfence while the session is live: the lane's reactor is gone,
     // so the router must keep routing around it instead of panicking
     // on its disconnected queue.
     svc.topology().unfence(0, 1);
@@ -609,7 +608,7 @@ fn unfence_mid_session_routes_around_dead_lane() {
 /// 3e. Rapid fence/unfence toggling while queries are in flight must
 /// never strand a ticket: the per-session fence latch guarantees the
 /// `ReplicaDown` rescue fires even when an unfence races the fenced
-/// workers' exit handshake (regression: the unlatched handshake
+/// reactor's exit handshake (regression: the unlatched handshake
 /// checked the *live* flag and could skip the rescue, hanging
 /// `wait()` forever).
 #[test]

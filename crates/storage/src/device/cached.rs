@@ -8,27 +8,12 @@
 //! zero device time, while cold reads pass through and fill the cache on
 //! completion.
 //!
-//! The cache itself ([`BlockCache`]) is shared: the serving layer hands
-//! one `Arc<BlockCache>` per dataset shard to every worker driving that
-//! shard, so a block fetched by one worker is a DRAM hit for all of them.
-//! Shard-level mutexes keep cross-worker contention low (each lock guards
-//! `1/num_shards` of the key space).
-//!
-//! ## Front and back
-//!
-//! A cached device is two halves. The **front** ([`CacheFront`]) is what
-//! a lookup needs — the shared cache, the block size, the cacheability
-//! rule — and is `Clone + Send + Sync`: [`CacheFront::lookup`] answers
-//! [`Lookup::Hit`] with the cached block itself, [`Lookup::Miss`] with
-//! the fill epoch, or [`Lookup::Uncacheable`], at the cost of exactly one
-//! [`BlockCache::get_or_begin_fill`]. The **back** ([`CachedDevice`]) is
-//! what a fill needs — in-flight fills and their epochs, coalescing
-//! leaders and waiters, the inner device — and stays single-owner.
-//! [`Device::submit`] on the back is lookup-then-fill; an executor that
-//! runs queries off the device's thread (the service's reactor) takes
-//! the front ([`Device::cache_front`]), serves hits where the query runs,
-//! and hands the back only the misses with their epochs
-//! ([`Device::submit_miss`]) — a DRAM hit never crosses a thread.
+//! The cache itself ([`BlockCache`]) is shared (`Arc<BlockCache>`): the
+//! serving layer gives each replica of a dataset shard its own, held by
+//! the replica's device — the lookup path — and by the shard's writer,
+//! which invalidates the blocks it rewrites. Segment-level mutexes keep
+//! their contention low (each lock guards `1/num_shards` of the key
+//! space).
 //!
 //! ## Replacement policies
 //!
@@ -701,8 +686,8 @@ pub struct FillEpoch {
     flush_epoch: u64,
 }
 
-/// A sharded cache over fixed-address blocks, shareable across worker
-/// threads, with a pluggable replacement policy ([`CachePolicy`]).
+/// A sharded cache over fixed-address blocks, shareable across threads,
+/// with a pluggable replacement policy ([`CachePolicy`]).
 ///
 /// ## Invalidation epochs
 ///
@@ -1085,82 +1070,14 @@ impl BlockCache {
     }
 }
 
-/// The shareable **front** of a [`CachedDevice`]: the cache, the block
-/// size and the cacheability rule — everything a lookup needs and nothing
-/// a fill does. `Clone + Send + Sync`, so an executor can answer hits on
-/// whichever thread runs the query and bring only the misses to the
-/// single-owner device ([`Device::submit_miss`]). Hits and misses are
-/// booked here, once per [`CacheFront::lookup`], into counters shared
-/// with the device the front came from.
-#[derive(Clone)]
-pub struct CacheFront {
-    cache: Arc<BlockCache>,
-    block_size: u32,
-    /// The owning device's own hits and misses (the shared
-    /// [`BlockCache`] counters span every device on the cache; per-device
-    /// stats must stay summable across replicas).
-    local: Arc<LookupCounts>,
-}
-
-#[derive(Default)]
-struct LookupCounts {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// What the cache says about one read ([`CacheFront::lookup`]).
-pub enum Lookup {
-    /// Cached: the block itself, promoted and counted as a hit.
-    Hit(Arc<[u8]>),
-    /// Not cached, counted as a miss: the read goes to the device, and
-    /// its fill must present this epoch ([`Device::submit_miss`]).
-    Miss(FillEpoch),
-    /// Not a whole aligned block (superblock, filter scans): bypasses
-    /// the cache and books nothing.
-    Uncacheable,
-}
-
-impl CacheFront {
-    /// Look `req` up: exactly one [`BlockCache::get_or_begin_fill`] for a
-    /// cacheable read, none otherwise.
-    pub fn lookup(&self, req: &IoRequest) -> Lookup {
-        if req.len != self.block_size || !req.addr.is_multiple_of(u64::from(self.block_size)) {
-            return Lookup::Uncacheable;
-        }
-        match self.cache.get_or_begin_fill(self.key_of(req.addr)) {
-            Ok(data) => {
-                self.local.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(data)
-            }
-            Err(epoch) => {
-                self.local.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Miss(epoch)
-            }
-        }
-    }
-
-    #[inline]
-    fn key_of(&self, addr: u64) -> u64 {
-        addr / u64::from(self.block_size)
-    }
-}
-
 /// A [`Device`] wrapper serving repeated block reads from a shared DRAM
-/// [`BlockCache`] — the single-owner **back** of the cache: in-flight
-/// fills, coalescing and the inner device. Lookups live on its
-/// [`CacheFront`].
+/// [`BlockCache`].
 ///
 /// Cache hits complete at the submission timestamp (a DRAM copy costs no
 /// device time — the CPU-side cost is already charged by the engine's
 /// `T_request` model); misses pass through to the inner device and fill
 /// the cache when they complete. Only whole-block reads are cached;
 /// other lengths (superblock, filter scans at open) bypass the cache.
-///
-/// A read enters one of two ways: [`Device::submit`] looks it up on the
-/// front itself, or a caller that already did ([`Device::cache_front`])
-/// brings the miss and its epoch to [`Device::submit_miss`], which does
-/// not look up again. Either way a read costs one lookup, and both share
-/// the fill path below.
 ///
 /// With [`CachedDevice::set_coalescing`] enabled, a miss for a key that
 /// already has a fill in flight **on this device** parks on that fill
@@ -1184,13 +1101,14 @@ impl CacheFront {
 /// in-flight fills for other blocks are untouched.
 pub struct CachedDevice<D: Device> {
     inner: D,
-    front: CacheFront,
+    cache: Arc<BlockCache>,
+    block_size: u32,
     /// Completions served from DRAM, delivered on the next poll.
     hit_queue: Vec<IoCompletion>,
-    /// tag → (block key, key epoch at lookup) for in-flight misses
+    /// tag → (block key, key epoch at submit) for in-flight misses
     /// (tags are unique per in-flight I/O: one engine context never has
     /// two same-kind I/Os for the same probe in flight). The epoch
-    /// gates the fill: an invalidation of this key between lookup and
+    /// gates the fill: an invalidation of this key between submit and
     /// completion discards it.
     pending_fills: HashMap<u64, (u64, FillEpoch)>,
     /// Single-flight coalescing of concurrent same-key misses (off by
@@ -1204,6 +1122,12 @@ pub struct CachedDevice<D: Device> {
     /// Parked waiter count (they occupy no slot in the inner device but
     /// are in flight from the engine's point of view).
     parked: usize,
+    /// This device's own cache hits (the shared [`BlockCache`] counters
+    /// span every device on the cache; per-device stats must stay
+    /// summable across replicas).
+    local_hits: u64,
+    /// This device's own cache misses.
+    local_misses: u64,
     /// This device's own coalesced reads.
     local_coalesced: u64,
 }
@@ -1215,17 +1139,16 @@ impl<D: Device> CachedDevice<D> {
         assert!(block_size > 0);
         Self {
             inner,
-            front: CacheFront {
-                cache,
-                block_size,
-                local: Arc::default(),
-            },
+            cache,
+            block_size,
             hit_queue: Vec::new(),
             pending_fills: HashMap::new(),
             coalesce: false,
             leaders: HashMap::new(),
             waiters: HashMap::new(),
             parked: 0,
+            local_hits: 0,
+            local_misses: 0,
             local_coalesced: 0,
         }
     }
@@ -1255,7 +1178,7 @@ impl<D: Device> CachedDevice<D> {
 
     /// The shared cache.
     pub fn cache(&self) -> &Arc<BlockCache> {
-        &self.front.cache
+        &self.cache
     }
 
     /// The wrapped device.
@@ -1266,38 +1189,49 @@ impl<D: Device> CachedDevice<D> {
     /// Drop the cached copy of the block containing `addr` (call after
     /// rewriting it on storage).
     pub fn invalidate(&self, addr: u64) {
-        self.front.cache.invalidate(self.front.key_of(addr));
+        self.cache.invalidate(self.key_of(addr));
+    }
+
+    #[inline]
+    fn key_of(&self, addr: u64) -> u64 {
+        addr / u64::from(self.block_size)
     }
 }
 
 impl<D: Device> Device for CachedDevice<D> {
     fn submit(&mut self, req: IoRequest, now: f64) {
-        match self.front.lookup(&req) {
-            // DRAM hit: complete at the submission timestamp.
-            Lookup::Hit(data) => self.hit_queue.push(IoCompletion {
-                tag: req.tag,
-                data,
-                time: now,
-            }),
-            Lookup::Miss(epoch) => self.submit_miss(req, epoch, now),
-            Lookup::Uncacheable => self.inner.submit(req, now),
+        let block = u64::from(self.block_size);
+        if req.len != self.block_size || !req.addr.is_multiple_of(block) {
+            // Not a whole aligned block (superblock, filter scans):
+            // bypasses the cache and books nothing.
+            return self.inner.submit(req, now);
         }
-    }
-
-    fn submit_miss(&mut self, req: IoRequest, epoch: FillEpoch, now: f64) {
-        let key = self.front.key_of(req.addr);
+        let key = self.key_of(req.addr);
+        let epoch = match self.cache.get_or_begin_fill(key) {
+            Ok(data) => {
+                // DRAM hit: complete at the submission timestamp.
+                self.local_hits += 1;
+                self.hit_queue.push(IoCompletion {
+                    tag: req.tag,
+                    data,
+                    time: now,
+                });
+                return;
+            }
+            Err(epoch) => epoch,
+        };
+        self.local_misses += 1;
         if self.coalesce {
             if let Some(&leader) = self.leaders.get(&key) {
                 // Join the leader only while its fill is still fresh: if
-                // the key was invalidated since the leader's lookup, its
+                // the key was invalidated since the leader submitted, its
                 // bytes pre-date the rewrite and this read must fetch
                 // its own.
                 if self.pending_fills.get(&leader).map(|&(_, e)| e) == Some(epoch) {
                     self.waiters.entry(leader).or_default().push(req.tag);
                     self.parked += 1;
                     self.local_coalesced += 1;
-                    let live = &self.front.cache.live;
-                    live.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.cache.live.coalesced.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
             }
@@ -1306,10 +1240,6 @@ impl<D: Device> Device for CachedDevice<D> {
         let prev = self.pending_fills.insert(req.tag, (key, epoch));
         debug_assert!(prev.is_none(), "duplicate in-flight tag {:#x}", req.tag);
         self.inner.submit(req, now);
-    }
-
-    fn cache_front(&self) -> Option<CacheFront> {
-        Some(self.front.clone())
     }
 
     fn poll(&mut self, now: f64, out: &mut Vec<IoCompletion>) {
@@ -1325,8 +1255,7 @@ impl<D: Device> Device for CachedDevice<D> {
                 // discarded (checked atomically with the insert): the
                 // bytes were read before the rewrite and must not
                 // re-enter. Fills for other keys are unaffected.
-                self.front
-                    .cache
+                self.cache
                     .insert_if_fresh(key, Arc::clone(&comp.data), epoch);
                 if self.coalesce {
                     // A stale leader (superseded after an invalidation)
@@ -1383,13 +1312,13 @@ impl<D: Device> Device for CachedDevice<D> {
         // `completed`/`bytes` count only what the underlying device
         // served; DRAM hits are reported separately via the cache
         // counters. Hits/misses/coalesced are *this device's own*
-        // lookups (through `submit` or its front) so that summing
-        // replica stats never multiplies shared-cache totals. Evictions
-        // are a property of the (possibly shared) cache, not of any one
-        // device — read them from [`BlockCache::counters`].
+        // lookups so that summing replica stats never multiplies
+        // shared-cache totals. Evictions are a property of the (possibly
+        // shared) cache, not of any one device — read them from
+        // [`BlockCache::counters`].
         let mut s = self.inner.stats();
-        s.cache_hits = self.front.local.hits.load(Ordering::Relaxed);
-        s.cache_misses = self.front.local.misses.load(Ordering::Relaxed);
+        s.cache_hits = self.local_hits;
+        s.cache_misses = self.local_misses;
         s.coalesced_reads = self.local_coalesced;
         s
     }
@@ -1444,18 +1373,16 @@ mod tests {
     fn unaligned_or_oversize_reads_bypass_cache() {
         let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
         let mut dev = CachedDevice::with_capacity(sim, 4);
-        dev.submit(
-            IoRequest {
-                addr: 100, // unaligned
-                len: BLOCK_SIZE as u32,
-                tag: 1,
-            },
-            0.0,
-        );
-        let t = dev.next_completion_time().unwrap();
-        let mut out = Vec::new();
-        dev.poll(t, &mut out);
-        assert_eq!(dev.stats().cache_hits + dev.stats().cache_misses, 0);
+        for (tag, addr, len) in [(1, 100, BLOCK_SIZE as u32), (2, 0, 4096)] {
+            dev.submit(IoRequest { addr, len, tag }, 0.0);
+            let t = dev.next_completion_time().unwrap();
+            let mut out = Vec::new();
+            dev.poll(t, &mut out);
+            assert_eq!(out.len(), 1, "tag {tag}: the read is still served");
+        }
+        let (s, c) = (dev.stats(), dev.cache().counters());
+        assert_eq!(s.cache_hits + s.cache_misses, 0);
+        assert_eq!(c.cache_hits + c.cache_misses, 0);
         assert!(dev.cache().is_empty());
     }
 
@@ -1553,9 +1480,11 @@ mod tests {
             dev.cache().is_empty(),
             "stale in-flight fill must not re-populate the cache"
         );
+        assert_eq!(dev.cache().counters().cache_stale_fills, 1);
         // The next read goes to the device again (fresh bytes).
         let (_, _) = read_block(&mut dev, 512, t);
-        assert_eq!(dev.stats().cache_hits, 0);
+        let s = dev.stats();
+        assert_eq!((s.cache_hits, s.cache_misses), (0, 2), "one lookup a read");
     }
 
     /// The per-key-epoch acceptance scenario: an in-flight miss fill for
@@ -1955,7 +1884,10 @@ mod tests {
         let mut out = Vec::new();
         dev.poll(t, &mut out);
         assert_eq!(out.len(), 3, "every request gets its completion");
-        assert!(out.iter().all(|c| c.data == out[0].data));
+        assert!(
+            out.iter().all(|c| Arc::ptr_eq(&c.data, &out[0].data)),
+            "one fill, shared"
+        );
         assert!(
             out.iter().all(|c| c.time == t),
             "waiters share the leader's time"
@@ -1965,6 +1897,7 @@ mod tests {
         assert_eq!(dev.stats().completed, 1, "one device read served all three");
         assert_eq!(dev.stats().coalesced_reads, 2);
         assert_eq!(cache.counters().coalesced_reads, 2);
+        assert_eq!(dev.stats().cache_misses, 3, "a parked waiter is a miss");
         assert_eq!(dev.inflight(), 0);
         // The block is cached: the next read is a DRAM hit.
         let (_, _) = read_block(&mut dev, 1024, t);
@@ -2034,110 +1967,5 @@ mod tests {
         }
         assert_eq!(dev.stats().completed, 2);
         assert_eq!(dev.stats().coalesced_reads, 0);
-    }
-
-    // ── Across the front / back split ────────────────────────────────
-
-    fn block_req(addr: u64, tag: u64) -> IoRequest {
-        IoRequest {
-            addr,
-            len: BLOCK_SIZE as u32,
-            tag,
-        }
-    }
-
-    /// A front miss brought to the back with `submit_miss`: the epoch
-    /// its lookup returned.
-    fn front_miss(front: &CacheFront, req: &IoRequest) -> FillEpoch {
-        match front.lookup(req) {
-            Lookup::Miss(epoch) => epoch,
-            _ => panic!("expected a miss for {req:?}"),
-        }
-    }
-
-    #[test]
-    fn front_miss_invalidated_before_the_back_sees_it_is_discarded() {
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        let cache = Arc::new(BlockCache::new(4, 1));
-        let mut dev = CachedDevice::new(sim, Arc::clone(&cache), BLOCK_SIZE as u32);
-        let front = dev.cache_front().expect("a cached device has a front");
-        let req = block_req(1024, 1);
-        let epoch = front_miss(&front, &req);
-        // The block is rewritten between the lookup (compute thread)
-        // and the submit (device thread): the old epoch gates the fill.
-        dev.invalidate(1024);
-        dev.submit_miss(req, epoch, 0.0);
-        let t = dev.next_completion_time().unwrap();
-        let mut out = Vec::new();
-        dev.poll(t, &mut out);
-        assert_eq!(out.len(), 1, "the read itself is still delivered");
-        assert_eq!(cache.counters().cache_stale_fills, 1);
-        assert!(cache.peek(1024 / BLOCK_SIZE as u64).is_none(), "key absent");
-        let s = dev.stats();
-        assert_eq!(
-            (s.cache_hits, s.cache_misses, cache.counters().cache_misses),
-            (0, 1, 1),
-            "submit_miss books no second lookup"
-        );
-    }
-
-    #[test]
-    fn two_front_misses_of_one_key_coalesce_on_the_back() {
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        let cache = Arc::new(BlockCache::new(4, 1));
-        let mut dev = CachedDevice::new(sim, Arc::clone(&cache), BLOCK_SIZE as u32);
-        dev.set_coalescing(true);
-        let front = dev.cache_front().unwrap();
-        for tag in 1..=2u64 {
-            let req = block_req(512, tag);
-            let epoch = front_miss(&front, &req);
-            dev.submit_miss(req, epoch, 0.0);
-        }
-        assert_eq!(dev.inflight(), 2);
-        let t = dev.next_completion_time().unwrap();
-        let mut out = Vec::new();
-        dev.poll(t, &mut out);
-        let mut tags: Vec<u64> = out.iter().map(|c| c.tag).collect();
-        tags.sort_unstable();
-        assert_eq!(tags, vec![1, 2], "both completions delivered");
-        assert!(Arc::ptr_eq(&out[0].data, &out[1].data), "one fill, shared");
-        let s = dev.stats();
-        assert_eq!((s.completed, s.coalesced_reads), (1, 1), "one inner read");
-        assert_eq!((s.cache_hits, s.cache_misses), (0, 2));
-        // The fill landed: the front now hits, with the very bytes the
-        // completions carry.
-        match front.lookup(&block_req(512, 3)) {
-            Lookup::Hit(data) => assert!(Arc::ptr_eq(&data, &out[0].data)),
-            _ => panic!("filled block must hit"),
-        }
-    }
-
-    #[test]
-    fn unaligned_request_is_uncacheable_on_the_front_and_books_nothing() {
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        let dev = CachedDevice::with_capacity(sim, 4);
-        let front = dev.cache_front().unwrap();
-        for req in [
-            block_req(100, 1), // unaligned
-            IoRequest {
-                addr: 0,
-                len: 4096, // not one block
-                tag: 2,
-            },
-        ] {
-            assert!(matches!(front.lookup(&req), Lookup::Uncacheable));
-        }
-        let (s, c) = (dev.stats(), dev.cache().counters());
-        assert_eq!(s.cache_hits + s.cache_misses, 0);
-        assert_eq!(c.cache_hits + c.cache_misses, 0);
-    }
-
-    #[test]
-    fn uncached_device_has_no_front_and_submit_miss_is_submit() {
-        let mut sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        assert!(sim.cache_front().is_none());
-        let epoch = BlockCache::new(1, 1).fill_epoch(0);
-        sim.submit_miss(block_req(512, 9), epoch, 0.0);
-        assert_eq!(sim.inflight(), 1);
     }
 }

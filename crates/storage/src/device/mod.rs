@@ -18,7 +18,6 @@ pub mod cached;
 pub mod file;
 pub mod sim;
 
-use cached::{CacheFront, FillEpoch};
 use std::sync::Arc;
 
 /// An asynchronous read request.
@@ -148,7 +147,7 @@ counter_family! {
         bytes: u64 = "device_bytes",
         /// Block reads served from a DRAM cache (0 without a
         /// [`cached::CachedDevice`]). Per device in
-        /// [`cached::CachedDevice::stats`], so sums over workers
+        /// [`cached::CachedDevice::stats`], so sums over devices
         /// sharing one cache stay correct; the cache-wide total is in
         /// [`cached::BlockCache::counters`], which is also where every
         /// `cache_*` field below comes from (devices leave them 0).
@@ -270,21 +269,6 @@ pub trait Device: Send {
 
     /// Cumulative statistics.
     fn stats(&self) -> DeviceStats;
-
-    /// The shareable lookup half of this device's DRAM cache
-    /// ([`cached::CachedDevice`]); `None` for an uncached device. An
-    /// executor that runs the engine off the device's thread asks the
-    /// front first and brings only the misses here.
-    fn cache_front(&self) -> Option<CacheFront> {
-        None
-    }
-
-    /// Queue a read whose [`CacheFront::lookup`] already missed at
-    /// `epoch`: the cache is **not** consulted again. An uncached device
-    /// has no fill to gate, so this is [`Device::submit`].
-    fn submit_miss(&mut self, req: IoRequest, _epoch: FillEpoch, now: f64) {
-        self.submit(req, now);
-    }
 }
 
 /// Storage access interface profile: the per-I/O CPU cost `T_request`

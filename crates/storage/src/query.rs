@@ -23,12 +23,12 @@
 //!
 //! * [`run_queries`] — the batch executor used by the experiment harness:
 //!   a fixed query set, admission from the front of the batch, one device;
-//! * `e2lsh_service` workers — long-running loops that admit queries from
-//!   a request queue and run one driver per shard worker thread.
+//! * the `e2lsh_service` reactor — one long-running loop per replica that
+//!   admits queries from a request queue into its own driver and slots.
 //!
 //! Both are generic over [`Device`], so the same state machine runs
 //! against the virtual-time simulated devices (experiments) and against a
-//! real index file through the worker-pool [`FileDevice`]
+//! real index file through the reader-pool [`FileDevice`]
 //! (tests, examples).
 //!
 //! [`FileDevice`]: crate::device::file::FileDevice
@@ -379,8 +379,8 @@ impl QueryState {
 /// per call rather than borrowed for the driver's lifetime, so a
 /// serving layer can grow the dataset under a lock between calls
 /// (online inserts) while long-lived drivers keep running.
-/// [`run_queries`] drives it over a fixed batch; the `e2lsh_service`
-/// worker pool drives one driver per shard worker.
+/// [`run_queries`] drives it over a fixed batch; each `e2lsh_service`
+/// replica's reactor thread drives one of its own.
 pub struct QueryDriver<'a> {
     index: &'a StorageIndex,
     config: EngineConfig,

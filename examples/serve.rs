@@ -112,7 +112,6 @@ fn main() {
     let service = ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 32,
             k: 3,
             s_override: None,
@@ -264,7 +263,6 @@ fn main() {
     let bounded = ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 32,
             k: 3,
             s_override: None,
@@ -351,7 +349,6 @@ fn main() {
         ServiceConfig {
             replicas_per_shard: 3,
             routing: RoutePolicy::PowerOfTwoChoices,
-            workers_per_replica: 1,
             inflight_per_replica: 16,
             k: 3,
             s_override: None,
@@ -411,7 +408,6 @@ fn main() {
     let svc = ShardedService::new(
         shards,
         ServiceConfig {
-            workers_per_replica: 2,
             inflight_per_replica: 32,
             k: 5,
             device: DeviceSpec::SimShared {
