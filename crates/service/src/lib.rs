@@ -12,10 +12,10 @@
 //!   shard's index and rows but own private reactors, block caches
 //!   and admission queues (read scaling + failover); replica health
 //!   (fencing) lives here;
-//! * [`router`] — pick one replica per shard per query:
-//!   power-of-two-choices over live queue depth (default), round-robin
-//!   and broadcast baselines; plus the fencing/failover protocol that
-//!   re-dispatches a dead replica's outstanding queries to a sibling;
+//! * [`router`] — pick one replica per shard per query by
+//!   power-of-two-choices over live queue depth, plus the
+//!   fencing/failover protocol that re-dispatches a dead replica's
+//!   outstanding queries to a sibling;
 //! * [`session`] — the **session**, the service's only executor:
 //!   [`ShardedService::start`](service::ShardedService::start) brings
 //!   reactors, writers and collector up once and returns a
@@ -137,7 +137,6 @@ pub use loadgen::{
 };
 pub use metrics::{imbalance, percentile, LatencyHistogram, LatencySummary, OpStatus};
 pub use net::{NetClient, NetCounters, NetQueryReply, NetServer, NetServerConfig, NetWriteReply};
-pub use router::RoutePolicy;
 pub use service::{
     dedup_batch, BatchDedup, DeviceSpec, ServiceConfig, ServiceReport, ShardedService,
 };

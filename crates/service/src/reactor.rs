@@ -203,7 +203,7 @@ pub fn run_replica(
     if ctx.lane.fenced.load(Ordering::SeqCst) {
         // Quiesce: a dispatcher that saw the flag up never sends; one
         // that raced it holds `routes` until its send lands. After this
-        // wait every live ticket's dispatch masks are complete and the
+        // wait every live ticket's routing row is complete and the
         // dead queue is frozen — safe to tell the collector to scan.
         // (The receiver `jobs` is still alive here, so those racing
         // sends never hit a disconnected channel.) Yield, don't spin:

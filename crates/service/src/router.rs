@@ -1,33 +1,23 @@
 //! Load-aware replica routing and the fencing/failover protocol.
 //!
 //! With replica groups ([`crate::topology`]), a query still fans out to
-//! every *shard*, but within each shard the router picks **one
-//! replica** to serve it:
+//! every *shard*, but within each shard the router sends it to **one
+//! replica**, chosen by power-of-two-choices: sample two live replicas,
+//! send to the one with the shorter admission queue. The classic
+//! two-choices result: near-best-of-all balancing at the cost of two
+//! depth reads, robust to heterogeneous replica speed (a slow or
+//! degraded replica's queue grows, so it stops attracting load). Queue
+//! depth is live — [`GatedSender::depth`] is the same counter the
+//! admission budget enforces. The draws come from a seeded stream
+//! ([`splitmix64`]), so a session's replica choices are reproducible.
 //!
-//! * [`RoutePolicy::PowerOfTwoChoices`] (default) — sample two live
-//!   replicas, send to the one with the shorter admission queue. The
-//!   classic two-choices result: near-best-of-all balancing at the cost
-//!   of two depth reads, robust to heterogeneous replica speed (a slow
-//!   or degraded replica's queue grows, so it stops attracting load).
-//!   Queue depth is live — [`GatedSender::depth`] is the same counter
-//!   the admission budget enforces.
-//! * [`RoutePolicy::RoundRobin`] — cycle over live replicas, blind to
-//!   load. The baseline: balances *counts*, not *backlog*; a slow
-//!   replica keeps receiving its full share.
-//! * [`RoutePolicy::Broadcast`] — send to **every** live replica (R×
-//!   work amplification, duplicate partials deduplicated at merge).
-//!   The correctness baseline and a latency-race mode; a mid-run fence
-//!   shrinks affected queries' partial quotas instead of re-dispatching
-//!   (the surviving replicas already carry identical answers).
-//!
-//! Since the session redesign the router is **session-lived**: one
-//! router (the crate-private `Router`) serves every query submitted
-//! through a [`Session`](crate::session::Session)'s clients, and the routing
-//! table is no longer a dense per-run array but lives with each live
-//! ticket — every in-flight query carries its own per-shard dispatch
-//! bitmasks (see [`crate::session`]), written before the first job is
-//! sent. The masks are keyed by live ticket ids exactly: a completed
-//! ticket's masks are dropped with its registry entry.
+//! The router is **session-lived**: one router (the crate-private
+//! `Router`) serves every query submitted through a
+//! [`Session`](crate::session::Session)'s clients. The routing table
+//! lives with each live ticket — every in-flight query carries one
+//! routed-replica index per shard (see [`crate::session`]), written
+//! before the first job is sent and dropped with the ticket's registry
+//! entry.
 //!
 //! ## Fencing and failover
 //!
@@ -37,24 +27,23 @@
 //!
 //! 1. every send increments the lane's `routes` counter **before**
 //!    checking the down flag, and decrements it after the send lands in
-//!    the queue;
+//!    the queue (`Router::reserve_guarded`, shared by fan-out and
+//!    failover);
 //! 2. the fenced replica's reactor observes the flag, stops serving
 //!    (abandoning queued and in-flight jobs), and — as the lane's only
 //!    queue receiver — waits for `routes == 0` before emitting one
 //!    [`ReactorMsg::ReplicaDown`](crate::reactor::ReactorMsg) — so by
 //!    the time the collector sees it, every routed job is either in the
-//!    dead queue or already reported, and each live ticket's dispatch
-//!    masks are complete for the scan;
+//!    dead queue or already reported, and each live ticket's routing
+//!    row is complete for the scan;
 //! 3. the session collector re-dispatches every outstanding query that
 //!    was routed to the dead replica to a live sibling
 //!    (`Router::redispatch`, **blocking** admission — a failover op
 //!    was already admitted once and must not turn into a shed storm),
-//!    counting each in [`ServiceReport::failovers`]; under broadcast
-//!    it instead drops the dead replica's bit from the query's
-//!    dispatch set (`clear_routed_bit`);
-//! 4. duplicate partials (a job the dying replica did complete, raced
-//!    by its re-dispatch) are dropped by the collector's per-shard
-//!    received markers.
+//!    counting each in [`ServiceReport::failovers`];
+//! 4. a duplicate partial (a job the dying replica did complete, raced
+//!    by its re-dispatch) is dropped by the collector's per-shard
+//!    received flag.
 //!
 //! When a shard has **no** live replica left, new queries are shed with
 //! a synthetic [`Overload`] and outstanding ones complete with that
@@ -71,21 +60,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How the service picks a replica within each shard for a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RoutePolicy {
-    /// Sample two live replicas, route to the shorter admission queue
-    /// (load-aware; the default).
-    #[default]
-    PowerOfTwoChoices,
-    /// Cycle over live replicas regardless of load (baseline).
-    RoundRobin,
-    /// Send to every live replica; merged results are deduplicated.
-    /// R× work amplification; a mid-run fence shrinks the affected
-    /// queries' quotas instead of re-dispatching.
-    Broadcast,
-}
-
 /// SplitMix64 bit mixer — the router's stateless per-draw randomness
 /// (`seq`-th draw of a seeded stream). Public for the model-check tests
 /// that replay the router's exact sampling.
@@ -95,13 +69,6 @@ pub fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Round-robin selection core: the `cursor`-th turn over `live`
-/// replicas. Pure — shared by the live router and the model tests.
-#[inline]
-pub fn round_robin_pick(live: &[usize], cursor: usize) -> usize {
-    live[cursor % live.len()]
 }
 
 /// Power-of-two-choices selection core: sample two of `live` with the
@@ -153,34 +120,42 @@ pub fn lane_states(num_shards: usize, replicas: usize) -> Vec<Vec<LaneState>> {
         .collect()
 }
 
-/// Upper bound on replicas per shard: each live ticket stores the set
-/// of replicas a (query, shard) partial was dispatched to as a bitmask
-/// in one `AtomicU64`, and the selection path uses a stack buffer of
-/// this size. Enforced by `Router::new` (via `Session::start`).
+/// Upper bound on replicas per shard: the selection path gathers the
+/// live replicas into a stack buffer of this size. Enforced by
+/// `Router::new` (via `Session::start`).
 pub const MAX_REPLICAS: usize = 64;
 
-/// How many partials the query owes `shard`: the number of replicas its
-/// fan-out was actually sent to (0 = not dispatched, or every broadcast
-/// replica of the shard died). `masks` is the ticket's per-shard
-/// dispatch-bitmask array.
-#[inline]
-pub(crate) fn quota(masks: &[AtomicU64], shard: usize) -> usize {
-    masks[shard].load(Ordering::Acquire).count_ones() as usize
+/// Routing-table cell of a (query, shard) that has not been dispatched.
+pub(crate) const NOT_ROUTED: usize = usize::MAX;
+
+/// A ticket's routing-table row: one routed-replica index per shard,
+/// all [`NOT_ROUTED`] until fan-out.
+pub(crate) fn route_row(num_shards: usize) -> Box<[AtomicUsize]> {
+    (0..num_shards)
+        .map(|_| AtomicUsize::new(NOT_ROUTED))
+        .collect()
 }
 
-/// True when the query's partial for `shard` was dispatched to
-/// `replica` (and not yet re-routed away from it).
+/// The replica the query's partial for `shard` is routed to
+/// ([`NOT_ROUTED`] before fan-out).
 #[inline]
-pub(crate) fn is_routed_to(masks: &[AtomicU64], shard: usize, replica: usize) -> bool {
-    masks[shard].load(Ordering::Acquire) & (1 << replica) != 0
+pub(crate) fn routed_replica(row: &[AtomicUsize], shard: usize) -> usize {
+    row[shard].load(Ordering::Acquire)
 }
 
-/// Drop `replica` from the query's dispatch set for `shard` (broadcast
-/// fence handling: the dead replica will not answer, so the quota
-/// shrinks by its bit).
+/// How many partials the query owes `shard`: 1 once fan-out routed it,
+/// 0 before.
 #[inline]
-pub(crate) fn clear_routed_bit(masks: &[AtomicU64], shard: usize, replica: usize) {
-    masks[shard].fetch_and(!(1u64 << replica), Ordering::AcqRel);
+pub(crate) fn quota(row: &[AtomicUsize], shard: usize) -> usize {
+    usize::from(routed_replica(row, shard) != NOT_ROUTED)
+}
+
+/// Route the query's partial for `shard` to `replica`: fan-out's first
+/// write, or failover's swap away from a dead replica. The `Release`
+/// store pairs with [`routed_replica`]'s `Acquire` load.
+#[inline]
+fn set_route(row: &[AtomicUsize], shard: usize, replica: usize) {
+    row[shard].store(replica, Ordering::Release);
 }
 
 /// Failover counters of one session, owned by the session (not the
@@ -196,34 +171,16 @@ pub(crate) struct RouterStats {
     pub abandoned: AtomicUsize,
 }
 
-impl RouterStats {
-    pub fn failovers(&self) -> usize {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    pub fn abandoned(&self) -> usize {
-        self.abandoned.load(Ordering::Relaxed)
-    }
-
-    /// Book a partial abandoned for lack of live replicas.
-    pub fn count_abandoned(&self) {
-        self.abandoned.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// The session-lived router: owns the query senders of every lane,
 /// picks a replica per shard per query, and writes each ticket's
-/// dispatch masks — the routing table the collector's quota accounting
-/// and the failover scan read. Dropping the router closes every
-/// replica's queue (session shutdown).
+/// routing row — the table the collector's quota accounting and the
+/// failover scan read. Dropping the router closes every replica's queue
+/// (session shutdown).
 pub(crate) struct Router {
     topo: Arc<Topology>,
     /// `[shard][replica]` query senders.
     txs: Vec<Vec<GatedSender<Job>>>,
     lanes: Arc<Vec<Vec<LaneState>>>,
-    policy: RoutePolicy,
-    /// Per-shard round-robin cursors.
-    rr: Vec<AtomicUsize>,
     /// Draw counter for the stateless p2c sampler.
     rng_seq: AtomicU64,
     rng_seed: u64,
@@ -239,29 +196,20 @@ impl Router {
         topo: Arc<Topology>,
         txs: Vec<Vec<GatedSender<Job>>>,
         lanes: Arc<Vec<Vec<LaneState>>>,
-        policy: RoutePolicy,
         seed: u64,
         stats: Arc<RouterStats>,
         epoch: Instant,
     ) -> Self {
-        let num_shards = topo.num_shards();
         assert!(topo.replicas_per_shard() <= MAX_REPLICAS);
         Self {
             topo,
             txs,
             lanes,
-            policy,
-            rr: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
             rng_seq: AtomicU64::new(0),
             rng_seed: seed,
             stats,
             epoch,
         }
-    }
-
-    /// The routing policy this session dispatches under.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
     }
 
     /// True when the lane must not be sent to: the replica is fenced
@@ -286,10 +234,11 @@ impl Router {
         }
     }
 
-    /// Pick a live replica of `shard` per the policy (`exclude`: the
-    /// replica a failover is fleeing). None when the shard has no
-    /// eligible replica. The live set is gathered into a stack buffer —
-    /// this runs once per query per shard, no heap traffic.
+    /// Pick a live replica of `shard` by power-of-two-choices
+    /// (`exclude`: the replica a failover is fleeing). None when the
+    /// shard has no eligible replica. The live set is gathered into a
+    /// stack buffer — this runs once per query per shard, no heap
+    /// traffic.
     fn select(&self, shard: usize, exclude: Option<usize>) -> Option<usize> {
         let mut buf = [0usize; MAX_REPLICAS];
         let mut n = 0;
@@ -302,30 +251,33 @@ impl Router {
         if n == 0 {
             return None;
         }
-        let live = &buf[..n];
-        Some(match self.policy {
-            RoutePolicy::RoundRobin | RoutePolicy::Broadcast => {
-                let cursor = self.rr[shard].fetch_add(1, Ordering::Relaxed);
-                round_robin_pick(live, cursor)
-            }
-            RoutePolicy::PowerOfTwoChoices => {
-                let seq = self.rng_seq.fetch_add(2, Ordering::Relaxed);
-                let a = splitmix64(self.rng_seed ^ seq);
-                let b = splitmix64(self.rng_seed ^ (seq + 1));
-                power_of_two_pick(live, |r| self.txs[shard][r].depth(), a, b)
-            }
-        })
+        let seq = self.rng_seq.fetch_add(2, Ordering::Relaxed);
+        let a = splitmix64(self.rng_seed ^ seq);
+        let b = splitmix64(self.rng_seed ^ (seq + 1));
+        Some(power_of_two_pick(
+            &buf[..n],
+            |r| self.txs[shard][r].depth(),
+            a,
+            b,
+        ))
     }
 
-    /// Reserve one slot of `cost` bytes on a live replica of `shard`.
-    /// On success the lane's `routes` guard is **held**: the caller
-    /// must follow with [`Router::send_reserved`] or
-    /// [`Router::unreserve`], both of which release it.
-    fn reserve_on_shard(&self, shard: usize, cost: usize) -> Result<usize, Overload> {
+    /// The routes-guard handshake (module docs, step 1) around one
+    /// reservation: select a live replica of `shard` (never `exclude`),
+    /// raise its lane's `routes` guard, re-check availability under the
+    /// guard, then `reserve` on its queue. `Ok(r)`: reserved with the
+    /// guard **held** — follow with [`Router::send_reserved`] or
+    /// [`Router::unreserve`], both of which release it. `Err(Some(e))`:
+    /// the queue refused; `Err(None)`: the shard has no live replica
+    /// left.
+    fn reserve_guarded(
+        &self,
+        shard: usize,
+        exclude: Option<usize>,
+        reserve: impl Fn(&GatedSender<Job>) -> Result<(), Overload>,
+    ) -> Result<usize, Option<Overload>> {
         loop {
-            let Some(r) = self.select(shard, None) else {
-                return Err(self.no_live_overload(shard));
-            };
+            let r = self.select(shard, exclude).ok_or(None)?;
             let lane = &self.lanes[shard][r];
             lane.routes.fetch_add(1, Ordering::SeqCst);
             if self.unavailable(shard, r) {
@@ -336,11 +288,11 @@ impl Router {
                 lane.routes.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
-            return match self.txs[shard][r].reserve(cost) {
+            return match reserve(&self.txs[shard][r]) {
                 Ok(()) => Ok(r),
                 Err(e) => {
                     lane.routes.fetch_sub(1, Ordering::SeqCst);
-                    Err(e)
+                    Err(Some(e))
                 }
             };
         }
@@ -361,71 +313,36 @@ impl Router {
     }
 
     /// All-or-nothing fan-out of one query: reserve a slot on one
-    /// replica per shard (every live replica per shard under broadcast)
-    /// or shed on the first shard that cannot admit it, rolling earlier
-    /// reservations back. On success the full dispatch set is written
-    /// to the ticket's `masks` before the first job is sent, so any
+    /// replica per shard or shed on the first shard that cannot admit
+    /// it, rolling earlier reservations back. On success the ticket's
+    /// routing `row` is written before the first job is sent, so any
     /// partial the collector receives can resolve its quota.
     pub fn try_fanout(
         &self,
         qid: u64,
         point: &Arc<[f32]>,
-        masks: &[AtomicU64],
+        row: &[AtomicUsize],
         cost: usize,
         routed: &AtomicU64,
     ) -> Result<(), Overload> {
         let num_shards = self.topo.num_shards();
         let mut picked: Vec<(usize, usize)> = Vec::with_capacity(num_shards);
-        let rollback = |picked: &[(usize, usize)]| {
-            for &(ps, pr) in picked {
-                self.unreserve(ps, pr, cost);
-            }
-        };
         for s in 0..num_shards {
-            if self.policy == RoutePolicy::Broadcast {
-                let before = picked.len();
-                for r in 0..self.topo.replicas_per_shard() {
-                    if self.unavailable(s, r) {
-                        continue;
+            match self.reserve_guarded(s, None, |tx| tx.reserve(cost)) {
+                Ok(r) => picked.push((s, r)),
+                Err(e) => {
+                    for &(ps, pr) in &picked {
+                        self.unreserve(ps, pr, cost);
                     }
-                    let lane = &self.lanes[s][r];
-                    lane.routes.fetch_add(1, Ordering::SeqCst);
-                    // Re-check under the routes guard (same handshake as
-                    // `reserve_on_shard`): a replica fenced between the
-                    // first check and here must not be sent to — its
-                    // reactor may already be gone.
-                    if self.unavailable(s, r) {
-                        lane.routes.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    match self.txs[s][r].reserve(cost) {
-                        Ok(()) => picked.push((s, r)),
-                        Err(e) => {
-                            lane.routes.fetch_sub(1, Ordering::SeqCst);
-                            rollback(&picked);
-                            return Err(e);
-                        }
-                    }
-                }
-                if picked.len() == before {
-                    rollback(&picked);
-                    return Err(self.no_live_overload(s));
-                }
-            } else {
-                match self.reserve_on_shard(s, cost) {
-                    Ok(r) => picked.push((s, r)),
-                    Err(e) => {
-                        rollback(&picked);
-                        return Err(e);
-                    }
+                    return Err(e.unwrap_or_else(|| self.no_live_overload(s)));
                 }
             }
         }
-        // Publish the dispatch set, then send. (Fan-out is attempted at
-        // most once per ticket per admission decision and rolled back
-        // wholesale on failure, so the cells are 0 here.)
+        // Publish the routes, then send. (Fan-out is attempted at most
+        // once per ticket and rolled back wholesale on failure, so the
+        // cells are NOT_ROUTED here.)
         for &(s, r) in &picked {
-            masks[s].fetch_or(1u64 << r, Ordering::AcqRel);
+            set_route(row, s, r);
         }
         // Routing decided: stamp the ticket's trace timestamp before the
         // first job is sent, so a shard service window never precedes it
@@ -464,41 +381,32 @@ impl Router {
         &self,
         qid: u64,
         point: &Arc<[f32]>,
-        masks: &[AtomicU64],
+        row: &[AtomicUsize],
         shard: usize,
         dead: usize,
     ) -> Option<usize> {
         loop {
-            let r = self.select(shard, Some(dead))?;
-            let lane = &self.lanes[shard][r];
-            lane.routes.fetch_add(1, Ordering::SeqCst);
-            if self.unavailable(shard, r) {
-                lane.routes.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            match self.txs[shard][r].reserve_uncounted(0) {
-                Ok(()) => {
-                    // Swap the dead replica's bit for the sibling's
-                    // (single-writer here: dispatch finished with this
-                    // ticket's masks before the quiesce let the scan
-                    // run, and the scan runs on the collector thread).
-                    let old = masks[shard].load(Ordering::Acquire);
-                    masks[shard].store((old & !(1u64 << dead)) | (1u64 << r), Ordering::Release);
-                    self.txs[shard][r].send_reserved(
+            match self.reserve_guarded(shard, Some(dead), |tx| tx.reserve_uncounted(0)) {
+                Ok(r) => {
+                    // Swap the route to the sibling (single writer here:
+                    // fan-out finished with this ticket's row before the
+                    // quiesce let the scan run, and the scan runs on the
+                    // collector thread).
+                    set_route(row, shard, r);
+                    self.send_reserved(
                         Job {
                             qid,
                             point: Arc::clone(point),
                         },
+                        shard,
+                        r,
                         0,
                     );
-                    lane.routes.fetch_sub(1, Ordering::SeqCst);
                     self.stats.failovers.fetch_add(1, Ordering::Relaxed);
                     return Some(r);
                 }
-                Err(_) => {
-                    lane.routes.fetch_sub(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                }
+                Err(None) => return None,
+                Err(Some(_)) => std::thread::sleep(std::time::Duration::from_micros(20)),
             }
         }
     }
@@ -507,13 +415,6 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_cycles_over_live() {
-        let live = [0usize, 2, 3];
-        let picks: Vec<usize> = (0..6).map(|c| round_robin_pick(&live, c)).collect();
-        assert_eq!(picks, vec![0, 2, 3, 0, 2, 3]);
-    }
 
     #[test]
     fn power_of_two_prefers_shorter_queue() {
@@ -540,17 +441,20 @@ mod tests {
     }
 
     #[test]
-    fn ticket_masks_quota_arithmetic() {
-        let masks: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
-        assert_eq!(quota(&masks, 0), 0);
-        masks[0].store(0b101, Ordering::Release);
-        masks[1].store(0b010, Ordering::Release);
-        assert_eq!(quota(&masks, 0), 2);
-        assert_eq!(quota(&masks, 1), 1);
-        assert!(is_routed_to(&masks, 0, 0));
-        assert!(!is_routed_to(&masks, 0, 1));
-        clear_routed_bit(&masks, 0, 2);
-        assert_eq!(quota(&masks, 0), 1);
-        assert!(!is_routed_to(&masks, 0, 2));
+    fn route_row_quota_follows_fanout_and_failover() {
+        let row = route_row(2);
+        // Unset: nothing owed before fan-out.
+        assert_eq!(routed_replica(&row, 0), NOT_ROUTED);
+        assert_eq!((quota(&row, 0), quota(&row, 1)), (0, 0));
+        // Fan-out routes every shard: one partial owed per shard.
+        set_route(&row, 0, 2);
+        set_route(&row, 1, 0);
+        assert_eq!((routed_replica(&row, 0), routed_replica(&row, 1)), (2, 0));
+        assert_eq!((quota(&row, 0), quota(&row, 1)), (1, 1));
+        // Failover swaps shard 0 away from replica 2: still one owed,
+        // now from the sibling; shard 1 is untouched.
+        set_route(&row, 0, 1);
+        assert_eq!((routed_replica(&row, 0), routed_replica(&row, 1)), (1, 0));
+        assert_eq!((quota(&row, 0), quota(&row, 1)), (1, 1));
     }
 }

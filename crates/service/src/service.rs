@@ -22,8 +22,8 @@
 //! Queries fan out to every **shard**, and within each shard the
 //! [`Router`](crate::router) picks one **replica** (of
 //! [`ServiceConfig::replicas_per_shard`]) to serve the shard's partial
-//! — power-of-two-choices over live admission-queue depth by default
-//! ([`RoutePolicy`]). Inserts and deletes route to the owning shard's
+//! — power-of-two-choices over live admission-queue depth. Inserts and
+//! deletes route to the owning shard's
 //! single writer thread (see [`crate::update`] and the id-minting
 //! contract in [`crate::session`]). Every per-replica queue is bounded
 //! by the service's [`AdmissionControl`] — reads and writes draw from
@@ -37,7 +37,7 @@
 use crate::admission::AdmissionControl;
 use crate::metrics::{imbalance, LatencyHistogram, LatencySummary};
 use crate::net::NetCounters;
-use crate::router::{RoutePolicy, MAX_REPLICAS};
+use crate::router::MAX_REPLICAS;
 use crate::session::Session;
 use crate::shard::ShardSet;
 use crate::topology::Topology;
@@ -91,11 +91,9 @@ impl DeviceSpec {
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Replicas backing each shard (read scaling + failover; 1 = the
-    /// PR-3 single-pool service).
+    /// Replicas backing each shard (read scaling + failover; 1 = no
+    /// replication).
     pub replicas_per_shard: usize,
-    /// How the dispatcher picks a replica within each shard per query.
-    pub routing: RoutePolicy,
     /// In-flight query slots per replica: how many interleaved
     /// [`QueryState`](e2lsh_storage::query::QueryState)s the replica's
     /// reactor multiplexes over its device handle. This — not a thread
@@ -132,20 +130,16 @@ pub struct ServiceConfig {
     /// ([`Session::traces`](crate::session::Session::traces)).
     /// Sampling is deterministic by ticket id, so a seeded rerun
     /// samples the same requests. 0.0 (the default) disables the ring;
-    /// 1.0 traces everything.
+    /// 1.0 traces everything. The ring retains the 1024 most recent
+    /// sampled spans.
     pub trace_sample: f64,
-    /// Capacity of the trace ring: how many recent sampled spans are
-    /// retained.
-    pub trace_capacity: usize,
     /// End-to-end latency (seconds) beyond which a request's full span
     /// breakdown is retained in the **slow-query log**
     /// ([`Session::slow_queries`](crate::session::Session::slow_queries),
     /// [`ServiceReport::slow_queries`]) regardless of sampling.
-    /// `f64::INFINITY` (the default) disables the log.
+    /// `f64::INFINITY` (the default) disables the log. The log retains
+    /// the 64 most recent slow spans.
     pub slow_query_threshold: f64,
-    /// How many slow-query spans the log retains (oldest evicted
-    /// first).
-    pub slow_log_capacity: usize,
     /// Replacement/admission policy for every shard's block cache (and
     /// the replica caches cloned from it). [`CachePolicy::Lru`] (the
     /// default) keeps the original sharded LRU bit-exactly;
@@ -182,7 +176,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             replicas_per_shard: 1,
-            routing: RoutePolicy::default(),
             inflight_per_replica: 16,
             k: 1,
             s_override: None,
@@ -190,9 +183,7 @@ impl Default for ServiceConfig {
             admission: AdmissionControl::UNBOUNDED,
             per_client_inflight: usize::MAX,
             trace_sample: 0.0,
-            trace_capacity: 1024,
             slow_query_threshold: f64::INFINITY,
-            slow_log_capacity: 64,
             cache_policy: CachePolicy::Lru,
             cache_coalescing: false,
             maintenance_blocks_per_tick: 0,
@@ -262,9 +253,8 @@ e2lsh_storage::counter_family! {
         /// live sibling left: the affected queries completed with that
         /// shard's contribution empty (degraded answers, not hangs).
         lost_partials: usize = "lost_partials",
-        /// Total I/Os issued across shards (under
-        /// [`RoutePolicy::Broadcast`] this includes the R×
-        /// amplification).
+        /// Total I/Os issued across shards (each query's partial is
+        /// served by one replica per shard).
         total_io: u64 = "total_io",
     }
     peaks {
@@ -312,7 +302,7 @@ e2lsh_storage::counter_family! {
         /// The slow-query log at snapshot time: full [`TraceSpan`]
         /// breakdowns of the most recent requests whose end-to-end
         /// latency exceeded [`ServiceConfig::slow_query_threshold`]
-        /// (bounded by [`ServiceConfig::slow_log_capacity`]).
+        /// (the 64 most recent).
         slow_queries: Vec<TraceSpan>,
         /// Device statistics summed over replicas (shared arrays
         /// counted once per shard; cache counters — including
@@ -424,8 +414,8 @@ impl ServiceReport {
 
     /// Worst per-shard replica-load imbalance (max replica load over
     /// mean, maximized over shards): 1.0 = perfectly balanced, R =
-    /// everything on one of R replicas. 0 for an idle run. Routing
-    /// policies are judged by this together with the accepted p99.
+    /// everything on one of R replicas. 0 for an idle run. The router
+    /// is judged by this together with the accepted p99.
     pub fn replica_imbalance(&self) -> f64 {
         self.replica_load
             .iter()

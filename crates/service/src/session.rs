@@ -42,9 +42,10 @@
 //! ```
 //!
 //! A pending query lives in the session's **registry** (the routing
-//! table, keyed by live ticket ids): its entry holds the per-shard
-//! dispatch bitmasks the router wrote before the first job was sent,
-//! the partials merged so far, and the completion slot. The failover
+//! table, keyed by live ticket ids): its entry holds the replica each
+//! shard's partial was routed to (written by the router before the
+//! first job was sent), the partials merged so far, and the completion
+//! slot. Each (query, shard) owes exactly one partial. The failover
 //! scan walks exactly the live tickets; a resolved ticket's entry is
 //! gone.
 //!
@@ -83,9 +84,7 @@
 use crate::admission::{gated, GateHandle, GatedReceiver, GatedSender, Overload};
 use crate::metrics::OpStatus;
 use crate::reactor::{run_replica, Job, ReactorCtx, ReactorMsg, ReplicaStatsCell};
-use crate::router::{
-    clear_routed_bit, is_routed_to, lane_states, quota, RoutePolicy, Router, RouterStats,
-};
+use crate::router::{lane_states, quota, route_row, routed_replica, Router, RouterStats};
 use crate::service::{dedup_batch, DeviceSpec, ServiceConfig, ServiceReport};
 use crate::shard::Shard;
 use crate::shared_sim::SharedSimArray;
@@ -311,9 +310,10 @@ pub(crate) struct InFlight {
     net: Option<NetStage>,
     point: Arc<[f32]>,
     slot: Arc<Slot<QueryResult>>,
-    /// Per-shard dispatch bitmasks — the routing table row for this
-    /// ticket, written by the router before the first job is sent.
-    masks: Box<[AtomicU64]>,
+    /// The replica each shard's partial is routed to — the routing
+    /// table row for this ticket, written by the router before the
+    /// first job is sent and swapped by failover.
+    route: Box<[AtomicUsize]>,
     /// Trace stage stamp: seconds (as `f64` bits) when routing
     /// completed for this ticket. Initialized to `ref_time` so a span
     /// assembled before the router stamps it shows zero route time.
@@ -322,15 +322,12 @@ pub(crate) struct InFlight {
     acc: Mutex<Accum>,
 }
 
-/// Per-query accumulation while shard partials trickle in. The number
-/// of partials a shard owes is not stored here: it is the ticket's live
-/// dispatch quota (the mask population count — the replicas actually
-/// sent to, shrunk by broadcast fences), so the accounting follows
-/// failover re-routing exactly.
+/// Per-query accumulation while shard partials trickle in: one partial
+/// per shard, whichever replica the route row names when it arrives.
 struct Accum {
-    /// Partials received per shard; a partial for a shard that already
-    /// met its quota is a failover duplicate and is dropped.
-    got: Vec<u8>,
+    /// Whether each shard's partial has arrived; a second partial for a
+    /// received shard is a failover duplicate and is dropped.
+    received: Vec<bool>,
     finished: bool,
     neighbors: Vec<(u32, f32)>,
     /// Earliest shard service start (min over partials).
@@ -608,10 +605,10 @@ impl Client {
             net,
             point: Arc::from(point),
             slot: Arc::clone(&slot),
-            masks: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
+            route: route_row(num_shards),
             routed: AtomicU64::new(ref_time.to_bits()),
             acc: Mutex::new(Accum {
-                got: vec![0; num_shards],
+                received: vec![false; num_shards],
                 finished: false,
                 neighbors: Vec::new(),
                 start: f64::MAX,
@@ -628,7 +625,7 @@ impl Client {
         if let Err(e) = router.try_fanout(
             qid,
             &entry.point,
-            &entry.masks,
+            &entry.route,
             shared.point_bytes,
             &entry.routed,
         ) {
@@ -845,7 +842,6 @@ impl Session {
             Arc::clone(&topo),
             lane_txs,
             Arc::clone(&lanes),
-            config.routing,
             0xE25_0E25,
             Arc::clone(&router_stats),
             epoch,
@@ -891,12 +887,7 @@ impl Session {
             mint: Mutex::new(mint),
             replica_cells,
             cache_snap,
-            tracer: Tracer::new(
-                config.trace_sample,
-                config.trace_capacity,
-                config.slow_query_threshold,
-                config.slow_log_capacity,
-            ),
+            tracer: Tracer::for_session(config.trace_sample, config.slow_query_threshold),
         });
 
         let (msg_tx, msg_rx) = unbounded::<ReactorMsg>();
@@ -1036,10 +1027,9 @@ impl Session {
     /// The slow-query log: full span breakdowns of every retained
     /// request whose end-to-end latency exceeded
     /// [`ServiceConfig::slow_query_threshold`] (newest last, capped at
-    /// [`ServiceConfig::slow_log_capacity`]).
+    /// the 64 most recent).
     ///
     /// [`ServiceConfig::slow_query_threshold`]: crate::service::ServiceConfig::slow_query_threshold
-    /// [`ServiceConfig::slow_log_capacity`]: crate::service::ServiceConfig::slow_log_capacity
     pub fn slow_queries(&self) -> Vec<TraceSpan> {
         self.shared.tracer.slow_queries()
     }
@@ -1340,7 +1330,7 @@ fn run_collector(shared: &SessionShared, msg_rx: Receiver<ReactorMsg>) {
                 let Some(e) = entry else { continue };
                 {
                     let mut acc = e.acc.lock().unwrap();
-                    if acc.finished || (acc.got[shard] as usize) >= quota(&e.masks, shard) {
+                    if acc.finished || acc.received[shard] {
                         // Failover duplicate: the dying replica
                         // completed a query we also re-dispatched.
                         continue;
@@ -1349,7 +1339,7 @@ fn run_collector(shared: &SessionShared, msg_rx: Receiver<ReactorMsg>) {
                     acc.start = acc.start.min(start);
                     acc.finish = acc.finish.max(finish);
                     acc.n_io += u64::from(n_io);
-                    acc.got[shard] += 1;
+                    acc.received[shard] = true;
                     if !shared.tracer.disabled() {
                         acc.spans.push(ShardSpan {
                             shard,
@@ -1371,39 +1361,24 @@ fn run_collector(shared: &SessionShared, msg_rx: Receiver<ReactorMsg>) {
 
 /// Resolve the ticket if every shard's quota is met. Every caller runs
 /// after the query was dispatched (a partial arrived, or the failover
-/// scan matched its routing bits), and all-or-nothing fan-out publishes
-/// every shard's dispatch set before the first send — so an
-/// undispatched query (all quotas 0) can never be finished through this
-/// check. A quota of 0 on a *dispatched* query is legitimate: every
-/// broadcast replica of that shard died and the shard contributes
-/// nothing.
+/// scan matched its route), and all-or-nothing fan-out publishes every
+/// shard's route before the first send — so an undispatched query (all
+/// quotas 0) can never be finished through this check.
 fn try_finish(shared: &SessionShared, e: &InFlight, num_shards: usize) -> bool {
     let (neighbors, latency, service_latency, finish, n_io, spans) = {
         let mut acc = e.acc.lock().unwrap();
         if acc.finished {
             return false;
         }
-        for s in 0..num_shards {
-            if (acc.got[s] as usize) < quota(&e.masks, s) {
-                return false;
-            }
+        if (0..num_shards).any(|s| usize::from(acc.received[s]) < quota(&e.route, s)) {
+            return false;
         }
         acc.finished = true;
+        // One partial per shard and shards never share ids: the merge
+        // is a sort and a cut.
         let mut merged = std::mem::take(&mut acc.neighbors);
         merged.sort_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
-        // Broadcast (and failover races) can deliver the same neighbor
-        // from two replicas of one shard: keep the first of each id.
-        // Shards never share ids, so single-route merges are untouched.
-        let k = shared.config.k;
-        let mut seen_ids: Vec<u32> = Vec::with_capacity(k);
-        merged.retain(|&(id, _)| {
-            if seen_ids.len() >= k || seen_ids.contains(&id) {
-                false
-            } else {
-                seen_ids.push(id);
-                true
-            }
-        });
+        merged.truncate(shared.config.k);
         // A query whose every partial was abandoned never started.
         let start = if acc.start == f64::MAX {
             acc.finish
@@ -1451,58 +1426,39 @@ fn try_finish(shared: &SessionShared, e: &InFlight, num_shards: usize) -> bool {
     true
 }
 
-/// A replica died mid-session: resolve every live ticket that was
-/// dispatched to it. Single-route policies re-dispatch to a live
-/// sibling (or, with none left, complete the query with that shard's
-/// partial empty); broadcast simply drops the dead replica's bit from
-/// the query's dispatch set — the surviving replicas already carry the
-/// query, so its quota shrinks and the ticket resolves without waiting
-/// for an answer that will never come.
+/// A replica died mid-session: re-dispatch every live ticket whose
+/// partial for `shard` is routed to it (and not yet received) to a live
+/// sibling — or, with none left, complete the query with that shard's
+/// partial empty.
 fn failover_scan(shared: &SessionShared, shard: usize, replica: usize, num_shards: usize) {
     let entries: Vec<Arc<InFlight>> = shared.registry.lock().unwrap().values().cloned().collect();
     let router = shared.router.read().unwrap().clone();
-    let broadcast = router
-        .as_ref()
-        .is_some_and(|r| r.policy() == RoutePolicy::Broadcast);
     for e in entries {
-        {
+        let owed = {
             let acc = e.acc.lock().unwrap();
-            if acc.finished || (acc.got[shard] as usize) >= quota(&e.masks, shard) {
-                continue;
-            }
-        }
-        if !is_routed_to(&e.masks, shard, replica) {
+            !acc.finished && !acc.received[shard]
+        };
+        if !owed || routed_replica(&e.route, shard) != replica {
             continue;
         }
-        if broadcast {
-            // The dead replica's partial may or may not have been
-            // delivered; either way the sibling replicas of the
-            // broadcast carry identical answers, so shrinking the
-            // quota by this bit never degrades the result.
-            clear_routed_bit(&e.masks, shard, replica);
-            if quota(&e.masks, shard) == 0 && e.acc.lock().unwrap().got[shard] == 0 {
-                // Every broadcast replica of the shard died before
-                // answering: the shard's contribution is lost.
-                shared.router_stats.count_abandoned();
+        let redispatched = router
+            .as_ref()
+            .and_then(|r| r.redispatch(e.qid, &e.point, &e.route, shard, replica));
+        if redispatched.is_none() {
+            // No live sibling (or the session is draining): the shard
+            // contributes nothing; the ticket resolves when nothing else
+            // is outstanding.
+            shared
+                .router_stats
+                .abandoned
+                .fetch_add(1, Ordering::Relaxed);
+            let now = shared.now();
+            {
+                let mut acc = e.acc.lock().unwrap();
+                acc.received[shard] = true;
+                acc.finish = acc.finish.max(now);
             }
             try_finish(shared, &e, num_shards);
-        } else {
-            let redispatched = router
-                .as_ref()
-                .and_then(|r| r.redispatch(e.qid, &e.point, &e.masks, shard, replica));
-            if redispatched.is_none() {
-                // No live sibling (or the session is draining): the
-                // shard contributes nothing; the ticket resolves when
-                // nothing else is outstanding.
-                shared.router_stats.count_abandoned();
-                let now = shared.now();
-                {
-                    let mut acc = e.acc.lock().unwrap();
-                    acc.got[shard] = quota(&e.masks, shard) as u8;
-                    acc.finish = acc.finish.max(now);
-                }
-                try_finish(shared, &e, num_shards);
-            }
         }
     }
 }
@@ -1590,8 +1546,8 @@ fn replica_load(shared: &SessionShared) -> Vec<Vec<u64>> {
 /// nothing of) plus everything owned elsewhere, read outside that lock.
 fn build_report(shared: &SessionShared) -> ServiceReport {
     let mut report = shared.metrics.lock().unwrap().clone();
-    report.failovers = shared.router_stats.failovers();
-    report.lost_partials = shared.router_stats.abandoned();
+    report.failovers = shared.router_stats.failovers.load(Ordering::Relaxed);
+    report.lost_partials = shared.router_stats.abandoned.load(Ordering::Relaxed);
     report.peak_queue_depth = peak_queue_depth(shared);
     report.device += &aggregate_device(shared);
     report.replica_load = replica_load(shared);

@@ -240,6 +240,11 @@ impl TraceRing {
     }
 }
 
+/// Spans a session's trace ring retains.
+const TRACE_CAPACITY: usize = 1024;
+/// Spans a session's slow-query log retains (oldest evicted first).
+const SLOW_LOG_CAPACITY: usize = 64;
+
 /// Session-wide tracing state: the sampled ring plus the slow-query log.
 pub(crate) struct Tracer {
     ring: TraceRing,
@@ -271,6 +276,16 @@ impl Tracer {
             slow_threshold: slow_query_threshold,
             slow_capacity: slow_log_capacity.max(1),
         }
+    }
+
+    /// A session's tracer: ring and slow log at their fixed capacities.
+    pub(crate) fn for_session(trace_sample: f64, slow_query_threshold: f64) -> Self {
+        Self::new(
+            trace_sample,
+            TRACE_CAPACITY,
+            slow_query_threshold,
+            SLOW_LOG_CAPACITY,
+        )
     }
 
     /// True when span assembly can be skipped entirely.

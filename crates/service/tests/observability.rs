@@ -39,6 +39,8 @@ use rand_chacha::ChaCha8Rng;
 
 const DIM: usize = 8;
 const AMPLE: usize = 1_000_000;
+/// Spans a session's slow-query log retains (the service's fixed cap).
+const SLOW_LOG_CAPACITY: usize = 64;
 
 fn seed() -> u64 {
     std::env::var("E2LSH_TEST_SEED")
@@ -181,10 +183,7 @@ fn live_spans_telescope_and_cover_both_kinds() {
     let data = clustered(600, &mut rng);
     let queries = clustered(16, &mut rng);
     let extra = clustered(3, &mut rng);
-    let svc = build_service(&data, "spans", |c| {
-        c.trace_sample = 1.0;
-        c.trace_capacity = 256;
-    });
+    let svc = build_service(&data, "spans", |c| c.trace_sample = 1.0);
     let session = svc.start();
     let client = session.client();
 
@@ -247,17 +246,16 @@ fn live_spans_telescope_and_cover_both_kinds() {
 }
 
 /// A zero slow-query threshold logs every request with a full
-/// breakdown, bounded by `slow_log_capacity`; the log also rides the
-/// report snapshot.
+/// breakdown, bounded at the log's 64 most recent; the log also rides
+/// the report snapshot.
 #[test]
 fn slow_query_log_retains_breakdowns() {
     let seed = seed();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x510);
     let data = clustered(600, &mut rng);
-    let queries = clustered(12, &mut rng);
+    let queries = clustered(SLOW_LOG_CAPACITY + 8, &mut rng);
     let svc = build_service(&data, "slowlog", |c| {
         c.slow_query_threshold = 0.0; // everything is "slow"
-        c.slow_log_capacity = 8;
     });
     let session = svc.start();
     let client = session.client();
@@ -265,7 +263,11 @@ fn slow_query_log_retains_breakdowns() {
         client.query(queries.point(qi)).wait();
     }
     let slow = session.slow_queries();
-    assert_eq!(slow.len(), 8, "log capped at capacity (seed {seed})");
+    assert_eq!(
+        slow.len(),
+        SLOW_LOG_CAPACITY,
+        "log capped at capacity (seed {seed})"
+    );
     for s in &slow {
         let total = s.route() + s.queue_wait() + s.service() + s.merge();
         assert!((total - s.end_to_end()).abs() < 1e-9);
@@ -273,7 +275,7 @@ fn slow_query_log_retains_breakdowns() {
     }
     // The report snapshot carries the same log.
     let report = session.metrics();
-    assert_eq!(report.slow_queries.len(), 8);
+    assert_eq!(report.slow_queries.len(), SLOW_LOG_CAPACITY);
     // Nothing was *sampled* (trace_sample defaults to 0) — the ring
     // stays empty while the slow log fills.
     assert!(session.traces().is_empty());
@@ -562,11 +564,8 @@ fn export_schema_round_trips_live_report() {
     let seed = seed();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xEC5);
     let data = clustered(600, &mut rng);
-    let queries = clustered(10, &mut rng);
-    let svc = build_service(&data, "export", |c| {
-        c.slow_query_threshold = 0.0;
-        c.slow_log_capacity = 4;
-    });
+    let queries = clustered(SLOW_LOG_CAPACITY + 6, &mut rng);
+    let svc = build_service(&data, "export", |c| c.slow_query_threshold = 0.0);
     let session = svc.start();
     let client = session.client();
     for qi in 0..queries.len() {
@@ -677,7 +676,7 @@ fn export_schema_round_trips_live_report() {
     );
     assert_eq!(
         v.get("slow_queries").unwrap().as_array().unwrap().len(),
-        4,
+        SLOW_LOG_CAPACITY,
         "slow log rides the export (seed {seed})"
     );
     let hist = v.get("histograms").unwrap().get("read_latency").unwrap();

@@ -22,8 +22,8 @@ use common::{run_mixed_fencing, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    skewed_queries, DeviceSpec, Load, Op, OpStatus, RoutePolicy, ServiceConfig, ShardBuildConfig,
-    ShardSet, ShardedService,
+    skewed_queries, DeviceSpec, Load, Op, OpStatus, ServiceConfig, ShardBuildConfig, ShardSet,
+    ShardedService,
 };
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
 use e2lsh_storage::device::Interface;
@@ -109,7 +109,6 @@ fn build(
         shards,
         ServiceConfig {
             replicas_per_shard: replicas,
-            routing: RoutePolicy::PowerOfTwoChoices,
             inflight_per_replica: inflight,
             k,
             s_override: Some(AMPLE),

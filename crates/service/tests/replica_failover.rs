@@ -17,7 +17,10 @@
 //!    (deleted ids gone, inserted ids findable);
 //! 3. **fence the last replica of a shard** — reads degrade explicitly
 //!    (outstanding queries complete with that shard's partial empty,
-//!    later ones shed with `Overload`) and the run still terminates.
+//!    later ones shed with `Overload`) and the run still terminates;
+//! 4. **fence mid-run under a read-only stream, R = 3** — the dead
+//!    replica's outstanding partials fail over and every answer equals
+//!    the unfenced run's, bit for bit.
 
 mod common;
 
@@ -25,8 +28,8 @@ use common::{run_mixed_fencing, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    mixed_ops, AdmissionBudget, DeviceSpec, Load, Op, OpStatus, RoutePolicy, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService,
+    mixed_ops, AdmissionBudget, DeviceSpec, Load, Op, OpStatus, ServiceConfig, ShardBuildConfig,
+    ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use rand::{Rng, SeedableRng};
@@ -70,7 +73,6 @@ fn build_service_on(
     build_seed: u64,
     profile: DeviceProfile,
     num_devices: usize,
-    routing: RoutePolicy,
 ) -> ShardedService {
     let shards = ShardSet::build(
         data,
@@ -88,7 +90,6 @@ fn build_service_on(
         shards,
         ServiceConfig {
             replicas_per_shard: replicas,
-            routing,
             inflight_per_replica: 8,
             k: 3,
             s_override: Some(AMPLE),
@@ -105,15 +106,7 @@ fn build_service_on(
 }
 
 fn build_service(data: &Dataset, replicas: usize, tag: &str, build_seed: u64) -> ShardedService {
-    build_service_on(
-        data,
-        replicas,
-        tag,
-        build_seed,
-        DeviceProfile::ESSD,
-        1,
-        RoutePolicy::PowerOfTwoChoices,
-    )
+    build_service_on(data, replicas, tag, build_seed, DeviceProfile::ESSD, 1)
 }
 
 #[test]
@@ -246,15 +239,7 @@ fn fencing_the_last_replica_degrades_without_hanging() {
     // profile's millisecond probes keep the run far longer than the
     // fence delay even in release, so queries are guaranteed to be both
     // outstanding at the fence and still undispatched after it.
-    let svc = build_service_on(
-        &data,
-        1,
-        "lastrep",
-        seed ^ 0x1A57,
-        DeviceProfile::HDD,
-        8,
-        RoutePolicy::PowerOfTwoChoices,
-    );
+    let svc = build_service_on(&data, 1, "lastrep", seed ^ 0x1A57, DeviceProfile::HDD, 8);
     let mut out = None;
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -290,54 +275,59 @@ fn fencing_the_last_replica_degrades_without_hanging() {
     svc.shards().cleanup();
 }
 
-/// Broadcast + mid-run fence must terminate: the per-query quota is the
-/// dispatch set actually sent (shrunk by the fence), not the live set
-/// at run start — a fenced replica's unanswered partials stop being
-/// owed instead of hanging the collector, and queries dispatched after
-/// the fence only expect the surviving replicas. (Regression: the
-/// first implementation pinned the quota at run start and deadlocked
-/// here, including on the automatic fence a reactor panic performs.)
+/// A mid-run fence on a read-only R = 3 service: the dead replica's
+/// outstanding partials fail over to a sibling, and every answer equals
+/// the unfenced run's bit for bit — failover is a liveness feature,
+/// never an accuracy one. The fence fires on progress (a fraction of
+/// the queries completed, the closed window keeping 16 outstanding);
+/// each fence point must keep the safety assertions (no shed, no lost
+/// partial, reference answers), and at least one must catch the dead
+/// replica holding routed partials (`failovers > 0`).
 #[test]
-fn broadcast_fence_mid_run_terminates_with_full_results() {
+fn mid_run_fence_fails_over_with_reference_answers() {
     let seed = seed();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBCA5);
     let data = clustered(700, &mut rng);
     let queries = clustered(200, &mut rng);
+    let ops: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
+    let no_inserts = Dataset::with_capacity(DIM, 0);
+    let load = Load::Closed { window: 16 };
 
-    let svc = build_service_on(
-        &data,
-        3,
-        "bcastfence",
-        seed ^ 0xBCA5,
-        DeviceProfile::HDD,
-        8,
-        RoutePolicy::Broadcast,
-    );
-    let mut out = None;
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            assert!(svc.topology().fence(0, 1));
-        });
-        out = Some(run_reads(&svc, &queries, Load::Closed { window: 16 }));
-    });
-    let (driven, rep) = out.unwrap(); // terminating at all is the regression
+    let svc = build_service(&data, 3, "p2cfence", seed ^ 0xBCA5);
+    let (expect, _) = run_reads(&svc, &queries, load);
+    let mut observed_failover = false;
+    for divisor in [8usize, 4, 2, 16, 3] {
+        let (driven, rep) = run_mixed_fencing(
+            &svc,
+            &queries,
+            &no_inserts,
+            &ops,
+            load,
+            queries.len() / divisor,
+            (0, 1),
+        );
+        // The fence is durable on the topology; the next session starts
+        // with the replica live again.
+        svc.topology().unfence(0, 1);
 
-    // Two live replicas per shard remain: every query still completes
-    // with full (replica-redundant) answers, nothing sheds, nothing is
-    // lost.
-    assert_eq!(driven.queries.len(), queries.len());
-    assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
-    assert_eq!(rep.shed_queries, 0, "siblings were live (seed {seed})");
-    assert_eq!(rep.lost_partials, 0, "siblings were live (seed {seed})");
-    assert_eq!(rep.failovers, 0, "broadcast needs no re-dispatch");
-    for (qi, res) in driven.queries.iter().map(|r| &r.neighbors).enumerate() {
-        assert!(!res.is_empty(), "query {qi} returned nothing (seed {seed})");
-        let mut ids: Vec<u32> = res.iter().map(|&(id, _)| id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), res.len(), "duplicate ids after broadcast merge");
-        assert!(ids.iter().all(|&id| (id as usize) < data.len()));
+        assert_eq!(rep.shed_queries, 0, "siblings were live (seed {seed})");
+        assert_eq!(rep.lost_partials, 0, "siblings were live (seed {seed})");
+        assert_eq!(driven.queries.len(), queries.len());
+        for (qi, res) in driven.queries.iter().enumerate() {
+            assert_eq!(res.status, OpStatus::Ok);
+            assert_eq!(
+                res.neighbors, expect.queries[qi].neighbors,
+                "query {qi}: fence at 1/{divisor} changed the answer (seed {seed})"
+            );
+        }
+        if rep.failovers > 0 {
+            observed_failover = true;
+            break;
+        }
     }
+    assert!(
+        observed_failover,
+        "no fence point caught the run with routed partials outstanding (seed {seed})"
+    );
     svc.shards().cleanup();
 }

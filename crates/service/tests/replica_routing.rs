@@ -1,32 +1,30 @@
-//! Property tests for replica routing: the selection cores
-//! (`round_robin_pick` / `power_of_two_pick` — the exact functions the
-//! live router calls) are model-checked against a discrete-time queue
-//! simulator, in the style of `batch_dedup.rs`'s gated-queue model.
+//! Property tests for replica routing — the selection core
+//! (`power_of_two_pick` with `splitmix64` draws — the exact functions
+//! the live router calls) is model-checked against a discrete-time
+//! queue simulator, in the style of `batch_dedup.rs`'s gated-queue
+//! model.
 //!
 //! Checked:
 //!
 //! * power-of-two-choices always returns one of its two samples, and
 //!   never the deeper of the two;
-//! * round-robin spreads counts evenly (≤ 1 apart) over any live set;
 //! * **the load-awareness payoff**: on a replica group with one slow
 //!   replica (drains at half the speed of its siblings) under a
-//!   sustainable aggregate load, round-robin's slow-replica backlog
-//!   grows linearly with the arrival count while power-of-two-choices
-//!   keeps every queue bounded — the model-level statement of "route by
-//!   load, not by turn", and the reason p99 favors p2c under skew;
-//! * the integration-level agreement: every routing policy returns the
-//!   same merged results (replication and routing are performance
-//!   features, never accuracy features), with broadcast's duplicate
-//!   partials deduplicated at merge.
+//!   sustainable aggregate load, a round-robin baseline's slow-replica
+//!   backlog grows linearly with the arrival count while
+//!   power-of-two-choices keeps every queue bounded — the model-level
+//!   statement of "route by load, not by turn", and the reason p99
+//!   favors p2c under skew;
+//! * the integration-level agreement: replicated services return the
+//!   same merged results as the single-replica reference (replication
+//!   and routing are performance features, never accuracy features).
 
 mod common;
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
-use e2lsh_service::router::{power_of_two_pick, round_robin_pick, splitmix64};
-use e2lsh_service::{
-    DeviceSpec, Load, RoutePolicy, ServiceConfig, ShardBuildConfig, ShardSet, ShardedService,
-};
+use e2lsh_service::router::{power_of_two_pick, splitmix64};
+use e2lsh_service::{DeviceSpec, Load, ServiceConfig, ShardBuildConfig, ShardSet, ShardedService};
 use e2lsh_storage::device::sim::DeviceProfile;
 use proptest::prelude::*;
 
@@ -45,27 +43,6 @@ proptest! {
         let sb = live[(b % live.len() as u64) as usize];
         prop_assert!(pick == sa || pick == sb);
         prop_assert!(depths[pick] <= depths[sa].min(depths[sb]));
-    }
-
-    #[test]
-    fn round_robin_counts_stay_within_one(
-        live in proptest::collection::vec(0usize..16, 1..6),
-        turns in 1usize..200,
-    ) {
-        // A live set is a set: dedup preserving order.
-        let mut seen = std::collections::HashSet::new();
-        let live: Vec<usize> = live.into_iter().filter(|r| seen.insert(*r)).collect();
-        let mut counts = std::collections::HashMap::new();
-        for c in 0..turns {
-            *counts.entry(round_robin_pick(&live, c)).or_insert(0usize) += 1;
-        }
-        let max = counts.values().copied().max().unwrap();
-        let min = live
-            .iter()
-            .map(|r| counts.get(r).copied().unwrap_or(0))
-            .min()
-            .unwrap();
-        prop_assert!(max - min <= 1, "round robin drifted: {max} vs {min}");
     }
 }
 
@@ -110,9 +87,9 @@ fn simulate(
 proptest! {
     /// One replica drains at half speed. Aggregate capacity still
     /// exceeds the arrival rate, so a load-aware router keeps every
-    /// queue bounded — while round-robin, blind to backlog, ships the
-    /// slow replica a full 1/R share and its queue grows with the run
-    /// length.
+    /// queue bounded — while a round-robin baseline, blind to backlog,
+    /// ships the slow replica a full 1/R share and its queue grows with
+    /// the run length.
     #[test]
     fn p2c_bounds_backlog_where_round_robin_diverges(seed in 0u64..32) {
         // 3 replicas: two drain 1 job / 2 ticks, one 1 job / 4 ticks.
@@ -121,9 +98,7 @@ proptest! {
         let periods = [2usize, 2, 4];
         const TICKS: usize = 4000;
 
-        let rr_peaks = simulate(&periods, TICKS, |live, _depths, t| {
-            round_robin_pick(live, t)
-        });
+        let rr_peaks = simulate(&periods, TICKS, |live, _depths, t| live[t % live.len()]);
         let p2c_peaks = simulate(&periods, TICKS, |live, depths, t| {
             let a = splitmix64(seed ^ (2 * t as u64));
             let b = splitmix64(seed ^ (2 * t as u64 + 1));
@@ -148,7 +123,7 @@ proptest! {
     }
 }
 
-// -------------------------------------- integration: policies agree
+// ------------------------------- integration: replication agrees
 
 fn clustered(n: usize, dim: usize, seed: u64) -> Dataset {
     use rand::{Rng, SeedableRng};
@@ -168,11 +143,11 @@ fn clustered(n: usize, dim: usize, seed: u64) -> Dataset {
     ds
 }
 
-/// Every routing policy (and every replica count) returns identical
-/// merged results: the reference is the R=1 service, which PR-1's
-/// equivalence suite pins to the batch engine.
+/// Every replica count returns identical merged results: the reference
+/// is the R = 1 service, which `service_equivalence.rs` pins to the
+/// batch engine.
 #[test]
-fn routing_policies_and_replication_preserve_results() {
+fn replication_preserves_results() {
     const AMPLE: usize = 1_000_000;
     let data = clustered(800, 10, 41);
     let queries = clustered(40, 10, 42);
@@ -200,9 +175,8 @@ fn routing_policies_and_replication_preserve_results() {
         )
         .expect("shard build")
     };
-    let config = |replicas: usize, routing: RoutePolicy| ServiceConfig {
+    let config = |replicas: usize| ServiceConfig {
         replicas_per_shard: replicas,
-        routing,
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
@@ -213,18 +187,15 @@ fn routing_policies_and_replication_preserve_results() {
         ..Default::default()
     };
 
-    let reference = ShardedService::new(build("ref"), config(1, RoutePolicy::RoundRobin));
+    let reference = ShardedService::new(build("ref"), config(1));
     let (expect, _) = common::run_reads(&reference, &queries, Load::Closed { window: 8 });
     reference.shards().cleanup();
 
-    for (routing, tag) in [
-        (RoutePolicy::PowerOfTwoChoices, "p2c"),
-        (RoutePolicy::RoundRobin, "rr"),
-        (RoutePolicy::Broadcast, "bcast"),
-    ] {
-        let svc = ShardedService::new(build(tag), config(3, routing));
+    for replicas in [2, 3] {
+        let tag = format!("r{replicas}");
+        let svc = ShardedService::new(build(&tag), config(replicas));
         let (driven, rep) = common::run_reads(&svc, &queries, Load::Closed { window: 8 });
-        assert_eq!(rep.replicas, 3);
+        assert_eq!(rep.replicas, replicas);
         assert_eq!(rep.shed_queries, 0);
         for qi in 0..queries.len() {
             assert_eq!(
@@ -232,29 +203,22 @@ fn routing_policies_and_replication_preserve_results() {
                 "{tag}: query {qi} diverged from the single-replica reference"
             );
         }
-        // Load accounting: single-route policies serve each query once
-        // per shard; broadcast serves it on every replica.
+        // Load accounting: each query is served once per shard.
         let total_served: u64 = rep.replica_load.iter().flatten().sum();
-        let per_query_partials = match routing {
-            RoutePolicy::Broadcast => rep.shards * rep.replicas,
-            _ => rep.shards,
-        };
         assert_eq!(
             total_served as usize,
-            queries.len() * per_query_partials,
+            queries.len() * rep.shards,
             "{tag}: served-count accounting"
         );
-        // Single-route policies must actually spread load over replicas.
-        if routing != RoutePolicy::Broadcast {
-            let used: usize = rep
-                .replica_load
-                .iter()
-                .flatten()
-                .filter(|&&l| l > 0)
-                .count();
-            assert!(used > rep.shards, "{tag}: only one replica per shard used");
-            assert!(rep.replica_imbalance() >= 1.0);
-        }
+        // The router must actually spread load over replicas.
+        let used: usize = rep
+            .replica_load
+            .iter()
+            .flatten()
+            .filter(|&&l| l > 0)
+            .count();
+        assert!(used > rep.shards, "{tag}: only one replica per shard used");
+        assert!(rep.replica_imbalance() >= 1.0);
         svc.shards().cleanup();
     }
 }

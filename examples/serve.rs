@@ -30,7 +30,7 @@
 use e2lshos::prelude::*;
 use e2lshos::service::{
     drive, skewed_queries, zipf_indices, AdmissionBudget, Driven, Load, NetClient, NetServer,
-    NetServerConfig, RoutePolicy, ServiceReport, WriteOp,
+    NetServerConfig, ServiceReport, WriteOp,
 };
 use e2lshos::storage::testutil::temp_path;
 use rand::{Rng, SeedableRng};
@@ -348,7 +348,6 @@ fn main() {
         shards,
         ServiceConfig {
             replicas_per_shard: 3,
-            routing: RoutePolicy::PowerOfTwoChoices,
             inflight_per_replica: 16,
             k: 3,
             s_override: None,

@@ -50,8 +50,8 @@ pub mod prelude {
     pub use e2lsh_core::{knn_search, Dataset, E2lshParams, MemIndex, SearchOptions};
     pub use e2lsh_service::{
         mixed_ops, AdmissionBudget, AdmissionControl, Client, DeviceSpec, Load, Op, OpStatus,
-        Overload, QueryResult, QueryTicket, RoutePolicy, ServiceConfig, Session, ShardBuildConfig,
-        ShardSet, ShardUpdater, ShardedService, Topology, WriteOp, WriteResult, WriteTicket,
+        Overload, QueryResult, QueryTicket, ServiceConfig, Session, ShardBuildConfig, ShardSet,
+        ShardUpdater, ShardedService, Topology, WriteOp, WriteResult, WriteTicket,
     };
     pub use e2lsh_storage::build::{build_index, BuildConfig};
     pub use e2lsh_storage::device::cached::{BlockCache, CachedDevice};
