@@ -2,9 +2,7 @@
 //!
 //! The paper accelerates distance checking with AVX-512. Here [`dist2`] and
 //! [`dot`] are the kernels of [`crate::kernel`]: explicit AVX2 where the CPU
-//! has it, a portable 16-lane loop elsewhere, the same bits either way. The
-//! experiment harness calibrates the *actual* cost of these kernels at
-//! startup so the virtual-time engine charges real numbers.
+//! has it, a portable 16-lane loop elsewhere, the same bits either way.
 
 pub use crate::kernel::{dist2, dot};
 

@@ -109,8 +109,7 @@ impl CompoundHash {
         }
     }
 
-    /// Total number of f32 multiply-adds one evaluation performs (used for
-    /// compute-cost calibration).
+    /// Total number of f32 multiply-adds one evaluation performs.
     pub fn flops(&self) -> usize {
         self.m * self.dim
     }

@@ -28,7 +28,7 @@ use serde::Serialize;
 
 /// Version of the export schema. Bump on breaking changes.
 /// v2: cache-policy counters (`cache_admission_rejected`, per-region
-/// hit/miss counts, `coalesced_reads`).
+/// hit/miss counts, a read-coalescing counter).
 /// v3: net-tier counters (`connections_accepted/dropped/peak`,
 /// `frames_in/out`, `frame_decode_errors`, `tickets_orphaned`) and the
 /// `net_ingress` stage on exported spans. The net counters are always
@@ -36,7 +36,9 @@ use serde::Serialize;
 /// v4: the `retries` counter is gone — a session never retries; the
 /// replay harness reports its own
 /// ([`Driven::retries`](crate::loadgen::Driven::retries)).
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5: the read-coalescing counter is gone — a cache miss always
+/// issues its own device read.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// A named, ordered snapshot of one [`ServiceReport`]'s metrics,
 /// ready to serialize. Build with [`MetricsRegistry::from_report`];

@@ -94,20 +94,18 @@
 //!
 //! Batches of queries go through
 //! [`Session::query_batch`](session::Session::query_batch):
-//! byte-identical hot queries are deduplicated before the engine (one
-//! probe per unique query per shard, the representative's
-//! [`QueryResult`] handed to every duplicate — there is no batch
-//! report) and the whole request shares one fan-out/merge
-//! pass, driven by the storage crate's batched
-//! [`QueryDriver::run_batch`](e2lsh_storage::query::QueryDriver::run_batch)
-//! entry point.
+//! byte-identical hot queries are deduplicated before the engine, each
+//! unique query is submitted as its own ticket at one shared arrival
+//! instant (one probe per unique query per shard), and the
+//! representative's [`QueryResult`] is handed to every duplicate —
+//! there is no batch report.
 //!
 //! DRAM caching comes from the storage crate's
 //! [`CachedDevice`](e2lsh_storage::device::cached::CachedDevice): each
-//! shard owns one [`BlockCache`](e2lsh_storage::device::cached::BlockCache)
-//! shared by all its replicas, so hot buckets under skewed traffic are
-//! served from memory and the cache hit rate shows up in every
-//! [`service::ServiceReport`].
+//! replica of a shard owns a private LRU
+//! [`BlockCache`](e2lsh_storage::device::cached::BlockCache), so hot
+//! buckets under skewed traffic are served from memory and the cache
+//! hit rate shows up in every [`service::ServiceReport`].
 
 #![deny(unsafe_code)]
 
@@ -129,7 +127,6 @@ pub mod update;
 pub use admission::{
     AdmissionBudget, AdmissionControl, GateHandle, GateStats, GatedReceiver, GatedSender, Overload,
 };
-pub use e2lsh_storage::device::cached::{CachePolicy, TinyLfuConfig};
 pub use export::{report_json, MetricsRegistry, SCHEMA_VERSION};
 pub use loadgen::{
     drive, mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_indices, Driven,

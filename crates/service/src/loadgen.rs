@@ -278,11 +278,8 @@ struct Tickets {
 ///
 /// Queries submit non-blocking at the discipline's reference times,
 /// writes through the **blocking** path (nothing is shed for capacity,
-/// so stream-positional insert ids stay valid), both through an
-/// uncapped client —
-/// [`ServiceConfig::per_client_inflight`](crate::service::ServiceConfig::per_client_inflight)
-/// protects external callers from each other, and a capped pump would
-/// shed queries the shard budgets had room for.
+/// so stream-positional insert ids stay valid), both through one
+/// [`Session::client`].
 pub fn drive(
     session: &Session,
     queries: &Dataset,
@@ -354,7 +351,7 @@ pub fn drive(
         }
     }
 
-    let client = session.internal_client();
+    let client = session.client();
     let total = ops.len();
     let mut tickets = Tickets {
         queries: (0..queries.len()).map(|_| None).collect(),

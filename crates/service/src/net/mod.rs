@@ -160,13 +160,10 @@ pub struct NetServerConfig {
     /// Listen address. The default binds an ephemeral loopback port —
     /// read the real one back with [`NetServer::addr`].
     pub bind_addr: String,
-    /// Per-**tenant** in-flight query cap (the net-tier analogue of
-    /// [`ServiceConfig::per_client_inflight`]): all connections
-    /// presenting the same tenant id share one admission gauge, so one
-    /// tenant's flood sheds only its own traffic. `usize::MAX` (the
-    /// default) disables the cap.
-    ///
-    /// [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
+    /// Per-**tenant** in-flight query cap, the service's one fairness
+    /// cap: all connections presenting the same tenant id share one
+    /// admission gauge, so one tenant's flood sheds only its own
+    /// traffic. `usize::MAX` (the default) disables the cap.
     pub per_tenant_inflight: usize,
 }
 
@@ -275,7 +272,7 @@ impl NetServer {
         let listener = TcpListener::bind(&config.bind_addr)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(ServerShared {
-            client: session.internal_client(),
+            client: session.client(),
             per_tenant_inflight: config.per_tenant_inflight,
             tenants: Mutex::new(HashMap::new()),
             stats: NetStats::default(),

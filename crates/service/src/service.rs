@@ -43,13 +43,13 @@ use crate::shard::ShardSet;
 use crate::topology::Topology;
 use crate::trace::TraceSpan;
 use e2lsh_core::dataset::Dataset;
-use e2lsh_storage::device::cached::CachePolicy;
 use e2lsh_storage::device::sim::DeviceProfile;
 use e2lsh_storage::device::DeviceStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What device each replica's reactor drives.
+/// What device each replica's reactor drives. Devices differ by
+/// profile and count only (the paper's Table 2 and Figure 15).
 #[derive(Clone, Copy, Debug)]
 pub enum DeviceSpec {
     /// Real positioned reads against the shard's index file through a
@@ -58,19 +58,10 @@ pub enum DeviceSpec {
         /// Reader threads per replica (OS-visible queue depth).
         io_workers: usize,
     },
-    /// A private simulated array per replica — aggregate device
-    /// bandwidth scales with the replica count (models "one drive per
-    /// replica": each replica adds hardware).
-    SimPerReplica {
-        /// Device model (paper Table 2).
-        profile: DeviceProfile,
-        /// Drives in each replica's array.
-        num_devices: usize,
-    },
     /// One simulated array per shard, shared by **all of the shard's
     /// replicas** — their reactors contend for the array's total IOPS,
     /// the paper's Figure 16 regime (replicas add CPU and cache, not
-    /// device bandwidth).
+    /// device bandwidth; more bandwidth is more `num_devices`).
     SimShared {
         /// Device model (paper Table 2).
         profile: DeviceProfile,
@@ -81,10 +72,7 @@ pub enum DeviceSpec {
 
 impl DeviceSpec {
     pub(crate) fn is_sim(&self) -> bool {
-        matches!(
-            self,
-            DeviceSpec::SimPerReplica { .. } | DeviceSpec::SimShared { .. }
-        )
+        matches!(self, DeviceSpec::SimShared { .. })
     }
 }
 
@@ -118,13 +106,6 @@ pub struct ServiceConfig {
     /// [`Client::write`]: crate::session::Client::write
     /// [`Client::write_blocking`]: crate::session::Client::write_blocking
     pub admission: AdmissionControl,
-    /// Per-client fairness cap: one [`Client`](crate::session::Client)
-    /// (with its clones) may have at most this many queries
-    /// outstanding; excess submissions are shed client-side with
-    /// [`CLIENT_THROTTLE_SHARD`](crate::session::CLIENT_THROTTLE_SHARD)
-    /// so a greedy client cannot monopolize the shared read budgets.
-    /// `usize::MAX` (the default) disables the cap.
-    pub per_client_inflight: usize,
     /// Fraction of requests (queries and writes) whose full
     /// [`TraceSpan`] is published to the session's bounded trace ring
     /// ([`Session::traces`](crate::session::Session::traces)).
@@ -140,26 +121,6 @@ pub struct ServiceConfig {
     /// `f64::INFINITY` (the default) disables the log. The log retains
     /// the 64 most recent slow spans.
     pub slow_query_threshold: f64,
-    /// Replacement/admission policy for every shard's block cache (and
-    /// the replica caches cloned from it). [`CachePolicy::Lru`] (the
-    /// default) keeps the original sharded LRU bit-exactly;
-    /// [`CachePolicy::TinyLfu`] enables W-TinyLFU admission with
-    /// region-partitioned capacity — a `TinyLfuConfig::region_boundary`
-    /// of 0 is auto-filled per shard from its index geometry
-    /// (`heap_base / BLOCK_SIZE`), so table-region blocks get their own
-    /// budget without the caller knowing the file layout. Ignored when
-    /// [`ShardBuildConfig::cache_blocks`](crate::shard::ShardBuildConfig::cache_blocks)
-    /// is 0 (uncached).
-    pub cache_policy: CachePolicy,
-    /// Single-flight read coalescing: when true, concurrent cache
-    /// misses on the same block share one in-flight device read (the
-    /// waiters park on the leader's fill and are completed from its
-    /// bytes — counted in
-    /// [`DeviceStats::coalesced_reads`](e2lsh_storage::device::DeviceStats::coalesced_reads)).
-    /// Off by default: coalescing changes which reads reach a
-    /// *simulated* device, so seeded virtual-time suites stay
-    /// bit-exact unless they opt in.
-    pub cache_coalescing: bool,
     /// Space-reclamation budget in **block reads** per maintenance
     /// tick, per shard. Each shard's writer thread runs one
     /// [`ShardUpdater::maintain`](crate::update::ShardUpdater::maintain)
@@ -181,11 +142,8 @@ impl Default for ServiceConfig {
             s_override: None,
             device: DeviceSpec::File { io_workers: 4 },
             admission: AdmissionControl::UNBOUNDED,
-            per_client_inflight: usize::MAX,
             trace_sample: 0.0,
             slow_query_threshold: f64::INFINITY,
-            cache_policy: CachePolicy::Lru,
-            cache_coalescing: false,
             maintenance_blocks_per_tick: 0,
         }
     }
@@ -536,13 +494,6 @@ impl ShardedService {
         assert!(config.replicas_per_shard >= 1);
         assert!(config.replicas_per_shard <= MAX_REPLICAS);
         assert!(config.k >= 1);
-        let mut shards = shards;
-        if config.cache_policy != CachePolicy::Lru {
-            // Reshape each shard's (still empty) cache before the
-            // topology clones per-replica caches from it, so every
-            // replica inherits the policy.
-            shards.set_cache_policy(config.cache_policy);
-        }
         Self {
             topo: Arc::new(Topology::new(shards, config.replicas_per_shard)),
             config,

@@ -38,7 +38,7 @@
 //!               │   writer applies the op
 //!               └──────────────────────────────► RESOLVED(Shed)
 //!                   admission rejects (Overload: queue budget,
-//!                   no live replica, per-client cap, closed session)
+//!                   no live replica, tenant cap, closed session)
 //! ```
 //!
 //! A pending query lives in the session's **registry** (the routing
@@ -68,18 +68,18 @@
 //! ## Concurrency contract
 //!
 //! Any number of clients (and clones) may submit concurrently; the
-//! shared read/write admission budgets apply per replica as before,
-//! and [`ServiceConfig::per_client_inflight`] additionally caps one
-//! client's outstanding queries so a single greedy caller cannot
-//! monopolize the shared read budget (client-side sheds carry
-//! [`CLIENT_THROTTLE_SHARD`] as the `Overload::shard`). At most one
+//! shared read/write admission budgets apply per replica. The one
+//! fairness cap is per **tenant**, on the net tier
+//! ([`NetServerConfig::per_tenant_inflight`]): it caps one tenant's
+//! outstanding queries across all its connections, and its sheds carry
+//! [`CLIENT_THROTTLE_SHARD`] as the `Overload::shard`. At most one
 //! session should write at a time (the per-shard writers own the
 //! index's read-write handles); concurrent read-only sessions over one
 //! service are fine.
 //!
 //! [`ServiceReport`]: crate::service::ServiceReport
 //! [`ServiceReport::interval_since`]: crate::service::ServiceReport::interval_since
-//! [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
+//! [`NetServerConfig::per_tenant_inflight`]: crate::net::NetServerConfig::per_tenant_inflight
 
 use crate::admission::{gated, GateHandle, GatedReceiver, GatedSender, Overload};
 use crate::metrics::OpStatus;
@@ -105,14 +105,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// The `Overload::shard` value of a **client-side** shed — a rejection
-/// not attributable to any shard's queue budget: the client's own
-/// [`ServiceConfig::per_client_inflight`] fairness cap, an insert that
-/// could not immediately take the id-mint lock, or a session that was
-/// already shut down. The closed-session case is terminal and reports
-/// `retry_after == f64::INFINITY`; the others carry the usual finite
-/// hint.
+/// not attributable to any shard's queue budget: a net-tier tenant's
+/// [`NetServerConfig::per_tenant_inflight`] fairness cap, an insert
+/// that could not immediately take the id-mint lock, or a session that
+/// was already shut down. The closed-session case is terminal and
+/// reports `retry_after == f64::INFINITY`; the others carry the usual
+/// finite hint.
 ///
-/// [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
+/// [`NetServerConfig::per_tenant_inflight`]: crate::net::NetServerConfig::per_tenant_inflight
 pub const CLIENT_THROTTLE_SHARD: usize = usize::MAX;
 
 /// Resolved outcome of a [`QueryTicket`].
@@ -183,7 +183,7 @@ pub(crate) struct Slot<T> {
     id: u64,
     state: Mutex<SlotState<T>>,
     cv: Condvar,
-    /// Per-client in-flight gauge, decremented on resolution (query
+    /// Per-tenant in-flight gauge, decremented on resolution (query
     /// slots of capped clients only).
     gauge: Option<Arc<AtomicUsize>>,
 }
@@ -476,16 +476,17 @@ pub(crate) fn insert_base(topo: &Topology) -> usize {
 
 /// A cloneable, non-blocking submission handle onto a [`Session`].
 ///
-/// Clones share the per-client in-flight gauge (they are the *same*
-/// client for fairness purposes); [`Session::client`] mints an
-/// independent one.
+/// [`Session::client`] mints an uncapped one. The net tier mints one
+/// capped client per tenant
+/// ([`NetServerConfig::per_tenant_inflight`]); its clones share the
+/// in-flight gauge (they are the *same* tenant for fairness purposes).
+///
+/// [`NetServerConfig::per_tenant_inflight`]: crate::net::NetServerConfig::per_tenant_inflight
 pub struct Client {
     shared: Arc<SessionShared>,
     /// Outstanding queries of this client (shared by clones).
     inflight: Arc<AtomicUsize>,
-    /// Cap on `inflight` ([`ServiceConfig::per_client_inflight`]).
-    ///
-    /// [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
+    /// Cap on `inflight`; `usize::MAX` is uncapped.
     cap: usize,
 }
 
@@ -523,12 +524,9 @@ impl Client {
     }
 
     /// Mint an **independent** client (fresh in-flight gauge) with an
-    /// explicit cap, overriding [`ServiceConfig::per_client_inflight`].
-    /// The net tier mints one per **tenant** as tenants appear on the
-    /// wire — its clones (one per connection) share the gauge, so the
-    /// cap bounds the tenant across all its connections.
-    ///
-    /// [`ServiceConfig::per_client_inflight`]: crate::service::ServiceConfig::per_client_inflight
+    /// explicit cap. The net tier mints one per **tenant** as tenants
+    /// appear on the wire — its clones (one per connection) share the
+    /// gauge, so the cap bounds the tenant across all its connections.
     pub(crate) fn sibling_with_cap(&self, cap: usize) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
@@ -540,7 +538,7 @@ impl Client {
     /// Submit one query; never blocks. The returned ticket resolves
     /// with the merged global top-k, or immediately with
     /// [`OpStatus::Shed`] + [`Overload`] when admission rejects it
-    /// (shard queue budget, no live replica, the per-client cap, or a
+    /// (shard queue budget, no live replica, a net-tier tenant cap, or a
     /// closed session). Latency is measured from now.
     pub fn query(&self, point: &[f32]) -> QueryTicket {
         self.submit_query(point, None, None, None)
@@ -578,8 +576,8 @@ impl Client {
         let now = shared.now();
         let ref_time = ref_time.unwrap_or(now);
 
-        // Per-client fairness: cap this client's outstanding queries so
-        // one greedy caller cannot monopolize the shared read budget.
+        // Tenant fairness: cap this client's outstanding queries so one
+        // greedy tenant cannot monopolize the shared read budget.
         if self.cap != usize::MAX {
             let n = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
             if n > self.cap {
@@ -902,7 +900,6 @@ impl Session {
                     &arrays[s],
                     r,
                     topo.replica(s, r).cache(),
-                    config.cache_coalescing,
                 );
                 let topo = Arc::clone(&topo);
                 let lanes = Arc::clone(&lanes);
@@ -953,22 +950,9 @@ impl Session {
         }
     }
 
-    /// Mint a new client handle. Each call creates an independent
-    /// client for the per-client fairness cap; [`Client::clone`] shares
-    /// one.
+    /// Mint a new, uncapped client handle. Submissions are bounded by
+    /// the shared admission budgets only.
     pub fn client(&self) -> Client {
-        Client {
-            shared: Arc::clone(&self.shared),
-            inflight: Arc::new(AtomicUsize::new(0)),
-            cap: self.shared.config.per_client_inflight,
-        }
-    }
-
-    /// An **uncapped** client for the crate's own pumps
-    /// ([`crate::loadgen::drive`], batch serving): the per-client
-    /// fairness cap protects external callers from each other, not the
-    /// service from itself.
-    pub(crate) fn internal_client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),
             inflight: Arc::new(AtomicUsize::new(0)),
@@ -1056,9 +1040,8 @@ impl Session {
             "query dimensionality"
         );
         let dedup = dedup_batch(batch);
-        // One arrival instant for the whole request; the internal
-        // client is uncapped (fairness applies to external clients).
-        let client = self.internal_client();
+        // One arrival instant for the whole request.
+        let client = self.client();
         let ref_t = self.now();
         let tickets: Vec<QueryTicket> = dedup
             .uniques
@@ -1492,14 +1475,14 @@ fn cache_counters(topo: &Topology) -> impl Iterator<Item = DeviceStats> + '_ {
         })
 }
 
-/// Aggregate the live per-replica device statistics: shared sim arrays
-/// report whole-array totals from every handle, so those are merged
-/// max-by-completed per shard; private devices are summed. Only what
+/// Aggregate the live per-replica device statistics: a shard's shared
+/// sim array reports whole-array totals from every handle, so those are
+/// merged max-by-completed per shard; file devices are summed. Only what
 /// the underlying devices served is taken from the cells — their
 /// per-device cache counters are replaced by the per-session deltas of
 /// the replica caches (which include warmed blocks).
 fn aggregate_device(shared: &SessionShared) -> DeviceStats {
-    let shared_device = matches!(shared.config.device, DeviceSpec::SimShared { .. });
+    let shared_device = shared.config.device.is_sim();
     let served = |d: DeviceStats| DeviceStats {
         completed: d.completed,
         bytes: d.bytes,
@@ -1587,19 +1570,10 @@ fn make_device(
     array: &Option<SharedSimArray>,
     handle: usize,
     cache: Option<&Arc<BlockCache>>,
-    coalescing: bool,
 ) -> Box<dyn Device> {
-    fn wrap<D: Device + 'static>(
-        dev: D,
-        cache: Option<&Arc<BlockCache>>,
-        coalescing: bool,
-    ) -> Box<dyn Device> {
+    fn wrap<D: Device + 'static>(dev: D, cache: Option<&Arc<BlockCache>>) -> Box<dyn Device> {
         match cache {
-            Some(cache) => {
-                let mut dev = CachedDevice::new(dev, Arc::clone(cache), BLOCK_SIZE as u32);
-                dev.set_coalescing(coalescing);
-                Box::new(dev)
-            }
+            Some(cache) => Box::new(CachedDevice::new(dev, Arc::clone(cache), BLOCK_SIZE as u32)),
             None => Box::new(dev),
         }
     }
@@ -1607,24 +1581,10 @@ fn make_device(
         DeviceSpec::File { io_workers } => wrap(
             FileDevice::open(&shard.path, io_workers.max(1)).expect("open shard index"),
             cache,
-            coalescing,
-        ),
-        DeviceSpec::SimPerReplica {
-            profile,
-            num_devices,
-        } => wrap(
-            SimStorage::new(
-                profile,
-                num_devices,
-                Backing::open(&shard.path).expect("open shard index"),
-            ),
-            cache,
-            coalescing,
         ),
         DeviceSpec::SimShared { .. } => wrap(
             array.as_ref().expect("shared array built").handle(handle),
             cache,
-            coalescing,
         ),
     }
 }

@@ -16,17 +16,16 @@
 //! rows live behind an [`RwLock`] so the write path can append
 //! coordinates while query reactors keep running.
 //!
-//! Each shard owns an optional [`BlockCache`] shared by every replica
-//! driving that shard, so a bucket fetched by one replica is a DRAM hit
-//! for all of them.
+//! Each shard owns an optional LRU [`BlockCache`]: replica 0 serves
+//! through it and every other replica gets a private cache of the same
+//! shape (see [`crate::topology`]).
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_storage::build::{build_index, BuildConfig};
-use e2lsh_storage::device::cached::{BlockCache, CachePolicy};
+use e2lsh_storage::device::cached::BlockCache;
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
 use e2lsh_storage::index::StorageIndex;
-use e2lsh_storage::layout::BLOCK_SIZE;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -106,21 +105,10 @@ impl ShardPlan {
             self.base_len(self.shard_of_any(g)) + (g - n) / self.num_shards()
         }
     }
-
-    /// Global id of shard `s`'s local id (inverse of
-    /// [`ShardPlan::local_of`] within one shard).
-    pub fn global_of(&self, s: usize, local: usize) -> usize {
-        let base = self.base_len(s);
-        if local < base {
-            self.bounds[s] + local
-        } else {
-            self.base_total() + (local - base) * self.num_shards() + s
-        }
-    }
 }
 
-/// One partition: its rows, its opened on-storage index, and the shared
-/// DRAM block cache its replicas use.
+/// One partition: its rows, its opened on-storage index, and the DRAM
+/// block cache its replicas' caches are shaped after.
 pub struct Shard {
     /// Shard index within the service.
     pub id: usize,
@@ -137,8 +125,8 @@ pub struct Shard {
     pub index: StorageIndex,
     /// The shard's index file.
     pub path: PathBuf,
-    /// DRAM block cache shared by all replicas of this shard (None =
-    /// uncached).
+    /// DRAM block cache of replica 0; the other replicas get private
+    /// caches of the same shape (None = uncached).
     pub cache: Option<Arc<BlockCache>>,
     /// Build-time rows of this shard (locals `>= base_len` were
     /// appended online).
@@ -317,32 +305,6 @@ impl ShardSet {
         &self.shards
     }
 
-    /// Replace every shard's block cache with an empty one of the same
-    /// capacity under `policy`. A
-    /// [`TinyLfu`](CachePolicy::TinyLfu) `region_boundary` of 0 is
-    /// resolved per shard from its index geometry
-    /// (`heap_base / BLOCK_SIZE`): keys below the boundary are
-    /// table-region blocks (hash-table slots and filters), keys at or
-    /// above it are bucket-chain blocks. Call before replicas clone
-    /// their caches (the service does this at construction); uncached
-    /// shards are untouched.
-    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
-        for shard in &mut self.shards {
-            let Some(cache) = &shard.cache else { continue };
-            let mut policy = policy;
-            if let CachePolicy::TinyLfu(cfg) = &mut policy {
-                if cfg.region_boundary == 0 {
-                    cfg.region_boundary = shard.index.geometry().heap_base() / BLOCK_SIZE as u64;
-                }
-            }
-            shard.cache = Some(Arc::new(BlockCache::with_policy(
-                cache.capacity(),
-                cache.lock_shards(),
-                policy,
-            )));
-        }
-    }
-
     /// The partition plan.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
@@ -417,11 +379,11 @@ mod tests {
     #[test]
     fn appended_ids_route_round_robin_and_roundtrip() {
         let plan = ShardPlan::contiguous(10, 3);
-        // Base ids roundtrip through the contiguous mapping.
-        for g in 0..10 {
-            let s = plan.shard_of_any(g);
-            assert_eq!(s, plan.shard_of(g));
-            assert_eq!(plan.global_of(s, plan.local_of(g)), g);
+        // Base ids map through the contiguous ranges 0..4, 4..7, 7..10.
+        let locals = [0, 1, 2, 3, 0, 1, 2, 0, 1, 2];
+        for (g, &local) in locals.iter().enumerate() {
+            assert_eq!(plan.shard_of_any(g), plan.shard_of(g));
+            assert_eq!(plan.local_of(g), local, "id {g}");
         }
         // Appended ids (10, 11, …) are dealt round-robin and locals are
         // dense continuations of each shard's base range.
@@ -431,7 +393,6 @@ mod tests {
             assert_eq!(s, j % 3);
             let local = plan.local_of(g);
             assert_eq!(local, plan.base_len(s) + j / 3);
-            assert_eq!(plan.global_of(s, local), g);
         }
     }
 }

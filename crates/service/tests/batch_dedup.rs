@@ -215,7 +215,7 @@ fn duplicates_cost_one_probe_and_results_are_byte_identical() {
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerReplica {
+        device: DeviceSpec::SimShared {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -321,7 +321,7 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
             inflight_per_replica: 2,
             k: 1,
             s_override: None,
-            device: DeviceSpec::SimPerReplica {
+            device: DeviceSpec::SimShared {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },

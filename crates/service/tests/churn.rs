@@ -75,7 +75,7 @@ fn service(
         inflight_per_replica: 16,
         k: 1,
         s_override: Some(1_000_000),
-        device: DeviceSpec::SimPerReplica {
+        device: DeviceSpec::SimShared {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },

@@ -137,7 +137,7 @@ fn service_over(data: &Dataset, dir_tag: &str, build_seed: u64) -> ShardedServic
             inflight_per_replica: 16,
             k: K,
             s_override: Some(AMPLE),
-            device: DeviceSpec::SimPerReplica {
+            device: DeviceSpec::SimShared {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },

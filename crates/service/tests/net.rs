@@ -105,7 +105,7 @@ fn build_service(
         inflight_per_replica: 16,
         k: K,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerReplica {
+        device: DeviceSpec::SimShared {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -625,7 +625,7 @@ fn tenant_budget_is_shared_across_connections() {
     let svc = build_service(&data, "tenant", seed ^ 0x7E4A, |c| {
         // Millisecond-scale queries so a pipelined burst is guaranteed
         // to overlap the cap.
-        c.device = DeviceSpec::SimPerReplica {
+        c.device = DeviceSpec::SimShared {
             profile: DeviceProfile::HDD,
             num_devices: 2,
         };

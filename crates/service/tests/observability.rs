@@ -86,7 +86,7 @@ fn build_service(
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerReplica {
+        device: DeviceSpec::SimShared {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
@@ -409,13 +409,12 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         cache_table_misses: 111,
         cache_bucket_hits: 112,
         cache_bucket_misses: 113,
-        coalesced_reads: 114,
-        blocks_reclaimed: 115,
-        filter_bits_cleared: 116,
-        bytes_reclaimed: 117,
-        chain_inconsistencies: 118,
-        latency_sum: 119.0,
-        busy_sum: 120.0,
+        blocks_reclaimed: 114,
+        filter_bits_cleared: 115,
+        bytes_reclaimed: 116,
+        chain_inconsistencies: 117,
+        latency_sum: 118.0,
+        busy_sum: 119.0,
     };
     let net = NetCounters {
         connections_accepted: 101,
@@ -465,7 +464,7 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         |_, v| exported.borrow_mut().push(v as f64),
         |_, v| exported.borrow_mut().push(v),
     );
-    assert_eq!(exported.into_inner(), numbered(101, 20));
+    assert_eq!(exported.into_inner(), numbered(101, 19));
 
     let mut net_b = net;
     net_b += &net;
@@ -594,7 +593,7 @@ fn export_schema_round_trips_live_report() {
     );
     // v4: a session never retries, so it exports no such counter.
     assert!(counters.get("retries").is_none());
-    // Schema v4's key set, name for name: every declared counter,
+    // Schema v5's key set, name for name: every declared counter,
     // second sum and histogram once under its export name, next to the
     // six derived rates. A renamed, dropped or added key is a schema
     // bump, not a refactor.
@@ -635,7 +634,6 @@ fn export_schema_round_trips_live_report() {
             "cache_table_misses",
             "cache_bucket_hits",
             "cache_bucket_misses",
-            "coalesced_reads",
             "blocks_reclaimed",
             "filter_bits_cleared",
             "bytes_reclaimed",

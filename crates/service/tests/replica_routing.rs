@@ -180,7 +180,7 @@ fn replication_preserves_results() {
         inflight_per_replica: 16,
         k: 3,
         s_override: Some(AMPLE),
-        device: DeviceSpec::SimPerReplica {
+        device: DeviceSpec::SimShared {
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },

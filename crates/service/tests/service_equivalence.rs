@@ -130,7 +130,7 @@ fn single_shard_service_matches_run_queries() {
         service_config(
             24,
             k,
-            DeviceSpec::SimPerReplica {
+            DeviceSpec::SimShared {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },
@@ -175,7 +175,7 @@ fn multi_shard_service_equals_merged_per_shard_batches() {
         service_config(
             16,
             k,
-            DeviceSpec::SimPerReplica {
+            DeviceSpec::SimShared {
                 profile: DeviceProfile::CSSD,
                 num_devices: 1,
             },
@@ -239,7 +239,7 @@ fn results_identical_with_cache_on_and_off_and_hits_counted() {
             service_config(
                 16,
                 k,
-                DeviceSpec::SimPerReplica {
+                DeviceSpec::SimShared {
                     profile: DeviceProfile::ESSD,
                     num_devices: 1,
                 },

@@ -17,7 +17,8 @@
 //!
 //! ## Replacement policies
 //!
-//! Two policies are available through [`CachePolicy`]:
+//! Two policies are available through [`CachePolicy`]; the serving
+//! layer always runs LRU:
 //!
 //! * [`CachePolicy::Lru`] (the default) — one recency list per lock
 //!   shard, admit everything. Bit-exact with the original PR-1 cache.
@@ -34,18 +35,14 @@
 //!   can never flush the small, ultra-hot table blocks.
 //!
 //! Hits, misses, evictions, invalidations, discarded stale fills,
-//! admission rejections, per-region hits/misses and coalesced reads are
-//! surfaced through the corresponding [`DeviceStats`] fields, so every
-//! report that prints device statistics can report cache effectiveness
-//! too.
+//! admission rejections and per-region hits/misses are surfaced through
+//! the corresponding [`DeviceStats`] fields, so every report that prints
+//! device statistics can report cache effectiveness too.
 //!
 //! Writers (the online update path) invalidate exactly the blocks they
 //! rewrite; per-key epochs make sure a racing miss fill for an
 //! invalidated block is discarded while fills for unrelated blocks
-//! survive (see [`BlockCache`]). [`CachedDevice`] can additionally
-//! **coalesce** concurrent misses on one key into a single device read
-//! (single-flight): waiters park on the leader's in-flight fill and
-//! receive its bytes at the leader's completion time.
+//! survive (see [`BlockCache`]).
 
 use super::{Device, DeviceStats, IoCompletion, IoRequest};
 use std::collections::HashMap;
@@ -81,8 +78,8 @@ pub struct TinyLfuConfig {
     /// First bucket-region block key (block units, i.e.
     /// `heap_base / BLOCK_SIZE`): keys below it are table-region, keys
     /// at or above it bucket-region. 0 (the default) disables
-    /// partitioning (single region) — the serving layer fills this in
-    /// from the shard's geometry.
+    /// partitioning (single region). The serving layer runs LRU, so
+    /// only storage-level callers set this.
     pub region_boundary: u64,
 }
 
@@ -732,7 +729,6 @@ struct CacheCounters {
     table_misses: AtomicU64,
     bucket_hits: AtomicU64,
     bucket_misses: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl BlockCache {
@@ -1046,9 +1042,8 @@ impl BlockCache {
     }
 
     /// Snapshot of the cache-wide counters in [`DeviceStats`] shape:
-    /// every `cache_*` field and `coalesced_reads` (summed over the
-    /// [`CachedDevice`]s coalescing on this cache), the rest zero. Two
-    /// snapshots subtract with [`DeviceStats::minus`].
+    /// every `cache_*` field, the rest zero. Two snapshots subtract with
+    /// [`DeviceStats::minus`].
     pub fn counters(&self) -> DeviceStats {
         let c = &self.live;
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -1064,7 +1059,6 @@ impl BlockCache {
             cache_table_misses: load(&c.table_misses),
             cache_bucket_hits: load(&c.bucket_hits),
             cache_bucket_misses: load(&c.bucket_misses),
-            coalesced_reads: load(&c.coalesced),
             ..DeviceStats::default()
         }
     }
@@ -1078,17 +1072,8 @@ impl BlockCache {
 /// `T_request` model); misses pass through to the inner device and fill
 /// the cache when they complete. Only whole-block reads are cached;
 /// other lengths (superblock, filter scans at open) bypass the cache.
-///
-/// With [`CachedDevice::set_coalescing`] enabled, a miss for a key that
-/// already has a fill in flight **on this device** parks on that fill
-/// instead of issuing a duplicate device read (single-flight): the
-/// waiter's completion is delivered with the leader's bytes at the
-/// leader's completion time. The reactor serving layer drives hundreds
-/// of interleaved query contexts through one `CachedDevice`, which is
-/// exactly where concurrent same-block misses arise. Coalescing is
-/// epoch-guarded: a waiter only joins a leader whose fill epoch is still
-/// current, so a block invalidated mid-flight is re-read rather than
-/// served pre-rewrite bytes.
+/// Every miss issues its own device read, including a miss on a block
+/// whose fill is already in flight.
 ///
 /// **Writes are not observed.** The [`Device`] trait is read-only, so a
 /// writer mutating the index underneath (e.g.
@@ -1111,25 +1096,12 @@ pub struct CachedDevice<D: Device> {
     /// gates the fill: an invalidation of this key between submit and
     /// completion discards it.
     pending_fills: HashMap<u64, (u64, FillEpoch)>,
-    /// Single-flight coalescing of concurrent same-key misses (off by
-    /// default: it changes completion timing, and the default suites
-    /// are bit-exact against the uncoalesced cache).
-    coalesce: bool,
-    /// key → leader tag of the in-flight fill coalescable misses join.
-    leaders: HashMap<u64, u64>,
-    /// leader tag → tags parked on that fill.
-    waiters: HashMap<u64, Vec<u64>>,
-    /// Parked waiter count (they occupy no slot in the inner device but
-    /// are in flight from the engine's point of view).
-    parked: usize,
     /// This device's own cache hits (the shared [`BlockCache`] counters
     /// span every device on the cache; per-device stats must stay
     /// summable across replicas).
     local_hits: u64,
     /// This device's own cache misses.
     local_misses: u64,
-    /// This device's own coalesced reads.
-    local_coalesced: u64,
 }
 
 impl<D: Device> CachedDevice<D> {
@@ -1143,13 +1115,8 @@ impl<D: Device> CachedDevice<D> {
             block_size,
             hit_queue: Vec::new(),
             pending_fills: HashMap::new(),
-            coalesce: false,
-            leaders: HashMap::new(),
-            waiters: HashMap::new(),
-            parked: 0,
             local_hits: 0,
             local_misses: 0,
-            local_coalesced: 0,
         }
     }
 
@@ -1163,17 +1130,6 @@ impl<D: Device> CachedDevice<D> {
             Arc::new(BlockCache::new(capacity_blocks, 8)),
             crate::layout::BLOCK_SIZE as u32,
         )
-    }
-
-    /// Enable or disable single-flight coalescing of concurrent
-    /// same-key misses on this device.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.coalesce = on;
-    }
-
-    /// Whether single-flight coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
     }
 
     /// The shared cache.
@@ -1221,22 +1177,6 @@ impl<D: Device> Device for CachedDevice<D> {
             Err(epoch) => epoch,
         };
         self.local_misses += 1;
-        if self.coalesce {
-            if let Some(&leader) = self.leaders.get(&key) {
-                // Join the leader only while its fill is still fresh: if
-                // the key was invalidated since the leader submitted, its
-                // bytes pre-date the rewrite and this read must fetch
-                // its own.
-                if self.pending_fills.get(&leader).map(|&(_, e)| e) == Some(epoch) {
-                    self.waiters.entry(leader).or_default().push(req.tag);
-                    self.parked += 1;
-                    self.local_coalesced += 1;
-                    self.cache.live.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            self.leaders.insert(key, req.tag);
-        }
         let prev = self.pending_fills.insert(req.tag, (key, epoch));
         debug_assert!(prev.is_none(), "duplicate in-flight tag {:#x}", req.tag);
         self.inner.submit(req, now);
@@ -1248,7 +1188,6 @@ impl<D: Device> Device for CachedDevice<D> {
         out.append(&mut self.hit_queue);
         let start = out.len();
         self.inner.poll(now, out);
-        let mut released: Vec<IoCompletion> = Vec::new();
         for comp in &out[start..] {
             if let Some((key, epoch)) = self.pending_fills.remove(&comp.tag) {
                 // Fills that raced an invalidation of their own key are
@@ -1257,26 +1196,8 @@ impl<D: Device> Device for CachedDevice<D> {
                 // re-enter. Fills for other keys are unaffected.
                 self.cache
                     .insert_if_fresh(key, Arc::clone(&comp.data), epoch);
-                if self.coalesce {
-                    // A stale leader (superseded after an invalidation)
-                    // no longer owns the key entry.
-                    if self.leaders.get(&key) == Some(&comp.tag) {
-                        self.leaders.remove(&key);
-                    }
-                    if let Some(tags) = self.waiters.remove(&comp.tag) {
-                        self.parked -= tags.len();
-                        for tag in tags {
-                            released.push(IoCompletion {
-                                tag,
-                                data: Arc::clone(&comp.data),
-                                time: comp.time,
-                            });
-                        }
-                    }
-                }
             }
         }
-        out.append(&mut released);
     }
 
     fn next_completion_time(&self) -> Option<f64> {
@@ -1299,9 +1220,7 @@ impl<D: Device> Device for CachedDevice<D> {
     }
 
     fn inflight(&self) -> usize {
-        // Parked waiters hold no device slot but are outstanding from
-        // the engine's point of view until their leader completes.
-        self.hit_queue.len() + self.parked + self.inner.inflight()
+        self.hit_queue.len() + self.inner.inflight()
     }
 
     fn read_sync(&mut self, addr: u64, len: u32) -> Vec<u8> {
@@ -1311,15 +1230,13 @@ impl<D: Device> Device for CachedDevice<D> {
     fn stats(&self) -> DeviceStats {
         // `completed`/`bytes` count only what the underlying device
         // served; DRAM hits are reported separately via the cache
-        // counters. Hits/misses/coalesced are *this device's own*
-        // lookups so that summing replica stats never multiplies
-        // shared-cache totals. Evictions are a property of the (possibly
-        // shared) cache, not of any one device — read them from
-        // [`BlockCache::counters`].
+        // counters. Hits/misses are *this device's own* lookups so that
+        // summing replica stats never multiplies shared-cache totals.
+        // Evictions are a property of the (possibly shared) cache, not
+        // of any one device — read them from [`BlockCache::counters`].
         let mut s = self.inner.stats();
         s.cache_hits = self.local_hits;
         s.cache_misses = self.local_misses;
-        s.coalesced_reads = self.local_coalesced;
         s
     }
 }
@@ -1860,96 +1777,10 @@ mod tests {
         assert!(auto.additions() < 640, "sample period never triggered");
     }
 
-    // ── Single-flight coalescing ─────────────────────────────────────
-
     #[test]
-    fn concurrent_misses_coalesce_to_one_device_read() {
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        let cache = Arc::new(BlockCache::new(4, 1));
-        let mut dev = CachedDevice::new(sim, Arc::clone(&cache), BLOCK_SIZE as u32);
-        dev.set_coalescing(true);
-        // Three concurrent misses on one block before any completes.
-        for tag in 1..=3u64 {
-            dev.submit(
-                IoRequest {
-                    addr: 1024,
-                    len: BLOCK_SIZE as u32,
-                    tag,
-                },
-                0.0,
-            );
-        }
-        assert_eq!(dev.inflight(), 3, "waiters count as in flight");
-        let t = dev.next_completion_time().unwrap();
-        let mut out = Vec::new();
-        dev.poll(t, &mut out);
-        assert_eq!(out.len(), 3, "every request gets its completion");
-        assert!(
-            out.iter().all(|c| Arc::ptr_eq(&c.data, &out[0].data)),
-            "one fill, shared"
-        );
-        assert!(
-            out.iter().all(|c| c.time == t),
-            "waiters share the leader's time"
-        );
-        let tags: std::collections::HashSet<u64> = out.iter().map(|c| c.tag).collect();
-        assert_eq!(tags.len(), 3);
-        assert_eq!(dev.stats().completed, 1, "one device read served all three");
-        assert_eq!(dev.stats().coalesced_reads, 2);
-        assert_eq!(cache.counters().coalesced_reads, 2);
-        assert_eq!(dev.stats().cache_misses, 3, "a parked waiter is a miss");
-        assert_eq!(dev.inflight(), 0);
-        // The block is cached: the next read is a DRAM hit.
-        let (_, _) = read_block(&mut dev, 1024, t);
-        assert_eq!(dev.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn invalidation_mid_flight_prevents_coalescing() {
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
-        let cache = Arc::new(BlockCache::new(4, 1));
-        let mut dev = CachedDevice::new(sim, Arc::clone(&cache), BLOCK_SIZE as u32);
-        dev.set_coalescing(true);
-        dev.submit(
-            IoRequest {
-                addr: 512,
-                len: BLOCK_SIZE as u32,
-                tag: 1,
-            },
-            0.0,
-        );
-        // The block is rewritten while the leader is in flight: a new
-        // miss must fetch its own (fresh) bytes, not the leader's.
-        dev.invalidate(512);
-        dev.submit(
-            IoRequest {
-                addr: 512,
-                len: BLOCK_SIZE as u32,
-                tag: 2,
-            },
-            0.0,
-        );
-        let mut out = Vec::new();
-        while out.len() < 2 {
-            let t = dev.next_completion_time().unwrap();
-            dev.poll(t, &mut out);
-        }
-        assert_eq!(
-            dev.stats().completed,
-            2,
-            "post-invalidation miss must not coalesce"
-        );
-        assert_eq!(dev.stats().coalesced_reads, 0);
-        // The stale leader's fill was discarded; the fresh read filled.
-        assert_eq!(cache.counters().cache_stale_fills, 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn coalescing_disabled_by_default_issues_every_read() {
+    fn concurrent_same_block_misses_each_read_the_device() {
         let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image(8)));
         let mut dev = CachedDevice::with_capacity(sim, 4);
-        assert!(!dev.coalescing());
         for tag in 1..=2u64 {
             dev.submit(
                 IoRequest {
@@ -1960,12 +1791,14 @@ mod tests {
                 0.0,
             );
         }
+        assert_eq!(dev.inflight(), 2);
         let mut out = Vec::new();
         while out.len() < 2 {
             let t = dev.next_completion_time().unwrap();
             dev.poll(t, &mut out);
         }
         assert_eq!(dev.stats().completed, 2);
-        assert_eq!(dev.stats().coalesced_reads, 0);
+        assert_eq!(dev.stats().cache_misses, 2);
+        assert_eq!(dev.inflight(), 0);
     }
 }

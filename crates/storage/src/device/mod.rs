@@ -184,12 +184,6 @@ counter_family! {
         cache_bucket_hits: u64 = "cache_bucket_hits",
         /// Cache misses on bucket-region blocks.
         cache_bucket_misses: u64 = "cache_bucket_misses",
-        /// Miss reads that parked on another read's in-flight fill
-        /// instead of issuing a duplicate device read
-        /// ([`cached::CachedDevice`] single-flight coalescing). Per
-        /// device in [`cached::CachedDevice::stats`], cache-wide in
-        /// [`cached::BlockCache::counters`].
-        coalesced_reads: u64 = "coalesced_reads",
         /// Bucket blocks returned to the free list by deletes or
         /// background maintenance (empty-block unlink and chain
         /// compaction). A writer-level quantity: devices leave it 0

@@ -1,17 +1,12 @@
-//! CPU cost model and calibration for the virtual-time executor.
+//! CPU cost model for the virtual-time executor.
 //!
 //! The paper's asynchronous query-time model (Equation 7) charges the CPU
 //! for hash evaluation, distance checking and per-I/O submission overhead.
 //! When the engine runs in virtual time against a simulated device, these
-//! compute segments are charged from a [`CostModel`] whose per-flop rates
-//! are *calibrated by timing the real kernels of this crate's dependencies
-//! on the current machine* — so the modeled `T_compute` tracks the code
-//! that actually runs, not a guess.
-
-use e2lsh_core::distance::dist2;
-use e2lsh_core::lsh::HashFamily;
-use std::hint::black_box;
-use std::time::Instant;
+//! compute segments are charged from a [`CostModel`]:
+//! [`CostModel::deterministic`] fixes machine-independent per-flop rates
+//! so virtual-time results repeat on any host, and [`CostModel::zero`]
+//! charges nothing for wall-clock runs, where the real work is timed.
 
 /// Per-operation CPU costs in seconds.
 #[derive(Clone, Copy, Debug)]
@@ -57,42 +52,6 @@ impl CostModel {
         }
     }
 
-    /// Measure the real kernels on this machine (takes ~50 ms): a whole
-    /// compound-hash evaluation at the paper's shape (`m` = 10 projections
-    /// of 128 dimensions through `kernel::project`, quantized and mixed)
-    /// and a 128-d distance check.
-    pub fn calibrate() -> Self {
-        let (m, dim) = (10usize, 128usize);
-        let a: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
-        let b: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.71).cos()).collect();
-        let family = HashFamily::generate(dim, m, 4.0, 1, &[1.0], 0);
-        let compound = family.compound(0, 0);
-        let mut scratch = Vec::new();
-
-        // Seconds per call of `f`, after a warm-up.
-        let time = |iters: u32, f: &mut dyn FnMut()| -> f64 {
-            (0..iters / 10).for_each(|_| f());
-            let t0 = Instant::now();
-            (0..iters).for_each(|_| f());
-            t0.elapsed().as_secs_f64() / f64::from(iters)
-        };
-        let hash = time(100_000, &mut || {
-            black_box(compound.hash64(black_box(&a), 1.0, &mut scratch));
-        });
-        let dist = time(200_000, &mut || {
-            black_box(dist2(black_box(&a), black_box(&b)));
-        });
-        Self {
-            // The whole evaluation was timed: nothing fixed is left over.
-            hash_flop: hash / (m * dim) as f64,
-            hash_fixed: 0.0,
-            dist_flop: dist / dim as f64,
-            dist_fixed: 20e-9,
-            entry_scan: 1.5e-9,
-            block_fixed: 30e-9,
-        }
-    }
-
     /// Cost of evaluating one compound hash (`m` projections of `d` dims).
     #[inline]
     pub fn hash_cost(&self, m: usize, dim: usize) -> f64 {
@@ -115,15 +74,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn calibration_is_plausible() {
-        let m = CostModel::calibrate();
-        // A multiply-add on any post-2000 CPU: between 0.01 ns (wide SIMD)
-        // and 50 ns (pathological).
-        assert!(m.hash_flop > 1e-12 && m.hash_flop < 5e-8, "{}", m.hash_flop);
-        assert!(m.dist_flop > 1e-12 && m.dist_flop < 5e-8, "{}", m.dist_flop);
-    }
 
     #[test]
     fn costs_scale() {

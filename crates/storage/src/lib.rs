@@ -19,8 +19,8 @@
 //! * [`device`] — the asynchronous device abstraction, the discrete-event
 //!   simulated devices calibrated to the paper's Table 2, and a real
 //!   file-backed device;
-//! * [`engine`] — the CPU cost model (calibrated against the real
-//!   kernels) used by virtual-time runs;
+//! * [`engine`] — the CPU cost model (fixed, machine-independent rates)
+//!   used by virtual-time runs;
 //! * [`query`] — the asynchronous query engine;
 //! * [`update`] — online insert/delete without rebuilding (paper Sec. 7).
 

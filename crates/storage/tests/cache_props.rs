@@ -14,9 +14,7 @@
 //! must never under-estimate (below its saturation point) and halving
 //! must actually halve; a single-shard TinyLFU cache must agree
 //! move-for-move with a naive window/probation/protected reference
-//! model driven by an identically-seeded sketch; and single-flight
-//! coalescing must collapse any multiset of concurrent misses into
-//! exactly one device read per distinct block.
+//! model driven by an identically-seeded sketch.
 
 use e2lsh_storage::device::cached::{
     BlockCache, CachePolicy, CachedDevice, CmSketch, FillEpoch, TinyLfuConfig,
@@ -476,50 +474,5 @@ proptest! {
         prop_assert_eq!(c.cache_misses, model.misses);
         prop_assert_eq!(c.cache_evictions, model.evictions);
         prop_assert_eq!(c.cache_admission_rejected, model.rejected);
-    }
-
-    /// Single-flight invariant: any multiset of reads submitted while
-    /// their fills are in flight costs exactly one device read per
-    /// distinct block — the rest coalesce onto the leader — and every
-    /// completion still carries the right bytes for its tag.
-    #[test]
-    fn concurrent_misses_coalesce_to_one_read_per_block(
-        blocks in proptest::collection::vec(0u64..16, 1..80),
-        cap in 16usize..32,
-    ) {
-        let mut image = vec![0u8; 16 * 512];
-        for (i, b) in image.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::Mem(image.clone()));
-        let cache = Arc::new(BlockCache::new(cap, 2));
-        let mut dev = CachedDevice::new(sim, Arc::clone(&cache), 512);
-        dev.set_coalescing(true);
-        // Submit the whole multiset before polling anything: the first
-        // read of each distinct block leads, every repeat must join it.
-        for (tag, &blk) in blocks.iter().enumerate() {
-            dev.submit(IoRequest { addr: blk * 512, len: 512, tag: tag as u64 }, 0.0);
-        }
-        let distinct: std::collections::HashSet<u64> = blocks.iter().copied().collect();
-        let mut out = Vec::new();
-        while out.len() < blocks.len() {
-            let t = dev.next_completion_time().expect("completions pending");
-            dev.poll(t, &mut out);
-        }
-        prop_assert_eq!(out.len(), blocks.len());
-        let mut tags_seen = std::collections::HashSet::new();
-        for c in &out {
-            let blk = blocks[c.tag as usize];
-            let addr = (blk * 512) as usize;
-            prop_assert_eq!(&c.data[..], &image[addr..addr + 512], "bytes for tag {}", c.tag);
-            tags_seen.insert(c.tag);
-        }
-        prop_assert_eq!(tags_seen.len(), blocks.len(), "every tag completes exactly once");
-        let s = dev.stats();
-        prop_assert_eq!(s.completed, distinct.len() as u64, "one device read per block");
-        prop_assert_eq!(s.coalesced_reads, (blocks.len() - distinct.len()) as u64);
-        prop_assert_eq!(cache.counters().coalesced_reads, s.coalesced_reads);
-        prop_assert_eq!(s.cache_misses, blocks.len() as u64);
-        prop_assert_eq!(s.cache_hits, 0);
     }
 }
