@@ -22,7 +22,10 @@
 //!   event source that can actually wake it — the modeled next-completion
 //!   time (wall-driven sim), the device's own wait (wall-clock devices),
 //!   or the job queue — with a debug assertion that active slots always
-//!   imply outstanding I/O.
+//!   imply outstanding I/O. A wall-driven sim wait is one plain sleep
+//!   when every die is booked past the target plus a wake-up margin (a
+//!   late wake-up then moves no read's modeled time), and an exact
+//!   sleep-then-yield otherwise (`reactor/idle.rs`).
 //!
 //! Statistics are published *live* into a per-replica
 //! [`ReplicaStatsCell`] — once per harvest batch, not once per
@@ -53,6 +56,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+mod idle;
+pub(crate) use idle::sleep_until;
+use idle::{idle_wait, Wait, ADMIT_CHECK_S};
 
 /// A query admitted to the service. Jobs are self-contained: the
 /// session's clients submit arbitrary points at any time, so each job
@@ -117,32 +124,9 @@ pub struct ReplicaStatsCell {
     pub served: AtomicU64,
 }
 
-/// How long a reactor with free slots will block on other event sources
-/// before re-checking the job queue for admittable work.
-const ADMIT_CHECK_S: f64 = 500e-6;
-
 /// The longest any idle block lasts, so a late fence or disconnect is
 /// noticed promptly.
 const IDLE_BLOCK: Duration = Duration::from_millis(2);
-
-/// Sleep (coarsely, then yielding) until `epoch + t`. The final window
-/// yields the core each pass instead of pure spinning: on an
-/// oversubscribed machine a spin here can starve the very thread whose
-/// progress it is waiting on.
-pub(crate) fn sleep_until(epoch: Instant, t: f64) {
-    loop {
-        let now = epoch.elapsed().as_secs_f64();
-        let rem = t - now;
-        if rem <= 0.0 {
-            return;
-        }
-        if rem > 300e-6 {
-            std::thread::sleep(Duration::from_secs_f64(rem - 200e-6));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
 
 /// Everything a replica's reactor borrows from the session for its
 /// lifetime.
@@ -418,15 +402,11 @@ fn serve(
             std::thread::sleep(Duration::from_micros(100));
         } else if ctx.sim_time {
             if let Some(t) = lane.device.next_completion_time() {
-                // With free slots, cap the sleep so queued jobs are
-                // admitted promptly instead of waiting out a whole
-                // device service time.
-                let cap = if free_slots {
-                    lane.wall_now() + ADMIT_CHECK_S
-                } else {
-                    f64::INFINITY
-                };
-                sleep_until(ctx.epoch, t.min(cap));
+                let next_free = lane.device.next_free_time();
+                match idle_wait(lane.wall_now(), t, next_free, free_slots) {
+                    Wait::Sleep(d) => std::thread::sleep(d),
+                    Wait::Until(t) => sleep_until(ctx.epoch, t),
+                }
             }
         } else if free_slots {
             // Wait for either new work or an I/O completion, whichever

@@ -128,6 +128,12 @@ impl Device for SharedSimHandle {
         (t != f64::INFINITY).then_some(t)
     }
 
+    /// The whole array's: every handle's reads contend for the same
+    /// dies.
+    fn next_free_time(&self) -> Option<f64> {
+        self.inner.lock().unwrap().sim.next_free_time()
+    }
+
     fn wait(&mut self) {}
 
     fn inflight(&self) -> usize {
@@ -211,5 +217,28 @@ mod tests {
         assert_eq!(b.inflight(), 1, "still owed to b");
         b.poll(10.0, &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn handles_share_the_arrays_next_free_time() {
+        let p = DeviceProfile::ESSD;
+        let sim = SimStorage::new(p, 1, Backing::Mem(vec![0u8; 1 << 16]));
+        let arr = SharedSimArray::new(sim, 2);
+        let mut a = arr.handle(0);
+        let b = arr.handle(1);
+        // Only handle a submits; it books every die twice over.
+        for i in 0..2 * p.dies() as u64 {
+            a.submit(
+                IoRequest {
+                    addr: i * 512 % (1 << 16),
+                    len: 512,
+                    tag: i,
+                },
+                0.0,
+            );
+        }
+        let free = a.next_free_time().unwrap();
+        assert!((free - 2.0 * p.service_time()).abs() < 1e-12);
+        assert_eq!(b.next_free_time(), Some(free), "b waits on the same dies");
     }
 }

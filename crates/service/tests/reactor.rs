@@ -13,6 +13,9 @@
 //!   steady state, not an overload: every ticket resolves.
 //! * Fencing a replica mid-run with a deep in-flight window re-serves
 //!   its outstanding slots on the sibling; no ticket is lost or shed.
+//! * On a saturated throttled device (the reactor sleeps instead of
+//!   spinning while every die is booked) the answers are still the
+//!   reference and every ticket resolves.
 //! * `inflight_per_replica` is a plain slot count: the default is 16
 //!   and 0 is rejected at construction (there is no derive sentinel).
 
@@ -85,6 +88,14 @@ fn reference_results(shards: &ShardSet, queries: &Dataset, k: usize) -> Vec<Vec<
     merged
 }
 
+/// SATA-class random reads (7.2 kIOPS at QD 1, 36 at saturation): 5
+/// dies of 139 µs, so a deep window keeps every die booked.
+const THROTTLED: DeviceProfile = DeviceProfile {
+    name: "throttled-sata",
+    qd1_kiops: 7.2,
+    max_kiops: 36.0,
+};
+
 fn build(
     data: &Dataset,
     dir: std::path::PathBuf,
@@ -92,6 +103,26 @@ fn build(
     replicas: usize,
     inflight: usize,
     k: usize,
+) -> ShardedService {
+    build_on(
+        data,
+        dir,
+        num_shards,
+        replicas,
+        inflight,
+        k,
+        DeviceProfile::ESSD,
+    )
+}
+
+fn build_on(
+    data: &Dataset,
+    dir: std::path::PathBuf,
+    num_shards: usize,
+    replicas: usize,
+    inflight: usize,
+    k: usize,
+    profile: DeviceProfile,
 ) -> ShardedService {
     let shards = ShardSet::build(
         data,
@@ -113,7 +144,7 @@ fn build(
             k,
             s_override: Some(AMPLE),
             device: DeviceSpec::SimShared {
-                profile: DeviceProfile::ESSD,
+                profile,
                 num_devices: 1,
             },
             ..Default::default()
@@ -213,6 +244,35 @@ fn kiloslot_window_resolves_everything() {
         assert_eq!(&driven.queries[qi].neighbors, want, "query {qi}");
     }
     assert!(report.qps() > 0.0);
+    svc.shards().cleanup();
+}
+
+/// A deep window on a saturated throttled device: with tens of reads
+/// queued per die the reactors take plain sleeps (a late wake-up cannot
+/// move a read's modeled time), and the answers are still the reference
+/// with every ticket resolved.
+#[test]
+fn saturated_throttled_device_matches_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A7A);
+    let data = clustered(1100, &mut rng);
+    let queries = clustered(160, &mut rng);
+    let k = 5;
+
+    let svc = build_on(&data, shard_dir("saturated"), 2, 1, 64, k, THROTTLED);
+    let expect = reference_results(svc.shards(), &queries, k);
+    let (driven, report) = run_reads(&svc, &queries, Load::Closed { window: 128 });
+    assert_eq!(driven.queries.len(), queries.len());
+    assert_eq!(report.shed_queries, 0);
+    assert!(driven.queries.iter().all(|r| r.status == OpStatus::Ok));
+    for (qi, want) in expect.iter().enumerate() {
+        assert_eq!(&driven.queries[qi].neighbors, want, "query {qi}");
+    }
+    // Enough reads for the window to queue tens of them per die.
+    let per_shard = report.device.completed / 2;
+    assert!(
+        per_shard > 20 * THROTTLED.dies() as u64,
+        "{per_shard} device reads per shard"
+    );
     svc.shards().cleanup();
 }
 

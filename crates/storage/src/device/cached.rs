@@ -1213,6 +1213,11 @@ impl<D: Device> Device for CachedDevice<D> {
         }
     }
 
+    /// The inner device's: a DRAM hit occupies no die.
+    fn next_free_time(&self) -> Option<f64> {
+        self.inner.next_free_time()
+    }
+
     fn wait(&mut self) {
         if self.hit_queue.is_empty() {
             self.inner.wait();
@@ -1284,6 +1289,39 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.completed, 1, "only the cold read touched the device");
+    }
+
+    #[test]
+    fn next_free_time_forwards_inner_and_ignores_hits() {
+        let p = DeviceProfile::CSSD;
+        let sim = SimStorage::new(p, 1, Backing::Mem(image(64)));
+        let mut dev = CachedDevice::with_capacity(sim, 64);
+        let (_, t) = read_block(&mut dev, 512, 0.0);
+        // Book every die: D misses at `t`.
+        for b in 2..2 + p.dies() as u64 {
+            dev.submit(
+                IoRequest {
+                    addr: b * 512,
+                    len: BLOCK_SIZE as u32,
+                    tag: b,
+                },
+                t,
+            );
+        }
+        let free = dev.next_free_time();
+        assert_eq!(free, dev.inner().next_free_time());
+        assert!(free.unwrap() > t, "every die is booked");
+        // A hit on the cached block completes from DRAM, off the dies.
+        dev.submit(
+            IoRequest {
+                addr: 512,
+                len: BLOCK_SIZE as u32,
+                tag: 1,
+            },
+            t,
+        );
+        assert_eq!(dev.stats().cache_hits, 1);
+        assert_eq!(dev.next_free_time(), free, "a hit books no die");
     }
 
     #[test]

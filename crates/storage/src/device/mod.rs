@@ -237,7 +237,11 @@ impl DeviceStats {
 /// Asynchronous block storage.
 ///
 /// `now` arguments carry the caller's virtual clock; wall-clock devices
-/// ignore them.
+/// ignore them. A virtual-time device also reports when its next
+/// completion lands ([`Device::next_completion_time`]) and when it could
+/// next start a read ([`Device::next_free_time`]): a wall-driven caller
+/// sleeps to the first, and may wake up late by as much as the second
+/// lies past it without changing any read's modeled time.
 pub trait Device: Send {
     /// Queue a read. The device starts (virtual) service immediately.
     fn submit(&mut self, req: IoRequest, now: f64);
@@ -249,6 +253,16 @@ pub trait Device: Send {
     /// Earliest pending completion time, if this device runs in virtual
     /// time and has I/Os in flight. Wall-clock devices return `None`.
     fn next_completion_time(&self) -> Option<f64>;
+
+    /// Earliest virtual time at which the device could start serving a
+    /// new read, if it models time. A read submitted at any `now` up to
+    /// this value starts and completes exactly when one submitted
+    /// earlier would, so a caller may wake up late by anything short of
+    /// it without changing modeled timing. Wall-clock devices (the
+    /// default) return `None`.
+    fn next_free_time(&self) -> Option<f64> {
+        None
+    }
 
     /// Block until at least one completion is available (wall-clock
     /// devices). No-op for virtual devices.

@@ -186,6 +186,12 @@ impl DieModel {
         *die = Reverse(Time(done));
         (start, done)
     }
+
+    /// When the earliest-free die frees up: [`DieModel::accept`] starts
+    /// any read submitted before then at exactly this time.
+    fn next_free(&self) -> f64 {
+        self.free_at.peek().expect("dies exist").0 .0
+    }
 }
 
 /// Pending completion ordered by completion time.
@@ -293,6 +299,16 @@ impl Device for SimStorage {
         self.pending.peek().map(|Reverse(p)| p.done.0)
     }
 
+    /// The earliest time any die of any device in the array is free —
+    /// conservative for an array: a read routed to a busier device only
+    /// starts later.
+    fn next_free_time(&self) -> Option<f64> {
+        self.devices
+            .iter()
+            .map(DieModel::next_free)
+            .reduce(f64::min)
+    }
+
     fn wait(&mut self) {}
 
     fn inflight(&self) -> usize {
@@ -347,6 +363,100 @@ pub fn measure_iops(profile: DeviceProfile, num_devices: usize, queue_depth: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn read(addr: u64, tag: u64) -> IoRequest {
+        IoRequest {
+            addr,
+            len: 512,
+            tag,
+        }
+    }
+
+    /// The read-bound test profile: SATA-class, 5 dies of 139 µs.
+    const SATA: DeviceProfile = DeviceProfile {
+        name: "sata",
+        qd1_kiops: 7.2,
+        max_kiops: 36.0,
+    };
+
+    /// Modeled (start, done) of `req` submitted at `now`: the die
+    /// booking [`Device::submit`] makes for it.
+    fn timed_submit(dev: &mut SimStorage, req: IoRequest, now: f64) -> (f64, f64) {
+        let d = dev.route(req.addr);
+        dev.devices[d].accept(now)
+    }
+
+    #[test]
+    fn next_free_time_tracks_the_die_backlog() {
+        let p = DeviceProfile::CSSD;
+        let (dies, service) = (p.dies(), p.service_time());
+        let mut dev = SimStorage::new(p, 1, Backing::Mem(vec![0u8; 1 << 16]));
+        // Fewer reads than dies in flight: a die is idle now.
+        for i in 0..dies as u64 - 1 {
+            dev.submit(read(i * 512, i), 1e-3);
+            assert!(
+                dev.next_free_time().unwrap() <= 1e-3,
+                "{i} reads on {dies} dies"
+            );
+        }
+        // k·D reads queued at time 0 book every die k service times out.
+        for k in 1..=4 {
+            let mut dev = SimStorage::new(p, 1, Backing::Mem(vec![0u8; 1 << 16]));
+            for i in 0..(k * dies) as u64 {
+                dev.submit(read(i * 512 % (1 << 16), i), 0.0);
+            }
+            let free = dev.next_free_time().unwrap();
+            assert!(
+                (free - k as f64 * service).abs() < 1e-12,
+                "{k}·D queued: free at {free}, want {}",
+                k as f64 * service
+            );
+        }
+    }
+
+    #[test]
+    fn next_free_time_is_the_earliest_device_in_an_array() {
+        let p = DeviceProfile::CSSD;
+        let mut dev = SimStorage::new(p, 2, Backing::Mem(vec![0u8; 1 << 16]));
+        // Back up device 0 only (even blocks route there).
+        for i in 0..3 * p.dies() as u64 {
+            dev.submit(read(2 * i * 512 % (1 << 16), i), 0.0);
+        }
+        assert_eq!(dev.next_free_time(), Some(0.0), "device 1 is idle");
+    }
+
+    proptest! {
+        /// The exactness behind a late wake-up: a read submitted anywhere
+        /// in `[t, next_free_time]` starts and completes exactly when one
+        /// submitted at `t` does.
+        #[test]
+        fn late_submit_before_next_free_time_keeps_start_and_done(
+            backlog in proptest::collection::vec((0u64..128, 0.0f64..2e-3), 0..200),
+            devices in 1usize..3,
+            t_frac in 0.0f64..1.0,
+            late_frac in 0.0f64..1.0,
+            addr in 0u64..128,
+        ) {
+            let build = || {
+                let mut dev = SimStorage::new(SATA, devices, Backing::Mem(vec![0u8; 1 << 16]));
+                let mut now = 0.0f64;
+                for (i, &(block, gap)) in backlog.iter().enumerate() {
+                    now += gap / 64.0;
+                    dev.submit(read(block * 512, i as u64), now);
+                }
+                (dev, now)
+            };
+            let (mut on_time, last) = build();
+            let (mut late, _) = build();
+            let t = last * t_frac;
+            let free = on_time.next_free_time().unwrap();
+            let t_late = if free > t { (t + (free - t) * late_frac).min(free) } else { t };
+            let want = timed_submit(&mut on_time, read(addr * 512, u64::MAX), t);
+            let got = timed_submit(&mut late, read(addr * 512, u64::MAX), t_late);
+            prop_assert_eq!(got, want, "submitted at {} instead of {}", t_late, t);
+        }
+    }
 
     #[test]
     fn profiles_reproduce_table2_qd1() {
