@@ -39,9 +39,9 @@
 //! * admitted ops pop in FIFO order;
 //! * `peak_depth` is the exact high-water mark of admitted depth.
 
-use crossbeam::channel::{unbounded, Receiver, RecvError, RecvTimeoutError, TryRecvError};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -292,7 +292,7 @@ impl Gate {
 
 /// Sending half of a bounded shard queue; cloneable.
 pub struct GatedSender<T> {
-    tx: crossbeam::channel::Sender<(T, usize)>,
+    tx: Sender<(T, usize)>,
     gate: Arc<Gate>,
 }
 
@@ -305,23 +305,16 @@ impl<T> Clone for GatedSender<T> {
     }
 }
 
-/// Receiving half of a bounded shard queue; cloneable, though since the
-/// reactor each replica's queue has exactly one receiver. A successful
-/// receive releases the op's budget — depth counts ops *waiting*, not
-/// ops in service (in-service work is already bounded by the reactor's
-/// slot count).
+/// Receiving half of a bounded shard queue — the one consumer of its
+/// queue (a `std::sync::mpsc` receiver, so not cloneable; each replica's
+/// reactor and each shard's writer owns its own). A successful receive
+/// releases the op's budget — depth counts ops *waiting*, not ops in
+/// service (in-service work is already bounded by the reactor's slot
+/// count). Once every [`GatedSender`] is gone, the ops still queued pop
+/// first and only then does a receive report disconnection.
 pub struct GatedReceiver<T> {
     rx: Receiver<(T, usize)>,
     gate: Arc<Gate>,
-}
-
-impl<T> Clone for GatedReceiver<T> {
-    fn clone(&self) -> Self {
-        Self {
-            rx: self.rx.clone(),
-            gate: Arc::clone(&self.gate),
-        }
-    }
 }
 
 /// Create a bounded admission queue for `shard` under `budget`.
@@ -336,7 +329,7 @@ pub fn gated<T>(shard: usize, budget: AdmissionBudget) -> (GatedSender<T>, Gated
         budget,
         shard,
     });
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (
         GatedSender {
             tx,
@@ -619,6 +612,69 @@ mod tests {
         assert_eq!(sym, AdmissionControl::depth(7));
         assert!(!AdmissionControl::UNBOUNDED.is_bounded());
         assert_eq!(AdmissionControl::default(), AdmissionControl::UNBOUNDED);
+    }
+
+    // The channel contract the callers rely on: the reactor loop, the
+    // writers and the collector exit on disconnection, and the net pump
+    // drains every completion before it does (DESIGN §15).
+
+    #[test]
+    fn disconnected_queue_pops_fifo_then_reports_disconnection() {
+        let (tx, rx) = gated::<u32>(0, AdmissionBudget::depth(8));
+        let tx2 = tx.clone();
+        tx.try_send(1, 8).unwrap();
+        tx2.try_send(2, 8).unwrap();
+        tx.try_send(3, 8).unwrap();
+        let gate = tx.stats_handle();
+        drop((tx, tx2));
+        assert_eq!(gate.depth(), 3);
+        assert_eq!(rx.try_recv(), Ok(1));
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(3));
+        assert_eq!(gate.depth(), 0, "every pop released its budget");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(1)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+    }
+
+    #[test]
+    fn blocked_recv_wakes_when_the_last_sender_drops() {
+        // std cannot report whether a receiver is parked, so rounds 0..3
+        // give it time to park first and the rest race the drop against
+        // its way into the wait. Either order must end in `Err`.
+        for round in 0..64 {
+            let (tx, rx) = gated::<u32>(0, AdmissionBudget::UNBOUNDED);
+            let tx2 = tx.clone();
+            let (done_tx, done_rx) = channel();
+            let receiver = std::thread::spawn(move || done_tx.send(rx.recv()).unwrap());
+            if round < 3 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            drop(tx);
+            drop(tx2); // the last sender
+            assert_eq!(
+                done_rx.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(RecvError)),
+                "round {round}: a parked receiver must wake on disconnection"
+            );
+            receiver.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn recv_timeout_on_an_empty_connected_queue_times_out() {
+        let (tx, rx) = gated::<u32>(0, AdmissionBudget::UNBOUNDED);
+        let t0 = Instant::now();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(20)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        tx.try_send(5, 8).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(5));
     }
 
     #[test]

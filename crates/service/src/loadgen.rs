@@ -8,11 +8,11 @@ use crate::reactor::sleep_until;
 use crate::session::{
     insert_base, QueryResult, QueryTicket, Session, WriteOp, WriteResult, WriteTicket,
 };
-use crossbeam::channel::unbounded;
 use e2lsh_core::dataset::Dataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::mpsc::channel;
 
 /// How queries are admitted to the service.
 #[derive(Clone, Copy, Debug)]
@@ -360,7 +360,7 @@ pub fn drive(
     };
     let mut retries = 0usize;
     // Completion notifications multiplex the in-flight window.
-    let (ntx, nrx) = unbounded::<u64>();
+    let (ntx, nrx) = channel::<u64>();
     let submit = |op_idx: usize, ref_time: f64, tickets: &mut Tickets| {
         let write = match ops[op_idx] {
             Op::Query(qi) => {

@@ -3,7 +3,7 @@
 //!
 //! Everything below PR 5's session API is in-process; this module puts
 //! a real protocol in front of it with **zero new dependencies** —
-//! `std::net` TCP, the vendored channel, and the [`frame`] codec.
+//! `std::net` TCP, `std::sync::mpsc`, and the [`frame`] codec.
 //!
 //! # Server anatomy
 //!
@@ -62,7 +62,6 @@ use crate::session::{
     Client, QueryResult, QueryTicket, Session, WriteOp, WriteResult, WriteTicket,
 };
 use crate::trace::NetStage;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use frame::{
     decode_request, encode_response, read_frame, ErrorCode, ReadFrame, Request, Response,
     HEADER_LEN,
@@ -71,6 +70,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -381,7 +381,7 @@ fn spawn_conn(shared: Arc<ServerShared>, stream: TcpStream) {
         outbox: Mutex::new(Vec::new()),
         dead: AtomicBool::new(false),
     });
-    let (ntx, nrx) = unbounded();
+    let (ntx, nrx) = channel();
     let reader = {
         let shared = Arc::clone(&shared);
         let conn = Arc::clone(&conn);

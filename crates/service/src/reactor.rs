@@ -49,11 +49,11 @@ use crate::admission::GatedReceiver;
 use crate::router::LaneState;
 use crate::shard::Shard;
 use crate::topology::Replica;
-use crossbeam::channel::{RecvTimeoutError, Sender, TryRecvError};
 use e2lsh_storage::device::{Device, DeviceStats, IoCompletion};
 use e2lsh_storage::query::{completion_ctx, EngineClock, EngineConfig, QueryDriver, QueryState};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 

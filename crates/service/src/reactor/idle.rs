@@ -14,15 +14,22 @@
 //! * otherwise → [`sleep_until`] the target ([`Wait::Until`]): a coarse
 //!   sleep to the margin, then yielding passes, exact to a few µs.
 //!
+//! Both are exact only while the thread wakes up less than the margin
+//! late, which is the usual case but not the tail (see [`WAKE_MARGIN`]).
+//!
 //! [`Device::next_free_time`]: e2lsh_storage::device::Device::next_free_time
 
 use std::time::{Duration, Instant};
 
 /// How late a sleeping thread may wake up: the lead [`sleep_until`]'s
 /// coarse sleep keeps before its target, and the backlog past the target
-/// a plain sleep needs. A 50–250 µs `thread::sleep` on an idle 2-vCPU
-/// x86-64 Linux VM woke up 57 µs late at the median and < 100 µs late
-/// at p99.
+/// a plain sleep needs. It covers the usual wake-up, not the tail:
+/// 50–250 µs `thread::sleep`s on a 2-vCPU x86-64 Linux VM woke up 57 µs
+/// late at the median, 94–98 µs at p99 and 1.4–2.3 ms at the maximum
+/// while the VM was idle, and 0.6–0.9 ms at p99 and 3.4–4.4 ms at the
+/// maximum on a busier one. A wake-up later than the margin can delay a
+/// read after either wait: past the backlog of a plain sleep, or past
+/// the target of the coarse sleep in [`sleep_until`].
 pub(super) const WAKE_MARGIN: f64 = 200e-6;
 
 /// How long a reactor with free slots will block on other event sources

@@ -91,7 +91,6 @@ use crate::shared_sim::SharedSimArray;
 use crate::topology::Topology;
 use crate::trace::{NetStage, ShardSpan, SpanKind, TraceSpan, Tracer};
 use crate::update::ShardUpdater;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_storage::device::cached::{BlockCache, CachedDevice};
 use e2lsh_storage::device::file::FileDevice;
@@ -100,6 +99,7 @@ use e2lsh_storage::device::{Device, DeviceStats};
 use e2lsh_storage::layout::BLOCK_SIZE;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -888,10 +888,10 @@ impl Session {
             tracer: Tracer::for_session(config.trace_sample, config.slow_query_threshold),
         });
 
-        let (msg_tx, msg_rx) = unbounded::<ReactorMsg>();
+        let (msg_tx, msg_rx) = channel::<ReactorMsg>();
         let mut reactor_threads = Vec::with_capacity(num_shards * replicas);
-        for s in 0..num_shards {
-            for r in 0..replicas {
+        for (s, shard_rxs) in lane_rxs.into_iter().enumerate() {
+            for (r, jobs) in shard_rxs.into_iter().enumerate() {
                 // One device handle per replica — the reactor owns it
                 // and multiplexes every in-flight slot over it.
                 let device = make_device(
@@ -905,7 +905,6 @@ impl Session {
                 let lanes = Arc::clone(&lanes);
                 let cell = Arc::clone(&shared.replica_cells[s][r]);
                 let engine = engine.clone();
-                let jobs = lane_rxs[s][r].clone();
                 let tx = msg_tx.clone();
                 reactor_threads.push(spawn_named(format!("reactor-s{s}r{r}"), move || {
                     let ctx = ReactorCtx {
@@ -922,7 +921,6 @@ impl Session {
                 }));
             }
         }
-        drop(lane_rxs);
         drop(msg_tx);
 
         let writer_threads: Vec<JoinHandle<()>> = write_rxs
@@ -1129,12 +1127,12 @@ fn run_writer(shared: &SessionShared, s: usize, jobs: GatedReceiver<WriteJob>) {
         let job = if let Some(u) = up.as_mut().filter(|_| maint_budget > 0 && !parked) {
             match jobs.recv_timeout(std::time::Duration::from_millis(1)) {
                 Ok(job) => job,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     since_tick = 0;
                     parked = maintenance_tick(shared, s, u, maint_budget);
                     continue;
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         } else {
             match jobs.recv() {

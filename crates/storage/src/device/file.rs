@@ -6,22 +6,31 @@
 //! (`pread`). The submit/poll surface is identical to the simulated
 //! devices, so the query engine runs unchanged against real storage —
 //! this is what the integration tests and the quickstart example use.
+//!
+//! The workers share one job queue: a `std::sync::mpsc` receiver behind
+//! a mutex (std receivers are not cloneable), locked only for the
+//! `recv`, never across the `pread`. Dropping the device drops the job
+//! sender; each worker's `recv` then returns the reads still queued and
+//! after them an error, and the worker exits.
 
 use super::{shared_bytes, Device, DeviceStats, IoCompletion, IoRequest};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::fs::File;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-enum Job {
-    Read { addr: u64, len: u32, tag: u64 },
-    Stop,
+/// One positioned read for the worker pool.
+struct Job {
+    addr: u64,
+    len: u32,
+    tag: u64,
 }
 
 /// Wall-clock asynchronous reader over an index file.
 pub struct FileDevice {
-    tx: Sender<Job>,
+    /// `None` only inside `drop`, which disconnects the pool by taking it.
+    tx: Option<Sender<Job>>,
     rx: Receiver<IoCompletion>,
     workers: Vec<std::thread::JoinHandle<()>>,
     file: Arc<File>,
@@ -39,31 +48,27 @@ impl FileDevice {
     pub fn open<P: AsRef<Path>>(path: P, workers: usize) -> std::io::Result<Self> {
         assert!(workers >= 1);
         let file = Arc::new(File::open(path)?);
-        let (tx, job_rx) = unbounded::<Job>();
-        let (done_tx, rx) = unbounded::<IoCompletion>();
+        let (tx, job_rx) = channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (done_tx, rx) = channel::<IoCompletion>();
         let start = Instant::now();
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let job_rx = job_rx.clone();
+            let job_rx = Arc::clone(&job_rx);
             let done_tx = done_tx.clone();
             let file = Arc::clone(&file);
             let t0 = start;
             handles.push(std::thread::spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    match job {
-                        Job::Stop => break,
-                        Job::Read { addr, len, tag } => {
-                            let data = shared_bytes(len as usize, |buf| read_at(&file, addr, buf));
-                            let time = t0.elapsed().as_secs_f64();
-                            // Receiver may be gone during shutdown.
-                            let _ = done_tx.send(IoCompletion { tag, data, time });
-                        }
-                    }
+                while let Some(Job { addr, len, tag }) = next_job(&job_rx) {
+                    let data = shared_bytes(len as usize, |buf| read_at(&file, addr, buf));
+                    let time = t0.elapsed().as_secs_f64();
+                    // Receiver may be gone during shutdown.
+                    let _ = done_tx.send(IoCompletion { tag, data, time });
                 }
             }));
         }
         Ok(Self {
-            tx,
+            tx: Some(tx),
             rx,
             workers: handles,
             file,
@@ -73,6 +78,14 @@ impl FileDevice {
             stats: DeviceStats::default(),
         })
     }
+}
+
+/// The pool's next read, or `None` once the device dropped its sender
+/// and the queue is empty. The lock is held only while this waits, not
+/// while the caller reads.
+fn next_job(jobs: &Mutex<Receiver<Job>>) -> Option<Job> {
+    let jobs = jobs.lock().expect("no worker panics holding the job queue");
+    jobs.recv().ok()
 }
 
 /// Fill the zeroed `buf` from `addr`; bytes past the end stay zero.
@@ -102,13 +115,13 @@ impl Device for FileDevice {
         self.inflight += 1;
         self.stats.completed += 1;
         self.stats.bytes += u64::from(req.len);
-        self.tx
-            .send(Job::Read {
-                addr: req.addr,
-                len: req.len,
-                tag: req.tag,
-            })
-            .expect("worker pool alive");
+        let job = Job {
+            addr: req.addr,
+            len: req.len,
+            tag: req.tag,
+        };
+        let tx = self.tx.as_ref().expect("taken only by drop");
+        tx.send(job).expect("worker pool alive");
     }
 
     fn poll(&mut self, _now: f64, out: &mut Vec<IoCompletion>) {
@@ -155,11 +168,101 @@ impl Device for FileDevice {
 
 impl Drop for FileDevice {
     fn drop(&mut self) {
-        for _ in &self.workers {
-            let _ = self.tx.send(Job::Stop);
-        }
+        // Disconnect: every worker drains what is queued, then exits.
+        self.tx = None;
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::temp_path;
+    use std::path::PathBuf;
+    use std::time::Duration;
+
+    const READS: u64 = 256;
+    const LEN: u32 = 512;
+
+    /// The byte a pattern file holds at `offset`: 251 is prime, so no
+    /// 512-byte read returns another read's bytes.
+    fn pattern_byte(offset: u64) -> u8 {
+        (offset % 251) as u8
+    }
+
+    fn pattern_file(name: &str) -> PathBuf {
+        let path = temp_path(name);
+        let bytes: Vec<u8> = (0..READS * u64::from(LEN)).map(pattern_byte).collect();
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// Submits one read of every block, in a scrambled order (97 is
+    /// coprime to 256), tagged `block + 1000`.
+    fn submit_every_block(dev: &mut FileDevice) {
+        for i in 0..READS {
+            let block = (i * 97) % READS;
+            let req = IoRequest {
+                addr: block * u64::from(LEN),
+                len: LEN,
+                tag: block + 1000,
+            };
+            dev.submit(req, 0.0);
+        }
+    }
+
+    #[test]
+    fn shared_job_queue_completes_every_read_once_with_its_bytes() {
+        let path = pattern_file("file-device-pool");
+        let mut dev = FileDevice::open(&path, 4).unwrap();
+        submit_every_block(&mut dev);
+        let mut seen = vec![false; READS as usize];
+        let mut out = Vec::new();
+        while dev.inflight() > 0 {
+            dev.wait();
+            out.clear();
+            dev.poll(0.0, &mut out);
+            for c in &out {
+                let block = c.tag - 1000;
+                assert!(block < READS, "unknown tag {}", c.tag);
+                assert!(
+                    !std::mem::replace(&mut seen[block as usize], true),
+                    "tag {} completed twice",
+                    c.tag
+                );
+                let addr = block * u64::from(LEN);
+                assert_eq!(c.data.len(), LEN as usize);
+                for (k, &b) in c.data.iter().enumerate() {
+                    assert_eq!(b, pattern_byte(addr + k as u64), "tag {} byte {k}", c.tag);
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every read completed");
+        std::thread::sleep(Duration::from_millis(20));
+        out.clear();
+        dev.poll(0.0, &mut out);
+        assert!(out.is_empty(), "no completion arrives twice");
+        drop(dev);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn drop_with_reads_queued_joins_every_worker() {
+        let path = pattern_file("file-device-drop");
+        let mut dev = FileDevice::open(&path, 4).unwrap();
+        submit_every_block(&mut dev);
+        let (done_tx, done_rx) = channel();
+        let dropper = std::thread::spawn(move || {
+            drop(dev); // joins the four workers
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "dropping the device must join its workers"
+        );
+        dropper.join().unwrap();
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -24,7 +24,6 @@
 //!   40 bits, so false collisions introduced by indexing only `u` bits can
 //!   be rejected without a distance check.
 
-use bytes::{Buf, BufMut};
 use e2lsh_core::fxhash::splitmix64;
 
 /// Bucket block size in bytes (minimum NVMe read unit).
@@ -260,30 +259,30 @@ impl BucketBlock {
     pub fn encode(&self, codec: &EntryCodec, out: &mut Vec<u8>) {
         assert!(self.entries.len() <= ENTRIES_PER_BLOCK);
         let start = out.len();
-        out.put_u64_le(self.next);
-        out.put_u16_le(self.entries.len() as u16);
-        out.put_slice(&[0u8; 6]); // reserved (paper: debug padding)
+        out.extend_from_slice(&self.next.to_le_bytes());
+        out.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
+        out.extend_from_slice(&[0u8; 6]); // reserved (paper: debug padding)
         for &(id, fp) in &self.entries {
             let packed = codec.pack(id, fp);
-            out.put_slice(&packed.to_le_bytes()[..ENTRY_SIZE]);
+            out.extend_from_slice(&packed.to_le_bytes()[..ENTRY_SIZE]);
         }
         out.resize(start + BLOCK_SIZE, 0);
     }
 
     /// Decode from a [`BLOCK_SIZE`]-byte buffer.
-    pub fn decode(codec: &EntryCodec, mut buf: &[u8]) -> Self {
+    pub fn decode(codec: &EntryCodec, buf: &[u8]) -> Self {
         assert!(buf.len() >= BLOCK_SIZE, "short bucket block");
-        let next = buf.get_u64_le();
-        let count = buf.get_u16_le() as usize;
-        buf.advance(6);
+        let next = u64::from_le_bytes(buf[..8].try_into().expect("8-byte slice"));
+        let count = usize::from(u16::from_le_bytes([buf[8], buf[9]]));
         assert!(count <= ENTRIES_PER_BLOCK, "corrupt block: count {count}");
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut raw = [0u8; 8];
-            raw[..ENTRY_SIZE].copy_from_slice(&buf[..ENTRY_SIZE]);
-            buf.advance(ENTRY_SIZE);
-            entries.push(codec.unpack(u64::from_le_bytes(raw)));
-        }
+        let entries = buf[HEADER_SIZE..HEADER_SIZE + count * ENTRY_SIZE]
+            .chunks_exact(ENTRY_SIZE)
+            .map(|entry| {
+                let mut raw = [0u8; 8];
+                raw[..ENTRY_SIZE].copy_from_slice(entry);
+                codec.unpack(u64::from_le_bytes(raw))
+            })
+            .collect();
         Self { next, entries }
     }
 }
@@ -471,6 +470,49 @@ mod tests {
         let back = BucketBlock::decode(&codec, &buf);
         assert_eq!(back.entries.len(), 0);
         assert_eq!(back.next, 0);
+    }
+
+    /// Pins on-storage format 2's block bytes: a change to the codec
+    /// that moves one byte breaks every image already written.
+    #[test]
+    fn block_encoding_is_pinned_byte_for_byte() {
+        let codec = EntryCodec::new(1 << 20, 16); // 20 id bits, 16 fp bits
+        let block = BucketBlock {
+            next: 0x0102_0304_0506_0708,
+            entries: vec![(0x12345, 0xABCD), (0xF_FFFF, 0xFFFF), (0, 1)],
+        };
+        let mut expected = vec![
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // next, LE u64
+            0x03, 0x00, // count, LE u16
+            0, 0, 0, 0, 0, 0, // reserved
+            0x45, 0x23, 0xD1, 0xBC, 0x0A, // (0xABCD << 20) | 0x12345
+            0xFF, 0xFF, 0xFF, 0xFF, 0x0F, // (0xFFFF << 20) | 0xFFFFF
+            0x00, 0x00, 0x10, 0x00, 0x00, // (0x0001 << 20) | 0
+        ];
+        expected.resize(BLOCK_SIZE, 0);
+        // `encode` appends: bytes already in the buffer stay put.
+        let mut buf = vec![0xEE; 3];
+        block.encode(&codec, &mut buf);
+        assert_eq!(buf[..3], [0xEE; 3]);
+        assert_eq!(buf[3..], expected[..]);
+        assert_eq!(BucketBlock::decode(&codec, &buf[3..]), block);
+    }
+
+    #[test]
+    fn block_roundtrips_at_zero_one_and_full() {
+        let codec = EntryCodec::new(100_000, 15);
+        for count in [0, 1, ENTRIES_PER_BLOCK] {
+            let block = BucketBlock {
+                next: 512 * count as u64,
+                entries: (0..count as u32)
+                    .map(|i| (99_999 - i, (i * 31) & codec.fp_mask()))
+                    .collect(),
+            };
+            let mut buf = Vec::new();
+            block.encode(&codec, &mut buf);
+            assert_eq!(buf.len(), BLOCK_SIZE);
+            assert_eq!(BucketBlock::decode(&codec, &buf), block, "{count} entries");
+        }
     }
 
     #[test]
