@@ -24,13 +24,12 @@
 //! backpressure** ([`GatedSender::send_blocking`] — the mixed op
 //! stream's id arithmetic cannot survive a dropped write, so a full
 //! write queue stalls the dispatcher instead; memory stays bounded
-//! either way). The two classes draw from **separate budgets**
-//! ([`AdmissionControl`]: a read and a write [`AdmissionBudget`] per
-//! shard), so a write burst can never shed reads. A shed op's
-//! [`Overload`] error carries a [`Overload::retry_after`] backoff hint
-//! derived from the gate's observed drain rate;
-//! [`crate::loadgen::Load::ClosedBackoff`] models a client that honors
-//! it.
+//! either way). A service sets **one** [`AdmissionBudget`] value and
+//! every queue — each replica's read queue, each shard's write queue —
+//! gets its own gate under it: the queues share the bound, not the
+//! count. A shed op's [`Overload`] error carries a
+//! [`Overload::retry_after`] backoff hint derived from the gate's
+//! observed drain rate.
 //!
 //! Invariants (model-checked in `crates/service/tests/batch_dedup.rs`):
 //!
@@ -60,8 +59,8 @@ pub struct Overload {
     /// Client backoff hint in seconds: the estimated time until the
     /// queue has drained enough to admit an op like this one, derived
     /// from the gate's observed drain rate (pops per second since the
-    /// gate was created). A well-behaved client retries no earlier;
-    /// [`crate::loadgen::Load::ClosedBackoff`] honors it. Clamped to
+    /// gate was created). A well-behaved client retries no earlier; the
+    /// wire protocol forwards it to network clients. Clamped to
     /// [`Overload::MIN_RETRY_AFTER`]..[`Overload::MAX_RETRY_AFTER`]
     /// (the fallback before any pop has been observed is the maximum).
     /// Exception: a shut-down session sheds with `f64::INFINITY` —
@@ -94,17 +93,18 @@ impl fmt::Display for Overload {
 
 impl std::error::Error for Overload {}
 
-/// Per-shard admission budget. `usize::MAX` disables a limit; the
+/// Admission budget of one queue; a service applies one value to every
+/// read and write queue it owns. `usize::MAX` disables a limit; the
 /// default is fully unbounded (the PR-1/PR-2 behaviour: nothing is ever
 /// shed, queues grow with offered load).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionBudget {
-    /// Maximum ops queued per shard (sent, not yet picked up by a
-    /// reactor or writer).
+    /// Maximum ops queued (sent, not yet picked up by a reactor or
+    /// writer).
     pub max_depth: usize,
-    /// Maximum queued payload bytes per shard (sum of the per-op cost
-    /// the dispatcher charges: the query/insert point bytes, or the id
-    /// bytes of a delete).
+    /// Maximum queued payload bytes (sum of the per-op cost the
+    /// dispatcher charges: the query/insert point bytes — a failover
+    /// re-dispatch included — or the id bytes of a delete).
     pub max_bytes: usize,
 }
 
@@ -122,71 +122,11 @@ impl AdmissionBudget {
             max_bytes: usize::MAX,
         }
     }
-
-    /// True when at least one limit binds.
-    pub fn is_bounded(&self) -> bool {
-        self.max_depth != usize::MAX || self.max_bytes != usize::MAX
-    }
 }
 
 impl Default for AdmissionBudget {
     fn default() -> Self {
         Self::UNBOUNDED
-    }
-}
-
-/// Per-shard admission discipline split by op class: **reads and writes
-/// draw from separate budgets**, so a write burst that fills the write
-/// queue can never cause read sheds (and vice versa). PR 3 applied one
-/// budget value to both queues; the queues were already separate, but a
-/// single knob could not express "generous reads, tight writes" — the
-/// shape a read-serving tier with a trickle of maintenance writes
-/// wants.
-///
-/// Construct with [`AdmissionControl::symmetric`] (both classes share
-/// one budget value, the PR-3 behaviour), [`AdmissionControl::depth`]
-/// (symmetric depth-only bound), or build the struct directly for
-/// asymmetric budgets. `From<AdmissionBudget>` converts symmetrically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct AdmissionControl {
-    /// Budget of each shard's query queue (overflow **sheds** with
-    /// [`Overload`]).
-    pub read: AdmissionBudget,
-    /// Budget of each shard's write queue (overflow **backpressures**
-    /// the dispatcher — see [`GatedSender::send_blocking`]).
-    pub write: AdmissionBudget,
-}
-
-impl AdmissionControl {
-    /// No limits on either class.
-    pub const UNBOUNDED: Self = Self {
-        read: AdmissionBudget::UNBOUNDED,
-        write: AdmissionBudget::UNBOUNDED,
-    };
-
-    /// One budget value for both classes (each queue still gets its own
-    /// gate — the classes never contend for budget).
-    pub fn symmetric(budget: AdmissionBudget) -> Self {
-        Self {
-            read: budget,
-            write: budget,
-        }
-    }
-
-    /// Symmetric depth-only bound.
-    pub fn depth(max_depth: usize) -> Self {
-        Self::symmetric(AdmissionBudget::depth(max_depth))
-    }
-
-    /// True when at least one limit binds on either class.
-    pub fn is_bounded(&self) -> bool {
-        self.read.is_bounded() || self.write.is_bounded()
-    }
-}
-
-impl From<AdmissionBudget> for AdmissionControl {
-    fn from(budget: AdmissionBudget) -> Self {
-        Self::symmetric(budget)
     }
 }
 
@@ -501,6 +441,10 @@ mod tests {
         assert_eq!(err.shard, 3);
         assert_eq!(err.depth, 2);
         assert_eq!(tx.depth(), 2);
+        // Queues share the budget value, not the count: another queue
+        // under the same budget admits while this one is full.
+        let (other, _other_rx) = gated::<u32>(3, AdmissionBudget::depth(2));
+        other.try_send(9, 8).unwrap();
         assert_eq!(rx.try_recv(), Ok(1)); // FIFO + budget release
         tx.try_send(4, 8).unwrap();
         assert_eq!(rx.try_recv(), Ok(2));
@@ -587,31 +531,6 @@ mod tests {
         let warm = tx.try_send(4, 8).unwrap_err();
         assert!(warm.retry_after >= Overload::MIN_RETRY_AFTER);
         assert!(warm.retry_after <= Overload::MAX_RETRY_AFTER);
-    }
-
-    #[test]
-    fn admission_control_splits_classes() {
-        let ctl = AdmissionControl {
-            read: AdmissionBudget::depth(64),
-            write: AdmissionBudget::depth(2),
-        };
-        assert!(ctl.is_bounded());
-        // Independent gates: saturating the write queue never spends
-        // read budget.
-        let (read_tx, _read_rx) = gated::<u32>(0, ctl.read);
-        let (write_tx, _write_rx) = gated::<u32>(0, ctl.write);
-        write_tx.try_send(0, 8).unwrap();
-        write_tx.try_send(1, 8).unwrap();
-        assert!(write_tx.try_send(2, 8).is_err(), "write budget binds");
-        for i in 0..64 {
-            read_tx.try_send(i, 8).unwrap();
-        }
-        assert!(read_tx.try_send(64, 8).is_err(), "read budget binds at 64");
-        // Conversions and shorthands.
-        let sym: AdmissionControl = AdmissionBudget::depth(7).into();
-        assert_eq!(sym, AdmissionControl::depth(7));
-        assert!(!AdmissionControl::UNBOUNDED.is_bounded());
-        assert_eq!(AdmissionControl::default(), AdmissionControl::UNBOUNDED);
     }
 
     // The channel contract the callers rely on: the reactor loop, the

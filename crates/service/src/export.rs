@@ -33,9 +33,7 @@ use serde::Serialize;
 /// `frames_in/out`, `frame_decode_errors`, `tickets_orphaned`) and the
 /// `net_ingress` stage on exported spans. The net counters are always
 /// present — zero for in-process-only runs.
-/// v4: the `retries` counter is gone — a session never retries; the
-/// replay harness reports its own
-/// ([`Driven::retries`](crate::loadgen::Driven::retries)).
+/// v4: the `retries` counter is gone — a session never retries.
 /// v5: the read-coalescing counter is gone — a cache miss always
 /// issues its own device read.
 pub const SCHEMA_VERSION: u64 = 5;

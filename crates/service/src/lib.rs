@@ -53,9 +53,10 @@
 //!   serves queries*, invalidating exactly the rewritten blocks in the
 //!   shard cache (per-key epochs) and publishing new occupancy-filter
 //!   bits into the live index;
-//! * [`admission`] — bounded per-shard queues with explicit load
-//!   shedding: an [`AdmissionBudget`] caps queue depth and queued
-//!   bytes; queries beyond it are rejected at dispatch with the typed
+//! * [`admission`] — bounded queues with explicit load shedding: one
+//!   [`AdmissionBudget`] per service caps the depth and queued bytes of
+//!   every replica's read queue and every shard's write queue (each
+//!   with its own gate); queries beyond it are rejected at dispatch with the typed
 //!   [`Overload`] error, writes either shed the same way
 //!   ([`session::Client::write`] — safe now that insert ids are minted
 //!   at admission) or backpressure the submitter
@@ -64,7 +65,7 @@
 //!   capacity degrades into countable rejections or bounded stalls,
 //!   not unbounded queues;
 //! * [`loadgen`] — closed-loop (fixed in-flight window) and open-loop
-//!   (Poisson or batch-shaped [`Load::Burst`] arrivals) admission,
+//!   (Poisson arrivals) [`Load`] disciplines,
 //!   Zipf-skewed query streams, seeded mixed read–write op streams
 //!   ([`loadgen::mixed_ops`]), and [`loadgen::drive`] — the one pump
 //!   that replays such a stream through a live session and hands back
@@ -124,9 +125,7 @@ pub mod topology;
 pub mod trace;
 pub mod update;
 
-pub use admission::{
-    AdmissionBudget, AdmissionControl, GateHandle, GateStats, GatedReceiver, GatedSender, Overload,
-};
+pub use admission::{AdmissionBudget, GateHandle, GateStats, GatedReceiver, GatedSender, Overload};
 pub use export::{report_json, MetricsRegistry, SCHEMA_VERSION};
 pub use loadgen::{
     drive, mixed_ops, mixed_ops_resuming, poisson_arrivals, skewed_queries, zipf_indices, Driven,

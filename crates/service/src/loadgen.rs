@@ -2,8 +2,6 @@
 //! [`drive`] — the one pump that replays a pre-generated op stream
 //! through a live [`Session`] under a [`Load`] discipline.
 
-use crate::admission::Overload;
-use crate::metrics::OpStatus;
 use crate::reactor::sleep_until;
 use crate::session::{
     insert_base, QueryResult, QueryTicket, Session, WriteOp, WriteResult, WriteTicket,
@@ -11,7 +9,6 @@ use crate::session::{
 use e2lsh_core::dataset::Dataset;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::mpsc::channel;
 
 /// How queries are admitted to the service.
@@ -23,22 +20,6 @@ pub enum Load {
     Closed {
         /// In-flight query target.
         window: usize,
-    },
-    /// Closed loop whose clients **honor the service's backoff hint**:
-    /// a query shed with [`Overload`] is retried after the error's
-    /// `retry_after` (derived from the shard queue's observed drain
-    /// rate) instead of being abandoned, up to `max_retries` attempts;
-    /// only then does [`Driven::queries`] report it shed. Latency of a
-    /// retried query is measured from its *first* dispatch, so backoff
-    /// time is visible in the percentiles. [`Driven::retries`] counts
-    /// the re-attempts. Writes never shed (they backpressure), so
-    /// retries only ever apply to queries.
-    ClosedBackoff {
-        /// In-flight query target.
-        window: usize,
-        /// Re-attempts per query after its first shed (0 degenerates to
-        /// [`Load::Closed`]).
-        max_retries: usize,
     },
     /// Open loop: queries arrive by a Poisson process at `rate_qps`,
     /// independent of completions. Latency is measured from the
@@ -52,47 +33,6 @@ pub enum Load {
         /// Arrival-stream seed.
         seed: u64,
     },
-    /// Open loop with batch-shaped arrivals: ops arrive `burst` at a
-    /// time, the bursts forming a Poisson process whose rate keeps the
-    /// long-run op rate at `rate_qps` (burst rate = `rate_qps / burst`).
-    /// Models clients that ship a vector of queries per request — the
-    /// arrival shape
-    /// [`Session::query_batch`](crate::session::Session::query_batch)
-    /// serves, and a harsher admission test
-    /// than [`Load::Open`]: a whole burst hits the queues at one
-    /// instant.
-    Burst {
-        /// Mean *op* arrival rate in ops/second.
-        rate_qps: f64,
-        /// Ops per burst (≥ 1; 1 degenerates to [`Load::Open`]).
-        burst: usize,
-        /// Arrival-stream seed.
-        seed: u64,
-    },
-}
-
-impl Load {
-    /// Scheduled arrival offsets (seconds from the service epoch) for
-    /// `n` ops. Only meaningful for the open-loop disciplines; the
-    /// closed loop has no schedule (dispatch is completion-driven).
-    pub(crate) fn arrival_schedule(&self, n: usize) -> Vec<f64> {
-        match *self {
-            Load::Closed { .. } | Load::ClosedBackoff { .. } => {
-                unreachable!("closed loop has no arrival schedule")
-            }
-            Load::Open { rate_qps, seed } => poisson_arrivals(n, rate_qps, seed),
-            Load::Burst {
-                rate_qps,
-                burst,
-                seed,
-            } => {
-                let burst = burst.max(1);
-                let num_bursts = n.div_ceil(burst);
-                let burst_times = poisson_arrivals(num_bursts, rate_qps / burst as f64, seed);
-                (0..n).map(|i| burst_times[i / burst]).collect()
-            }
-        }
-    }
 }
 
 /// One operation of a mixed read–write workload.
@@ -210,54 +150,11 @@ pub fn mixed_ops_resuming(
 /// carries only counters and histograms).
 #[derive(Clone, Debug)]
 pub struct Driven {
-    /// Outcome of query `i` of the query set — of its **last** attempt
-    /// under [`Load::ClosedBackoff`], so a query is [`OpStatus::Shed`]
-    /// here only after exhausting its retries.
+    /// Outcome of query `i` of the query set.
     pub queries: Vec<QueryResult>,
     /// Write outcomes in stream order. Writes go through the blocking
     /// submission path, so none is shed for capacity.
     pub writes: Vec<WriteResult>,
-    /// Re-dispatch attempts made under [`Load::ClosedBackoff`]; 0 under
-    /// every other discipline.
-    pub retries: usize,
-}
-
-/// A query waiting out its
-/// [`Overload::retry_after`](crate::admission::Overload::retry_after)
-/// backoff under [`Load::ClosedBackoff`]. Min-heap by due time.
-struct Retry {
-    at: f64,
-    op_idx: usize,
-}
-
-impl PartialEq for Retry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.op_idx == other.op_idx
-    }
-}
-impl Eq for Retry {}
-impl PartialOrd for Retry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Retry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        other
-            .at
-            .total_cmp(&self.at)
-            .then(other.op_idx.cmp(&self.op_idx))
-    }
-}
-
-/// Tickets of the ops submitted so far, and the ticket id → op index
-/// map completion notifications are resolved through (retries mint
-/// fresh ticket ids).
-struct Tickets {
-    queries: Vec<Option<QueryTicket>>,
-    writes: Vec<WriteTicket>,
-    op_of: HashMap<u64, usize>,
 }
 
 /// Replay a mixed read–write op stream through `session` under the
@@ -352,125 +249,65 @@ pub fn drive(
     }
 
     let client = session.client();
-    let total = ops.len();
-    let mut tickets = Tickets {
-        queries: (0..queries.len()).map(|_| None).collect(),
-        writes: Vec::new(),
-        op_of: HashMap::new(),
-    };
-    let mut retries = 0usize;
-    // Completion notifications multiplex the in-flight window.
+    let mut query_tickets: Vec<Option<QueryTicket>> = (0..queries.len()).map(|_| None).collect();
+    let mut write_tickets: Vec<WriteTicket> = Vec::new();
+    // Completion notifications pace the closed loop's window.
     let (ntx, nrx) = channel::<u64>();
-    let submit = |op_idx: usize, ref_time: f64, tickets: &mut Tickets| {
-        let write = match ops[op_idx] {
+    let mut submit = |op: Op, ref_time: f64| {
+        let write = match op {
             Op::Query(qi) => {
-                let t =
-                    client.submit_query(queries.point(qi), Some(ref_time), Some(ntx.clone()), None);
-                tickets.op_of.insert(t.id(), op_idx);
-                tickets.queries[qi] = Some(t);
+                query_tickets[qi] = Some(client.submit_query(
+                    queries.point(qi),
+                    Some(ref_time),
+                    Some(ntx.clone()),
+                    None,
+                ));
                 return;
             }
             Op::Insert(j) => WriteOp::Insert(inserts.point(j)),
             Op::Delete(g) => WriteOp::Delete(g),
         };
-        let t = client.submit_write(write, Some(ref_time), true, Some(ntx.clone()), None);
-        tickets.op_of.insert(t.id(), op_idx);
-        tickets.writes.push(t);
+        write_tickets.push(client.submit_write(
+            write,
+            Some(ref_time),
+            true,
+            Some(ntx.clone()),
+            None,
+        ));
     };
 
-    let closed_loop = match load {
-        Load::Closed { window } => Some((window, 0)),
-        Load::ClosedBackoff {
-            window,
-            max_retries,
-        } => Some((window, max_retries)),
-        Load::Open { .. } | Load::Burst { .. } => None,
-    };
-    match closed_loop {
-        Some((window, max_retries)) => {
-            let window = window.max(1).min(total);
-            let mut ref_time = vec![0.0f64; total];
-            let mut attempts_left = vec![max_retries; total];
-            let mut pending: BinaryHeap<Retry> = BinaryHeap::new();
-            let mut next = 0usize;
-            let mut inflight = 0usize;
-            let mut done = 0usize;
-            while done < total {
-                // Fill the window: due retries first, then fresh ops.
-                while inflight < window {
-                    let now = session.now();
-                    if pending.peek().is_some_and(|r| r.at <= now) {
-                        let r = pending.pop().unwrap();
-                        retries += 1;
-                        submit(r.op_idx, ref_time[r.op_idx], &mut tickets);
-                    } else if next < total {
-                        ref_time[next] = now;
-                        submit(next, now, &mut tickets);
-                        next += 1;
-                    } else {
-                        break;
-                    }
-                    inflight += 1;
+    match load {
+        Load::Closed { window } => {
+            // Keep `window` ops in flight: past the first window, each
+            // dispatch waits for one completion.
+            let window = window.max(1);
+            for (i, &op) in ops.iter().enumerate() {
+                if i >= window {
+                    nrx.recv().expect("session alive");
                 }
-                // Wait for a completion — or only until the next retry
-                // is due, if one could be dispatched then.
-                let tid = match pending.peek() {
-                    Some(r) if inflight < window => {
-                        let wait = (r.at - session.now()).max(0.0);
-                        match nrx.recv_timeout(std::time::Duration::from_secs_f64(wait)) {
-                            Ok(tid) => tid,
-                            Err(_) => continue,
-                        }
-                    }
-                    _ => nrx.recv().expect("session alive"),
-                };
-                inflight -= 1;
-                let op_idx = tickets.op_of[&tid];
-                // Writes go through the blocking path: their ticket
-                // resolution is always terminal.
-                if let Op::Query(qi) = ops[op_idx] {
-                    let res = tickets.queries[qi]
-                        .as_ref()
-                        .and_then(QueryTicket::poll)
-                        .expect("notified ticket is resolved");
-                    if res.status == OpStatus::Shed && attempts_left[op_idx] > 0 {
-                        // Honor the retry_after hint; latency stays
-                        // measured from the first attempt.
-                        attempts_left[op_idx] -= 1;
-                        let after = res
-                            .overload
-                            .map_or(Overload::MIN_RETRY_AFTER, |o| o.retry_after);
-                        pending.push(Retry {
-                            at: session.now() + after,
-                            op_idx,
-                        });
-                        continue;
-                    }
-                }
-                done += 1;
+                submit(op, session.now());
             }
         }
-        None => {
+        Load::Open { rate_qps, seed } => {
             // Open loop: arrivals never wait for completions. Queries
             // submit non-blocking (a shed resolves the ticket
             // immediately); a full write queue backpressures the
             // arrival thread — the stall is visible in write latency,
             // which is measured from the scheduled arrival.
             let epoch = session.epoch();
-            for (op_idx, &at) in load.arrival_schedule(total).iter().enumerate() {
+            let arrivals = poisson_arrivals(ops.len(), rate_qps, seed);
+            for (&op, &at) in ops.iter().zip(&arrivals) {
                 sleep_until(epoch, at);
-                submit(op_idx, at, &mut tickets);
+                submit(op, at);
             }
         }
     }
     Driven {
-        queries: tickets
-            .queries
+        queries: query_tickets
             .into_iter()
             .map(|t| t.expect("every query submitted").wait())
             .collect(),
-        writes: tickets.writes.into_iter().map(WriteTicket::wait).collect(),
-        retries,
+        writes: write_tickets.into_iter().map(WriteTicket::wait).collect(),
     }
 }
 
@@ -580,35 +417,6 @@ mod tests {
         let r = mixed_ops(50, 0.0, 0.5, 10, 10, 1);
         assert_eq!(r.ops.len(), 50);
         assert_eq!(r.num_inserts + r.num_deletes, 0);
-    }
-
-    #[test]
-    fn burst_arrivals_are_batch_shaped() {
-        let load = Load::Burst {
-            rate_qps: 1000.0,
-            burst: 8,
-            seed: 3,
-        };
-        let arr = load.arrival_schedule(50);
-        assert_eq!(arr.len(), 50);
-        assert!(arr.windows(2).all(|w| w[1] >= w[0]), "ascending");
-        // Ops within a burst share one instant; 50 ops = 7 bursts.
-        for chunk in arr.chunks(8) {
-            assert!(chunk.iter().all(|&t| t == chunk[0]), "burst not atomic");
-        }
-        let distinct: std::collections::HashSet<u64> = arr.iter().map(|t| t.to_bits()).collect();
-        assert_eq!(distinct.len(), 50usize.div_ceil(8));
-        // Long-run op rate stays near rate_qps.
-        let arr = load.arrival_schedule(20_000);
-        let rate = arr.len() as f64 / arr.last().unwrap();
-        assert!((rate - 1000.0).abs() / 1000.0 < 0.1, "rate {rate}");
-        // burst = 1 degenerates to plain Poisson.
-        let one = Load::Burst {
-            rate_qps: 500.0,
-            burst: 1,
-            seed: 9,
-        };
-        assert_eq!(one.arrival_schedule(100), poisson_arrivals(100, 500.0, 9));
     }
 
     #[test]

@@ -376,7 +376,9 @@ impl Router {
     /// fenced mid-wait is abandoned instead of spun on forever (its
     /// frozen queue would never drain). Probes use the non-shed-
     /// counting reserve: a full sibling is backpressure here, not an
-    /// outcome.
+    /// outcome. The job is charged the point's bytes, as fan-out
+    /// charged it, so the sibling's queue keeps its byte bound; the
+    /// query fit that budget once, so it fits an idle sibling too.
     pub fn redispatch(
         &self,
         qid: u64,
@@ -385,8 +387,9 @@ impl Router {
         shard: usize,
         dead: usize,
     ) -> Option<usize> {
+        let cost = point.len() * std::mem::size_of::<f32>();
         loop {
-            match self.reserve_guarded(shard, Some(dead), |tx| tx.reserve_uncounted(0)) {
+            match self.reserve_guarded(shard, Some(dead), |tx| tx.reserve_uncounted(cost)) {
                 Ok(r) => {
                     // Swap the route to the sibling (single writer here:
                     // fan-out finished with this ticket's row before the
@@ -400,7 +403,7 @@ impl Router {
                         },
                         shard,
                         r,
-                        0,
+                        cost,
                     );
                     self.stats.failovers.fetch_add(1, Ordering::Relaxed);
                     return Some(r);
@@ -438,6 +441,63 @@ mod tests {
             (0..16u64).map(|i| splitmix64(i) % 2).collect();
         assert_eq!(parities.len(), 2);
         assert_ne!(splitmix64(1), splitmix64(2));
+    }
+
+    #[test]
+    fn failover_redispatch_is_charged_the_point_bytes() {
+        use crate::admission::{gated, AdmissionBudget};
+        use crate::shard::{ShardBuildConfig, ShardSet};
+        use e2lsh_core::dataset::Dataset;
+        use e2lsh_core::params::E2lshParams;
+
+        let mut data = Dataset::with_capacity(4, 32);
+        for i in 0..32 {
+            data.push(&[i as f32, 0.0, 1.0, -1.0]);
+        }
+        let shards = ShardSet::build(
+            &data,
+            &ShardBuildConfig {
+                num_shards: 1,
+                seed: 5,
+                dir: e2lsh_storage::testutil::temp_path("router-failover-bytes"),
+                ..Default::default()
+            },
+            |local| E2lshParams::derive(local.len(), 2.0, 4.0, 1.0, local.max_abs_coord(), 4),
+        )
+        .expect("shard build");
+        let topo = Arc::new(Topology::new(shards, 2));
+        // Room for exactly one point's bytes per replica queue.
+        let point_bytes = 4 * std::mem::size_of::<f32>();
+        let budget = AdmissionBudget {
+            max_depth: usize::MAX,
+            max_bytes: point_bytes,
+        };
+        let (tx0, _rx0) = gated::<Job>(0, budget);
+        let (tx1, rx1) = gated::<Job>(0, budget);
+        let sibling = tx1.clone();
+        let router = Router::new(
+            Arc::clone(&topo),
+            vec![vec![tx0, tx1]],
+            Arc::new(lane_states(1, 2)),
+            7,
+            Arc::new(RouterStats::default()),
+            Instant::now(),
+        );
+        topo.fence(0, 0);
+        let row = route_row(1);
+        set_route(&row, 0, 0);
+        let point: Arc<[f32]> = Arc::from(&[1.0f32, 0.0, 1.0, -1.0][..]);
+        assert_eq!(router.redispatch(9, &point, &row, 0, 0), Some(1));
+        assert_eq!(routed_replica(&row, 0), 1);
+        assert!(
+            sibling.reserve(point_bytes).is_err(),
+            "the re-dispatched job must hold the sibling's byte budget"
+        );
+        assert_eq!(rx1.try_recv().map(|job| job.qid), Ok(9));
+        sibling.reserve(point_bytes).unwrap();
+        sibling.unreserve(point_bytes);
+        drop(router);
+        topo.shards().cleanup();
     }
 
     #[test]

@@ -25,16 +25,16 @@
 //! — power-of-two-choices over live admission-queue depth. Inserts and
 //! deletes route to the owning shard's
 //! single writer thread (see [`crate::update`] and the id-minting
-//! contract in [`crate::session`]). Every per-replica queue is bounded
-//! by the service's [`AdmissionControl`] — reads and writes draw from
-//! separate budgets, and offered load beyond capacity degrades into
+//! contract in [`crate::session`]). Every read and write queue is
+//! bounded by the service's one [`AdmissionBudget`] (each queue with
+//! its own gate), so offered load beyond capacity degrades into
 //! explicit rejections or bounded stalls rather than unbounded queues
 //! and meaningless percentiles.
 //!
 //! [`Session::metrics`]: crate::session::Session::metrics
 //! [`Session::shutdown`]: crate::session::Session::shutdown
 
-use crate::admission::AdmissionControl;
+use crate::admission::AdmissionBudget;
 use crate::metrics::{imbalance, LatencyHistogram, LatencySummary};
 use crate::net::NetCounters;
 use crate::router::MAX_REPLICAS;
@@ -96,16 +96,17 @@ pub struct ServiceConfig {
     pub s_override: Option<usize>,
     /// Device each replica's reactor drives.
     pub device: DeviceSpec,
-    /// Per-replica admission budgets, split by op class: queries beyond
-    /// the read budget are shed with
-    /// [`Overload`](crate::admission::Overload); writes beyond the
-    /// write budget are shed by [`Client::write`] or backpressure
+    /// The admission budget of every queue: each replica's read queue
+    /// and each shard's write queue gets its own gate under this one
+    /// value. Queries beyond it are shed with
+    /// [`Overload`](crate::admission::Overload); writes beyond it are
+    /// shed by [`Client::write`] or backpressure
     /// [`Client::write_blocking`]. Default
-    /// [`AdmissionControl::UNBOUNDED`] (nothing shed).
+    /// [`AdmissionBudget::UNBOUNDED`] (nothing shed).
     ///
     /// [`Client::write`]: crate::session::Client::write
     /// [`Client::write_blocking`]: crate::session::Client::write_blocking
-    pub admission: AdmissionControl,
+    pub admission: AdmissionBudget,
     /// Fraction of requests (queries and writes) whose full
     /// [`TraceSpan`] is published to the session's bounded trace ring
     /// ([`Session::traces`](crate::session::Session::traces)).
@@ -141,7 +142,7 @@ impl Default for ServiceConfig {
             k: 1,
             s_override: None,
             device: DeviceSpec::File { io_workers: 4 },
-            admission: AdmissionControl::UNBOUNDED,
+            admission: AdmissionBudget::UNBOUNDED,
             trace_sample: 0.0,
             slow_query_threshold: f64::INFINITY,
             maintenance_blocks_per_tick: 0,
@@ -185,9 +186,8 @@ e2lsh_storage::counter_family! {
         completed_queries: usize = "completed_queries",
         /// Query submissions rejected at admission with
         /// [`Overload`](crate::admission::Overload). Counted per
-        /// *submission*: a client that retries a shed query (as
-        /// [`Load::ClosedBackoff`](crate::loadgen::Load::ClosedBackoff)
-        /// does) books one shed per rejected attempt.
+        /// *submission*: a client that retries a shed query books one
+        /// shed per rejected attempt.
         shed_queries: usize = "shed_queries",
         /// Writes applied by the shard writers (excludes failed and
         /// shed writes).
@@ -218,8 +218,8 @@ e2lsh_storage::counter_family! {
     peaks {
         /// High-water per-replica queue depth (max across all replicas'
         /// read queues and the shards' write queues); never exceeds the
-        /// configured read/write
-        /// [`AdmissionBudget`](crate::admission::AdmissionBudget) depths
+        /// configured
+        /// [`AdmissionBudget::max_depth`](crate::admission::AdmissionBudget::max_depth)
         /// except for the one-op overrun of a blocking write that could
         /// never fit the budget at all (admitted alone into an empty
         /// queue rather than hanging the submitter — see

@@ -68,8 +68,9 @@
 //! ## Concurrency contract
 //!
 //! Any number of clients (and clones) may submit concurrently; the
-//! shared read/write admission budgets apply per replica. The one
-//! fairness cap is per **tenant**, on the net tier
+//! service's one admission budget gates every replica's read queue and
+//! every shard's write queue alike. The one fairness cap is per
+//! **tenant**, on the net tier
 //! ([`NetServerConfig::per_tenant_inflight`]): it caps one tenant's
 //! outstanding queries across all its connections, and its sheds carry
 //! [`CLIENT_THROTTLE_SHARD`] as the `Overload::shard`. At most one
@@ -548,8 +549,7 @@ impl Client {
     /// since [`Session::epoch`] the op is *considered* to have arrived.
     /// Load generators replaying an arrival schedule use this so
     /// latency covers queueing delay from the scheduled arrival
-    /// (coordinated omission) and retries are measured from the first
-    /// attempt.
+    /// (coordinated omission).
     pub fn query_at(&self, point: &[f32], ref_time: f64) -> QueryTicket {
         self.submit_query(point, Some(ref_time), None, None)
     }
@@ -826,7 +826,7 @@ impl Session {
         let mut lane_rxs: Vec<Vec<GatedReceiver<Job>>> = Vec::with_capacity(num_shards);
         for s in 0..num_shards {
             let (txs, rxs): (Vec<_>, Vec<_>) = (0..replicas)
-                .map(|_| gated::<Job>(s, config.admission.read))
+                .map(|_| gated::<Job>(s, config.admission))
                 .unzip();
             lane_txs.push(txs);
             lane_rxs.push(rxs);
@@ -846,7 +846,7 @@ impl Session {
         ));
 
         let write_channels: Vec<(GatedSender<WriteJob>, GatedReceiver<WriteJob>)> = (0..num_shards)
-            .map(|s| gated(s, config.admission.write))
+            .map(|s| gated(s, config.admission))
             .collect();
         let write_gates: Vec<GateHandle> = write_channels
             .iter()
@@ -949,7 +949,7 @@ impl Session {
     }
 
     /// Mint a new, uncapped client handle. Submissions are bounded by
-    /// the shared admission budgets only.
+    /// the service's admission budget only.
     pub fn client(&self) -> Client {
         Client {
             shared: Arc::clone(&self.shared),

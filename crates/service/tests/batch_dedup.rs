@@ -327,7 +327,7 @@ fn bounded_batch_sheds_per_query_with_shared_fate() {
             },
             // The whole batch lands at one instant: a small depth bound
             // must shed the tail of the unique set.
-            admission: AdmissionBudget::depth(4).into(),
+            admission: AdmissionBudget::depth(4),
             ..Default::default()
         },
     );

@@ -41,7 +41,7 @@ use e2lsh_service::net::frame::{
     ReadFrame, Request, Response, HEADER_LEN, MAX_FRAME, PROTOCOL_VERSION,
 };
 use e2lsh_service::{
-    AdmissionControl, DeviceSpec, NetClient, NetServer, NetServerConfig, OpStatus, ServiceConfig,
+    AdmissionBudget, DeviceSpec, NetClient, NetServer, NetServerConfig, OpStatus, ServiceConfig,
     ShardBuildConfig, ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
@@ -109,7 +109,7 @@ fn build_service(
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
-        admission: AdmissionControl::UNBOUNDED,
+        admission: AdmissionBudget::UNBOUNDED,
         ..Default::default()
     };
     mutate(&mut config);

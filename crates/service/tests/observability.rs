@@ -27,7 +27,7 @@
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    percentile, AdmissionControl, DeviceSpec, LatencyHistogram, NetClient, NetCounters, NetServer,
+    percentile, AdmissionBudget, DeviceSpec, LatencyHistogram, NetClient, NetCounters, NetServer,
     NetServerConfig, OpStatus, ServiceConfig, ServiceReport, ShardBuildConfig, ShardSet,
     ShardedService, SpanKind, WriteOp,
 };
@@ -90,7 +90,7 @@ fn build_service(
             profile: DeviceProfile::ESSD,
             num_devices: 1,
         },
-        admission: AdmissionControl::UNBOUNDED,
+        admission: AdmissionBudget::UNBOUNDED,
         ..Default::default()
     };
     mutate(&mut config);

@@ -99,7 +99,7 @@ fn build_service_on(
             },
             // Generous, but finite: a failover-induced shed storm would
             // show up as shed_queries > 0.
-            admission: AdmissionBudget::depth(512).into(),
+            admission: AdmissionBudget::depth(512),
             ..Default::default()
         },
     )

@@ -29,8 +29,8 @@ use common::{run_mixed, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    skewed_queries, AdmissionBudget, AdmissionControl, DeviceSpec, Load, OpStatus, ServiceConfig,
-    ShardBuildConfig, ShardSet, ShardedService,
+    skewed_queries, AdmissionBudget, DeviceSpec, Load, OpStatus, ServiceConfig, ShardBuildConfig,
+    ShardSet, ShardedService,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use rand::{Rng, SeedableRng};
@@ -66,7 +66,7 @@ fn clustered(n: usize, rng: &mut ChaCha8Rng) -> Dataset {
     ds
 }
 
-fn build_service(data: &Dataset, budget: impl Into<AdmissionControl>, seed: u64) -> ShardedService {
+fn build_service(data: &Dataset, budget: AdmissionBudget, seed: u64) -> ShardedService {
     let shards = ShardSet::build(
         data,
         &ShardBuildConfig {
@@ -98,7 +98,7 @@ fn build_service(data: &Dataset, budget: impl Into<AdmissionControl>, seed: u64)
                 profile: DeviceProfile::CSSD,
                 num_devices: 1,
             },
-            admission: budget.into(),
+            admission: budget,
             ..Default::default()
         },
     )
@@ -221,7 +221,8 @@ fn writes_backpressure_instead_of_shedding() {
     let data = clustered(600, &mut rng);
     let pool = clustered(200, &mut rng);
     let queries = clustered(60, &mut rng);
-    // Tiny budget: depth 2 — write bursts must stall, not shed.
+    // Tiny budget: depth 2 — writes arriving faster than the writers
+    // apply them must stall, not shed.
     let svc = build_service(&data, AdmissionBudget::depth(2), seed ^ 0x33);
     let w = e2lsh_service::mixed_ops(queries.len(), 0.4, 0.3, 600, pool.len(), seed ^ 4);
     assert!(w.num_inserts > 0 && w.num_deletes > 0);
@@ -230,9 +231,8 @@ fn writes_backpressure_instead_of_shedding() {
         &queries,
         &pool,
         &w.ops,
-        Load::Burst {
+        Load::Open {
             rate_qps: 50_000.0,
-            burst: 12,
             seed: seed ^ 5,
         },
     );
@@ -252,7 +252,7 @@ fn writes_backpressure_instead_of_shedding() {
 /// The byte budget sheds too: a tiny `max_bytes` with an ample depth
 /// bound must reject ops once the queued coordinate payload exceeds it.
 #[test]
-fn byte_budget_sheds_under_burst_arrivals() {
+fn byte_budget_sheds_under_open_overload() {
     let seed = seed();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB17E);
     let data = clustered(500, &mut rng);
@@ -267,14 +267,13 @@ fn byte_budget_sheds_under_burst_arrivals() {
         seed ^ 0xB17E,
     );
     let queries = skewed_queries(&base_queries, 160, 1.1, seed ^ 2);
-    // Burst arrivals: whole batches hit the queues at one instant, so
-    // the 4-point byte budget must shed parts of most bursts.
+    // 100k queries/s is far past capacity, so the 4-point byte budget
+    // must shed part of the stream.
     let (_, rep) = run_reads(
         &svc,
         &queries,
-        Load::Burst {
+        Load::Open {
             rate_qps: 100_000.0,
-            burst: 16,
             seed: seed ^ 3,
         },
     );
@@ -288,104 +287,5 @@ fn byte_budget_sheds_under_burst_arrivals() {
         queries.len(),
         "terminal accounting"
     );
-    svc.shards().cleanup();
-}
-
-/// Per-class budgets: a write burst that saturates a *tiny* write
-/// budget backpressures writes only — the generous read budget is
-/// untouched and not a single query sheds. Before the read/write
-/// split, one budget value governed both queues; a write-heavy stream
-/// against a budget sized for writes would have shed reads that the
-/// service had ample capacity for.
-#[test]
-fn write_burst_cannot_shed_reads() {
-    let seed = seed();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xC1A5);
-    let data = clustered(600, &mut rng);
-    let pool = clustered(240, &mut rng);
-    let queries = clustered(80, &mut rng);
-    let svc = build_service(
-        &data,
-        AdmissionControl {
-            read: AdmissionBudget::depth(256),
-            write: AdmissionBudget::depth(2),
-        },
-        seed ^ 0xC1A5,
-    );
-    // Write-heavy stream under burst arrivals: the depth-2 write queues
-    // stall the dispatcher constantly.
-    let w = e2lsh_service::mixed_ops(queries.len(), 0.6, 0.3, 600, pool.len(), seed ^ 6);
-    assert!(w.num_inserts + w.num_deletes > queries.len());
-    let (driven, rep) = run_mixed(
-        &svc,
-        &queries,
-        &pool,
-        &w.ops,
-        Load::Burst {
-            rate_qps: 50_000.0,
-            burst: 16,
-            seed: seed ^ 7,
-        },
-    );
-    assert_eq!(
-        rep.shed_queries, 0,
-        "write burst shed reads across class budgets (seed {seed})"
-    );
-    assert_eq!(rep.shed_writes, 0);
-    assert_eq!(rep.writes_failed, 0);
-    assert_eq!(
-        driven.writes.iter().filter(|w| w.applied).count(),
-        w.num_inserts + w.num_deletes
-    );
-    assert_eq!(rep.latency().count, queries.len(), "every read completed");
-    svc.shards().cleanup();
-}
-
-/// `Load::ClosedBackoff` honors the `retry_after` hint: a closed-loop
-/// window far above the queue bound sheds under plain `Closed`, but
-/// backoff-honoring clients retry after the hinted delay and every
-/// query eventually completes — sheds turn into (counted) retries.
-#[test]
-fn closed_backoff_retries_instead_of_shedding() {
-    let seed = seed();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xB0FF);
-    let data = clustered(600, &mut rng);
-    let base_queries = clustered(48, &mut rng);
-    let queries = skewed_queries(&base_queries, 200, 1.1, seed ^ 8);
-    // Queue bound 4, window 96: the dispatch burst must overflow the
-    // queues long before the reactors drain them.
-    let svc = build_service(&data, AdmissionBudget::depth(4), seed ^ 0xB0FF);
-
-    let (plain_driven, plain) = run_reads(&svc, &queries, Load::Closed { window: 96 });
-    assert!(
-        plain.shed_queries > 0,
-        "window 96 over bound 4 must shed without backoff (seed {seed})"
-    );
-    assert_eq!(plain_driven.retries, 0);
-
-    let (driven, backoff) = run_reads(
-        &svc,
-        &queries,
-        Load::ClosedBackoff {
-            window: 96,
-            max_retries: 200,
-        },
-    );
-    // A query's last attempt decides its fate; the session books every
-    // rejected *attempt* in `shed_queries`, one per retry.
-    assert!(
-        driven.queries.iter().all(|r| r.status == OpStatus::Ok),
-        "backoff-honoring clients still shed (seed {seed})"
-    );
-    assert!(
-        driven.retries > 0,
-        "no retries despite guaranteed overflow (seed {seed})"
-    );
-    assert_eq!(backoff.shed_queries, driven.retries);
-    assert_eq!(backoff.latency().count, queries.len());
-    assert!(backoff.peak_queue_depth <= 4);
-    // Backoff wait is part of the client-visible latency (measured from
-    // the first dispatch attempt).
-    assert!(backoff.latency().max >= 0.0);
     svc.shards().cleanup();
 }

@@ -27,8 +27,8 @@ use e2lsh_core::dataset::Dataset;
 use e2lsh_core::distance::dist2;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    mixed_ops, AdmissionBudget, AdmissionControl, DeviceSpec, LatencyHistogram, Load, Op, OpStatus,
-    ServiceConfig, ShardBuildConfig, ShardSet, ShardedService, WriteOp, CLIENT_THROTTLE_SHARD,
+    mixed_ops, AdmissionBudget, DeviceSpec, LatencyHistogram, Load, Op, OpStatus, ServiceConfig,
+    ShardBuildConfig, ShardSet, ShardedService, WriteOp, CLIENT_THROTTLE_SHARD,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,7 @@ fn build_service(
     data: &Dataset,
     tag: &str,
     build_seed: u64,
-    admission: AdmissionControl,
+    admission: AdmissionBudget,
     mutate: impl FnOnce(&mut ServiceConfig),
 ) -> ShardedService {
     let shards = ShardSet::build(
@@ -120,7 +120,7 @@ fn multi_client_session_with_oracle_check() {
         &data,
         "multi",
         seed ^ 0x5E55,
-        AdmissionBudget::depth(64).into(),
+        AdmissionBudget::depth(64),
         |_| {},
     );
     let session = svc.start();
@@ -282,16 +282,15 @@ fn report_histograms_and_counters_match_the_tickets() {
     let queries = clustered(60, &mut rng);
     let w = mixed_ops(queries.len(), 0.35, 0.4, data.len(), pool.len(), seed ^ 9);
     assert!(w.num_inserts > 0 && w.num_deletes > 0);
-    // 4 slots + 2 queued per replica against a window of 24: some
-    // queries must shed, so the shed counter is exercised too.
+    // One depth-2 budget for every queue: with 4 slots + 2 queued per
+    // replica against a window of 24 some queries must shed, so the
+    // shed counter is exercised too, while the same bound only
+    // backpressures the blocking writes.
     let svc = build_service(
         &data,
         "agree",
         seed ^ 0x313ED,
-        AdmissionControl {
-            read: AdmissionBudget::depth(2),
-            write: AdmissionBudget::UNBOUNDED,
-        },
+        AdmissionBudget::depth(2),
         |c| c.inflight_per_replica = 4,
     );
     let (driven, report) = run_mixed(&svc, &queries, &pool, &w.ops, Load::Closed { window: 24 });
@@ -319,7 +318,12 @@ fn report_histograms_and_counters_match_the_tickets() {
     assert_eq!(report.completed_queries, reads.count() as usize);
     assert_eq!(report.shed_queries, shed);
     assert_eq!(report.writes_applied, writes.count() as usize);
-    assert_eq!(driven.retries, 0);
+    assert_eq!(report.shed_writes, 0, "blocking writes never shed");
+    assert!(
+        report.peak_queue_depth <= 2,
+        "peak depth {} over the bound (seed {seed})",
+        report.peak_queue_depth
+    );
     // Writes resolve in stream order with the stream-positional ids the
     // op generator assumed: the j-th insert is global id n0 + j.
     let stream_ids: Vec<Option<u32>> = w
@@ -339,7 +343,7 @@ fn report_histograms_and_counters_match_the_tickets() {
 }
 
 /// 3a. Relaxed write shedding: non-blocking writes may shed under a
-/// tiny write budget; shed inserts consume no id (the mint stays
+/// tiny budget; shed inserts consume no id (the mint stays
 /// gap-free), and a delete of a never-assigned id fails cleanly.
 #[test]
 fn shed_writes_leave_no_id_gaps() {
@@ -351,10 +355,7 @@ fn shed_writes_leave_no_id_gaps() {
         &data,
         "wshed",
         seed ^ 0x1D5,
-        AdmissionControl {
-            read: AdmissionBudget::UNBOUNDED,
-            write: AdmissionBudget::depth(1),
-        },
+        AdmissionBudget::depth(1),
         |_| {},
     );
     let session = svc.start();
@@ -425,7 +426,7 @@ fn metrics_snapshots_and_closed_session() {
         &data,
         "metrics",
         seed ^ 0x3E7,
-        AdmissionControl::UNBOUNDED,
+        AdmissionBudget::UNBOUNDED,
         |_| {},
     );
     let session = svc.start();
@@ -503,7 +504,7 @@ fn unfence_mid_session_routes_around_dead_lane() {
         &data,
         "unfence",
         seed ^ 0xDEAD,
-        AdmissionControl::UNBOUNDED,
+        AdmissionBudget::UNBOUNDED,
         |c| c.replicas_per_shard = 2,
     );
     let session = svc.start();
@@ -557,7 +558,7 @@ fn rapid_fence_unfence_never_strands_tickets() {
         &data,
         "fencerace",
         seed ^ 0xF1F,
-        AdmissionControl::UNBOUNDED,
+        AdmissionBudget::UNBOUNDED,
         |c| c.replicas_per_shard = 2,
     );
     let session = svc.start();

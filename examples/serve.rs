@@ -4,17 +4,18 @@
 //! workloads through fresh sessions with `loadgen::drive`: closed-loop
 //! and open-loop (Poisson) admission, the open loop pushed past
 //! capacity to watch bounded admission shed load, a duplicate-heavy
-//! batch through `Session::query_batch`,
-//! backoff-honoring clients retrying on the `Overload::retry_after`
-//! hint, each shard backed by 3 replicas with one killed mid-run, the
+//! batch through `Session::query_batch`, the `Overload::retry_after`
+//! hint a shed ticket carries, each shard backed by 3 replicas with one
+//! killed mid-run, the
 //! router failing its queries over to a sibling, and finally the
 //! network tier: a loopback `NetServer` driven by a pipelining
 //! `NetClient` — connect, ping, 24 in-flight queries collected out of
 //! order by correlation id, a metrics frame, and a clean disconnect.
 //!
 //! **Overload error contract:** with a finite
-//! [`AdmissionBudget`](e2lshos::service::AdmissionBudget), any *query*
-//! that would overflow a shard's queue-depth or queued-bytes budget is
+//! [`AdmissionBudget`](e2lshos::service::AdmissionBudget) — one value
+//! for every read and write queue of the service — any *query* that
+//! would overflow a replica queue's depth or queued-bytes bound is
 //! rejected at admission with the typed `Overload` error. The service
 //! surfaces this per request: the op's status is `OpStatus::Shed`, its
 //! results are empty, its latency is excluded from the accepted-request
@@ -270,11 +271,11 @@ fn main() {
                 profile: DeviceProfile::ESSD,
                 num_devices: 1,
             },
-            admission: AdmissionBudget::depth(32).into(),
+            admission: AdmissionBudget::depth(32),
             ..Default::default()
         },
     );
-    let (_, overload) = replay(
+    let (shed_tickets, overload) = replay(
         &bounded,
         &queries,
         Load::Open {
@@ -294,28 +295,11 @@ fn main() {
         lat.p99 * 1e3
     );
 
-    // Backoff-honoring clients: every Overload carries a retry_after
-    // hint derived from the queue's drain rate. Load::ClosedBackoff
-    // retries shed queries after the hinted delay — overload turns into
-    // counted retries instead of lost requests.
-    let (polite, polite_rep) = replay(
-        &bounded,
-        &queries,
-        Load::ClosedBackoff {
-            window: 96,
-            max_retries: 100,
-        },
-    );
-    println!(
-        "backoff clients: {} retries, {} shed for good, goodput {:.0} QPS",
-        polite.retries,
-        polite
-            .queries
-            .iter()
-            .filter(|r| r.status == OpStatus::Shed)
-            .count(),
-        polite_rep.goodput()
-    );
+    // Every shed ticket carries a retry_after hint derived from its
+    // queue's observed drain rate: how long a polite client waits.
+    if let Some(o) = shed_tickets.queries.iter().find_map(|r| r.overload) {
+        println!("first shed ticket: {o}");
+    }
     bounded.shards().cleanup();
 
     // Replica groups: back each shard with 3 replicas (shared index,

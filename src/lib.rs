@@ -20,12 +20,12 @@
 //!   caches over shared per-shard indexes (replica-aware cache warming
 //!   on replica start/unfence), load-aware replica routing
 //!   (power-of-two-choices) with fencing and failover, top-k merging,
-//!   open/closed-loop load generation (including backoff-honoring
-//!   closed-loop clients), latency percentiles, the online write path
-//!   (mixed read–write serving with per-key cache invalidation epochs,
-//!   session-minted insert ids), per-class bounded admission queues
-//!   with typed `Overload` shedding and `retry_after` hints, and a
-//!   batch query API with hot-query dedup;
+//!   open/closed-loop load generation, latency percentiles, the online
+//!   write path (mixed read–write serving with per-key cache
+//!   invalidation epochs, session-minted insert ids), bounded admission
+//!   queues under one per-service budget with typed `Overload`
+//!   shedding and `retry_after` hints, and a batch query API with
+//!   hot-query dedup;
 //! * [`baselines`] ([`ann_baselines`]) — SRS and QALSH with their R-tree
 //!   and B+-tree substrates;
 //! * [`datasets`] ([`ann_datasets`]) — the synthetic evaluation suite,
@@ -49,9 +49,9 @@ pub mod prelude {
     pub use ann_datasets::suite::DatasetId;
     pub use e2lsh_core::{knn_search, Dataset, E2lshParams, MemIndex, SearchOptions};
     pub use e2lsh_service::{
-        mixed_ops, AdmissionBudget, AdmissionControl, Client, DeviceSpec, Load, Op, OpStatus,
-        Overload, QueryResult, QueryTicket, ServiceConfig, Session, ShardBuildConfig, ShardSet,
-        ShardUpdater, ShardedService, Topology, WriteOp, WriteResult, WriteTicket,
+        mixed_ops, AdmissionBudget, Client, DeviceSpec, Load, Op, OpStatus, Overload, QueryResult,
+        QueryTicket, ServiceConfig, Session, ShardBuildConfig, ShardSet, ShardUpdater,
+        ShardedService, Topology, WriteOp, WriteResult, WriteTicket,
     };
     pub use e2lsh_storage::build::{build_index, BuildConfig};
     pub use e2lsh_storage::device::cached::{BlockCache, CachedDevice};
