@@ -16,7 +16,12 @@
 //!    epochs in the cache discard in-flight fills for those blocks
 //!    only — and mirrors newly set occupancy-filter bits into the live
 //!    [`StorageIndex`](e2lsh_storage::index::StorageIndex) so queries
-//!    start probing the new buckets.
+//!    start probing the new buckets;
+//! 4. **publishes the new chain heads** into the live index's slot
+//!    directory, last: a query that follows a new head must never meet
+//!    a cached pre-write copy of the block it points at (a reused free
+//!    block, say), so the heads go out only once every rewritten block
+//!    is out of every replica's cache.
 //!
 //! The trace is applied **even when the operation fails** part-way: a
 //! failed insert may already have rewritten blocks, and a cache serving
@@ -193,10 +198,10 @@ impl<'a> ShardUpdater<'a> {
     }
 
     /// Invalidate rewritten blocks in **every** registered replica
-    /// cache and publish new filter bits into the live index — also on
-    /// failure (see module docs). The index and rows are shared by all
-    /// replicas, so this is the only per-replica publication a write
-    /// needs.
+    /// cache, then publish new filter bits and chain heads into the live
+    /// index — also on failure (see module docs). The index and rows are
+    /// shared by all replicas, so this is the only per-replica
+    /// publication a write needs.
     fn apply_trace(&mut self) {
         let trace = self.updater.take_trace();
         self.last_blocks = trace.blocks.len() as u64;
@@ -209,6 +214,9 @@ impl<'a> ShardUpdater<'a> {
             for &addr in &trace.blocks {
                 cache.invalidate(addr / BLOCK_SIZE as u64);
             }
+        }
+        for &(ri, li, slot, head) in &trace.heads {
+            self.shard.index.set_head(ri, li, slot, head);
         }
     }
 }

@@ -16,15 +16,20 @@
 //!    [`ServiceReport::device`] (`blocks_reclaimed`,
 //!    `filter_bits_cleared`, `bytes_reclaimed`) and in the JSON
 //!    exporter's counter registry, a healthy run books zero
-//!    `chain_inconsistencies`, and survivors remain findable.
+//!    `chain_inconsistencies`, and survivors remain findable;
+//! 3. **the live slot directory equals the image** — after session
+//!    churn with maintenance, and after `ShardUpdater` writes that fail
+//!    at injected fault points, each shard's DRAM chain heads are
+//!    exactly those a freshly reopened index loads.
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_service::{
-    DeviceSpec, MetricsRegistry, OpStatus, ServiceConfig, ShardBuildConfig, ShardSet,
+    DeviceSpec, MetricsRegistry, OpStatus, ServiceConfig, ShardBuildConfig, ShardSet, ShardUpdater,
     ShardedService, WriteOp,
 };
 use e2lsh_storage::device::sim::DeviceProfile;
+use e2lsh_storage::testutil::assert_directory_matches_image;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -227,5 +232,95 @@ fn maintenance_reclaims_and_counters_surface_in_report_and_export() {
 
     let final_report = session.shutdown();
     assert!(final_report.device.blocks_reclaimed >= report.device.blocks_reclaimed);
+    svc.shards().cleanup();
+}
+
+/// 3. The live slot directory follows the image: after a session's
+///    insert/delete churn with maintenance on, and after every further
+///    `ShardUpdater` write — failed ones at the failure-injection
+///    suite's fault points included — each shard's live index holds
+///    exactly the chain heads its reopened file does, and survivors
+///    stay findable through it.
+#[test]
+fn live_directory_matches_image_after_churn_and_failed_writes() {
+    let seed = seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x3D);
+    let data = dataset(300, &mut rng);
+    let svc = service(&data, "directory", Some(1200), |c| {
+        c.maintenance_blocks_per_tick = 1_000_000;
+    });
+    let session = svc.start();
+    let client = session.client();
+    let mut minted = Vec::new();
+    for _ in 0..80 {
+        let p: Vec<f32> = (0..DIM).map(|_| rng.gen::<f32>() * 10.0).collect();
+        let r = client.write_blocking(WriteOp::Insert(&p)).wait();
+        assert!(r.applied, "insert failed (seed {seed})");
+        minted.push(r.id.expect("applied insert has an id"));
+    }
+    for id in minted.iter().step_by(2).copied().chain((0..300).step_by(5)) {
+        let r = client.write_blocking(WriteOp::Delete(id)).wait();
+        assert!(r.applied, "delete of {id} failed (seed {seed})");
+    }
+    let mut report = session.metrics();
+    for _ in 0..200 {
+        if report.device.blocks_reclaimed > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        report = session.metrics();
+    }
+    assert!(
+        report.device.blocks_reclaimed > 0,
+        "churn freed no blocks (seed {seed})"
+    );
+    for probe in [1u32, 7, 22] {
+        let q = client.query(data.point(probe as usize)).wait();
+        assert_eq!(
+            q.neighbors.first().map(|&(id, d)| (id, d)),
+            Some((probe, 0.0)),
+            "survivor {probe} lost (seed {seed})"
+        );
+    }
+    session.shutdown();
+    for shard in svc.shards().shards() {
+        assert_directory_matches_image(
+            &shard.index,
+            &shard.path,
+            &format!("shard {} after the session (seed {seed})", shard.id),
+        );
+    }
+
+    // The writer's own path, with faults: every op applies its trace —
+    // invalidate, then publish heads — whether it failed or not.
+    let shard = &svc.shards().shards()[0];
+    let mut up = ShardUpdater::open(shard).unwrap();
+    let mut faults = 0;
+    for step in 0..40 {
+        // Write indices 0..12 cover an insert's block, slot and filter
+        // writes of its first tables, and a delete's or maintenance
+        // tick's first rewrites.
+        let fault = (step % 4 != 0).then(|| rng.gen_range(0..12u64));
+        up.fail_after_writes(fault);
+        let failed = match step % 3 {
+            0 => {
+                let p: Vec<f32> = (0..DIM).map(|_| rng.gen::<f32>() * 10.0).collect();
+                up.insert(&p).is_err()
+            }
+            1 => {
+                let victim = shard.to_global((1 + 7 * step as u32) % 100);
+                up.delete(victim).is_err()
+            }
+            _ => up.maintain(rng.gen_range(1..500)).is_err(),
+        };
+        up.fail_after_writes(None);
+        faults += usize::from(failed);
+        assert_directory_matches_image(
+            &shard.index,
+            &shard.path,
+            &format!("step {step}, fault {fault:?} (seed {seed})"),
+        );
+    }
+    assert!(faults > 0, "no injected fault fired (seed {seed})");
     svc.shards().cleanup();
 }

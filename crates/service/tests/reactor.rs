@@ -18,22 +18,33 @@
 //!   reference and every ticket resolves.
 //! * `inflight_per_replica` is a plain slot count: the default is 16
 //!   and 0 is rejected at construction (there is no derive sentinel).
+//! * A reactor reads nothing below `heap_base`: every probe takes its
+//!   chain head from the DRAM slot directory, so each engine I/O is one
+//!   bucket-block read, uncached or cached.
 
 mod common;
 
 use common::{run_mixed_fencing, run_reads};
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;
+use e2lsh_service::admission::gated;
+use e2lsh_service::reactor::{run_replica, Job, ReactorCtx, ReactorMsg, ReplicaStatsCell};
+use e2lsh_service::router::LaneState;
 use e2lsh_service::{
-    skewed_queries, DeviceSpec, Load, Op, OpStatus, ServiceConfig, ShardBuildConfig, ShardSet,
-    ShardedService,
+    skewed_queries, AdmissionBudget, DeviceSpec, Load, Op, OpStatus, ServiceConfig,
+    ShardBuildConfig, ShardSet, ShardedService, Topology,
 };
+use e2lsh_storage::device::cached::CachedDevice;
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
-use e2lsh_storage::device::Interface;
+use e2lsh_storage::device::{Device, Interface};
 use e2lsh_storage::index::StorageIndex;
+use e2lsh_storage::layout::BLOCK_SIZE;
 use e2lsh_storage::query::{run_queries, EngineConfig};
+use e2lsh_storage::testutil::ReadFloor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
+use std::time::Instant;
 
 const DIM: usize = 10;
 const AMPLE: usize = 1_000_000;
@@ -344,4 +355,100 @@ fn zero_inflight_is_rejected_at_construction() {
     let refused = std::panic::catch_unwind(|| build(&data, dir.clone(), 1, 1, 0, 1)).is_err();
     std::fs::remove_dir_all(&dir).ok();
     assert!(refused, "a zero-slot replica was accepted");
+}
+
+/// No served query reads the table region: a replica's reactor, driven
+/// directly over a device that panics on any read below `heap_base`,
+/// answers every job — a panic would fence the replica and emit
+/// `ReplicaDown` instead — uncached and through its block cache, and
+/// the I/Os its partials report are exactly the reads the device saw.
+#[test]
+fn reactor_reads_only_bucket_blocks() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x4EA9);
+    let data = clustered(1200, &mut rng);
+    let queries = skewed_queries(&clustered(24, &mut rng), 60, 1.1, 5);
+    let dir = shard_dir("read-floor");
+    let shards = ShardSet::build(
+        &data,
+        &ShardBuildConfig {
+            num_shards: 1,
+            seed: 77,
+            dir,
+            cache_blocks: 1024,
+            ..Default::default()
+        },
+        params_for,
+    )
+    .unwrap();
+    let topo = Topology::new(shards, 1);
+    let (shard, replica) = (topo.shard(0), topo.replica(0, 0));
+    let floor = shard.index.geometry().heap_base();
+    let mut engine = EngineConfig::wall_clock(3);
+    engine.contexts = 16;
+    engine.s_override = Some(AMPLE);
+    for cached in [false, true] {
+        let sim = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&shard.path).unwrap());
+        let device: Box<dyn Device> = if cached {
+            let cache = Arc::clone(replica.cache().expect("the shard set is cached"));
+            Box::new(ReadFloor::new(
+                CachedDevice::new(sim, cache, BLOCK_SIZE as u32),
+                floor,
+            ))
+        } else {
+            Box::new(ReadFloor::new(sim, floor))
+        };
+        let (lane, stats) = (LaneState::default(), ReplicaStatsCell::default());
+        let (jobs, job_rx) = gated::<Job>(0, AdmissionBudget::UNBOUNDED);
+        let (out, msgs) = std::sync::mpsc::channel();
+        let ctx = ReactorCtx {
+            shard,
+            replica: 0,
+            replica_state: replica,
+            lane: &lane,
+            stats: &stats,
+            engine: &engine,
+            sim_time: true,
+            epoch: Instant::now(),
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(move || run_replica(ctx, device, job_rx, out));
+            for qi in 0..queries.len() {
+                let point: Arc<[f32]> = queries.point(qi).into();
+                jobs.send_blocking(
+                    Job {
+                        qid: qi as u64,
+                        point,
+                    },
+                    0,
+                );
+            }
+            drop(jobs);
+        });
+        let (mut partials, mut n_io) = (0usize, 0u64);
+        for msg in msgs.try_iter() {
+            match msg {
+                ReactorMsg::Partial { n_io: n, .. } => {
+                    partials += 1;
+                    n_io += u64::from(n);
+                }
+                ReactorMsg::ReplicaDown { .. } => {
+                    panic!("the replica died (cached {cached}): a read below heap_base?")
+                }
+            }
+        }
+        assert_eq!(partials, queries.len(), "cached {cached}");
+        assert!(n_io > 0);
+        let d = *stats.device.lock().unwrap();
+        if cached {
+            assert_eq!(
+                d.cache_hits + d.cache_misses,
+                n_io,
+                "one lookup per engine I/O"
+            );
+            assert!(d.cache_hits > 0, "repeats hit: {d:?}");
+        } else {
+            assert_eq!(d.completed, n_io, "one device read per engine I/O");
+        }
+    }
+    topo.shards().cleanup();
 }

@@ -2,12 +2,16 @@
 //!
 //! The paper keeps only "relatively small index-related data" in DRAM
 //! (Table 6): here that is the superblock-derived parameters, the
-//! regenerated hash family, and each table's occupancy filter — a
-//! blocked Bloom filter with one block per hash-table slot (see
-//! [`TableGeometry::filter_positions`]). The filter is what lets the
-//! query engine avoid issuing I/Os for empty buckets (Section 4.3:
-//! "empty buckets are not counted as it is easy to avoid issuing I/Os
-//! for them").
+//! regenerated hash family, each table's occupancy filter — a blocked
+//! Bloom filter with one block per hash-table slot (see
+//! [`TableGeometry::filter_positions`]) — and each table's slot
+//! directory, the `2^u` chain-head pointers of its hash table. The
+//! filter is what lets the query engine avoid issuing I/Os for empty
+//! buckets (Section 4.3: "empty buckets are not counted as it is easy
+//! to avoid issuing I/Os for them"); the directory is what lets a probe
+//! go straight to its head block, one read instead of the paper's two
+//! (DESIGN §3). The bucket blocks stay on the device; the table region
+//! stays there too, as the durable copy the directory is loaded from.
 
 use crate::build::Superblock;
 use crate::device::Device;
@@ -17,8 +21,8 @@ use e2lsh_core::params::E2lshParams;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An opened on-storage index: DRAM-resident metadata; all buckets and
-/// tables stay on the device.
+/// An opened on-storage index: DRAM-resident metadata (filters and slot
+/// directories); every bucket block stays on the device.
 ///
 /// The occupancy filters are atomic words so an online writer (the
 /// serving layer's update path) can publish a newly inserted hash
@@ -26,14 +30,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`StorageIndex::set_filter_bit`] while query threads keep reading
 /// them — inserts only ever set bits, so a racing reader sees at worst
 /// a momentarily stale `false`, which costs one skipped probe for a
-/// just-inserted object, never a wrong answer for existing ones.
+/// just-inserted object, never a wrong answer for existing ones. The
+/// slot directory is atomic for the same reason: the writer publishes a
+/// slot's new head with [`StorageIndex::set_head`] (Release) only after
+/// the block it points at is on storage and out of every cache, and a
+/// query loads it with [`StorageIndex::head`] (Acquire).
 pub struct StorageIndex {
     params: E2lshParams,
     family: HashFamily,
     geometry: TableGeometry,
     codec: EntryCodec,
     /// Per table: the filter words, as on storage.
-    occupancy: Vec<Vec<AtomicU64>>,
+    occupancy: Vec<Box<[AtomicU64]>>,
+    /// Per table: the `2^u` slot words (chain-head addresses, 0 = empty
+    /// slot), as on storage.
+    directory: Vec<Box<[AtomicU64]>>,
     n: usize,
     dim: usize,
     total_bytes: u64,
@@ -80,26 +91,21 @@ impl StorageIndex {
             sb.seed,
         );
 
-        // Load the per-table occupancy filters into DRAM (the paper keeps
-        // only small index metadata in memory; this is that metadata).
-        let fbytes = geometry.filter_bytes_per_table() as usize;
-        let mut occupancy = Vec::with_capacity(geometry.num_tables());
+        // Load the per-table slot directories and occupancy filters into
+        // DRAM (the paper keeps only small index metadata in memory;
+        // this is that metadata).
+        let tables = geometry.num_tables();
+        let mut directory = Vec::with_capacity(tables);
+        let mut occupancy = Vec::with_capacity(tables);
         for ri in 0..geometry.num_radii {
             for li in 0..geometry.l {
-                let base = geometry.filter_base(ri, li);
-                let mut bits: Vec<AtomicU64> = Vec::with_capacity(fbytes / 8);
-                let mut read = 0usize;
-                const CHUNK: usize = 1 << 20;
-                while read < fbytes {
-                    let len = CHUNK.min(fbytes - read);
-                    let buf = device.read_sync(base + read as u64, len as u32);
-                    bits.extend(
-                        buf.chunks_exact(8)
-                            .map(|c| AtomicU64::new(u64::from_le_bytes(c.try_into().unwrap()))),
-                    );
-                    read += len;
-                }
-                occupancy.push(bits);
+                let (table, filter) = (geometry.table_base(ri, li), geometry.filter_base(ri, li));
+                directory.push(read_words(device, table, geometry.table_bytes()));
+                occupancy.push(read_words(
+                    device,
+                    filter,
+                    geometry.filter_bytes_per_table(),
+                ));
             }
         }
 
@@ -109,6 +115,7 @@ impl StorageIndex {
             geometry,
             codec,
             occupancy,
+            directory,
             n,
             dim: sb.dim as usize,
             total_bytes: sb.total_bytes,
@@ -163,12 +170,40 @@ impl StorageIndex {
         self.total_bytes
     }
 
-    /// DRAM bytes held by this handle: the occupancy filters plus the hash
-    /// family coefficients (Table 6's "(Index mem)").
+    /// DRAM bytes held by this handle: the occupancy filters, the slot
+    /// directories and the hash family coefficients (Table 6's "(Index
+    /// mem)").
     pub fn mem_bytes(&self) -> usize {
-        let filters: usize = self.occupancy.iter().map(|b| b.len() * 8).sum();
+        let words: usize = self
+            .occupancy
+            .iter()
+            .chain(&self.directory)
+            .map(|b| b.len() * 8)
+            .sum();
         let family = self.geometry.num_tables() * self.params.m * (self.dim + 1) * 4;
-        filters + family
+        words + family
+    }
+
+    /// Head-block address of slot `slot` (only its low `u` bits are used,
+    /// as in [`TableGeometry::slot_addr`]) in table `(ri, li)`; 0 when
+    /// the slot's chain is empty. A probe reads this instead of the
+    /// slot's 512-byte table block, so it costs one I/O, not two.
+    #[inline]
+    pub fn head(&self, ri: usize, li: usize, slot: u64) -> u64 {
+        let slots = &self.directory[ri * self.geometry.l + li];
+        slots[(slot & (self.geometry.slots() - 1)) as usize].load(Ordering::Acquire)
+    }
+
+    /// Publish `head` as slot `slot`'s chain head in table `(ri, li)` —
+    /// the live-index mirror of a slot-pointer write
+    /// ([`crate::update::WriteTrace::heads`]). Call it only once the
+    /// block `head` points at is on storage and invalidated in every
+    /// cache over the file: a query that loads the new head must never
+    /// meet a cached pre-write copy of a reused block.
+    #[inline]
+    pub fn set_head(&self, ri: usize, li: usize, slot: u64, head: u64) {
+        let slots = &self.directory[ri * self.geometry.l + li];
+        slots[(slot & (self.geometry.slots() - 1)) as usize].store(head, Ordering::Release);
     }
 
     /// False when the occupancy filter proves that no indexed object has
@@ -177,7 +212,7 @@ impl StorageIndex {
     /// skips the I/O entirely (paper Section 4.3). True means the probe
     /// *may* find candidates: the bucket is occupied, or other values of
     /// the same slot happen to cover all the bits (a false positive,
-    /// which costs a slot read and a bucket-block read, never an answer).
+    /// which costs one bucket-block read, never an answer).
     #[inline]
     pub fn filter_hit(&self, ri: usize, li: usize, h32: u64) -> bool {
         let words = &self.occupancy[ri * self.geometry.l + li];
@@ -201,22 +236,10 @@ impl StorageIndex {
         }
     }
 
-    /// OR whole filter words for table `(ri, li)` into the live filter
-    /// (bulk form of [`StorageIndex::set_filter_bit`], used by
-    /// [`crate::update::Updater::sync_filters_into`]).
-    pub fn merge_filter_words(&self, ri: usize, li: usize, words: &[u64]) {
-        let t = ri * self.geometry.l + li;
-        for (w, &bits) in self.occupancy[t].iter().zip(words) {
-            if bits != 0 {
-                w.fetch_or(bits, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Replace one filter word of table `(ri, li)` with `value` — the
     /// live-index mirror of [`crate::update::Updater::maintain`]'s
     /// tombstone GC, which *clears* bits and therefore cannot go
-    /// through the OR-only [`StorageIndex::merge_filter_words`]. The
+    /// through the OR-only [`StorageIndex::set_filter_bit`]. The
     /// value comes from an exact rescan of the slot's chain on the
     /// single writer thread (maintenance runs between writer ops): the
     /// slot's part of the word is the union of its surviving entries'
@@ -250,6 +273,24 @@ impl StorageIndex {
         let total = self.geometry.num_tables() as u64 * (1u64 << self.geometry.filter_bits);
         set as f64 / total as f64
     }
+}
+
+/// `bytes` of little-endian words at `base`, read in chunks of at most
+/// 1 MiB into an exactly sized atomic array.
+fn read_words(device: &mut dyn Device, base: u64, bytes: u64) -> Box<[AtomicU64]> {
+    const CHUNK: u64 = 1 << 20;
+    let mut words = Vec::with_capacity((bytes / 8) as usize);
+    let mut read = 0u64;
+    while read < bytes {
+        let len = CHUNK.min(bytes - read);
+        let buf = device.read_sync(base + read, len as u32);
+        words.extend(
+            buf.chunks_exact(8)
+                .map(|c| AtomicU64::new(u64::from_le_bytes(c.try_into().unwrap()))),
+        );
+        read += len;
+    }
+    words.into_boxed_slice()
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Asynchronous E2LSHoS query processing (paper Section 5.4, Figure 10).
 //!
 //! Each query is a small state machine: per search radius it (1) computes
-//! its `L` compound hash values, (2) issues reads for the hash-table slots
-//! of the buckets the DRAM occupancy filter cannot prove empty (a blocked
-//! Bloom filter: no false negatives, some false positives — counted per
-//! query as [`QueryOutcome::wasted_block_reads`]), (3) on each slot
-//! completion issues a read for the first bucket block, (4) on each block
+//! its `L` compound hash values, (2) skips every bucket the DRAM occupancy
+//! filter proves empty (a blocked Bloom filter: no false negatives, some
+//! false positives — counted per query as
+//! [`QueryOutcome::wasted_block_reads`]), (3) looks up each remaining
+//! bucket's chain head in the DRAM slot directory and issues a read for
+//! that head block — an empty slot costs no I/O, and no probe reads the
+//! on-storage table region, so a probe is one read where the paper's
+//! Fig. 9 layout takes two (DESIGN §3) — and (4) on each block
 //! completion fingerprint-filters the entries, distance-checks the
 //! survivors against the DRAM-resident coordinates, and follows the chain
 //! pointer while the candidate budget `S` lasts. When all `L` probes of a
@@ -66,7 +69,9 @@ pub struct EngineConfig {
     /// Radius cap (default: the full schedule).
     pub max_radii: Option<usize>,
     /// Skip I/Os for hash values the occupancy filter proves absent
-    /// (paper Section 4.3); disable to measure the unfiltered I/O count.
+    /// (paper Section 4.3); disable to measure the unfiltered I/O count
+    /// (every probe of an occupied slot then reads its head block; an
+    /// empty slot costs no I/O either way, as its directory head is 0).
     pub use_occupancy_filter: bool,
     /// True = virtual-time simulation; false = wall-clock execution.
     pub virtual_time: bool,
@@ -130,7 +135,9 @@ impl EngineConfig {
 pub struct QueryOutcome {
     /// Up to `k` neighbors `(id, distance)`, ascending.
     pub neighbors: Vec<(u32, f32)>,
-    /// Hash-table slot reads issued.
+    /// Hash-table slot reads issued: always 0, since every probe takes its
+    /// chain head from the DRAM slot directory (DESIGN §3). Kept because
+    /// the benchmark ladder (`perf_ledger/ladder.rs`) still reports it.
     pub table_reads: u32,
     /// Bucket block reads issued.
     pub block_reads: u32,
@@ -146,8 +153,8 @@ pub struct QueryOutcome {
     /// — I/O that could not have produced a candidate. Chains are about
     /// one block long, so this is the number of probes the occupancy
     /// filter let through for nothing (its false positives, or every
-    /// probe of an empty bucket when the filter is off), each of which
-    /// also cost a slot read.
+    /// probe of an occupied slot without the query's fingerprint when
+    /// the filter is off).
     pub wasted_block_reads: u32,
     /// Query admission time (seconds, virtual or wall).
     pub start_time: f64,
@@ -239,21 +246,15 @@ impl BatchReport {
     }
 }
 
-const KIND_TABLE: u64 = 0;
-const KIND_BUCKET: u64 = 1;
-
+/// I/O tag of a block read for probe `li` of the query in slot `ctx`.
 #[inline]
-fn make_tag(ctx: usize, kind: u64, li: usize) -> u64 {
-    ((ctx as u64) << 32) | (kind << 31) | li as u64
+fn make_tag(ctx: usize, li: usize) -> u64 {
+    ((ctx as u64) << 32) | li as u64
 }
 
 #[inline]
-fn parse_tag(tag: u64) -> (usize, u64, usize) {
-    (
-        (tag >> 32) as usize,
-        (tag >> 31) & 1,
-        (tag & 0x7fff_ffff) as usize,
-    )
+fn parse_tag(tag: u64) -> (usize, usize) {
+    ((tag >> 32) as usize, (tag & 0xffff_ffff) as usize)
 }
 
 /// Context (slot) index encoded in a completion's tag — how an executor
@@ -479,7 +480,7 @@ impl<'a> QueryDriver<'a> {
         st.out.radii_searched += 1;
     }
 
-    /// Issue table reads up to the per-query limit.
+    /// Issue head-block reads up to the per-query limit.
     fn pump(&mut self, st: &mut QueryState, clock: &mut EngineClock, device: &mut dyn Device) {
         let geometry = self.index.geometry();
         while st.outstanding < self.io_limit && st.next_l < st.probes.len() {
@@ -495,22 +496,33 @@ impl<'a> QueryDriver<'a> {
                 continue; // provably empty bucket: no I/O (paper Sec. 4.3)
             }
             let (slot, _) = split_hash(h32, geometry.u_bits);
-            let addr = geometry.slot_addr(st.radius_idx, li, slot);
-            // Read the 512-byte region containing the slot (the device's
-            // minimum transfer; the paper counts it as one I/O).
-            let aligned = addr & !(BLOCK_SIZE as u64 - 1);
-            clock.charge_io(self.config.interface.t_request);
-            device.submit(
-                IoRequest {
-                    addr: aligned,
-                    len: BLOCK_SIZE as u32,
-                    tag: make_tag(st.ctx_id, KIND_TABLE, li),
-                },
-                clock.now,
-            );
-            st.outstanding += 1;
-            st.out.table_reads += 1;
+            let head = self.index.head(st.radius_idx, li, slot);
+            if head != 0 {
+                self.submit_block(st, li, head, clock, device);
+            }
         }
+    }
+
+    /// Read the bucket block at `addr` for probe `li`.
+    fn submit_block(
+        &self,
+        st: &mut QueryState,
+        li: usize,
+        addr: u64,
+        clock: &mut EngineClock,
+        device: &mut dyn Device,
+    ) {
+        clock.charge_io(self.config.interface.t_request);
+        device.submit(
+            IoRequest {
+                addr,
+                len: BLOCK_SIZE as u32,
+                tag: make_tag(st.ctx_id, li),
+            },
+            clock.now,
+        );
+        st.outstanding += 1;
+        st.out.block_reads += 1;
     }
 
     /// When the query has no outstanding I/O, drive it forward: success
@@ -688,80 +700,48 @@ impl<'a> QueryDriver<'a> {
         clock: &mut EngineClock,
         device: &mut dyn Device,
     ) {
-        let (ci, kind, li) = parse_tag(comp.tag);
+        let (ci, li) = parse_tag(comp.tag);
         debug_assert_eq!(ci, st.ctx_id, "completion routed to wrong slot");
         debug_assert!(st.active);
         let geometry = self.index.geometry();
         let codec = self.index.codec();
         st.outstanding -= 1;
-        if kind == KIND_TABLE {
-            // Extract the 8-byte chain head for this slot.
-            let (slot, _) = split_hash(st.probes[li], geometry.u_bits);
-            let addr = geometry.slot_addr(st.radius_idx, li, slot);
-            let off = (addr & (BLOCK_SIZE as u64 - 1)) as usize;
-            let head = u64::from_le_bytes(comp.data[off..off + 8].try_into().expect("slot bytes"));
-            clock.charge_compute(self.config.cost.block_fixed);
-            if head != 0 && st.examined < self.budget {
-                clock.charge_io(self.config.interface.t_request);
-                device.submit(
-                    IoRequest {
-                        addr: head,
-                        len: BLOCK_SIZE as u32,
-                        tag: make_tag(st.ctx_id, KIND_BUCKET, li),
-                    },
-                    clock.now,
-                );
-                st.outstanding += 1;
-                st.out.block_reads += 1;
+        // Bucket block: fingerprint-filter and distance-check.
+        let block = BucketBlock::decode(&codec, &comp.data);
+        clock.charge_compute(self.config.cost.block_cost(block.entries.len()));
+        let (_, fp) = split_hash(st.probes[li], geometry.u_bits);
+        let want_fp = fp & codec.fp_mask();
+        if st.examined < self.budget {
+            let candidates_before = st.out.candidates;
+            for &(id, fp) in &block.entries {
+                if st.examined >= self.budget {
+                    break;
+                }
+                if fp != want_fp {
+                    st.out.fp_rejects += 1;
+                    continue;
+                }
+                if id as usize >= data.len() {
+                    // No coordinates for this id: a torn read of a
+                    // block being rewritten concurrently (or a
+                    // half-finished failed insert). Skip it — the
+                    // writer publishes coordinates before index
+                    // entries, so a real object is never skipped.
+                    st.out.fp_rejects += 1;
+                    continue;
+                }
+                st.examined += 1;
+                st.out.candidates += 1;
+                if st.seen.insert(id) {
+                    st.out.dist_comps += 1;
+                    clock.charge_compute(self.config.cost.dist_cost(data.dim()));
+                    let d2 = dist2(&st.point, data.point(id as usize));
+                    st.topk.offer(id, d2);
+                }
             }
-        } else {
-            // Bucket block: fingerprint-filter and distance-check.
-            let block = BucketBlock::decode(&codec, &comp.data);
-            clock.charge_compute(self.config.cost.block_cost(block.entries.len()));
-            let (_, fp) = split_hash(st.probes[li], geometry.u_bits);
-            let want_fp = fp & codec.fp_mask();
-            if st.examined < self.budget {
-                let candidates_before = st.out.candidates;
-                for &(id, fp) in &block.entries {
-                    if st.examined >= self.budget {
-                        break;
-                    }
-                    if fp != want_fp {
-                        st.out.fp_rejects += 1;
-                        continue;
-                    }
-                    if id as usize >= data.len() {
-                        // No coordinates for this id: a torn read of a
-                        // block being rewritten concurrently (or a
-                        // half-finished failed insert). Skip it — the
-                        // writer publishes coordinates before index
-                        // entries, so a real object is never skipped.
-                        st.out.fp_rejects += 1;
-                        continue;
-                    }
-                    st.examined += 1;
-                    st.out.candidates += 1;
-                    if st.seen.insert(id) {
-                        st.out.dist_comps += 1;
-                        clock.charge_compute(self.config.cost.dist_cost(data.dim()));
-                        let d2 = dist2(&st.point, data.point(id as usize));
-                        st.topk.offer(id, d2);
-                    }
-                }
-                st.out.wasted_block_reads += u32::from(st.out.candidates == candidates_before);
-                if block.next != 0 && st.examined < self.budget {
-                    clock.charge_io(self.config.interface.t_request);
-                    device.submit(
-                        IoRequest {
-                            addr: block.next,
-                            len: BLOCK_SIZE as u32,
-                            tag: make_tag(st.ctx_id, KIND_BUCKET, li),
-                        },
-                        clock.now,
-                    );
-                    st.outstanding += 1;
-                    st.out.block_reads += 1;
-                }
+            st.out.wasted_block_reads += u32::from(st.out.candidates == candidates_before);
+            if block.next != 0 && st.examined < self.budget {
+                self.submit_block(st, li, block.next, clock, device);
             }
         }
         // Keep the probe pipeline full / finish the radius.
@@ -814,14 +794,14 @@ mod tests {
 
     #[test]
     fn tag_roundtrip() {
-        for &(ctx, kind, li) in &[
-            (0usize, KIND_TABLE, 0usize),
-            (63, KIND_BUCKET, 50),
-            (1000, KIND_TABLE, 0x7fff_fff0),
-            (u32::MAX as usize, KIND_BUCKET, 1),
+        for &(ctx, li) in &[
+            (0usize, 0usize),
+            (63, 50),
+            (1000, 0xffff_fff0),
+            (u32::MAX as usize, 1),
         ] {
-            let tag = make_tag(ctx, kind, li);
-            assert_eq!(parse_tag(tag), (ctx, kind, li), "ctx={ctx} li={li}");
+            let tag = make_tag(ctx, li);
+            assert_eq!(parse_tag(tag), (ctx, li), "ctx={ctx} li={li}");
         }
     }
 

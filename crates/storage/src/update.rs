@@ -22,8 +22,10 @@
 //!   slot's occupancy-filter block to exactly its live entries' bits.
 //!
 //! Updates write through a [`std::fs::File`] opened read-write; readers
-//! opened afterwards (or an in-process [`StorageIndex`] refreshed with
-//! [`Updater::sync_filters_into`]) observe the new state.
+//! opened afterwards observe the new state, and an in-process
+//! [`StorageIndex`] follows it by replaying each [`WriteTrace`] (and
+//! each [`MaintenanceReport::filter_words`]) into its DRAM filters and
+//! slot directory.
 //!
 //! ## Serving while updating
 //!
@@ -31,13 +33,16 @@
 //! load*: readers keep issuing I/Os against the same file while an
 //! updater rewrites blocks. The mechanisms that make that safe:
 //!
-//! * every byte range the updater writes (even on a failed operation)
+//! * every bucket block the updater writes (even on a failed operation)
 //!   is recorded in a [`WriteTrace`], so the caller can invalidate
 //!   exactly the rewritten blocks in a
 //!   [`BlockCache`](crate::device::cached::BlockCache);
 //! * new chain blocks are fully written *before* the slot pointer that
-//!   publishes them, so a concurrent reader sees either the old head or
-//!   the complete new head;
+//!   publishes them, and a slot pointer reaches readers only through
+//!   [`WriteTrace::heads`], which the caller publishes into the live
+//!   slot directory *after* invalidating the rewritten blocks — so a
+//!   concurrent reader follows either the old head or the complete new
+//!   head block, never a cached pre-write copy of a reused one;
 //! * heap growth (and every free-list pop) is persisted in the
 //!   superblock *before* an insert links any entry, so a crash or
 //!   injected failure mid-way never lets a later open re-allocate (and
@@ -55,6 +60,7 @@
 //! mid-operation error and that the trace covers every touched block.
 
 use crate::build::{Superblock, MAX_FREE_LIST};
+#[cfg(doc)]
 use crate::index::StorageIndex;
 use crate::layout::{
     split_hash, BucketBlock, EntryCodec, TableGeometry, BLOCK_SIZE, ENTRIES_PER_BLOCK, HASH_BITS,
@@ -102,9 +108,10 @@ pub fn is_id_exhausted(e: &io::Error) -> bool {
 }
 
 /// Storage mutations performed by one or more update operations: which
-/// blocks were rewritten (for cache invalidation) and which hash values
-/// newly entered the occupancy filter (for refreshing a live
-/// [`StorageIndex`]'s DRAM filters).
+/// blocks were rewritten (for cache invalidation), which hash values
+/// newly entered the occupancy filter and which slots got a new chain
+/// head (for refreshing a live [`StorageIndex`]'s DRAM filters and slot
+/// directory).
 ///
 /// The trace accumulates across operations until taken with
 /// [`Updater::take_trace`], and records writes **even when the
@@ -114,16 +121,23 @@ pub fn is_id_exhausted(e: &io::Error) -> bool {
 #[derive(Clone, Debug, Default)]
 pub struct WriteTrace {
     /// Block-aligned byte addresses ([`BLOCK_SIZE`] granularity) of
-    /// every rewritten region a cacheable block read could observe
-    /// (slot pointers, bucket blocks), deduplicated, in first-touch
-    /// order. Superblock and filter-word writes are excluded: those
-    /// regions are only read via `read_sync` at open and never enter
-    /// the block cache.
+    /// every rewritten bucket block — the only region a query reads
+    /// through a block cache — deduplicated, in first-touch order.
+    /// Superblock, slot-pointer and filter-word writes are excluded:
+    /// those regions are only read via `read_sync` at open (queries take
+    /// slot pointers from the DRAM directory, see `heads`) and never
+    /// enter the block cache.
     pub blocks: Vec<u64>,
     /// `(radius index, table index, 32-bit hash)` of every inserted
     /// hash value that set a new occupancy-filter bit — replay each
     /// with [`StorageIndex::set_filter_bit`].
     pub filter_bits: Vec<(usize, usize, u64)>,
+    /// `(radius index, table index, slot, head address)` of every
+    /// slot-pointer write that succeeded, in write order — replay each
+    /// with [`StorageIndex::set_head`], **after** invalidating `blocks`
+    /// in every cache over the file. A failed slot write is not
+    /// recorded: the live directory keeps the head it had.
+    pub heads: Vec<(usize, usize, u64, u64)>,
     /// Bucket blocks returned to the free list (empty-block unlink or
     /// chain compaction) since the last take. Freed blocks are *not*
     /// rewritten — their bytes only change on reuse, which is a tracked
@@ -138,7 +152,7 @@ pub struct WriteTrace {
 impl WriteTrace {
     /// True when nothing was written.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && self.filter_bits.is_empty()
+        self.blocks.is_empty() && self.filter_bits.is_empty() && self.heads.is_empty()
     }
 
     fn record_write(&mut self, addr: u64, len: usize) {
@@ -358,8 +372,8 @@ impl Updater {
     /// Take the accumulated [`WriteTrace`] (mutations since the last
     /// call), leaving an empty trace behind. Call after each operation
     /// — including a failed one — to invalidate the rewritten blocks in
-    /// any block cache over this file and to mirror new filter bits
-    /// into a live [`StorageIndex`].
+    /// any block cache over this file and to mirror new filter bits and
+    /// chain heads into a live [`StorageIndex`].
     pub fn take_trace(&mut self) -> WriteTrace {
         std::mem::take(&mut self.trace)
     }
@@ -410,11 +424,11 @@ impl Updater {
         self.sb.free.len()
     }
 
-    /// Fault-injectable write (no trace entry): for regions the block
-    /// cache can never serve — the superblock and the filter words are
-    /// only ever read via `read_sync` at open, and aligned slot-block
-    /// reads cannot cross into them, so invalidating their blocks would
-    /// only pollute per-key epoch maps.
+    /// Fault-injectable write (no block-trace entry): for regions the
+    /// block cache can never serve — the superblock, the slot pointers
+    /// and the filter words are only ever read via `read_sync` at open,
+    /// so invalidating their blocks would only pollute per-key epoch
+    /// maps.
     fn write_checked(&mut self, addr: u64, bytes: &[u8]) -> io::Result<()> {
         if let Some(n) = self.fail_after_writes {
             let k = self.writes_since_arm;
@@ -426,20 +440,31 @@ impl Updater {
         write_at(&self.file, addr, bytes)
     }
 
-    /// Tracked write: records the touched blocks for cache
-    /// invalidation, applies fault injection, then writes. Used for
-    /// every write a cacheable block read could observe (slot pointers,
-    /// bucket blocks).
-    fn write_tracked(&mut self, addr: u64, bytes: &[u8]) -> io::Result<()> {
-        self.trace.record_write(addr, bytes.len());
-        self.write_checked(addr, bytes)
-    }
-
-    /// Tracked write of one encoded bucket block.
+    /// Tracked write of one encoded bucket block: records the block for
+    /// cache invalidation (before the write, so a failed write is
+    /// invalidated too), applies fault injection, then writes.
     fn write_block(&mut self, addr: u64, block: &BucketBlock) -> io::Result<()> {
         let mut out = Vec::with_capacity(BLOCK_SIZE);
         block.encode(&self.codec, &mut out);
-        self.write_tracked(addr, &out)
+        self.trace.record_write(addr, out.len());
+        self.write_checked(addr, &out)
+    }
+
+    /// Chain-head address of slot `slot` in table `(ri, li)`, as on
+    /// storage (0 = empty chain).
+    fn read_slot(&self, ri: usize, li: usize, slot: u64) -> io::Result<u64> {
+        let mut head = [0u8; 8];
+        read_at(&self.file, self.geometry.slot_addr(ri, li, slot), &mut head)?;
+        Ok(u64::from_le_bytes(head))
+    }
+
+    /// Point slot `slot` of table `(ri, li)` at `head` (0 = empty chain),
+    /// and record the new head in [`WriteTrace::heads`] once the write
+    /// has succeeded — the one path every slot-pointer write takes.
+    fn write_slot(&mut self, ri: usize, li: usize, slot: u64, head: u64) -> io::Result<()> {
+        self.write_checked(self.geometry.slot_addr(ri, li, slot), &head.to_le_bytes())?;
+        self.trace.heads.push((ri, li, slot, head));
+        Ok(())
     }
 
     /// Number of objects the index currently covers (IDs are `0..n`).
@@ -518,10 +543,7 @@ impl Updater {
                     .hash64(point, radius, &mut scratch);
                 let h32 = hash_v_bits(key64, HASH_BITS);
                 let (slot, fp) = split_hash(h32, self.geometry.u_bits);
-                let slot_addr = self.geometry.slot_addr(ri, li, slot);
-                let mut head_buf = [0u8; 8];
-                read_at(&self.file, slot_addr, &mut head_buf)?;
-                let head = u64::from_le_bytes(head_buf);
+                let head = self.read_slot(ri, li, slot)?;
                 let action = if head != 0 {
                     let mut buf = vec![0u8; BLOCK_SIZE];
                     read_at(&self.file, head, &mut buf)?;
@@ -612,9 +634,8 @@ impl Updater {
                         // pointer publishes it, so a concurrent reader
                         // sees the old head or the complete new one,
                         // never a partial block.
-                        let slot_addr = self.geometry.slot_addr(ri, li, plan.slot);
                         self.write_block(addr, &block)
-                            .and_then(|()| self.write_tracked(slot_addr, &addr.to_le_bytes()))
+                            .and_then(|()| self.write_slot(ri, li, plan.slot, addr))
                     }
                 };
                 outcome = step.and_then(|()| self.set_filter_bit(ri, li, plan.h32));
@@ -689,19 +710,6 @@ impl Updater {
         &self.filters[ri * self.geometry.l + li]
     }
 
-    /// Merge the in-memory filter state into an open [`StorageIndex`] so
-    /// an in-process reader observes newly inserted hash values. (Readers
-    /// opened from the file after the update see them automatically;
-    /// the serving layer instead mirrors the per-operation
-    /// [`WriteTrace::filter_bits`], which is cheaper than a full merge.)
-    pub fn sync_filters_into(&self, index: &StorageIndex) {
-        for (t, words) in self.filters.iter().enumerate() {
-            let ri = t / self.geometry.l;
-            let li = t % self.geometry.l;
-            index.merge_filter_words(ri, li, words);
-        }
-    }
-
     /// One budgeted maintenance tick: resume the cursor where the last
     /// tick left off and scan chains until about `block_budget` bucket
     /// blocks have been read (the current slot is always finished).
@@ -767,10 +775,7 @@ impl Updater {
         rep: &mut MaintenanceReport,
         sb_dirty: &mut bool,
     ) -> io::Result<u64> {
-        let slot_addr = self.geometry.slot_addr(ri, li, slot);
-        let mut head_buf = [0u8; 8];
-        read_at(&self.file, slot_addr, &mut head_buf)?;
-        let head = u64::from_le_bytes(head_buf);
+        let head = self.read_slot(ri, li, slot)?;
         let mut reads = 0u64;
         // The slot's filter block as its chain's entries set it. An
         // entry's hash value reconstructs exactly from its stored
@@ -796,7 +801,7 @@ impl Updater {
                 // reader that already holds its address still walks a
                 // consistent chain).
                 match &mut prev {
-                    None => self.write_tracked(slot_addr, &next.to_le_bytes())?,
+                    None => self.write_slot(ri, li, slot, next)?,
                     Some((paddr, pblock)) => {
                         pblock.next = next;
                         self.write_block(*paddr, pblock)?;
@@ -896,10 +901,7 @@ impl Updater {
         slot: u64,
         id: u32,
     ) -> io::Result<(usize, bool)> {
-        let slot_addr = self.geometry.slot_addr(ri, li, slot);
-        let mut head_buf = [0u8; 8];
-        read_at(&self.file, slot_addr, &mut head_buf)?;
-        let mut addr = u64::from_le_bytes(head_buf);
+        let mut addr = self.read_slot(ri, li, slot)?;
         let mut prev: Option<(u64, BucketBlock)> = None;
         while addr != 0 {
             let mut buf = vec![0u8; BLOCK_SIZE];
@@ -915,7 +917,7 @@ impl Updater {
                     // block) past it, then free it with its bytes
                     // intact for any stale reader mid-walk.
                     match prev {
-                        None => self.write_tracked(slot_addr, &block.next.to_le_bytes())?,
+                        None => self.write_slot(ri, li, slot, block.next)?,
                         Some((paddr, mut pblock)) => {
                             pblock.next = block.next;
                             self.write_block(paddr, &pblock)?;
@@ -1016,6 +1018,7 @@ mod tests {
     use crate::build::{build_index, BuildConfig};
     use crate::device::sim::{Backing, DeviceProfile, SimStorage};
     use crate::device::Interface;
+    use crate::index::StorageIndex;
     use crate::query::{run_queries, EngineConfig};
     use crate::testutil::{temp_path, test_seed};
     use e2lsh_core::dataset::Dataset;
@@ -1609,6 +1612,58 @@ mod tests {
                     reopened.filter_hit(ri, li, hash_v_bits(key, HASH_BITS)),
                     "retry after failed write {n} left table ({ri}, {li}) without its bits"
                 );
+            }
+        }
+        std::fs::remove_file(&base).ok();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A slot pointer reaches readers only through `WriteTrace::heads`,
+    /// and only once written: at every fault point of an insert, the
+    /// slots that differ from the pre-insert image are exactly the
+    /// recorded heads, and no slot block enters `WriteTrace::blocks`.
+    #[test]
+    fn failed_slot_write_publishes_no_head() {
+        let ds = dataset_seeded(121, 8, test_seed() ^ 0x5107);
+        let mut params = E2lshParams::derive(121, 2.0, 4.0, 1.0, ds.max_abs_coord(), 8);
+        params.n = 120;
+        let base = temp_path("slot_fail_base.idx");
+        build_index(&ds.prefix(120), &params, &BuildConfig::default(), &base).unwrap();
+        let before = Updater::open(&base).unwrap();
+        let path = temp_path("slot_fail.idx");
+        for n in 0.. {
+            std::fs::copy(&base, &path).unwrap();
+            let mut up = Updater::open(&path).unwrap();
+            let g = *up.geometry();
+            up.fail_after_writes(Some(n));
+            let res = up.insert(ds.point(120));
+            let trace = up.take_trace();
+            for &b in &trace.blocks {
+                assert!(
+                    b + BLOCK_SIZE as u64 > g.heap_base(),
+                    "fault {n}: block {b:#x} below the heap"
+                );
+            }
+            let published: HashMap<_, _> = trace
+                .heads
+                .iter()
+                .map(|&(ri, li, slot, head)| ((ri, li, slot), head))
+                .collect();
+            for ri in 0..g.num_radii {
+                for li in 0..g.l {
+                    for slot in 0..g.slots() {
+                        let was = before.read_slot(ri, li, slot).unwrap();
+                        assert_eq!(
+                            up.read_slot(ri, li, slot).unwrap(),
+                            published.get(&(ri, li, slot)).copied().unwrap_or(was),
+                            "fault {n}: slot ({ri}, {li}, {slot})"
+                        );
+                    }
+                }
+            }
+            if res.is_ok() {
+                assert!(!published.is_empty(), "the insert moved no head");
+                break;
             }
         }
         std::fs::remove_file(&base).ok();

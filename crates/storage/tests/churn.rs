@@ -27,7 +27,10 @@
 //!    `maintain(budget)` sequences, after every operation every live
 //!    object passes the occupancy filter in every table, on the
 //!    updater's mirror, on a live index kept in sync the way the serving
-//!    layer does it, and on a handle reopened from the file.
+//!    layer does it, and on a handle reopened from the file;
+//! 6. **live directory = image** — a live index fed every operation's
+//!    chain heads, failed operations included, holds exactly the slot
+//!    directory a handle reopened from the file loads.
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::lsh::hash_v_bits;
@@ -38,7 +41,7 @@ use e2lsh_storage::device::Interface;
 use e2lsh_storage::index::StorageIndex;
 use e2lsh_storage::layout::{BucketBlock, BLOCK_SIZE, ENTRIES_PER_BLOCK, HASH_BITS};
 use e2lsh_storage::query::{run_queries, EngineConfig};
-use e2lsh_storage::testutil::{temp_path, test_seed};
+use e2lsh_storage::testutil::{assert_directory_matches_image, temp_path, test_seed};
 use e2lsh_storage::update::Updater;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -525,4 +528,89 @@ fn filter_never_hides_a_live_object_under_random_ops() {
         assert_eq!(up.trace().chain_inconsistencies, 0);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// 6. The live slot directory follows the image: a handle opened up
+///    front and fed every operation's `WriteTrace::heads` (the serving
+///    layer's arrangement) holds, after every insert, delete and
+///    `maintain` — failed ones included, at the failure-injection
+///    suite's fault points — exactly the chain heads a handle reopened
+///    from the file loads.
+#[test]
+fn live_directory_matches_reopened_image_under_random_ops_and_faults() {
+    let seed = test_seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xD1EC);
+    let data = dataset(80, &mut rng);
+    let params = params_for(&data);
+    let path = temp_path(&format!("churn-directory-{seed}.idx"));
+    let cfg = BuildConfig {
+        capacity: Some(1024),
+        ..Default::default()
+    };
+    build_index(&data, &params, &cfg, &path).unwrap();
+
+    let live = {
+        let mut dev = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&path).unwrap());
+        StorageIndex::open(&mut dev).unwrap()
+    };
+    let mut up = Updater::open(&path).unwrap();
+    // A short quarantine, so freed blocks come back as new heads.
+    up.set_reuse_quarantine_ops(2);
+    let mut objects: Vec<(u32, Vec<f32>)> = (0..data.len())
+        .map(|i| (i as u32, data.point(i).to_vec()))
+        .collect();
+    let (mut heads, mut faults) = (0usize, 0usize);
+    for step in 0..200 {
+        // Every write index up to 11, a superset of the failure-injection
+        // suite's points (0, 1, 3, 9): an insert's writes run superblock,
+        // then block, slot and filter per table, so this lands on slot
+        // writes as well as block and filter writes.
+        let fault = (rng.gen_range(0..3) == 0).then(|| rng.gen_range(0..12u64));
+        up.fail_after_writes(fault);
+        let (what, failed) = match rng.gen_range(0..10) {
+            0..=3 => {
+                let p = random_point(&mut rng);
+                match up.insert(&p) {
+                    Ok(id) => {
+                        objects.push((id, p));
+                        ("insert", false)
+                    }
+                    Err(_) => ("insert", true),
+                }
+            }
+            4..=7 if !objects.is_empty() => {
+                // A failed delete may leave the object in some chains; it
+                // is not deleted again (its entries are harmless here).
+                let (id, p) = objects.swap_remove(rng.gen_range(0..objects.len()));
+                ("delete", up.delete(&p, id).is_err())
+            }
+            _ => match up.maintain(rng.gen_range(1..400)) {
+                Ok(rep) => {
+                    for &(ri, li, word, value) in &rep.filter_words {
+                        live.set_filter_word(ri, li, word, value);
+                    }
+                    ("maintain", false)
+                }
+                Err(_) => ("maintain", true),
+            },
+        };
+        up.fail_after_writes(None);
+        faults += usize::from(failed);
+        let trace = up.take_trace();
+        for &(ri, li, h32) in &trace.filter_bits {
+            live.set_filter_bit(ri, li, h32);
+        }
+        heads += trace.heads.len();
+        for &(ri, li, slot, head) in &trace.heads {
+            live.set_head(ri, li, slot, head);
+        }
+        assert_directory_matches_image(
+            &live,
+            &path,
+            &format!("step {step} ({what}, fault {fault:?}, seed {seed})"),
+        );
+    }
+    assert!(heads > 0, "no operation moved a chain head (seed {seed})");
+    assert!(faults > 0, "no injected fault fired (seed {seed})");
+    std::fs::remove_file(&path).ok();
 }

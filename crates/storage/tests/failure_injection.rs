@@ -237,8 +237,16 @@ fn failed_delete_keeps_shard_queryable() {
     let err = up.delete(ds.point(victim as usize), victim).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::Other, "{err}");
     up.fail_after_writes(None);
+    // No write of the delete succeeded. Its first write is a bucket
+    // block (traced before it is attempted, so caches drop whatever the
+    // failed write left) or a slot pointer, which reaches readers only
+    // through `heads` and is recorded there only once written — so the
+    // trace holds at most the one failed block and publishes no head.
     let trace = up.take_trace();
-    assert!(!trace.blocks.is_empty(), "failed delete left no trace");
+    assert!(
+        trace.blocks.len() <= 1 && trace.heads.is_empty(),
+        "failed delete traced writes it never made: {trace:?}"
+    );
     // Retrying the delete completes the removal.
     let removed = up.delete(ds.point(victim as usize), victim).unwrap();
     assert!(removed > 0, "retry must remove the remaining entries");

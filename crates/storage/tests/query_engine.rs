@@ -9,15 +9,18 @@ use e2lsh_core::index::MemIndex;
 use e2lsh_core::params::E2lshParams;
 use e2lsh_core::search::{knn_search, SearchOptions};
 use e2lsh_storage::build::{build_index, BuildConfig};
+use e2lsh_storage::device::cached::{BlockCache, CachedDevice};
 use e2lsh_storage::device::file::FileDevice;
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
-use e2lsh_storage::device::Interface;
+use e2lsh_storage::device::{Device, DeviceStats, Interface};
 use e2lsh_storage::index::StorageIndex;
+use e2lsh_storage::layout::BLOCK_SIZE;
 use e2lsh_storage::query::{run_queries, EngineConfig};
-use e2lsh_storage::testutil::temp_path;
+use e2lsh_storage::testutil::{temp_path, ReadFloor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const SEED: u64 = 4242;
 
@@ -350,4 +353,39 @@ fn topk_returns_sorted_k_results() {
         ids.dedup();
         assert_eq!(ids.len(), out.neighbors.len());
     }
+}
+
+/// No query reads the table region: every probe takes its chain head
+/// from the DRAM slot directory, so each I/O the engine submits is a
+/// bucket-block read at or above `heap_base` (the device panics on any
+/// other) — uncached and through a block cache alike — and a query's
+/// `N_IO` is exactly its block reads.
+#[test]
+fn no_query_reads_the_table_region() {
+    fn run<D: Device>(fx: &Fixture, index: &StorageIndex, inner: D) -> (u64, DeviceStats) {
+        let mut dev = ReadFloor::new(inner, index.geometry().heap_base());
+        let cfg = EngineConfig::simulated(Interface::SPDK, 3);
+        let report = run_queries(index, &fx.data, &fx.queries, &cfg, &mut dev);
+        let mut n_io = 0u64;
+        for out in &report.outcomes {
+            assert_eq!(out.table_reads, 0);
+            assert_eq!(out.n_io(), out.block_reads);
+            n_io += u64::from(out.n_io());
+        }
+        assert!(n_io > 0, "the queries issued no I/O");
+        assert_eq!(dev.submitted(), n_io, "one device read per engine I/O");
+        (n_io, dev.stats())
+    }
+    let fx = build_fixture(1500, 16, "read_floor.idx");
+    let sim = || SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&fx.path).unwrap());
+    let mut dev = sim();
+    let index = StorageIndex::open(&mut dev).unwrap();
+    run(&fx, &index, dev);
+    let cache = Arc::new(BlockCache::new(1 << 12, 4));
+    let (n_io, stats) = run(
+        &fx,
+        &index,
+        CachedDevice::new(sim(), cache, BLOCK_SIZE as u32),
+    );
+    assert_eq!(stats.cache_hits + stats.cache_misses, n_io);
 }

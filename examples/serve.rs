@@ -36,6 +36,7 @@ use e2lshos::service::{
 use e2lshos::storage::testutil::temp_path;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Replay a read-only query stream through a fresh session under a
 /// load discipline: `start() → drive → shutdown()`. Per-query outcomes
@@ -342,15 +343,33 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut rep = None;
+    // The fence triggers on progress, not on a timer: once a quarter of
+    // the stream has completed, replica 2 of shard 0 "crashes" with
+    // queries in flight, whatever the machine's speed.
+    let reads: Vec<Op> = (0..queries.len()).map(Op::Query).collect();
+    let no_inserts = Dataset::with_capacity(queries.dim(), 0);
+    let session = replicated.start();
+    let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            replicated.topology().fence(0, 2); // replica 2 of shard 0 "crashes"
+            while session.metrics().completed_queries < queries.len() / 4 {
+                if done.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+            replicated.topology().fence(0, 2);
         });
-        rep = Some(replay(&replicated, &queries, Load::Closed { window: 32 }).1);
+        drive(
+            &session,
+            &queries,
+            &no_inserts,
+            &reads,
+            Load::Closed { window: 32 },
+        );
+        done.store(true, Ordering::Relaxed);
     });
-    let rep = rep.unwrap();
+    let rep = session.shutdown();
     println!(
         "replicas @R=3 (one fenced mid-run): {:.0} QPS, {} failovers, {} shed, \
          per-replica load {:?}, imbalance {:.2}",
