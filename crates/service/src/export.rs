@@ -36,7 +36,10 @@ use serde::Serialize;
 /// v4: the `retries` counter is gone — a session never retries.
 /// v5: the read-coalescing counter is gone — a cache miss always
 /// issues its own device read.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: the per-region cache counters (`cache_{table,bucket}_{hits,misses}`)
+/// are gone with the cache's table/bucket partition; the reactor idle
+/// counters `reactor_sleeps` and `reactor_late_wakes` are new.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// A named, ordered snapshot of one [`ServiceReport`]'s metrics,
 /// ready to serialize. Build with [`MetricsRegistry::from_report`];

@@ -103,10 +103,11 @@
 //!
 //! DRAM caching comes from the storage crate's
 //! [`CachedDevice`](e2lsh_storage::device::cached::CachedDevice): each
-//! replica of a shard owns a private LRU
+//! replica of a shard owns a private W-TinyLFU
 //! [`BlockCache`](e2lsh_storage::device::cached::BlockCache), so hot
-//! buckets under skewed traffic are served from memory and the cache
-//! hit rate shows up in every [`service::ServiceReport`].
+//! buckets under skewed traffic are served from memory, one-off blocks
+//! do not displace them, and the cache hit rate shows up in every
+//! [`service::ServiceReport`].
 
 #![deny(unsafe_code)]
 

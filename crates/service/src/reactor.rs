@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 mod idle;
 pub(crate) use idle::sleep_until;
-use idle::{idle_wait, Wait, ADMIT_CHECK_S};
+use idle::{idle_wait, sleep_checked, Wait, ADMIT_CHECK_S};
 
 /// A query admitted to the service. Jobs are self-contained: the
 /// session's clients submit arbitrary points at any time, so each job
@@ -122,6 +122,13 @@ pub struct ReplicaStatsCell {
     pub device: Mutex<DeviceStats>,
     /// Queries this replica completed.
     pub served: AtomicU64,
+    /// Plain sleeps of the idle reactor (every die of a wall-driven
+    /// simulated device booked past the wake target plus the wake-up
+    /// margin, `reactor/idle.rs`).
+    pub sleeps: AtomicU64,
+    /// Plain sleeps that woke up more than the wake-up margin past
+    /// their target.
+    pub late_wakes: AtomicU64,
 }
 
 /// The longest any idle block lasts, so a late fence or disconnect is
@@ -403,8 +410,15 @@ fn serve(
         } else if ctx.sim_time {
             if let Some(t) = lane.device.next_completion_time() {
                 let next_free = lane.device.next_free_time();
-                match idle_wait(lane.wall_now(), t, next_free, free_slots) {
-                    Wait::Sleep(d) => std::thread::sleep(d),
+                let now = lane.wall_now();
+                match idle_wait(now, t, next_free, free_slots) {
+                    Wait::Sleep(d) => {
+                        let late = sleep_checked(ctx.epoch, now, d);
+                        ctx.stats.sleeps.fetch_add(1, Ordering::Relaxed);
+                        ctx.stats
+                            .late_wakes
+                            .fetch_add(u64::from(late), Ordering::Relaxed);
+                    }
                     Wait::Until(t) => sleep_until(ctx.epoch, t),
                 }
             }

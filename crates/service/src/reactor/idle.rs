@@ -16,6 +16,9 @@
 //!
 //! Both are exact only while the thread wakes up less than the margin
 //! late, which is the usual case but not the tail (see [`WAKE_MARGIN`]).
+//! [`sleep_checked`] reports which plain sleeps woke up later than that;
+//! the service counts both per replica (`reactor_sleeps`,
+//! `reactor_late_wakes`).
 //!
 //! [`Device::next_free_time`]: e2lsh_storage::device::Device::next_free_time
 
@@ -68,6 +71,15 @@ pub(super) fn idle_wait(
         }
         _ => Wait::Until(target),
     }
+}
+
+/// One plain sleep of `d`, begun at epoch-relative `now` ([`Wait::Sleep`]).
+/// True when the thread woke up more than [`WAKE_MARGIN`] past its
+/// target — late enough that a read behind the sleep may have been
+/// delayed.
+pub(super) fn sleep_checked(epoch: Instant, now: f64, d: Duration) -> bool {
+    std::thread::sleep(d);
+    epoch.elapsed().as_secs_f64() > now + d.as_secs_f64() + WAKE_MARGIN
 }
 
 /// Sleep (coarsely, then yielding) until `epoch + t`. The final window

@@ -214,6 +214,15 @@ e2lsh_storage::counter_family! {
         /// Total I/Os issued across shards (each query's partial is
         /// served by one replica per shard).
         total_io: u64 = "total_io",
+        /// Plain sleeps of idle reactors, summed over replicas: a
+        /// wall-driven simulated device had every die booked past the
+        /// next wake target plus the wake-up margin
+        /// (`reactor/idle.rs`). 0 on file devices.
+        reactor_sleeps: u64 = "reactor_sleeps",
+        /// Those of `reactor_sleeps` that woke up more than the wake-up
+        /// margin past their target — the wake-ups that can delay a
+        /// read's modeled start.
+        reactor_late_wakes: u64 = "reactor_late_wakes",
     }
     peaks {
         /// High-water per-replica queue depth (max across all replicas'

@@ -1532,6 +1532,10 @@ fn build_report(shared: &SessionShared) -> ServiceReport {
     report.peak_queue_depth = peak_queue_depth(shared);
     report.device += &aggregate_device(shared);
     report.replica_load = replica_load(shared);
+    for cell in shared.replica_cells.iter().flatten() {
+        report.reactor_sleeps += cell.sleeps.load(Ordering::Relaxed);
+        report.reactor_late_wakes += cell.late_wakes.load(Ordering::Relaxed);
+    }
     report.slow_queries = shared.tracer.slow_queries();
     report
 }

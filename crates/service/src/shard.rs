@@ -16,9 +16,9 @@
 //! rows live behind an [`RwLock`] so the write path can append
 //! coordinates while query reactors keep running.
 //!
-//! Each shard owns an optional LRU [`BlockCache`]: replica 0 serves
-//! through it and every other replica gets a private cache of the same
-//! shape (see [`crate::topology`]).
+//! Each shard owns an optional W-TinyLFU [`BlockCache`]: replica 0
+//! serves through it and every other replica gets a private cache of the
+//! same shape and policy (see [`crate::topology`]).
 
 use e2lsh_core::dataset::Dataset;
 use e2lsh_core::params::E2lshParams;

@@ -405,16 +405,12 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         cache_stale_fills: 107,
         cache_warmed: 108,
         cache_admission_rejected: 109,
-        cache_table_hits: 110,
-        cache_table_misses: 111,
-        cache_bucket_hits: 112,
-        cache_bucket_misses: 113,
-        blocks_reclaimed: 114,
-        filter_bits_cleared: 115,
-        bytes_reclaimed: 116,
-        chain_inconsistencies: 117,
-        latency_sum: 118.0,
-        busy_sum: 119.0,
+        blocks_reclaimed: 110,
+        filter_bits_cleared: 111,
+        bytes_reclaimed: 112,
+        chain_inconsistencies: 113,
+        latency_sum: 114.0,
+        busy_sum: 115.0,
     };
     let net = NetCounters {
         connections_accepted: 101,
@@ -434,17 +430,19 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         failovers: 106,
         lost_partials: 107,
         total_io: 108,
-        peak_queue_depth: 109,
-        workers: 110,
-        shards: 111,
-        replicas: 112,
-        duration: 113.0,
-        read_hist: hist(114),
-        read_service_hist: hist(115),
-        read_wait_hist: hist(116),
-        write_hist: hist(117),
-        write_service_hist: hist(118),
-        write_wait_hist: hist(119),
+        reactor_sleeps: 109,
+        reactor_late_wakes: 110,
+        peak_queue_depth: 111,
+        workers: 112,
+        shards: 113,
+        replicas: 114,
+        duration: 115.0,
+        read_hist: hist(116),
+        read_service_hist: hist(117),
+        read_wait_hist: hist(118),
+        write_hist: hist(119),
+        write_service_hist: hist(120),
+        write_wait_hist: hist(121),
         slow_queries: Vec::new(),
         device,
         replica_load: vec![vec![7, 9]],
@@ -464,7 +462,7 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         |_, v| exported.borrow_mut().push(v as f64),
         |_, v| exported.borrow_mut().push(v),
     );
-    assert_eq!(exported.into_inner(), numbered(101, 19));
+    assert_eq!(exported.into_inner(), numbered(101, 15));
 
     let mut net_b = net;
     net_b += &net;
@@ -506,7 +504,7 @@ fn every_declared_counter_adds_subtracts_and_exports() {
         .chain(seconds.iter().map(|&(_, v)| v))
         .chain(hists.iter().map(|(_, h)| h.count() as f64))
         .collect();
-    assert_eq!(exported, numbered(101, 19));
+    assert_eq!(exported, numbered(101, 21));
 }
 
 /// One subtraction rule per family (regression: `failovers`,
@@ -593,7 +591,16 @@ fn export_schema_round_trips_live_report() {
     );
     // v4: a session never retries, so it exports no such counter.
     assert!(counters.get("retries").is_none());
-    // Schema v5's key set, name for name: every declared counter,
+    // v6: the idle counters agree with the report, and a late wake-up
+    // is one of the plain sleeps.
+    let count = |name: &str| counters.get(name).unwrap().as_f64().unwrap();
+    assert_eq!(count("reactor_sleeps"), report.reactor_sleeps as f64);
+    assert_eq!(
+        count("reactor_late_wakes"),
+        report.reactor_late_wakes as f64
+    );
+    assert!(report.reactor_late_wakes <= report.reactor_sleeps);
+    // Schema v6's key set, name for name: every declared counter,
     // second sum and histogram once under its export name, next to the
     // six derived rates. A renamed, dropped or added key is a schema
     // bump, not a refactor.
@@ -618,6 +625,8 @@ fn export_schema_round_trips_live_report() {
             "lost_partials",
             "peak_queue_depth",
             "total_io",
+            "reactor_sleeps",
+            "reactor_late_wakes",
             "workers",
             "shards",
             "replicas",
@@ -630,10 +639,6 @@ fn export_schema_round_trips_live_report() {
             "cache_stale_fills",
             "cache_warmed",
             "cache_admission_rejected",
-            "cache_table_hits",
-            "cache_table_misses",
-            "cache_bucket_hits",
-            "cache_bucket_misses",
             "blocks_reclaimed",
             "filter_bits_cleared",
             "bytes_reclaimed",

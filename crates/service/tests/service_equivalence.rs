@@ -7,6 +7,9 @@
 //! results are independent of I/O completion order (with a binding
 //! budget, *which* candidates are examined before the budget runs out
 //! depends on timing).
+//!
+//! The shard cache is also checked for scan resistance: a burst of
+//! one-off queries does not flush the hot queries' blocks.
 
 mod common;
 
@@ -17,12 +20,15 @@ use e2lsh_service::{
     skewed_queries, DeviceSpec, Load, ServiceConfig, ShardBuildConfig, ShardSet, ShardedService,
 };
 use e2lsh_storage::build::{build_index, BuildConfig};
+use e2lsh_storage::device::cached::{BlockCache, CachedDevice};
 use e2lsh_storage::device::sim::{Backing, DeviceProfile, SimStorage};
 use e2lsh_storage::device::Interface;
 use e2lsh_storage::index::StorageIndex;
+use e2lsh_storage::layout::BLOCK_SIZE;
 use e2lsh_storage::query::{run_queries, EngineConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 const SEED: u64 = 4242;
 const AMPLE: usize = 1_000_000;
@@ -319,5 +325,110 @@ fn open_loop_serves_every_query_with_sane_latencies() {
     assert!(driven.queries.iter().all(|r| r.latency >= 0.0));
     assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99 && lat.p99 <= lat.max);
     assert!(report.duration > 0.0 && report.qps() > 0.0);
+    svc.shards().cleanup();
+}
+
+/// Scan resistance at service level. A one-shard service whose cache
+/// holds a hot query set serves a burst of one-off queries near other
+/// clusters — more than twice the cache's capacity in distinct blocks —
+/// and then the hot set again: the hot pass must keep at least 90 % of
+/// its pre-burst hit rate. W-TinyLFU admits a burst block only when the
+/// frequency sketch rates it hotter than the block it would evict, so
+/// the one-off blocks die in the admission window; an LRU cache admits
+/// them all and the hot set is flushed.
+#[test]
+fn scan_burst_keeps_the_hot_set_cached() {
+    const DIM: usize = 10;
+    const CACHE_BLOCKS: usize = 256;
+    let seed = e2lsh_storage::testutil::test_seed();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5CA7);
+    let centers: Vec<Vec<f32>> = (0..8)
+        .map(|_| (0..DIM).map(|_| rng.gen::<f32>() * 40.0).collect())
+        .collect();
+    // `count` points, the i-th around centre `cluster(i)`.
+    let mut near = |count: usize, cluster: &dyn Fn(usize) -> usize| {
+        let mut ds = Dataset::with_capacity(DIM, count);
+        let mut p = vec![0.0f32; DIM];
+        for i in 0..count {
+            for (v, &cv) in p.iter_mut().zip(&centers[cluster(i)]) {
+                *v = cv + (rng.gen::<f32>() - 0.5) * 2.0;
+            }
+            ds.push(&p);
+        }
+        ds
+    };
+    // Every cluster populated; the hot set sits on cluster 0 and the
+    // burst on clusters 1..8, one query each.
+    let data = near(4_000, &|i| i % 8);
+    let hot = near(5, &|_| 0);
+    let burst = near(40, &|i| 1 + i % 7);
+
+    let shards = ShardSet::build(
+        &data,
+        &ShardBuildConfig {
+            num_shards: 1,
+            seed: seed ^ 0x5CA7,
+            dir: shard_dir("scan"),
+            cache_blocks: CACHE_BLOCKS,
+            ..Default::default()
+        },
+        params_for,
+    )
+    .unwrap();
+
+    // The burst's distinct blocks: the batch engine over a cache too
+    // large to evict or refuse anything holds each block it read once.
+    let shard = &shards.shards()[0];
+    let mut plain = SimStorage::new(DeviceProfile::ESSD, 1, Backing::open(&shard.path).unwrap());
+    let index = StorageIndex::open(&mut plain).unwrap();
+    let ample = Arc::new(BlockCache::new(1 << 20, 1));
+    let mut dev = CachedDevice::new(plain, Arc::clone(&ample), BLOCK_SIZE as u32);
+    let mut cfg = EngineConfig::simulated(Interface::SPDK, 3);
+    cfg.s_override = Some(AMPLE);
+    run_queries(&index, &shard.data.read().unwrap(), &burst, &cfg, &mut dev);
+    assert!(
+        ample.len() >= 2 * CACHE_BLOCKS,
+        "the burst touches only {} distinct blocks (seed {seed})",
+        ample.len()
+    );
+
+    let svc = ShardedService::new(
+        shards,
+        service_config(
+            4,
+            3,
+            DeviceSpec::SimShared {
+                profile: DeviceProfile::ESSD,
+                num_devices: 1,
+            },
+        ),
+    );
+    let session = svc.start();
+    let client = session.client();
+    let hit_rate = |queries: &Dataset| {
+        let before = session.metrics();
+        for qi in 0..queries.len() {
+            client.query(queries.point(qi)).wait();
+        }
+        let d = session.metrics().interval_since(&before).device;
+        assert!(d.cache_hits + d.cache_misses > 0, "a pass read nothing");
+        d.cache_hit_rate()
+    };
+    for _ in 0..3 {
+        hit_rate(&hot);
+    }
+    let warm = hit_rate(&hot);
+    assert!(
+        warm >= 0.9,
+        "the cache does not hold the hot set: {warm:.3} (seed {seed})"
+    );
+    let scan = hit_rate(&burst);
+    let after = hit_rate(&hot);
+    assert!(
+        after >= 0.9 * warm,
+        "hot-set hit rate {warm:.3} fell to {after:.3} after a burst (its own hit rate \
+         {scan:.3}, seed {seed})"
+    );
+    drop(session.shutdown());
     svc.shards().cleanup();
 }

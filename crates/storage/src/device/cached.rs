@@ -4,9 +4,10 @@
 //! query streams are skewed: hot buckets (popular hash prefixes, repeated
 //! or clustered queries) are read over and over. [`CachedDevice`] wraps
 //! any device with a sharded cache over 512-byte blocks so repeated
-//! reads of hash-table slots and bucket blocks are served from DRAM with
-//! zero device time, while cold reads pass through and fill the cache on
-//! completion.
+//! reads of bucket blocks are served from DRAM with zero device time,
+//! while cold reads pass through and fill the cache on completion. (The
+//! slot-pointer chain heads live in DRAM already — the slot directory,
+//! DESIGN §3 — so no query reads a table-region block.)
 //!
 //! The cache itself ([`BlockCache`]) is shared (`Arc<BlockCache>`): the
 //! serving layer gives each replica of a dataset shard its own, held by
@@ -17,27 +18,26 @@
 //!
 //! ## Replacement policies
 //!
-//! Two policies are available through [`CachePolicy`]; the serving
-//! layer always runs LRU:
+//! Two policies are available through [`CachePolicy`]; every serving
+//! cache runs the default, W-TinyLFU:
 //!
-//! * [`CachePolicy::Lru`] (the default) — one recency list per lock
-//!   shard, admit everything. Bit-exact with the original PR-1 cache.
-//! * [`CachePolicy::TinyLfu`] — W-TinyLFU: a small LRU *window*
-//!   (~1% of capacity) absorbs arrivals; overflow candidates are
-//!   admitted into a segmented main area (probation + protected) only
-//!   when a 4-bit count-min frequency sketch ([`CmSketch`], with a
-//!   doorkeeper bloom filter and periodic halving) estimates them hotter
-//!   than the eviction victim. One-hit-wonder blocks from scans and
-//!   churn die in the window instead of displacing proven-hot blocks.
-//!   Optionally the capacity is **region-partitioned**: hash-table-slot
-//!   blocks (addresses below [`TinyLfuConfig::region_boundary`]) and
-//!   bucket-chain blocks each get their own budget, so a deep chain walk
-//!   can never flush the small, ultra-hot table blocks.
+//! * [`CachePolicy::TinyLfu`] (the default) — W-TinyLFU (Einziger,
+//!   Friedman & Manes, ACM TOS 2017): a small LRU *window* (~1% of
+//!   capacity) absorbs arrivals; overflow candidates are admitted into a
+//!   segmented main area (probation + protected) only when a 4-bit
+//!   count-min frequency sketch ([`CmSketch`], with a doorkeeper bloom
+//!   filter and periodic halving) estimates them hotter than the
+//!   eviction victim. One-hit-wonder blocks — scans, the occupancy
+//!   filter's false-positive head blocks, the Zipf tail — die in the
+//!   window instead of displacing proven-hot blocks.
+//! * [`CachePolicy::Lru`] — the reference policy: one recency list per
+//!   lock shard, admit everything. Kept for the property suite's
+//!   reference model and the benchmark's `.lru` rows.
 //!
-//! Hits, misses, evictions, invalidations, discarded stale fills,
-//! admission rejections and per-region hits/misses are surfaced through
-//! the corresponding [`DeviceStats`] fields, so every report that prints
-//! device statistics can report cache effectiveness too.
+//! Hits, misses, evictions, invalidations, discarded stale fills and
+//! admission rejections are surfaced through the corresponding
+//! [`DeviceStats`] fields, so every report that prints device statistics
+//! can report cache effectiveness too.
 //!
 //! Writers (the online update path) invalidate exactly the blocks they
 //! rewrite; per-key epochs make sure a racing miss fill for an
@@ -45,57 +45,47 @@
 //! survive (see [`BlockCache`]).
 
 use super::{Device, DeviceStats, IoCompletion, IoRequest};
-use std::collections::HashMap;
+use e2lsh_core::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 const NIL: usize = usize::MAX;
 
-/// Region indices: hash-table-slot blocks vs bucket-chain blocks.
-const TABLE: usize = 0;
-const BUCKET: usize = 1;
-
-/// Segment indices within a region.
+/// Segment indices within a lock shard.
 const SEG_WINDOW: usize = 0;
 const SEG_PROBATION: usize = 1;
 const SEG_PROTECTED: usize = 2;
 
 /// Replacement/admission policy of a [`BlockCache`].
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CachePolicy {
-    /// Plain sharded LRU, admit everything (the PR-1 cache, bit-exact).
-    #[default]
+    /// Plain sharded LRU, admit everything: the reference policy.
     Lru,
-    /// W-TinyLFU: frequency-gated admission with a recency window, plus
-    /// optional table/bucket region partitioning.
+    /// W-TinyLFU: frequency-gated admission behind a recency window.
     TinyLfu(TinyLfuConfig),
 }
 
-/// The one knob of [`CachePolicy::TinyLfu`]; the segment shape is fixed
-/// (Caffeine's defaults, the constants below).
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct TinyLfuConfig {
-    /// First bucket-region block key (block units, i.e.
-    /// `heap_base / BLOCK_SIZE`): keys below it are table-region, keys
-    /// at or above it bucket-region. 0 (the default) disables
-    /// partitioning (single region). The serving layer runs LRU, so
-    /// only storage-level callers set this.
-    pub region_boundary: u64,
+impl Default for CachePolicy {
+    fn default() -> Self {
+        CachePolicy::TinyLfu(TinyLfuConfig {})
+    }
 }
 
+/// The shape constants of [`CachePolicy::TinyLfu`] (Caffeine's
+/// defaults). The struct has no field: W-TinyLFU has no knob. It stays
+/// because the benchmark's frozen micro rows name
+/// `CachePolicy::TinyLfu(TinyLfuConfig::default())`.
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
+pub struct TinyLfuConfig {}
+
 impl TinyLfuConfig {
-    /// Fraction of each region's capacity given to the admission window
-    /// (clamped to at least one block).
+    /// Fraction of each lock shard's capacity given to the admission
+    /// window (clamped to at least one block).
     pub const WINDOW_FRACTION: f64 = 0.01;
     /// Fraction of the main (non-window) area reserved for the
     /// protected segment; blocks re-referenced while on probation are
     /// promoted into it.
     pub const PROTECTED_FRACTION: f64 = 0.8;
-    /// Fraction of total capacity budgeted to the table region when
-    /// `region_boundary > 0` (clamped so both regions keep at least one
-    /// block, and to the actual number of table blocks striped onto
-    /// each lock shard).
-    const TABLE_FRACTION: f64 = 0.2;
 }
 
 /// A 4-bit count-min frequency sketch with a doorkeeper bloom filter and
@@ -239,63 +229,13 @@ impl Dll {
     }
 }
 
-/// One capacity region (table or bucket) of a lock shard: window,
-/// probation and protected segments with their budgets.
-struct Region {
-    lists: [Dll; 3],
-    total_cap: usize,
-    window_cap: usize,
-    protected_cap: usize,
-}
-
-impl Region {
-    fn empty() -> Self {
-        Self {
-            lists: [Dll::new(); 3],
-            total_cap: 0,
-            window_cap: 0,
-            protected_cap: 0,
-        }
-    }
-
-    /// Plain LRU: the whole region is one window list.
-    fn lru(cap: usize) -> Self {
-        Self {
-            lists: [Dll::new(); 3],
-            total_cap: cap,
-            window_cap: cap,
-            protected_cap: 0,
-        }
-    }
-
-    fn tiny_lfu(cap: usize) -> Self {
-        let window =
-            (((cap as f64) * TinyLfuConfig::WINDOW_FRACTION).round() as usize).clamp(1, cap);
-        let main = cap - window;
-        let protected = ((main as f64) * TinyLfuConfig::PROTECTED_FRACTION).floor() as usize;
-        Self {
-            lists: [Dll::new(); 3],
-            total_cap: cap,
-            window_cap: window,
-            protected_cap: protected,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lists.iter().map(|l| l.len).sum()
-    }
-
-    fn main_cap(&self) -> usize {
-        self.total_cap - self.window_cap
-    }
-}
-
 struct Node {
     key: u64,
-    data: Arc<[u8]>,
+    /// `None` once the node is evicted or invalidated: the bytes are
+    /// released without allocating a placeholder.
+    data: Option<Arc<[u8]>>,
     prev: usize,
     next: usize,
-    region: u8,
     seg: u8,
 }
 
@@ -307,19 +247,20 @@ struct InsertOutcome {
     rejected: u64,
 }
 
-/// One lock shard: a slab of nodes shared by up to two regions × three
-/// segments, the policy's frequency sketch, and the per-key invalidation
-/// epochs.
+/// One lock shard: a slab of nodes on three segment lists (window,
+/// probation, protected), the policy's frequency sketch, and the
+/// per-key invalidation epochs. Under LRU the window is the whole
+/// budget and the other two lists stay empty.
 struct CacheShard {
-    map: HashMap<u64, usize>,
+    map: FxHashMap<u64, usize>,
     nodes: Vec<Node>,
     free: Vec<usize>,
-    regions: [Region; 2],
+    lists: [Dll; 3],
+    capacity: usize,
+    window_cap: usize,
+    protected_cap: usize,
     /// `Some` under TinyLFU (the admission filter), `None` under LRU.
     sketch: Option<CmSketch>,
-    /// Budget-partition boundary in block units (0 = single region).
-    boundary: u64,
-    capacity: usize,
     /// Per-key invalidation counters (sparse: only keys invalidated
     /// since this segment's last flush appear). Guarded by the same
     /// mutex as the entries, so epoch reads/bumps are atomic with entry
@@ -329,7 +270,7 @@ struct CacheShard {
     /// segment is then conservatively discarded, which is the old
     /// cache-global behaviour for one rare moment instead of on every
     /// write.
-    epochs: HashMap<u64, u64>,
+    epochs: FxHashMap<u64, u64>,
     /// This segment's flush epoch: bumped by
     /// [`BlockCache::invalidate_all`] and by epoch-map overflow; gates
     /// every in-flight fill into the segment.
@@ -337,36 +278,29 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn new(capacity: usize, policy: CachePolicy, table_blocks_hint: usize) -> Self {
-        let mut regions = [Region::empty(), Region::empty()];
-        let mut sketch = None;
-        let mut boundary = 0u64;
-        match policy {
-            CachePolicy::Lru => {
-                regions[BUCKET] = Region::lru(capacity);
+    fn new(capacity: usize, policy: CachePolicy) -> Self {
+        let (window_cap, protected_cap, sketch) = match policy {
+            CachePolicy::Lru => (capacity, 0, None),
+            CachePolicy::TinyLfu(_) => {
+                let window = (((capacity as f64) * TinyLfuConfig::WINDOW_FRACTION).round()
+                    as usize)
+                    .clamp(1, capacity);
+                let main = capacity - window;
+                let protected =
+                    ((main as f64) * TinyLfuConfig::PROTECTED_FRACTION).floor() as usize;
+                (window, protected, Some(CmSketch::new(capacity)))
             }
-            CachePolicy::TinyLfu(cfg) => {
-                if cfg.region_boundary > 0 && capacity >= 2 {
-                    let want = ((capacity as f64) * TinyLfuConfig::TABLE_FRACTION).round() as usize;
-                    let table_cap = want.clamp(1, capacity - 1).min(table_blocks_hint.max(1));
-                    regions[TABLE] = Region::tiny_lfu(table_cap);
-                    regions[BUCKET] = Region::tiny_lfu(capacity - table_cap);
-                    boundary = cfg.region_boundary;
-                } else {
-                    regions[BUCKET] = Region::tiny_lfu(capacity);
-                }
-                sketch = Some(CmSketch::new(capacity));
-            }
-        }
+        };
         Self {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: FxHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::new(),
             free: Vec::new(),
-            regions,
-            sketch,
-            boundary,
+            lists: [Dll::new(); 3],
             capacity,
-            epochs: HashMap::new(),
+            window_cap,
+            protected_cap,
+            sketch,
+            epochs: FxHashMap::default(),
             flush: 0,
         }
     }
@@ -392,57 +326,58 @@ impl CacheShard {
         (self.capacity * 4).max(1024)
     }
 
-    #[inline]
-    fn region_of(&self, key: u64) -> usize {
-        if self.boundary > 0 && key < self.boundary {
-            TABLE
-        } else {
-            BUCKET
-        }
+    fn main_cap(&self) -> usize {
+        self.capacity - self.window_cap
     }
 
     fn unlink(&mut self, i: usize) {
-        let (r, seg) = (self.nodes[i].region as usize, self.nodes[i].seg as usize);
+        let seg = self.nodes[i].seg as usize;
         let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
         if prev != NIL {
             self.nodes[prev].next = next;
         } else {
-            self.regions[r].lists[seg].head = next;
+            self.lists[seg].head = next;
         }
         if next != NIL {
             self.nodes[next].prev = prev;
         } else {
-            self.regions[r].lists[seg].tail = prev;
+            self.lists[seg].tail = prev;
         }
-        self.regions[r].lists[seg].len -= 1;
+        self.lists[seg].len -= 1;
     }
 
-    fn push_front(&mut self, i: usize, r: usize, seg: usize) {
-        self.nodes[i].region = r as u8;
+    fn push_front(&mut self, i: usize, seg: usize) {
         self.nodes[i].seg = seg as u8;
-        let head = self.regions[r].lists[seg].head;
+        let head = self.lists[seg].head;
         self.nodes[i].prev = NIL;
         self.nodes[i].next = head;
         if head != NIL {
             self.nodes[head].prev = i;
         }
-        self.regions[r].lists[seg].head = i;
-        if self.regions[r].lists[seg].tail == NIL {
-            self.regions[r].lists[seg].tail = i;
+        self.lists[seg].head = i;
+        if self.lists[seg].tail == NIL {
+            self.lists[seg].tail = i;
         }
-        self.regions[r].lists[seg].len += 1;
+        self.lists[seg].len += 1;
     }
 
+    /// Move resident entry `i` to the front of `seg`.
+    fn move_front(&mut self, i: usize, seg: usize) {
+        self.unlink(i);
+        self.push_front(i, seg);
+    }
+
+    /// Take a slab slot for a new resident `key` and map it (not yet
+    /// linked into a list).
     fn alloc(&mut self, key: u64, data: Arc<[u8]>) -> usize {
         let node = Node {
             key,
-            data,
+            data: Some(data),
             prev: NIL,
             next: NIL,
-            region: BUCKET as u8,
             seg: SEG_WINDOW as u8,
         };
-        match self.free.pop() {
+        let i = match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = node;
                 i
@@ -451,7 +386,9 @@ impl CacheShard {
                 self.nodes.push(node);
                 self.nodes.len() - 1
             }
-        }
+        };
+        self.map.insert(key, i);
+        i
     }
 
     /// Unlink a resident entry and return its slab slot to the free
@@ -459,7 +396,7 @@ impl CacheShard {
     fn remove_node(&mut self, i: usize) {
         self.unlink(i);
         self.map.remove(&self.nodes[i].key);
-        self.nodes[i].data = Arc::from(&[][..]); // release the bytes now
+        self.nodes[i].data = None; // release the bytes now
         self.free.push(i);
     }
 
@@ -468,6 +405,15 @@ impl CacheShard {
         if let Some(&i) = self.map.get(&key) {
             self.remove_node(i);
         }
+    }
+
+    fn bytes(&self, i: usize) -> Arc<[u8]> {
+        Arc::clone(
+            self.nodes[i]
+                .data
+                .as_ref()
+                .expect("resident node holds bytes"),
+        )
     }
 
     fn freq(&self, key: u64) -> u32 {
@@ -481,37 +427,21 @@ impl CacheShard {
         }
     }
 
-    /// A hit's segment transition.
+    /// A hit's segment transition. Window and protected hits (and every
+    /// LRU hit) refresh recency in place; a probation hit proves reuse
+    /// and promotes into protected, demoting that segment's LRU back to
+    /// probation when over budget (it keeps a second chance instead of
+    /// dying).
     fn promote(&mut self, i: usize) {
-        let r = self.nodes[i].region as usize;
-        if self.sketch.is_none() {
-            // Plain LRU: refresh recency in the single window list.
-            self.unlink(i);
-            self.push_front(i, r, SEG_WINDOW);
-            return;
-        }
         match self.nodes[i].seg as usize {
-            // Window and protected hits refresh recency in place.
-            SEG_WINDOW => {
-                self.unlink(i);
-                self.push_front(i, r, SEG_WINDOW);
-            }
-            SEG_PROTECTED => {
-                self.unlink(i);
-                self.push_front(i, r, SEG_PROTECTED);
-            }
-            // A probation hit proves reuse: promote into protected,
-            // demoting that segment's LRU back to probation when over
-            // budget (it keeps a second chance instead of dying).
-            _ => {
-                self.unlink(i);
-                self.push_front(i, r, SEG_PROTECTED);
-                while self.regions[r].lists[SEG_PROTECTED].len > self.regions[r].protected_cap {
-                    let demote = self.regions[r].lists[SEG_PROTECTED].tail;
-                    self.unlink(demote);
-                    self.push_front(demote, r, SEG_PROBATION);
+            SEG_PROBATION => {
+                self.move_front(i, SEG_PROTECTED);
+                while self.lists[SEG_PROTECTED].len > self.protected_cap {
+                    let demote = self.lists[SEG_PROTECTED].tail;
+                    self.move_front(demote, SEG_PROBATION);
                 }
             }
+            seg => self.move_front(i, seg),
         }
     }
 
@@ -522,13 +452,13 @@ impl CacheShard {
         self.record_access(key);
         let &i = self.map.get(&key)?;
         self.promote(i);
-        Some(Arc::clone(&self.nodes[i].data))
+        Some(self.bytes(i))
     }
 
     /// Look up a block without promoting it, touching the sketch or the
     /// counters (scan reads — see [`BlockCache::peek`]).
     fn peek(&self, key: u64) -> Option<Arc<[u8]>> {
-        self.map.get(&key).map(|&i| Arc::clone(&self.nodes[i].data))
+        self.map.get(&key).map(|&i| self.bytes(i))
     }
 
     fn contains(&self, key: u64) -> bool {
@@ -542,27 +472,19 @@ impl CacheShard {
     fn insert(&mut self, key: u64, data: Arc<[u8]>, privileged: bool) -> InsertOutcome {
         let mut out = InsertOutcome::default();
         if let Some(&i) = self.map.get(&key) {
-            self.nodes[i].data = data;
+            self.nodes[i].data = Some(data);
             self.promote(i);
             return out;
         }
         if self.sketch.is_none() {
-            // Plain LRU, bit-exact with the original cache: evict the
-            // single list's tail when full, then insert at MRU.
+            // Plain LRU: evict the single list's tail when full, then
+            // insert at MRU.
             if self.map.len() >= self.capacity {
-                let victim = self.regions[BUCKET].lists[SEG_WINDOW].tail;
-                debug_assert_ne!(victim, NIL);
-                self.remove_node(victim);
+                self.remove_node(self.lists[SEG_WINDOW].tail);
                 out.evicted += 1;
             }
             let i = self.alloc(key, data);
-            self.map.insert(key, i);
-            self.push_front(i, BUCKET, SEG_WINDOW);
-            return out;
-        }
-        let r = self.region_of(key);
-        if self.regions[r].total_cap == 0 {
-            out.rejected += 1;
+            self.push_front(i, SEG_WINDOW);
             return out;
         }
         if privileged {
@@ -571,10 +493,9 @@ impl CacheShard {
             // admission contest after warming.
             self.record_access(key);
             let i = self.alloc(key, data);
-            self.map.insert(key, i);
-            self.push_front(i, r, SEG_PROBATION);
-            while self.regions[r].len() > self.regions[r].total_cap {
-                let v = self.coldest_excluding(r, i);
+            self.push_front(i, SEG_PROBATION);
+            while self.map.len() > self.capacity {
+                let v = self.coldest_excluding(i);
                 self.remove_node(v);
                 out.evicted += 1;
                 if v == i {
@@ -584,9 +505,8 @@ impl CacheShard {
             return out;
         }
         let i = self.alloc(key, data);
-        self.map.insert(key, i);
-        self.push_front(i, r, SEG_WINDOW);
-        self.rebalance_window(r, &mut out);
+        self.push_front(i, SEG_WINDOW);
+        self.rebalance_window(&mut out);
         out
     }
 
@@ -594,34 +514,31 @@ impl CacheShard {
     /// while the main area has room, and afterwards only when the sketch
     /// estimates them strictly hotter than the probation-tail victim
     /// (the W-TinyLFU admission contest).
-    fn rebalance_window(&mut self, r: usize, out: &mut InsertOutcome) {
-        while self.regions[r].lists[SEG_WINDOW].len > self.regions[r].window_cap {
-            let cand = self.regions[r].lists[SEG_WINDOW].tail;
-            if self.regions[r].main_cap() == 0 {
-                // Degenerate region (window == whole budget): the
-                // window tail is simply the LRU victim.
+    fn rebalance_window(&mut self, out: &mut InsertOutcome) {
+        while self.lists[SEG_WINDOW].len > self.window_cap {
+            let cand = self.lists[SEG_WINDOW].tail;
+            if self.main_cap() == 0 {
+                // Degenerate shard (window == whole budget): the window
+                // tail is simply the LRU victim.
                 self.remove_node(cand);
                 out.evicted += 1;
                 continue;
             }
-            let main_len =
-                self.regions[r].lists[SEG_PROBATION].len + self.regions[r].lists[SEG_PROTECTED].len;
-            if main_len < self.regions[r].main_cap() {
-                self.unlink(cand);
-                self.push_front(cand, r, SEG_PROBATION);
+            let main_len = self.lists[SEG_PROBATION].len + self.lists[SEG_PROTECTED].len;
+            if main_len < self.main_cap() {
+                self.move_front(cand, SEG_PROBATION);
                 continue;
             }
-            let victim = if self.regions[r].lists[SEG_PROBATION].tail != NIL {
-                self.regions[r].lists[SEG_PROBATION].tail
+            let victim = if self.lists[SEG_PROBATION].tail != NIL {
+                self.lists[SEG_PROBATION].tail
             } else {
-                self.regions[r].lists[SEG_PROTECTED].tail
+                self.lists[SEG_PROTECTED].tail
             };
             debug_assert_ne!(victim, NIL);
             if self.freq(self.nodes[cand].key) > self.freq(self.nodes[victim].key) {
                 self.remove_node(victim);
                 out.evicted += 1;
-                self.unlink(cand);
-                self.push_front(cand, r, SEG_PROBATION);
+                self.move_front(cand, SEG_PROBATION);
             } else {
                 self.remove_node(cand);
                 out.rejected += 1;
@@ -629,12 +546,12 @@ impl CacheShard {
         }
     }
 
-    /// Coldest resident entry of region `r` other than `exclude`
-    /// (window LRU first, then probation, then protected); `exclude`
-    /// itself when it is the only entry left.
-    fn coldest_excluding(&self, r: usize, exclude: usize) -> usize {
+    /// Coldest resident entry other than `exclude` (window LRU first,
+    /// then probation, then protected); `exclude` itself when it is the
+    /// only entry left.
+    fn coldest_excluding(&self, exclude: usize) -> usize {
         for seg in [SEG_WINDOW, SEG_PROBATION, SEG_PROTECTED] {
-            let mut t = self.regions[r].lists[seg].tail;
+            let mut t = self.lists[seg].tail;
             while t != NIL {
                 if t != exclude {
                     return t;
@@ -645,20 +562,17 @@ impl CacheShard {
         exclude
     }
 
-    /// Cached blocks of this shard, hottest first: protected segments
-    /// (proven reuse), then probation, then the recency window, table
-    /// region before bucket region within each tier, MRU→LRU within
-    /// each list. Under LRU everything lives in one window list, so
+    /// Cached blocks of this shard, hottest first: protected (proven
+    /// reuse), then probation, then the recency window, MRU→LRU within
+    /// each list. Under LRU everything lives in the window list, so
     /// this is exactly the recency order.
     fn hot_blocks(&self, max: usize) -> Vec<(u64, Arc<[u8]>)> {
         let mut list = Vec::new();
         for seg in [SEG_PROTECTED, SEG_PROBATION, SEG_WINDOW] {
-            for r in [TABLE, BUCKET] {
-                let mut i = self.regions[r].lists[seg].head;
-                while i != NIL && list.len() < max {
-                    list.push((self.nodes[i].key, Arc::clone(&self.nodes[i].data)));
-                    i = self.nodes[i].next;
-                }
+            let mut i = self.lists[seg].head;
+            while i != NIL && list.len() < max {
+                list.push((self.nodes[i].key, self.bytes(i)));
+                i = self.nodes[i].next;
             }
         }
         list
@@ -706,11 +620,6 @@ pub struct BlockCache {
     shards: Vec<Mutex<CacheShard>>,
     capacity: usize,
     policy: CachePolicy,
-    /// Table/bucket split used for the per-region hit/miss counters
-    /// (block units; 0 = everything counts as bucket-region).
-    counter_boundary: u64,
-    /// Per-lock-shard table-block estimate, kept for shard rebuilds.
-    table_hint: usize,
     live: CacheCounters,
 }
 
@@ -725,20 +634,16 @@ struct CacheCounters {
     stale_fills: AtomicU64,
     warmed: AtomicU64,
     admission_rejected: AtomicU64,
-    table_hits: AtomicU64,
-    table_misses: AtomicU64,
-    bucket_hits: AtomicU64,
-    bucket_misses: AtomicU64,
 }
 
 impl BlockCache {
-    /// LRU cache holding at most `capacity_blocks` blocks, striped over
-    /// `num_shards` independently locked segments. The capacity is
-    /// exact: it is distributed over the segments as evenly as possible
-    /// (both arguments are clamped to at least 1, and the segment count
-    /// to at most the capacity).
+    /// W-TinyLFU cache (the default [`CachePolicy`]) holding at most
+    /// `capacity_blocks` blocks, striped over `num_shards` independently
+    /// locked segments. The capacity is exact: it is distributed over
+    /// the segments as evenly as possible (both arguments are clamped to
+    /// at least 1, and the segment count to at most the capacity).
     pub fn new(capacity_blocks: usize, num_shards: usize) -> Self {
-        Self::with_policy(capacity_blocks, num_shards, CachePolicy::Lru)
+        Self::with_policy(capacity_blocks, num_shards, CachePolicy::default())
     }
 
     /// Like [`BlockCache::new`] with an explicit replacement policy.
@@ -747,53 +652,33 @@ impl BlockCache {
         let num_shards = num_shards.max(1).min(capacity);
         let base = capacity / num_shards;
         let extra = capacity % num_shards;
-        let counter_boundary = match policy {
-            CachePolicy::TinyLfu(cfg) => cfg.region_boundary,
-            CachePolicy::Lru => 0,
-        };
-        let table_hint = if counter_boundary == 0 {
-            0
-        } else {
-            (counter_boundary as usize).div_ceil(num_shards)
-        };
         Self {
             shards: (0..num_shards)
-                .map(|s| {
-                    Mutex::new(CacheShard::new(
-                        base + usize::from(s < extra),
-                        policy,
-                        table_hint,
-                    ))
-                })
+                .map(|s| Mutex::new(CacheShard::new(base + usize::from(s < extra), policy)))
                 .collect(),
             capacity,
             policy,
-            counter_boundary,
-            table_hint,
             live: CacheCounters::default(),
         }
     }
 
     #[inline]
     fn shard_for(&self, key: u64) -> &Mutex<CacheShard> {
-        // Fibonacci hashing spreads block addresses (which share low
-        // zero bits) across shards.
+        // Fibonacci hashing: the high bits of the product depend on
+        // every bit of the block number, so runs of consecutive block
+        // numbers spread over the segments.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         &self.shards[(h as usize) % self.shards.len()]
     }
 
-    /// Fold one lookup into the global and per-region counters.
-    fn note_lookup(&self, key: u64, hit: bool) {
-        let table = self.counter_boundary > 0 && key < self.counter_boundary;
-        let c = &self.live;
-        let (global, regional) = match (hit, table) {
-            (true, true) => (&c.hits, &c.table_hits),
-            (true, false) => (&c.hits, &c.bucket_hits),
-            (false, true) => (&c.misses, &c.table_misses),
-            (false, false) => (&c.misses, &c.bucket_misses),
+    /// Fold one lookup into the hit or miss counter.
+    fn note_lookup(&self, hit: bool) {
+        let c = if hit {
+            &self.live.hits
+        } else {
+            &self.live.misses
         };
-        global.fetch_add(1, Ordering::Relaxed);
-        regional.fetch_add(1, Ordering::Relaxed);
+        c.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_outcome(&self, out: InsertOutcome) {
@@ -813,7 +698,7 @@ impl BlockCache {
     /// or a miss.
     pub fn get(&self, key: u64) -> Option<Arc<[u8]>> {
         let got = self.shard_for(key).lock().unwrap().get(key);
-        self.note_lookup(key, got.is_some());
+        self.note_lookup(got.is_some());
         got
     }
 
@@ -835,13 +720,13 @@ impl BlockCache {
         match shard.get(key) {
             Some(data) => {
                 drop(shard);
-                self.note_lookup(key, true);
+                self.note_lookup(true);
                 Ok(data)
             }
             None => {
                 let epoch = shard.fill_epoch(key);
                 drop(shard);
-                self.note_lookup(key, false);
+                self.note_lookup(false);
                 Err(epoch)
             }
         }
@@ -916,7 +801,7 @@ impl BlockCache {
             // completion (conservative, cheap to retry), and the map
             // starts over.
             shard.flush += 1;
-            shard.epochs = HashMap::new();
+            shard.epochs = FxHashMap::default();
         }
         shard.remove_key(key);
         self.live.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -933,7 +818,7 @@ impl BlockCache {
             // entries: a fill holding an older flush epoch fails the
             // freshness check even with its key epoch reset to 0.
             let (cap, flush) = (s.capacity, s.flush + 1);
-            *s = CacheShard::new(cap, self.policy, self.table_hint);
+            *s = CacheShard::new(cap, self.policy);
             s.flush = flush;
         }
     }
@@ -1055,10 +940,6 @@ impl BlockCache {
             cache_stale_fills: load(&c.stale_fills),
             cache_warmed: load(&c.warmed),
             cache_admission_rejected: load(&c.admission_rejected),
-            cache_table_hits: load(&c.table_hits),
-            cache_table_misses: load(&c.table_misses),
-            cache_bucket_hits: load(&c.bucket_hits),
-            cache_bucket_misses: load(&c.bucket_misses),
             ..DeviceStats::default()
         }
     }
@@ -1095,7 +976,7 @@ pub struct CachedDevice<D: Device> {
     /// two same-kind I/Os for the same probe in flight). The epoch
     /// gates the fill: an invalidation of this key between submit and
     /// completion discards it.
-    pending_fills: HashMap<u64, (u64, FillEpoch)>,
+    pending_fills: FxHashMap<u64, (u64, FillEpoch)>,
     /// This device's own cache hits (the shared [`BlockCache`] counters
     /// span every device on the cache; per-device stats must stay
     /// summable across replicas).
@@ -1114,14 +995,15 @@ impl<D: Device> CachedDevice<D> {
             cache,
             block_size,
             hit_queue: Vec::new(),
-            pending_fills: HashMap::new(),
+            pending_fills: FxHashMap::default(),
             local_hits: 0,
             local_misses: 0,
         }
     }
 
     /// Convenience: wrap with a fresh private cache of
-    /// `capacity_blocks` × [`BLOCK_SIZE`] blocks.
+    /// `capacity_blocks` × [`BLOCK_SIZE`] blocks under the default
+    /// policy ([`BlockCache::new`]).
     ///
     /// [`BLOCK_SIZE`]: crate::layout::BLOCK_SIZE
     pub fn with_capacity(inner: D, capacity_blocks: usize) -> Self {
@@ -1260,6 +1142,11 @@ mod tests {
         v
     }
 
+    /// The reference policy, for the tests that pin recency order.
+    fn lru(capacity: usize, shards: usize) -> BlockCache {
+        BlockCache::with_policy(capacity, shards, CachePolicy::Lru)
+    }
+
     fn read_block(dev: &mut dyn Device, addr: u64, now: f64) -> (Vec<u8>, f64) {
         dev.submit(
             IoRequest {
@@ -1352,14 +1239,20 @@ mod tests {
                 cache.len()
             );
         }
-        assert!(cache.counters().cache_evictions > 0);
-        assert_eq!(cache.len() as u64 + cache.counters().cache_evictions, 100);
+        let c = cache.counters();
+        assert!(c.cache_evictions + c.cache_admission_rejected > 0);
+        // Every inserted block is resident, was evicted, or was refused
+        // admission.
+        assert_eq!(
+            cache.len() as u64 + c.cache_evictions + c.cache_admission_rejected,
+            100
+        );
     }
 
     #[test]
     fn lru_order_within_shard() {
         // Single shard so the eviction order is the global LRU order.
-        let cache = BlockCache::new(2, 1);
+        let cache = lru(2, 1);
         cache.insert(1, Arc::from([1u8].as_slice()));
         cache.insert(2, Arc::from([2u8].as_slice()));
         assert!(cache.get(1).is_some()); // 1 becomes MRU
@@ -1596,9 +1489,6 @@ mod tests {
         assert_eq!(c.cache_misses, expect_misses);
         assert_eq!(c.cache_hits + c.cache_misses, 50);
         assert!(c.cache_hit_rate() > 0.0 && c.cache_hit_rate() < 1.0);
-        // Unpartitioned: every lookup counts as bucket-region.
-        assert_eq!(c.cache_bucket_hits + c.cache_bucket_misses, 50);
-        assert_eq!(c.cache_table_hits + c.cache_table_misses, 0);
     }
 
     #[test]
@@ -1616,16 +1506,6 @@ mod tests {
 
     // ── TinyLFU admission ────────────────────────────────────────────
 
-    fn tinylfu(capacity: usize, shards: usize, boundary: u64) -> BlockCache {
-        BlockCache::with_policy(
-            capacity,
-            shards,
-            CachePolicy::TinyLfu(TinyLfuConfig {
-                region_boundary: boundary,
-            }),
-        )
-    }
-
     /// Miss-then-insert, the way a device fill reaches the cache.
     fn access(cache: &BlockCache, key: u64) -> bool {
         if cache.get(key).is_some() {
@@ -1638,7 +1518,7 @@ mod tests {
 
     #[test]
     fn tinylfu_scan_cannot_displace_hot_blocks() {
-        let cache = tinylfu(8, 1, 0);
+        let cache = BlockCache::new(8, 1);
         // Heat four blocks until they sit in the main area with real
         // frequency history.
         for _ in 0..5 {
@@ -1661,22 +1541,22 @@ mod tests {
         );
         assert!(cache.len() <= cache.capacity());
         // The same scan against plain LRU flushes the hot set.
-        let lru = BlockCache::new(8, 1);
+        let plain = lru(8, 1);
         for _ in 0..5 {
             for k in 1..=4u64 {
-                access(&lru, k);
+                access(&plain, k);
             }
         }
         for k in 100..130u64 {
-            access(&lru, k);
+            access(&plain, k);
         }
-        assert!((1..=4).all(|k| lru.peek(k).is_none()));
-        assert_eq!(lru.counters().cache_admission_rejected, 0);
+        assert!((1..=4).all(|k| plain.peek(k).is_none()));
+        assert_eq!(plain.counters().cache_admission_rejected, 0);
     }
 
     #[test]
     fn tinylfu_probation_hit_promotes_to_protected() {
-        let cache = tinylfu(16, 1, 0);
+        let cache = BlockCache::new(16, 1);
         // First pass: keys land in window → probation.
         for k in 0..4u64 {
             access(&cache, k);
@@ -1696,7 +1576,7 @@ mod tests {
 
     #[test]
     fn peek_promotes_and_counts_nothing() {
-        let cache = BlockCache::new(2, 1);
+        let cache = lru(2, 1);
         cache.insert(1, Arc::from([1u8].as_slice()));
         cache.insert(2, Arc::from([2u8].as_slice()));
         assert!(cache.peek(1).is_some());
@@ -1711,33 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn region_partition_protects_table_blocks() {
-        // Keys 0..4 are table-region; budget = round(8 * TABLE_FRACTION) = 2.
-        let cache = BlockCache::with_policy(
-            8,
-            1,
-            CachePolicy::TinyLfu(TinyLfuConfig { region_boundary: 4 }),
-        );
-        access(&cache, 0);
-        access(&cache, 1);
-        assert_eq!(cache.counters().cache_table_misses, 2);
-        // Hammer the bucket region with far more traffic than its
-        // budget: the table entries must be untouchable.
-        for k in 100..200u64 {
-            access(&cache, k);
-        }
-        assert!(
-            cache.peek(0).is_some(),
-            "bucket churn evicted a table block"
-        );
-        assert!(cache.peek(1).is_some());
-        assert!(cache.len() <= cache.capacity());
-        assert_eq!(cache.counters().cache_bucket_misses, 100);
-        assert!(cache.get(0).is_some());
-        assert_eq!(cache.counters().cache_table_hits, 1);
-    }
-
-    #[test]
     fn warm_insert_bypasses_cold_admission_filter() {
         // A hot donor (any policy) warms a cold TinyLFU sibling: the
         // sibling's sketch has never seen the keys, so the normal
@@ -1748,7 +1601,7 @@ mod tests {
                 access(&donor, k);
             }
         }
-        let fresh = tinylfu(32, 1, 0);
+        let fresh = BlockCache::new(32, 1);
         let copied = fresh.warm_from(&donor, 12);
         assert_eq!(copied, 12);
         assert_eq!(fresh.len(), 12);
@@ -1762,7 +1615,11 @@ mod tests {
 
     #[test]
     fn tinylfu_policy_shapes_survive_new_like_and_clear() {
-        let cache = tinylfu(64, 4, 0);
+        let cache = BlockCache::new(64, 4);
+        assert!(
+            matches!(cache.policy(), CachePolicy::TinyLfu(_)),
+            "the default"
+        );
         assert_eq!(cache.policy(), cache.new_like().policy());
         for k in 0..32u64 {
             access(&cache, k);

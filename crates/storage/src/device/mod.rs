@@ -169,21 +169,10 @@ counter_family! {
         /// ([`cached::BlockCache::warm_from`] — replica-aware cache
         /// warming).
         cache_warmed: u64 = "cache_warmed",
-        /// Window candidates the TinyLFU admission filter refused to
-        /// admit into the cache's main area (0 under the default LRU
-        /// policy).
+        /// Window candidates the W-TinyLFU admission filter refused to
+        /// admit into the cache's main area (always 0 under the
+        /// reference LRU policy).
         cache_admission_rejected: u64 = "cache_admission_rejected",
-        /// Cache hits on table-region blocks (hash-table slot reads,
-        /// below the region boundary; 0 when the cache is
-        /// unpartitioned — everything counts as bucket-region then).
-        cache_table_hits: u64 = "cache_table_hits",
-        /// Cache misses on table-region blocks.
-        cache_table_misses: u64 = "cache_table_misses",
-        /// Cache hits on bucket-region blocks (chain reads; all
-        /// lookups when unpartitioned).
-        cache_bucket_hits: u64 = "cache_bucket_hits",
-        /// Cache misses on bucket-region blocks.
-        cache_bucket_misses: u64 = "cache_bucket_misses",
         /// Bucket blocks returned to the free list by deletes or
         /// background maintenance (empty-block unlink and chain
         /// compaction). A writer-level quantity: devices leave it 0

@@ -1,7 +1,7 @@
-//! Property tests for the DRAM block cache: the sharded LRU must agree
-//! with a naive reference model, never exceed its capacity, keep its
-//! counters consistent, and — wrapped as a [`CachedDevice`] — never
-//! change the bytes a read returns.
+//! Property tests for the DRAM block cache: the reference LRU policy
+//! must agree with a naive model, the sharded cache must never exceed
+//! its capacity, keep its counters consistent, and — wrapped as a
+//! [`CachedDevice`] — never change the bytes a read returns.
 //!
 //! The per-key invalidation-epoch protocol is model-checked too: under
 //! any interleaving of fills, invalidations and whole-cache flushes,
@@ -68,8 +68,8 @@ impl ModelLru {
     }
 }
 
-/// Naive single-region W-TinyLFU: three deques (MRU at the front) with
-/// the same budget formulas as `Region::tiny_lfu`, driven by its own
+/// Naive W-TinyLFU: three deques (MRU at the front) with the same
+/// budget formulas as `CacheShard::new`, driven by its own
 /// `CmSketch` fed the identical access sequence as the cache under
 /// test. No intrusive lists, no slab — just the policy.
 struct ModelTinyLfu {
@@ -183,14 +183,15 @@ impl ModelTinyLfu {
 }
 
 proptest! {
-    /// A single-shard BlockCache is observationally equal to the naive
-    /// model: same hit/miss verdict per op, same counters, same bound.
+    /// A single-shard LRU BlockCache is observationally equal to the
+    /// naive model: same hit/miss verdict per op, same counters, same
+    /// bound.
     #[test]
     fn single_shard_lru_matches_reference_model(
         ops in proptest::collection::vec((0u8..2, 0u64..24), 1..300),
         cap in 1usize..12,
     ) {
-        let cache = BlockCache::new(cap, 1);
+        let cache = BlockCache::with_policy(cap, 1, CachePolicy::Lru);
         let mut model = ModelLru::new(cap);
         for &(op, key) in &ops {
             if op == 0 {
@@ -234,8 +235,12 @@ proptest! {
         }
         let c = cache.counters();
         prop_assert_eq!(c.cache_hits + c.cache_misses, lookups);
-        // Every cached or evicted block came from a miss-triggered insert.
-        prop_assert_eq!(c.cache_misses, cache.len() as u64 + c.cache_evictions);
+        // Every cached, evicted or refused block came from a
+        // miss-triggered insert.
+        prop_assert_eq!(
+            c.cache_misses,
+            cache.len() as u64 + c.cache_evictions + c.cache_admission_rejected
+        );
         // A hit must return the bytes that were inserted for that key.
         for &k in &keys {
             if let Some(data) = cache.get(k) {
@@ -438,16 +443,16 @@ proptest! {
         }
     }
 
-    /// A single-shard TinyLFU cache (no region split) is observationally
-    /// equal to the naive window/probation/protected model: same
-    /// hit/miss verdict per get, same membership, same counters.
+    /// A single-shard W-TinyLFU cache (the default policy) is
+    /// observationally equal to the naive window/probation/protected
+    /// model: same hit/miss verdict per get, same membership, same
+    /// counters.
     #[test]
     fn tiny_lfu_single_shard_matches_reference_model(
         ops in proptest::collection::vec((0u8..2, 0u64..24), 1..300),
         cap in 1usize..12,
     ) {
-        let policy = CachePolicy::TinyLfu(TinyLfuConfig::default());
-        let cache = BlockCache::with_policy(cap, 1, policy);
+        let cache = BlockCache::new(cap, 1);
         let mut model = ModelTinyLfu::new(cap);
         for &(op, key) in &ops {
             if op == 0 {
